@@ -41,10 +41,11 @@ for sequence in PALINDROME_WINDOWS:
     )
 
     contacts = ", ".join(f"{c['distance']:.3f} A" for c in report.contacts)
+    translation = ", ".join(f"{x:.3f}" for x in report.sheet_transform[9:])
     print(
         f"{sequence}: {len(model.chains)} chains, "
         f"H-bonds {report.hbond_count_before}->{report.hbond_count_after} "
         f"(model total {report.model_hbond_count}), "
         f"contacts [{contacts}], clashes {len(report.clashes)}, "
-        f"residual {report.reconciliation_residual:.2f} A -> {pdb_path}"
+        f"sheet-2 translation ({translation}) A -> {pdb_path}"
     )

@@ -1,40 +1,45 @@
 """End-to-end fibril model construction.
 
 Pipeline: mutate the template's two strands to the target Ala/Gly
-hexapeptide, generate the opposing sheet by the lattice screw, optimize
-the free contact atoms against the fixed anchors (a six-variable
-Lennard-Jones problem for the default two contacts), collapse the result
-onto a translation-only update of the sheet transform, replicate to the
+hexapeptide, generate the opposing sheet by the lattice screw, place
+that sheet by a translation-only update of the screw, replicate to the
 twelve-chain cell, and audit hydrogen bonds and clashes.
 
-The six-variable optimum is degenerate: each free atom may sit anywhere
-on a sphere around its anchor.  Averaging such solutions into one rigid
-translation (the reconciliation step) would leave the rebuilt contacts
-off their optimal distance by an unpredictable amount, so after
-reconciling we descend the translation-only energy from the mean
-displacement.  The polish is deterministic, keeps the rotation fixed, and
-the reconciliation residual is still reported so the size of the rigid
-approximation stays visible.
+Sheet 2 moves as a rigid body with its rotation fixed, so the placement
+has three unknowns: the translation u added to the screw.  It puts free
+atom j at free_j + u, so an anchor-free pair contributes V(|u - c|) with
+centre c = anchor_i - free_j, and the energy is E(u) = sum V(|u - c|)
+over the contact pairs (i, i), or over every anchor-free pair with
+``full_sum`` (anchor-anchor and free-free terms do not change under a
+rigid translation).
+
+For the default two contacts the optimum set is a circle, so the model
+is fixed by where the descent starts, not by a seed: gradient descent
+from the template screw (u = 0) ends on the optimum nearest the
+template.  The seeded annealed search, started from that answer, only
+checks it over a box that holds every optimum; when it finds a lower
+energy, its point is polished and used, and the report warns that the
+model depends on the seed.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .energy import LJParams, lj_cluster_energy, lj_cluster_gradient, lj_pair_energy, clash_audit, detect_hbonds
+from .energy import LJParams, lj_pair_energy, clash_audit, detect_hbonds
 from .errors import BuildError, MutationError, StericZipError
 from .geometry import (
     RigidTransform,
     SheetLattice,
     cbeta_position,
-    reconcile_translation,
+    reconcile_translation,  # unused; perfbench/tracing.py patches it by this name
     replicate_lattice,
     transform_chain,
 )
-from .optimize import Objective, OptimizerConfig, OptimizationResult, local_refine, minimize_saec
+from .optimize import Objective, OptimizerConfig, OptimizationResult, local_refine, minimize_saec, uniform_bounds
 from .pdbio import AtomSelector, Structure, select_atom
 from .template import (
     DEFAULT_ANCHOR_SELECTORS,
@@ -134,9 +139,6 @@ class FibrilSpec:
     lattice: SheetLattice = field(default_factory=default_lattice)
     optimizer: OptimizerConfig = field(default_factory=lambda: OptimizerConfig(max_evaluations=40_000))
     full_sum: bool = False
-    placement_margin: float = 12.0
-    placement_bounds: np.ndarray | None = None
-    residual_warning_threshold: float = 0.5
 
     def __post_init__(self):
         self.sequence = validate_sequence(self.sequence)
@@ -155,23 +157,34 @@ class FibrilSpec:
 
     @classmethod
     def from_json(cls, text: str, **overrides) -> "FibrilSpec":
-        data = json.loads(text)
+        """Spec from a JSON object; a malformed spec raises StericZipError naming the key."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise StericZipError(f"spec is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise StericZipError("spec must be a JSON object")
         data.update(overrides)
-        if "lj" in data and isinstance(data["lj"], dict):
-            data["lj"] = LJParams(**data["lj"])
-        if "optimizer" in data and isinstance(data["optimizer"], dict):
-            data["optimizer"] = OptimizerConfig(**data["optimizer"])
-        if "lattice" in data and isinstance(data["lattice"], dict):
-            lat = data["lattice"]
-            data["lattice"] = SheetLattice(
-                np.asarray(lat["intra_sheet_step"], dtype=float),
-                RigidTransform.from_values(lat["sheet2_transform"]),
-            )
-        if "anchors" in data:
-            data["anchors"] = tuple(data["anchors"])
-        if "free_atoms" in data:
-            data["free_atoms"] = tuple(data["free_atoms"])
-        return cls(**data)
+        try:
+            lattice = data.get("lattice")
+            if isinstance(lattice, dict) and "sheet2_transform" in lattice:
+                lattice["sheet2_transform"] = RigidTransform.from_values(lattice["sheet2_transform"])
+            for key, kind in (("lj", LJParams), ("optimizer", OptimizerConfig), ("lattice", SheetLattice)):
+                if isinstance(data.get(key), dict):
+                    data[key] = _from_known_keys(kind, data[key], key)
+            for key in ("anchors", "free_atoms"):
+                if key in data:
+                    data[key] = tuple(data[key])
+            return _from_known_keys(cls, data, "spec")
+        except (TypeError, ValueError) as exc:
+            raise StericZipError(f"bad spec value: {exc}") from exc
+
+
+def _from_known_keys(kind, data: dict, where: str):
+    unknown = sorted(set(data) - {f.name for f in fields(kind)})
+    if unknown:
+        raise StericZipError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
+    return kind(**data)
 
 
 @dataclass
@@ -179,86 +192,57 @@ class PlacementOutcome:
     transform: RigidTransform
     optimizer_result: OptimizationResult
     refined_energy: float
-    residual: float
-    mean_displacement: np.ndarray
-    free_initial: np.ndarray
-    free_refined: np.ndarray
-    free_final: np.ndarray
     contact_distances: np.ndarray
     contact_energies: np.ndarray
+    warnings: list[str] = field(default_factory=list)
 
 
-def _contact_objective(
-    anchors: np.ndarray, params: LJParams, bounds: np.ndarray, full_sum: bool
+def placement_objective(
+    anchors: np.ndarray, free0: np.ndarray, params: LJParams, full_sum: bool = False
 ) -> Objective:
-    k = anchors.shape[0]
-    n = 3 * k
+    """Contact energy above its floor as a function of the sheet-2 translation u.
 
+    The centres c are anchor_i - free_j over the contact pairs (i, i), or
+    over every anchor-free pair with ``full_sum``.  Each pair adds
+    V(r) + eps = eps (2 (sigma/r)^6 - 1)^2 >= 0, which keeps full relative
+    precision near r_min, where V itself rounds at ~1e-16 of its size and
+    would stall descent ~1e-8 A short.  The box |u_x|, |u_y|, |u_z| <=
+    max|c| + r_min holds every optimum.  Distances are floored at 1e-12 A:
+    a point on a centre gets a huge finite value and no force from that
+    pair, on the scalar and batch paths alike.
+    """
     if full_sum:
-        def evaluate(x: np.ndarray) -> float:
-            combined = np.vstack([anchors, x.reshape(k, 3)])
-            return lj_cluster_energy(combined, params)
-
-        def gradient(x: np.ndarray) -> np.ndarray:
-            combined = np.vstack([anchors, x.reshape(k, 3)])
-            return lj_cluster_gradient(combined, params)[3 * k:]
-
-        evaluate_batch = None
+        centres = (anchors[:, None, :] - free0[None, :, :]).reshape(-1, 3)
     else:
-        def evaluate(x: np.ndarray) -> float:
-            free = x.reshape(k, 3)
-            r = np.linalg.norm(free - anchors, axis=1)
-            return float(np.sum(lj_pair_energy(r, params)))
+        centres = anchors - free0
+    half = float(np.max(np.linalg.norm(centres, axis=1))) + params.r_min
+    sigma2, eps, eps24 = params.sigma**2, params.epsilon, 24.0 * params.epsilon
 
-        pairs = [(i, k + i) for i in range(k)]
+    def evaluate_batch(points: np.ndarray, with_gradient: bool = False):
+        diff = points[:, None, :] - centres
+        r2 = np.maximum((diff * diff).sum(axis=2), 1e-24)
+        s6 = (sigma2 / r2) ** 3
+        well = 2.0 * s6 - 1.0
+        value = eps * (well * well).sum(axis=1)
+        if not with_gradient:
+            return value
+        # dV/dr / r = -24 eps (2 s12 - s6) / r^2
+        coeff = (-eps24 * s6 * well / r2)[:, :, None]
+        return value, (coeff * diff).sum(axis=1)
 
-        def gradient(x: np.ndarray) -> np.ndarray:
-            combined = np.vstack([anchors, x.reshape(k, 3)])
-            return lj_cluster_gradient(combined, params, pairs=pairs)[3 * k:]
+    def evaluate(u: np.ndarray) -> float:
+        return float(evaluate_batch(u[None, :])[0])
 
-        def evaluate_batch(points: np.ndarray) -> np.ndarray:
-            free = points.reshape(points.shape[0], k, 3)
-            diff = free - anchors[None, :, :]
-            r = np.linalg.norm(diff, axis=2)
-            with np.errstate(divide="ignore", over="ignore"):
-                s6 = (params.sigma / np.maximum(r, 1e-12)) ** 6
-                energies = 4.0 * params.epsilon * s6 * (s6 - 1.0)
-            return np.sum(energies, axis=1)
+    def gradient(u: np.ndarray) -> np.ndarray:
+        return evaluate_batch(u[None, :], with_gradient=True)[1][0]
 
     return Objective(
-        dimension=n,
+        dimension=3,
         evaluate=evaluate,
         gradient=gradient,
         evaluate_batch=evaluate_batch,
-        bounds=bounds,
+        bounds=uniform_bounds(-half, half, 3),
     )
-
-
-def _translation_objective(
-    anchors: np.ndarray, free0: np.ndarray, params: LJParams, bounds: np.ndarray, full_sum: bool
-) -> Objective:
-    k = anchors.shape[0]
-
-    def evaluate(u: np.ndarray) -> float:
-        free = free0 + u
-        if full_sum:
-            return lj_cluster_energy(np.vstack([anchors, free]), params)
-        r = np.linalg.norm(free - anchors, axis=1)
-        return float(np.sum(lj_pair_energy(r, params)))
-
-    def gradient(u: np.ndarray) -> np.ndarray:
-        combined = np.vstack([anchors, free0 + u])
-        pairs = None if full_sum else [(i, k + i) for i in range(k)]
-        g = lj_cluster_gradient(combined, params, pairs=pairs)[3 * k:]
-        return g.reshape(k, 3).sum(axis=0)
-
-    return Objective(dimension=3, evaluate=evaluate, gradient=gradient, bounds=bounds)
-
-
-def default_placement_bounds(free_initial: np.ndarray, margin: float = 8.0) -> np.ndarray:
-    """Symmetric box of half-width ``margin`` around each free coordinate."""
-    flat = np.asarray(free_initial, dtype=np.float64).reshape(-1)
-    return np.column_stack([flat - margin, flat + margin])
 
 
 def solve_contact_placement(
@@ -267,136 +251,70 @@ def solve_contact_placement(
     params: LJParams,
     base_transform: RigidTransform,
     config: OptimizerConfig,
-    bounds: np.ndarray | None = None,
     full_sum: bool = False,
 ) -> PlacementOutcome:
-    """Optimize free contact atoms, then collapse to a sheet translation.
+    """Translate the free atoms rigidly to minimize their contact energy.
 
-    Runs the annealed search seeded at the initial free positions, refines
-    with gradient descent, reconciles the per-atom displacements to the
-    base transform (reporting the residual), and finally descends the
-    translation-only energy from the mean displacement so the returned
-    transform realizes optimal contacts whenever a single translation can.
+    The answer is the end point of gradient descent from u = 0, the base
+    transform itself.  The seeded annealed search, started from that
+    point, checks it over the whole box; if the search reaches a lower
+    energy, its best point is polished and used instead, and a warning
+    says the result depends on the seed.
     """
     anchors = np.asarray(anchor_points, dtype=np.float64).reshape(-1, 3)
     free0 = np.asarray(free_points, dtype=np.float64).reshape(-1, 3)
     if anchors.shape != free0.shape:
         raise StericZipError("anchor and free point lists must have matching shapes")
     k = anchors.shape[0]
-    if bounds is None:
-        bounds = default_placement_bounds(free0)
-    bounds = np.asarray(bounds, dtype=np.float64)
+    floor = -params.epsilon * (k * k if full_sum else k)
 
-    objective = _contact_objective(anchors, params, bounds, full_sum)
+    objective = placement_objective(anchors, free0, params, full_sum)
     cfg = config
-    if not full_sum and cfg.target_value is None:
-        # Contact-restricted global minimum is exactly -k epsilon.
-        cfg = replace(cfg, target_value=-k * params.epsilon, target_tolerance=1e-3)
-    saec = minimize_saec(objective, cfg, x0=free0.reshape(-1))
-    refined = local_refine(objective, saec.best_point, tol=1e-9, max_iters=500)
-    free_refined = refined.best_point.reshape(k, 3)
+    if cfg.target_value is not None:
+        cfg = replace(cfg, target_value=cfg.target_value - floor)
+    elif not full_sum:
+        # Contact-restricted global minimum is exactly the floor, -k epsilon.
+        cfg = replace(cfg, target_value=0.0, target_tolerance=1e-3)
+    refined = local_refine(objective, np.zeros(3), tol=1e-10, max_iters=500)
+    # Starting the search from the descent's end point ends it at once
+    # when that point already meets the target.
+    saec = minimize_saec(objective, cfg, x0=refined.best_point)
+    evaluations = saec.evaluations_used + refined.evaluations_used
+    warnings = []
+    energy = refined.best_value + floor
+    if saec.best_value < refined.best_value - 1e-9 * max(1.0, abs(energy)):
+        warnings.append(
+            f"the seeded search reached energy {saec.best_value + floor:.6g}, below the "
+            f"{energy:.6g} of descent from the template screw; "
+            "the sheet placement depends on the seed"
+        )
+        refined = local_refine(objective, saec.best_point, tol=1e-10, max_iters=500)
+        evaluations += refined.evaluations_used
+        energy = refined.best_value + floor
 
-    transform_mean, residual = reconcile_translation(free0, free_refined, base_transform)
-    mean_displacement = transform_mean.translation - base_transform.translation
-
-    # Translation-only polish from the mean displacement.
-    lo = np.max(bounds[:, 0].reshape(k, 3) - free0, axis=0)
-    hi = np.min(bounds[:, 1].reshape(k, 3) - free0, axis=0)
-    if np.all(lo < hi):
-        u_bounds = np.column_stack([lo, hi])
-        u_objective = _translation_objective(anchors, free0, params, u_bounds, full_sum)
-        u0 = np.clip(mean_displacement, lo, hi)
-        polished = local_refine(u_objective, u0, tol=1e-10, max_iters=500)
-        u_final = polished.best_point
-    else:
-        u_final = mean_displacement
-
-    transform = base_transform.with_translation(base_transform.translation + u_final)
-    free_final = free0 + u_final
-    distances = np.linalg.norm(free_final - anchors, axis=1)
-    energies = np.array([lj_pair_energy(float(r), params) for r in distances])
-
-    result = replace(
-        saec,
-        best_point=refined.best_point,
-        best_value=refined.best_value,
-        evaluations_used=saec.evaluations_used + refined.evaluations_used,
-        trace=saec.trace + [(saec.evaluations_used + e, v) for e, v in refined.trace if v <= saec.best_value],
-    )
+    u = refined.best_point
+    distances = np.linalg.norm(free0 + u - anchors, axis=1)
+    trace = [(e, v + floor) for e, v in saec.trace]
     return PlacementOutcome(
-        transform=transform,
-        optimizer_result=result,
-        refined_energy=refined.best_value,
-        residual=residual,
-        mean_displacement=mean_displacement,
-        free_initial=free0,
-        free_refined=free_refined,
-        free_final=free_final,
+        transform=base_transform.with_translation(base_transform.translation + u),
+        optimizer_result=replace(saec, best_point=u, best_value=energy, evaluations_used=evaluations, trace=trace),
+        refined_energy=energy,
         contact_distances=distances,
-        contact_energies=energies,
+        contact_energies=lj_pair_energy(distances, params),
+        warnings=warnings,
     )
-
-
-def _interface_slab_bounds(
-    sheet1_positions: np.ndarray,
-    sheet2_positions: np.ndarray,
-    free_initial: np.ndarray,
-    margin: float,
-) -> np.ndarray | None:
-    """Bounds confining free atoms to the gap between the sheets.
-
-    The sheets of this lattice separate along z (the screw axis is x), so
-    the mobile contact atoms are boxed with +/- margin in x and y and kept
-    on their own side of the interface midplane in z.  Returns None when
-    the sheets overlap in z and no gap exists.
-    """
-    s1_min, s1_max = sheet1_positions[:, 2].min(), sheet1_positions[:, 2].max()
-    s2_min, s2_max = sheet2_positions[:, 2].min(), sheet2_positions[:, 2].max()
-    z0 = free_initial[:, 2]
-    if s2_max < s1_min:  # sheet 2 below sheet 1
-        mid = 0.5 * (s1_min + s2_max)
-        z_lo, z_hi = z0.min() - 1.0, mid - 0.1
-    elif s2_min > s1_max:  # sheet 2 above sheet 1
-        mid = 0.5 * (s1_max + s2_min)
-        z_lo, z_hi = mid + 0.1, z0.max() + 1.0
-    else:
-        return None
-    if z_lo >= z_hi:
-        return None
-    bounds = []
-    for point in free_initial:
-        bounds.append([point[0] - margin, point[0] + margin])
-        bounds.append([point[1] - margin, point[1] + margin])
-        bounds.append([z_lo, z_hi])
-    return np.asarray(bounds, dtype=np.float64)
 
 
 def place_opposing_sheet(structure: Structure, spec: FibrilSpec) -> PlacementOutcome:
-    """Solve the free-atom placement problem for a mutated four-chain structure.
+    """Solve the sheet-2 placement for a mutated four-chain structure.
 
     ``structure`` must already contain the mutated sheet-1 chains and the
     template-derived sheet-2 chains that the free selectors address.
     """
     anchors = np.array([select_atom(structure, s).position for s in spec.anchor_selectors()])
     free0 = np.array([select_atom(structure, s).position for s in spec.free_selectors()])
-    if spec.placement_bounds is not None:
-        bounds = np.asarray(spec.placement_bounds, dtype=np.float64)
-    else:
-        sheet1_ids = sorted({s.chain_id for s in spec.anchor_selectors()})
-        sheet2_ids = sorted({s.chain_id for s in spec.free_selectors()})
-        s1 = np.vstack([structure.chain(c).positions() for c in sheet1_ids])
-        s2 = np.vstack([structure.chain(c).positions() for c in sheet2_ids])
-        bounds = _interface_slab_bounds(s1, s2, free0, spec.placement_margin)
-        if bounds is None:
-            bounds = default_placement_bounds(free0, spec.placement_margin)
     return solve_contact_placement(
-        anchors,
-        free0,
-        spec.lj,
-        spec.lattice.sheet2_transform,
-        spec.optimizer,
-        bounds=bounds,
-        full_sum=spec.full_sum,
+        anchors, free0, spec.lj, spec.lattice.sheet2_transform, spec.optimizer, spec.full_sum
     )
 
 
@@ -411,7 +329,6 @@ class BuildReport:
     hbond_count_after: int
     model_hbond_count: int
     contacts: list[dict]
-    reconciliation_residual: float
     sheet_transform: list[float]
     lattice_step: list[float]
     optimizer: dict
@@ -419,23 +336,7 @@ class BuildReport:
     parameters: dict
 
     def to_dict(self) -> dict:
-        return {
-            "model_name": self.model_name,
-            "sequence": self.sequence,
-            "success": self.success,
-            "warnings": self.warnings,
-            "chain_ids": self.chain_ids,
-            "hbond_count_before": self.hbond_count_before,
-            "hbond_count_after": self.hbond_count_after,
-            "model_hbond_count": self.model_hbond_count,
-            "contacts": self.contacts,
-            "reconciliation_residual": self.reconciliation_residual,
-            "sheet_transform": self.sheet_transform,
-            "lattice_step": self.lattice_step,
-            "optimizer": self.optimizer,
-            "clashes": self.clashes,
-            "parameters": self.parameters,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -484,13 +385,7 @@ def build_fibril_model(template: Structure, spec: FibrilSpec) -> tuple[Structure
 
     with _stage("placement"):
         placement = place_opposing_sheet(work, spec)
-        if placement.residual > spec.residual_warning_threshold:
-            warnings.append(
-                "reconciliation residual "
-                f"{placement.residual:.3f} A exceeds {spec.residual_warning_threshold} A; "
-                "the independently optimized contact atoms disagree on a rigid motion "
-                "and the translation was refined to the nearest joint optimum"
-            )
+        warnings.extend(placement.warnings)
 
     with _stage("regenerate"):
         final = work.subset(("A", "B"))
@@ -537,7 +432,6 @@ def build_fibril_model(template: Structure, spec: FibrilSpec) -> tuple[Structure
         hbond_count_after=hb_after,
         model_hbond_count=len(model_hbonds),
         contacts=contacts,
-        reconciliation_residual=float(placement.residual),
         sheet_transform=placement.transform.to_values(),
         lattice_step=spec.lattice.intra_sheet_step.tolist(),
         optimizer={

@@ -63,7 +63,10 @@ def _cmd_build(args) -> int:
     try:
         template = _read_structure(args.template)
         if args.spec:
-            spec = FibrilSpec.from_json(Path(args.spec).read_text(), sequence=sequence)
+            try:
+                spec = FibrilSpec.from_json(Path(args.spec).read_text(), sequence=sequence)
+            except StericZipError as exc:
+                raise StericZipError(f"{args.spec}: {exc}") from exc
         else:
             spec = FibrilSpec(sequence=sequence)
         lj = LJParams(
@@ -190,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="optimizer seed (generated when absent)")
     p.add_argument("--sigma", type=float, default=None, help=f"contact sigma in A (default {TEMPLATE_CONTACT_SIGMA})")
     p.add_argument("--epsilon", type=float, default=None, help="contact well depth (default 1.0)")
-    p.add_argument("--full-sum", action="store_true", help="include anchor-anchor and free-free terms")
+    p.add_argument("--full-sum", action="store_true",
+                   help="sum the contact energy over every anchor-free pair, not only the contact pairs")
     p.add_argument("--spec", default=None, help="JSON file with FibrilSpec overrides")
     p.add_argument("--model-name", default="model", help="name recorded in the report")
     p.set_defaults(func=_cmd_build)

@@ -198,7 +198,6 @@ def test_synthetic_two_anchor_placement():
             )
             assert abs(outcome.refined_energy + 2.0) <= 1e-6
             assert np.all(np.abs(outcome.contact_distances - target) <= 0.005)
-            assert np.isfinite(outcome.residual) and outcome.residual >= 0.0
 
 
 def test_pipeline_properties_on_template():

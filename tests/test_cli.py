@@ -58,6 +58,27 @@ class TestBuild:
                    "--out", tmp_path / "x.pdb", "--seed", "1")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "text, located",
+        [
+            ('{"sequence": "GAAAAG",', "line 1 column"),
+            ('{"placement_margin": 12.0}', "'placement_margin'"),
+            ('{"optimizer": {"seed": 1, "max_evals": 10}}', "'max_evals'"),
+        ],
+    )
+    def test_bad_spec_exits_1_without_files(self, tmp_path, template_file, capsys, text, located):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        out = tmp_path / "s.pdb"
+        code = run("build", "--template", template_file, "--sequence", "GAAAAG",
+                   "--out", out, "--seed", "1", "--spec", spec)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stericzip: error: {spec}: ")
+        assert located in err
+        assert not out.exists()
+        assert not (tmp_path / "s.pdb.report.json").exists()
+
     def test_generated_seed_echoed(self, tmp_path, template_file):
         out = tmp_path / "m.pdb"
         assert run("build", "--template", template_file, "--sequence", "GAAAAG",
