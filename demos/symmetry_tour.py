@@ -11,7 +11,6 @@ import numpy as np
 
 from stericzip import (
     RigidTransform,
-    compose_transforms,
     load_template,
     replicate_lattice,
     transform_chain,
@@ -26,7 +25,7 @@ from stericzip.template import (
 screw = RigidTransform(SHEET_FLIP_ROTATION, TEMPLATE_SHEET_TRANSLATION)
 print("sheet-2 screw: rotation diag(1,-1,-1), translation", screw.translation)
 print("screw applied to the origin:", screw.apply([0.0, 0.0, 0.0]))
-print("screw composed with itself:", compose_transforms(screw, screw).translation,
+print("screw composed with itself:", screw.compose(screw).translation,
       "(a pure lattice translation along x)\n")
 
 structure = load_template()

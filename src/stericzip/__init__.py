@@ -57,9 +57,7 @@ from .errors import (
 from .geometry import (
     RigidTransform,
     SheetLattice,
-    apply_transform,
     cbeta_position,
-    compose_transforms,
     reconcile_translation,
     replicate_lattice,
     transform_chain,

@@ -10,8 +10,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .energy import LJParams, lj_kernel
 from .errors import StericZipError
 from .optimize import Objective, OptimizerConfig, OptimizationResult, minimize_saec, uniform_bounds
+
+
+REDUCED_LJ = LJParams(1.0, 1.0)
 
 
 def sphere(x):
@@ -56,9 +60,8 @@ def lj_cluster_value(x):
     pts = x.reshape(*x.shape[:-1], -1, 3)
     i, j = np.triu_indices(pts.shape[-2], k=1)
     diff = pts[..., i, :] - pts[..., j, :]
-    r2 = np.maximum(np.sum(diff * diff, axis=-1), 1e-12)
-    inv6 = r2**-3.0
-    return np.sum(4.0 * (inv6 * inv6 - inv6), axis=-1)
+    # Each kernel term sits one well depth above the pair energy.
+    return np.sum(lj_kernel(np.sum(diff * diff, axis=-1), REDUCED_LJ), axis=-1) - i.size
 
 
 @dataclass(frozen=True)

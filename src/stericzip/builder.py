@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .energy import LJParams, lj_pair_energy, clash_audit, detect_hbonds
+from .energy import LJParams, clash_audit, detect_hbonds, lj_kernel, lj_pair_energy
 from .errors import BuildError, MutationError, StericZipError
 from .geometry import (
     RigidTransform,
@@ -203,32 +203,24 @@ def placement_objective(
     """Contact energy above its floor as a function of the sheet-2 translation u.
 
     The centres c are anchor_i - free_j over the contact pairs (i, i), or
-    over every anchor-free pair with ``full_sum``.  Each pair adds
-    V(r) + eps = eps (2 (sigma/r)^6 - 1)^2 >= 0, which keeps full relative
-    precision near r_min, where V itself rounds at ~1e-16 of its size and
-    would stall descent ~1e-8 A short.  The box |u_x|, |u_y|, |u_z| <=
-    max|c| + r_min holds every optimum.  Distances are floored at 1e-12 A:
-    a point on a centre gets a huge finite value and no force from that
-    pair, on the scalar and batch paths alike.
+    over every anchor-free pair with ``full_sum``.  Each pair adds the
+    kernel's V(r) + eps >= 0: V itself rounds near r_min and would stall
+    descent ~1e-8 A short.  The box |u_x|, |u_y|, |u_z| <= max|c| + r_min
+    holds every optimum.
     """
     if full_sum:
         centres = (anchors[:, None, :] - free0[None, :, :]).reshape(-1, 3)
     else:
         centres = anchors - free0
     half = float(np.max(np.linalg.norm(centres, axis=1))) + params.r_min
-    sigma2, eps, eps24 = params.sigma**2, params.epsilon, 24.0 * params.epsilon
 
     def evaluate_batch(points: np.ndarray, with_gradient: bool = False):
         diff = points[:, None, :] - centres
-        r2 = np.maximum((diff * diff).sum(axis=2), 1e-24)
-        s6 = (sigma2 / r2) ** 3
-        well = 2.0 * s6 - 1.0
-        value = eps * (well * well).sum(axis=1)
+        r2 = (diff * diff).sum(axis=2)
         if not with_gradient:
-            return value
-        # dV/dr / r = -24 eps (2 s12 - s6) / r^2
-        coeff = (-eps24 * s6 * well / r2)[:, :, None]
-        return value, (coeff * diff).sum(axis=1)
+            return lj_kernel(r2, params).sum(axis=1)
+        terms, coeff = lj_kernel(r2, params, with_force=True)
+        return terms.sum(axis=1), (coeff[:, :, None] * diff).sum(axis=1)
 
     def evaluate(u: np.ndarray) -> float:
         return float(evaluate_batch(u[None, :])[0])

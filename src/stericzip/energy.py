@@ -6,6 +6,10 @@ Two interchangeable Lennard-Jones parameterizations are supported:
 * well form      V(r) = 4 eps [ (sigma/r)^12 - (sigma/r)^6 ]
 * coefficient    V(r) = A / r^12 - B / r^6        (A = 4 eps sigma^12, B = 4 eps sigma^6)
 
+Every 12-6 value comes from one kernel, ``lj_kernel``.  The public
+functions raise SingularityError for a pair closer than MIN_PAIR_DISTANCE;
+optimizer objectives built on the kernel take that distance as a floor.
+
 Backbone hydrogen bonds use the 10-12 form V(r) = C / r^12 - D / r^10,
 whose minimum sits at sqrt(6C / 5D).  Hydrogen-bond *detection* is purely
 geometric (N...O distance), because the structures handled here carry no
@@ -21,7 +25,7 @@ import numpy as np
 from .errors import SingularityError, StericZipError
 from .pdbio import Atom, AtomSelector, Structure
 
-MIN_PAIR_DISTANCE = 1e-8
+MIN_PAIR_DISTANCE = 1e-12
 HBOND_CUTOFF = 3.5
 BACKBONE_ATOMS = ("N", "CA", "C", "O")
 
@@ -99,25 +103,39 @@ DEFAULT_HB_PARAMS = hb_params_from_minimum(2.9, 1.0)
 
 def _check_distance(r) -> np.ndarray:
     r = np.asarray(r, dtype=np.float64)
-    if np.any(r <= 0):
-        raise StericZipError(f"pair distance must be positive, got {r!r}")
+    if np.any(r < MIN_PAIR_DISTANCE):
+        raise SingularityError(f"pair distance below {MIN_PAIR_DISTANCE} A: {r!r}")
     return r
+
+
+def lj_kernel(r2, params: LJParams, with_force: bool = False):
+    """Each pair's energy above the well floor, from squared distances of any shape.
+
+    V + eps = eps (2 s6 - 1)^2 with s6 = (sigma^2 / r2)^3 keeps full relative
+    precision near r_min, where V itself rounds.  ``with_force`` also returns
+    (dV/dr) / r.  r2 is floored at MIN_PAIR_DISTANCE^2, so a coincident pair
+    gets a huge finite value and no force.
+    """
+    r2 = np.maximum(r2, MIN_PAIR_DISTANCE**2)
+    s2 = params.sigma**2 / r2
+    s6 = s2 * s2 * s2
+    well = 2.0 * s6 - 1.0
+    terms = params.epsilon * (well * well)
+    if not with_force:
+        return terms
+    return terms, -24.0 * params.epsilon * s6 * well / r2
 
 
 def lj_pair_energy(r, params: LJParams):
     """4 eps [(sigma/r)^12 - (sigma/r)^6]; r may be a scalar or an array."""
     r = _check_distance(r)
-    s6 = (params.sigma / r) ** 6
-    out = 4.0 * params.epsilon * (s6 * s6 - s6)
+    out = lj_kernel(r * r, params) - params.epsilon
     return float(out) if out.ndim == 0 else out
 
 
 def lj_ab_energy(r, params: LJABParams):
-    """A / r^12 - B / r^6."""
-    r = _check_distance(r)
-    inv6 = r**-6.0
-    out = params.a * inv6 * inv6 - params.b * inv6
-    return float(out) if out.ndim == 0 else out
+    """A / r^12 - B / r^6, evaluated in the equivalent well form."""
+    return lj_pair_energy(r, lj_from_ab(params))
 
 
 def hb_pair_energy(r, params: HBParams):
@@ -129,21 +147,8 @@ def hb_pair_energy(r, params: HBParams):
     return float(out) if out.ndim == 0 else out
 
 
-def _pair_indices(n_atoms: int, pairs) -> tuple[np.ndarray, np.ndarray]:
-    if pairs is None:
-        i, j = np.triu_indices(n_atoms, k=1)
-        return i, j
-    pairs = np.asarray(pairs, dtype=np.intp)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise StericZipError("pairs must be a sequence of (i, j) index tuples")
-    if np.any(pairs < 0) or np.any(pairs >= n_atoms):
-        raise StericZipError("pair index out of range")
-    if np.any(pairs[:, 0] == pairs[:, 1]):
-        raise StericZipError("pair indices must be distinct")
-    return pairs[:, 0], pairs[:, 1]
-
-
-def _as_points(coords) -> np.ndarray:
+def _cluster_pairs(coords, pairs):
+    """Checked points, pair indices, difference vectors and squared distances."""
     pts = np.asarray(coords, dtype=np.float64)
     if pts.ndim == 1:
         if pts.size % 3:
@@ -151,7 +156,24 @@ def _as_points(coords) -> np.ndarray:
         pts = pts.reshape(-1, 3)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise StericZipError("coordinates must be a flat 3N-vector or an (N, 3) array")
-    return pts
+    if pts.shape[0] < 2:
+        raise StericZipError("a cluster needs at least two atoms")
+    if pairs is None:
+        i, j = np.triu_indices(pts.shape[0], k=1)
+    else:
+        pairs = np.asarray(pairs, dtype=np.intp)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise StericZipError("pairs must be a sequence of (i, j) index tuples")
+        if np.any(pairs < 0) or np.any(pairs >= pts.shape[0]):
+            raise StericZipError("pair index out of range")
+        if np.any(pairs[:, 0] == pairs[:, 1]):
+            raise StericZipError("pair indices must be distinct")
+        i, j = pairs[:, 0], pairs[:, 1]
+    diff = pts[i] - pts[j]
+    r2 = np.sum(diff * diff, axis=1)
+    if np.any(r2 < MIN_PAIR_DISTANCE**2):
+        raise SingularityError("coincident atoms in an evaluated pair")
+    return pts, i, j, diff, r2
 
 
 def lj_cluster_energy(coords, params: LJParams, pairs=None) -> float:
@@ -160,16 +182,8 @@ def lj_cluster_energy(coords, params: LJParams, pairs=None) -> float:
     ``coords`` is a flat 3N-vector (or an (N, 3) array).  Evaluated pairs
     closer than MIN_PAIR_DISTANCE raise SingularityError.
     """
-    pts = _as_points(coords)
-    if pts.shape[0] < 2:
-        raise StericZipError("cluster energy needs at least two atoms")
-    i, j = _pair_indices(pts.shape[0], pairs)
-    diff = pts[i] - pts[j]
-    r = np.linalg.norm(diff, axis=1)
-    if np.any(r < MIN_PAIR_DISTANCE):
-        raise SingularityError("coincident atoms in an evaluated pair")
-    s6 = (params.sigma / r) ** 6
-    return float(np.sum(4.0 * params.epsilon * (s6 * s6 - s6)))
+    r2 = _cluster_pairs(coords, pairs)[-1]
+    return float(np.sum(lj_kernel(r2, params) - params.epsilon))
 
 
 def lj_cluster_gradient(coords, params: LJParams, pairs=None) -> np.ndarray:
@@ -177,18 +191,8 @@ def lj_cluster_gradient(coords, params: LJParams, pairs=None) -> np.ndarray:
 
     Returns a flat 3N-vector.
     """
-    pts = _as_points(coords)
-    if pts.shape[0] < 2:
-        raise StericZipError("cluster gradient needs at least two atoms")
-    i, j = _pair_indices(pts.shape[0], pairs)
-    diff = pts[i] - pts[j]
-    r2 = np.sum(diff * diff, axis=1)
-    if np.any(r2 < MIN_PAIR_DISTANCE**2):
-        raise SingularityError("coincident atoms in an evaluated pair")
-    s6 = (params.sigma**2 / r2) ** 3
-    # dV/dr / r = -24 eps (2 s12 - s6) / r^2
-    coeff = -24.0 * params.epsilon * (2.0 * s6 * s6 - s6) / r2
-    forces = coeff[:, None] * diff
+    pts, i, j, diff, r2 = _cluster_pairs(coords, pairs)
+    forces = lj_kernel(r2, params, with_force=True)[1][:, None] * diff
     grad = np.zeros_like(pts)
     np.add.at(grad, i, forces)
     np.add.at(grad, j, -forces)

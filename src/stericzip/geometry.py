@@ -73,16 +73,6 @@ class RigidTransform:
         return RigidTransform(self.rotation.copy(), translation)
 
 
-def apply_transform(transform: RigidTransform, point) -> np.ndarray:
-    """Functional form of RigidTransform.apply."""
-    return transform.apply(point)
-
-
-def compose_transforms(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """Composition applying ``b`` first, then ``a``."""
-    return a.compose(b)
-
-
 @dataclass(frozen=True, eq=False)
 class SheetLattice:
     """Stacking step within a sheet plus the transform generating sheet 2."""

@@ -46,7 +46,9 @@ class Objective:
     ``evaluate`` maps an n-vector to a float.  ``evaluate_batch``, when
     provided, maps an (m, n) array to an (m,) array and is used by the
     optimizer to avoid per-point Python overhead; it must agree with
-    ``evaluate``.  ``gradient`` is required only by local_refine.
+    ``evaluate``.  ``gradient`` is required only by local_refine.  Both
+    paths must accept any point in bounds: the Lennard-Jones objectives
+    floor pair distances at ``energy.MIN_PAIR_DISTANCE`` instead of raising.
     """
 
     dimension: int
@@ -78,6 +80,14 @@ class Objective:
 
 def uniform_bounds(lo: float, hi: float, dimension: int) -> np.ndarray:
     return np.tile(np.array([lo, hi], dtype=np.float64), (dimension, 1))
+
+
+def _start_point(objective: Objective, x0) -> np.ndarray:
+    # Checked before clamping, which would broadcast a scalar or short x0.
+    x = np.asarray(x0, dtype=np.float64)
+    if x.shape != (objective.dimension,):
+        raise StericZipError(f"x0 must be a {objective.dimension}-vector, got shape {x.shape}")
+    return objective.clamp(x)
 
 
 @dataclass(frozen=True)
@@ -212,9 +222,9 @@ def minimize_saec(
 ) -> OptimizationResult:
     """Run the annealed evolutionary search.
 
-    When ``x0`` is given it is clamped into bounds and seeded into the
-    initial population, so a start already at the optimum is never lost;
-    otherwise the population is drawn uniformly within bounds.
+    When an n-vector ``x0`` is given it is clamped into bounds and seeded
+    into the initial population, so a start already at the optimum is never
+    lost; otherwise the population is drawn uniformly within bounds.
     """
     mu = config.population_size
     lam = config.offspring_per_parent
@@ -254,7 +264,7 @@ def minimize_saec(
         # joins the first population.
         pop = objective.lower + rng.random((mu, n)) * span
         if restart_index == 0 and x0 is not None:
-            pop[0] = objective.clamp(np.asarray(x0, dtype=np.float64))
+            pop[0] = _start_point(objective, x0)
         values = evaluator(pop)
         for k in range(mu):
             record_best(pop[k], float(values[k]))
@@ -355,9 +365,7 @@ def local_refine(
     """
     if objective.gradient is None:
         raise StericZipError("local_refine requires an objective gradient")
-    x = objective.clamp(np.asarray(x0, dtype=np.float64).copy())
-    if x.shape != (objective.dimension,):
-        raise StericZipError(f"x0 must be a {objective.dimension}-vector")
+    x = _start_point(objective, x0)
 
     evaluations = 0
 

@@ -15,6 +15,7 @@ should be copied before mutation.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
@@ -60,6 +61,8 @@ class Atom:
             raise StructureError(f"atom {self.name}: position must be a 3-vector")
         if not np.all(np.isfinite(self.position)):
             raise StructureError(f"atom {self.name}: non-finite position")
+        if not (math.isfinite(self.occupancy) and math.isfinite(self.temp_factor)):
+            raise StructureError(f"atom {self.name}: non-finite occupancy or temperature factor")
         if not self.name:
             raise StructureError("atom name must be non-empty")
         if self.serial < 1:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stericzip import StericZipError, run_benchmark
+from stericzip import LJParams, SingularityError, StericZipError, lj_cluster_energy, run_benchmark
 from stericzip.benchmarks import (
     CLASSIC_SUITE,
     ackley,
@@ -15,6 +15,7 @@ from stericzip.benchmarks import (
     schwefel_226,
     sphere,
 )
+from stericzip.energy import MIN_PAIR_DISTANCE
 
 
 class TestFunctions:
@@ -38,6 +39,18 @@ class TestFunctions:
             edge / 2, edge * np.sqrt(3) / 2, 0.0,
         ])
         assert lj_cluster_value(tri) == pytest.approx(-3.0, abs=1e-12)
+
+    def test_lj_cluster_floors_where_the_public_energy_raises(self):
+        close = np.array([0.0, 0.0, 0.0, 0.5 * MIN_PAIR_DISTANCE, 0.0, 0.0, 3.0, 0.0, 0.0])
+        with pytest.raises(SingularityError):
+            lj_cluster_energy(close, LJParams(1.0, 1.0))
+        at_floor = close.copy()
+        at_floor[3] = MIN_PAIR_DISTANCE
+        assert np.isfinite(lj_cluster_value(close))
+        assert lj_cluster_value(close) == lj_cluster_value(at_floor)
+        assert lj_cluster_value(at_floor) == pytest.approx(
+            lj_cluster_energy(at_floor, LJParams(1.0, 1.0)), rel=1e-12
+        )
 
     def test_batch_shapes(self):
         pts = np.zeros((7, 5))

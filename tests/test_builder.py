@@ -21,6 +21,7 @@ from stericzip import (
     select_atom,
     solve_contact_placement,
     synthetic_template,
+    transform_chain,
     validate_sequence,
     write_pdb,
 )
@@ -200,6 +201,33 @@ class TestPlacementObjective:
         # The coincident pair exerts no force; only the other pair does.
         other = placement_objective(self.anchors[1:], self.free0[1:], self.params)
         assert np.array_equal(obj.gradient(centre), other.gradient(centre))
+
+
+def nearest_optimum(c1, c2, r_min):
+    """Point of the circle |u - c1| = |u - c2| = r_min nearest u = 0, and its radius."""
+    axis = (c2 - c1) / np.linalg.norm(c2 - c1)
+    middle = (c1 + c2) / 2
+    radius = np.sqrt(r_min**2 - np.sum((c2 - c1) ** 2) / 4)
+    toward = -middle + (middle @ axis) * axis  # origin minus middle, in the circle's plane
+    return middle + radius * toward / np.linalg.norm(toward), radius
+
+
+class TestDefaultPlacement:
+    @pytest.mark.parametrize("sequence", PALINDROME_WINDOWS)
+    def test_translation_is_the_optimum_nearest_the_template(self, sequence):
+        spec = FibrilSpec(sequence=sequence)
+        work = apply_sequence(apply_sequence(synthetic_template(), "A", sequence), "B", sequence)
+        base = spec.lattice.sheet2_transform
+        work = transform_chain(transform_chain(work, "A", base, "G"), "B", base, "H")
+        anchors = [select_atom(work, s).position for s in spec.anchor_selectors()]
+        free = [select_atom(work, s).position for s in spec.free_selectors()]
+        expected, radius = nearest_optimum(anchors[0] - free[0], anchors[1] - free[1], spec.lj.r_min)
+
+        _, report = build_fibril_model(synthetic_template(), spec)
+        u = np.array(report.sheet_transform[9:]) - base.translation
+        assert np.max(np.abs(u - expected)) <= 1e-9
+        assert np.allclose(expected, [-7.343, -2.373, 2.950], atol=5e-4)
+        assert radius == pytest.approx(2.610, abs=5e-4)
 
 
 def random_frame(seed):

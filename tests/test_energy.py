@@ -32,6 +32,7 @@ from stericzip import (
     lj_pair_energy,
     synthetic_template,
 )
+from stericzip.energy import MIN_PAIR_DISTANCE
 
 R_MIN_FACTOR = 2.0 ** (1.0 / 6.0)
 
@@ -82,6 +83,13 @@ class TestLJPair:
             lj_pair_energy(0.0, LJParams(1.0, 1.0))
         with pytest.raises(StericZipError):
             lj_pair_energy(-1.0, LJParams(1.0, 1.0))
+
+    def test_raises_below_min_pair_distance_only(self):
+        reduced = LJParams(1.0, 1.0)
+        for f, params in ((lj_pair_energy, reduced), (lj_ab_energy, lj_ab_from_lj(reduced))):
+            with pytest.raises(SingularityError):
+                f(0.5 * MIN_PAIR_DISTANCE, params)
+            assert np.isfinite(f(MIN_PAIR_DISTANCE, params))
 
     def test_minimum_location_by_golden_section(self):
         rng = np.random.default_rng(7)

@@ -9,9 +9,7 @@ from stericzip import (
     RigidTransform,
     SheetLattice,
     StructureError,
-    apply_transform,
     cbeta_position,
-    compose_transforms,
     reconcile_translation,
     replicate_lattice,
     synthetic_template,
@@ -31,7 +29,7 @@ def sheet_screw() -> RigidTransform:
 
 class TestApply:
     def test_screw_moves_origin_to_template_offset(self):
-        assert np.allclose(apply_transform(sheet_screw(), [0.0, 0.0, 0.0]), [9.075, 4.7765, 0.0], atol=0)
+        assert np.allclose(sheet_screw().apply([0.0, 0.0, 0.0]), [9.075, 4.7765, 0.0], atol=0)
 
     def test_screw_on_generic_point(self):
         assert np.allclose(sheet_screw().apply([1.0, 2.0, 3.0]), [10.075, 2.7765, -3.0], atol=0)
@@ -50,13 +48,13 @@ class TestApply:
 
 class TestCompose:
     def test_screw_is_involution_up_to_lattice_shift(self):
-        doubled = compose_transforms(sheet_screw(), sheet_screw())
+        doubled = sheet_screw().compose(sheet_screw())
         assert np.array_equal(doubled.rotation, np.eye(3))
         assert np.array_equal(doubled.translation, np.array([18.15, 0.0, 0.0]))
 
     def test_identity_is_neutral(self):
         t = sheet_screw()
-        composed = compose_transforms(RigidTransform.identity(), t)
+        composed = RigidTransform.identity().compose(t)
         assert np.array_equal(composed.rotation, t.rotation)
         assert np.array_equal(composed.translation, t.translation)
 
@@ -67,14 +65,14 @@ class TestCompose:
         step = RigidTransform(np.eye(3), INTRA_SHEET_STEP)
         with_g = transform_chain(s, "A", sheet_screw(), "G")
         with_i = transform_chain(with_g, "G", step, "I")
-        direct = transform_chain(s, "A", compose_transforms(step, sheet_screw()), "I")
+        direct = transform_chain(s, "A", step.compose(sheet_screw()), "I")
         assert np.allclose(
             with_i.chain("I").positions(), direct.chain("I").positions(), atol=1e-12
         )
 
     def test_inverse_restores(self):
         t = sheet_screw()
-        roundtrip = compose_transforms(t.inverse(), t)
+        roundtrip = t.inverse().compose(t)
         assert np.allclose(roundtrip.rotation, np.eye(3), atol=1e-12)
         assert np.allclose(roundtrip.translation, 0.0, atol=1e-12)
 

@@ -148,6 +148,35 @@ class TestMinimize:
         assert err.value.point is not None
 
 
+def sphere_objective(n):
+    return Objective(
+        dimension=n,
+        evaluate=lambda x: float(np.sum(x**2)),
+        evaluate_batch=lambda pts: np.sum(pts**2, axis=1),
+        gradient=lambda x: 2.0 * x,
+        bounds=uniform_bounds(-1.0, 1.0, n),
+    )
+
+
+class TestStartPointShape:
+    # Clamping broadcasts x0 to the bounds' shape, so a scalar or short x0
+    # used to become a silent n-vector (or a raw numpy error in the search).
+    @pytest.mark.parametrize("x0", [0.5, np.array([0.5]), np.array([0.5, 0.5])])
+    def test_local_refine_rejects_wrong_shape(self, x0):
+        with pytest.raises(StericZipError, match="3-vector"):
+            local_refine(sphere_objective(3), x0)
+
+    @pytest.mark.parametrize("x0", [0.5, np.array([0.5]), np.array([0.5, 0.5])])
+    def test_minimize_saec_rejects_wrong_shape(self, x0):
+        cfg = OptimizerConfig(max_evaluations=200, seed=0)
+        with pytest.raises(StericZipError, match="3-vector"):
+            minimize_saec(sphere_objective(3), cfg, x0=x0)
+
+    def test_out_of_bounds_start_is_clamped(self):
+        result = local_refine(sphere_objective(3), np.array([5.0, -5.0, 0.5]), max_iters=0)
+        assert np.array_equal(result.best_point, [1.0, -1.0, 0.5])
+
+
 class TestLocalRefine:
     def test_lj_pair_from_stretched_start(self):
         obj = lj_objective(2)

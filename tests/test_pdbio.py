@@ -84,6 +84,15 @@ class TestParse:
             parse_pdb("REMARK   1 HEADER\n" + bad + "\n")
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("columns", [(54, 60), (60, 66)], ids=["occupancy", "temp_factor"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_occupancy_or_temp_factor_cites_line(self, columns, value):
+        start, stop = columns
+        bad = SAMPLE_LINE[:start] + value.rjust(stop - start) + SAMPLE_LINE[stop:]
+        with pytest.raises(PdbParseError) as err:
+            parse_pdb("REMARK   1 HEADER\n" + bad + "\n")
+        assert err.value.line_number == 2
+
     def test_truncated_line_cites_line(self):
         with pytest.raises(PdbParseError) as err:
             parse_pdb(SAMPLE_LINE[:40] + "\n")
@@ -229,6 +238,49 @@ class TestRoundTrip:
 
     def test_shipped_template_matches_generator(self):
         assert write_pdb(load_template()) == write_pdb(synthetic_template())
+
+
+# Columns of the fields of an ATOM/HETATM record, and the edits made to them.
+RECORD_FIELDS = {
+    "serial": (6, 11), "name": (12, 16), "res_name": (17, 20), "chain": (21, 22),
+    "res_seq": (22, 26), "x": (30, 38), "y": (38, 46), "z": (46, 54),
+    "occupancy": (54, 60), "temp_factor": (60, 66), "element": (76, 78),
+}
+FIELD_EDITS = ["nan", "inf", "-inf", "1e5", "-9999", "", "abc", "X"]
+TEMPLATE_LINES = write_pdb(synthetic_template()).splitlines()
+ATOM_LINES = [k for k, line in enumerate(TEMPLATE_LINES) if line.startswith("ATOM  ")]
+
+
+@st.composite
+def edited_templates(draw):
+    """The written template with one to four fields overwritten, LF or CRLF."""
+    lines = list(TEMPLATE_LINES)
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.sampled_from(ATOM_LINES))
+        start, stop = RECORD_FIELDS[draw(st.sampled_from(sorted(RECORD_FIELDS)))]
+        value = draw(st.sampled_from(FIELD_EDITS))[: stop - start].rjust(stop - start)
+        line = lines[k].ljust(80)
+        lines[k] = (line[:start] + value + line[stop:]).rstrip()
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline
+
+
+class TestEditedRecords:
+    @settings(max_examples=300, deadline=None)
+    @given(edited_templates())
+    def test_parse_rejects_or_round_trips(self, text):
+        try:
+            structure = parse_pdb(text)
+        except PdbParseError:
+            return
+        for atom in structure.atoms():
+            assert np.all(np.isfinite(atom.position))
+            assert np.isfinite(atom.occupancy) and np.isfinite(atom.temp_factor)
+        try:
+            once = write_pdb(structure)
+        except PdbWriteError:
+            return
+        assert write_pdb(parse_pdb(once)) == once
 
 
 class TestSelectors:
