@@ -14,10 +14,16 @@ Backbone hydrogen bonds use the 10-12 form V(r) = C / r^12 - D / r^10,
 whose minimum sits at sqrt(6C / 5D).  Hydrogen-bond *detection* is purely
 geometric (N...O distance), because the structures handled here carry no
 hydrogens.
+
+Both audits, ``detect_hbonds`` and ``clash_audit``, take candidate pairs
+from one cell-list neighbour search, so their cost is linear in the atom
+count.  Their lists equal, in order and in every distance bit, those of a
+dense N x N distance matrix scanned row by row and then stably sorted.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +33,6 @@ from .pdbio import Atom, AtomSelector, Structure
 
 MIN_PAIR_DISTANCE = 1e-12
 HBOND_CUTOFF = 3.5
-BACKBONE_ATOMS = ("N", "CA", "C", "O")
 
 
 @dataclass(frozen=True)
@@ -228,65 +233,93 @@ def _collect_atoms(structure: Structure, names=None) -> tuple[list[Atom], np.nda
     return atoms, np.stack([a.position for a in atoms])
 
 
+def _neighbour_pairs(first: np.ndarray, second: np.ndarray, cutoff: float):
+    """Index pairs (i, j) of first[i] and second[j] in the same or adjacent cells.
+
+    The points are binned into cubes with an edge of about ``cutoff``, so
+    every pair within the cutoff is among the candidates.  One sort of the
+    cell keys and 27 offset lookups make the cost linear in the points and
+    candidates.  The pairs come in row-major (i, j) order, as np.nonzero on
+    a dense distance matrix gives them.
+    """
+    if not math.isfinite(cutoff) or cutoff <= 0:
+        raise StericZipError(f"audit cutoff must be finite and positive, got {cutoff!r}")
+    n = len(first)
+    if n == 0 or len(second) == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    points = np.concatenate([first, second])
+    low = points.min(axis=0)
+    # The pad absorbs rounding in the cell arithmetic, so a pair within the
+    # cutoff is never two cells apart; the second bound keeps each axis to
+    # 2^20 cells, so the keys fit in int64 at any cutoff.
+    pad = (cutoff + float(np.max(np.abs(points)))) * 2.0**-40
+    edge = max(cutoff + pad, float(np.max(points.max(axis=0) - low)) * 2.0**-20)
+    cells = np.floor((points - low) / edge).astype(np.int64) + 1
+    dims = cells.max(axis=0) + 2
+    keys = (cells[:, 0] * dims[1] + cells[:, 1]) * dims[2] + cells[:, 2]
+    order = np.argsort(keys[n:])
+    sorted_keys = keys[n:][order]
+    step = np.arange(-1, 2)
+    offsets = ((step[:, None, None] * dims[1] + step[None, :, None]) * dims[2] + step).ravel()
+    targets = (keys[:n, None] + offsets).ravel()
+    start = np.searchsorted(sorted_keys, targets, "left")
+    counts = np.searchsorted(sorted_keys, targets, "right") - start
+    rows = np.repeat(np.arange(n), counts.reshape(n, -1).sum(axis=1))
+    ends = np.cumsum(counts)
+    cols = order[np.repeat(start - ends + counts, counts) + np.arange(ends[-1])]
+    return np.divmod(np.sort(rows * len(second) + cols), len(second))
+
+
 def detect_hbonds(structure: Structure, cutoff: float = HBOND_CUTOFF) -> list[HBond]:
-    """All backbone N...O pairs closer than ``cutoff``.
+    """All backbone N...O pairs no farther apart than ``cutoff``.
 
     Pairs within one residue, or between adjacent residues of the same
     chain, are excluded; those separations are covalent geometry, not
-    hydrogen bonds.  The list is deterministic: sorted by donor then
-    acceptor identity.
+    hydrogen bonds.  Candidates come from a cell-list neighbour search,
+    so the cost grows linearly with the atom count.  The list is stably
+    sorted by donor then acceptor identity.  ``cutoff`` must be finite
+    and positive.
     """
     donors, d_pos = _collect_atoms(structure, names=("N",))
     acceptors, a_pos = _collect_atoms(structure, names=("O",))
-    bonds: list[HBond] = []
-    if not donors or not acceptors:
-        return bonds
-    dist = np.linalg.norm(d_pos[:, None, :] - a_pos[None, :, :], axis=2)
-    for di, ai in zip(*np.nonzero(dist <= cutoff)):
-        donor, acceptor = donors[di], acceptors[ai]
-        if donor.chain_id == acceptor.chain_id and abs(donor.res_seq - acceptor.res_seq) <= 1:
-            continue
-        bonds.append(HBond(donor, acceptor, float(dist[di, ai])))
+    di, ai = _neighbour_pairs(d_pos, a_pos, cutoff)
+    dist = np.linalg.norm(d_pos[di] - a_pos[ai], axis=1)
+    d_chain, d_res = _residue_columns(donors)
+    a_chain, a_res = _residue_columns(acceptors)
+    covalent = (d_chain[di] == a_chain[ai]) & (np.abs(d_res[di] - a_res[ai]) <= 1)
+    keep = np.flatnonzero((dist <= cutoff) & ~covalent)
+    bonds = [HBond(donors[di[k]], acceptors[ai[k]], float(dist[k])) for k in keep]
     bonds.sort(key=lambda b: (b.donor.chain_id, b.donor.res_seq, b.acceptor.chain_id, b.acceptor.res_seq))
     return bonds
 
 
-def _bonded(a: Atom, b: Atom) -> bool:
-    # The only covalent link between residues is the peptide bond
-    # C(i) - N(i+1) within one chain.
-    if a.chain_id != b.chain_id:
-        return False
-    if a.res_seq + 1 == b.res_seq:
-        return a.name == "C" and b.name == "N"
-    if b.res_seq + 1 == a.res_seq:
-        return b.name == "C" and a.name == "N"
-    return False
+def _residue_columns(atoms: list[Atom]) -> tuple[np.ndarray, np.ndarray]:
+    chain_ids = np.array([a.chain_id for a in atoms], dtype=str)
+    return chain_ids, np.array([a.res_seq for a in atoms], dtype=np.int64)
 
 
 def clash_audit(structure: Structure, cutoff: float) -> list[tuple[Atom, Atom, float]]:
     """Non-bonded atom pairs from different residues closer than ``cutoff``.
 
-    Sorted ascending by distance.  Same-residue pairs and the peptide-bond
-    C-N pair of consecutive residues are exempt.
+    Same-residue pairs and the peptide-bond C(i)-N(i+1) pair of one chain
+    are exempt.  Candidates come from a cell-list neighbour search, so the
+    cost grows linearly with the atom count.  Stably sorted ascending by
+    distance, so ties keep atom order.  ``cutoff`` must be finite and positive.
     """
-    if cutoff <= 0:
-        raise StericZipError("clash cutoff must be positive")
     atoms, pos = _collect_atoms(structure)
-    clashes: list[tuple[Atom, Atom, float]] = []
-    if len(atoms) < 2:
-        return clashes
-    chain_ids = np.array([a.chain_id for a in atoms])
-    res_seqs = np.array([a.res_seq for a in atoms])
-    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
-    same_residue = (chain_ids[:, None] == chain_ids[None, :]) & (
-        res_seqs[:, None] == res_seqs[None, :]
+    i, j = _neighbour_pairs(pos, pos, cutoff)
+    upper = i < j
+    i, j = i[upper], j[upper]
+    dist = np.linalg.norm(pos[i] - pos[j], axis=1)
+    chains, res = _residue_columns(atoms)
+    names = np.array([a.name for a in atoms], dtype=str)
+    # The only covalent link between residues is the peptide bond C(i)-N(i+1).
+    peptide = ((res[i] + 1 == res[j]) & (names[i] == "C") & (names[j] == "N")) | (
+        (res[j] + 1 == res[i]) & (names[j] == "C") & (names[i] == "N")
     )
-    candidate = (dist < cutoff) & ~same_residue
-    candidate[np.tril_indices(len(atoms))] = False
-    for i, j in zip(*np.nonzero(candidate)):
-        if _bonded(atoms[i], atoms[j]):
-            continue
-        clashes.append((atoms[i], atoms[j], float(dist[i, j])))
+    exempt = (chains[i] == chains[j]) & ((res[i] == res[j]) | peptide)
+    keep = np.flatnonzero((dist < cutoff) & ~exempt)
+    clashes = [(atoms[i[k]], atoms[j[k]], float(dist[k])) for k in keep]
     clashes.sort(key=lambda entry: entry[2])
     return clashes
 

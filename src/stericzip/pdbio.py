@@ -397,23 +397,22 @@ def parse_pdb(text: str) -> Structure:
         raise PdbParseError(str(exc)) from exc
 
 
-def format_coordinate(value: float, width: int = 8, decimals: int = 3) -> str:
+def format_coordinate(value: float, width: int = 8, decimals: int = 3, field: str = "coordinate") -> str:
     """Fixed-width decimal field with ties rounded half away from zero.
 
     The value is quantized through its shortest decimal representation so
     that e.g. 4.7765 rounds to 4.777 regardless of binary representation.
+    ``field`` names the value in the PdbWriteError raised when it does not fit.
     """
     if not np.isfinite(value):
-        raise PdbWriteError(f"non-finite coordinate {value!r}")
+        raise PdbWriteError(f"non-finite {field} {value!r}")
     quantum = Decimal(1).scaleb(-decimals)
     q = Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP)
     if q == 0:
         q = abs(q)
     out = f"{q:.{decimals}f}"
     if len(out) > width:
-        raise PdbWriteError(
-            f"coordinate {value!r} does not fit in F{width}.{decimals}"
-        )
+        raise PdbWriteError(f"{field} {value!r} does not fit in F{width}.{decimals}")
     return out.rjust(width)
 
 
@@ -445,8 +444,12 @@ def write_pdb(structure: Structure) -> str:
                     )
                 record = "HETATM" if atom.is_hetatm else "ATOM  "
                 x, y, z = (format_coordinate(v) for v in atom.position)
-                occ = format_coordinate(atom.occupancy, width=6, decimals=2)
-                tf = format_coordinate(atom.temp_factor, width=6, decimals=2)
+                try:
+                    occ = format_coordinate(atom.occupancy, 6, 2, "occupancy")
+                    tf = format_coordinate(atom.temp_factor, 6, 2, "B-factor")
+                except PdbWriteError as exc:
+                    address = f"{chain.chain_id}.{atom.res_name}{residue.res_seq}.{atom.name}"
+                    raise PdbWriteError(f"atom {address}: {exc}") from None
                 lines.append(
                     f"{record}{serial:5d} {_aligned_name(atom)}{atom.alt_loc or ' '}"
                     f"{atom.res_name:>3} {chain.chain_id}{residue.res_seq:4d}    "

@@ -7,12 +7,13 @@ differences for gradients.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stericzip import (
     Atom,
     Chain,
+    FibrilSpec,
     HBParams,
     LJABParams,
     LJParams,
@@ -20,6 +21,7 @@ from stericzip import (
     SingularityError,
     StericZipError,
     Structure,
+    build_fibril_model,
     clash_audit,
     detect_hbonds,
     hb_pair_energy,
@@ -30,9 +32,10 @@ from stericzip import (
     lj_cluster_gradient,
     lj_from_ab,
     lj_pair_energy,
+    load_template,
     synthetic_template,
 )
-from stericzip.energy import MIN_PAIR_DISTANCE
+from stericzip.energy import MIN_PAIR_DISTANCE, _neighbour_pairs
 
 R_MIN_FACTOR = 2.0 ** (1.0 / 6.0)
 
@@ -370,3 +373,136 @@ class TestClashAudit:
     def test_bad_cutoff(self):
         with pytest.raises(StericZipError):
             clash_audit(synthetic_template(), 0.0)
+
+
+@pytest.mark.parametrize("audit", [clash_audit, detect_hbonds])
+@pytest.mark.parametrize("cutoff", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+def test_audits_reject_a_cutoff_that_is_not_finite_and_positive(audit, cutoff):
+    with pytest.raises(StericZipError, match="finite and positive"):
+        audit(synthetic_template(), cutoff)
+
+
+def dense_audits(structure, cutoff):
+    """Reference: both audits from the full N x N distance matrix, in its row-major order."""
+    atoms = list(structure.atoms())
+    pos = np.array([a.position for a in atoms]).reshape(-1, 3)
+    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+    clashes, bonds = [], []
+    for i, j in zip(*np.nonzero(dist <= cutoff)):
+        a, b = atoms[i], atoms[j]
+        near = a.chain_id == b.chain_id and abs(a.res_seq - b.res_seq) <= 1
+        peptide = (a.name, b.name, b.res_seq - a.res_seq) in (("C", "N", 1), ("N", "C", -1))
+        if i < j and dist[i, j] < cutoff and not (near and (a.res_seq == b.res_seq or peptide)):
+            clashes.append((i, j, float(dist[i, j]).hex()))
+        if a.name == "N" and b.name == "O" and not near:
+            bonds.append((i, j, float(dist[i, j]).hex()))
+    key = {k: (a.chain_id, a.res_seq) for k, a in enumerate(atoms)}
+    return sorted(clashes, key=lambda c: float.fromhex(c[2])), sorted(bonds, key=lambda b: key[b[0]] + key[b[1]])
+
+
+def fast_audits(structure, cutoff):
+    index = {id(a): k for k, a in enumerate(structure.atoms())}
+    clashes = [(index[id(a)], index[id(b)], d.hex()) for a, b, d in clash_audit(structure, cutoff)]
+    bonds = [(index[id(b.donor)], index[id(b.acceptor)], b.distance.hex()) for b in detect_hbonds(structure, cutoff)]
+    return clashes, bonds
+
+
+def cloud_structure(atoms):
+    """Structure from (chain, residue, name, position) rows, grouped in row order."""
+    chains = {}
+    for chain_id, res_seq, name, position in atoms:
+        residues = chains.setdefault(chain_id, {})
+        residue = residues.setdefault(res_seq, Residue(res_seq, "ALA"))
+        residue.atoms.append(atom_at(name, chain_id, res_seq, position))
+    s = Structure([Chain(cid, [residues[r] for r in sorted(residues)]) for cid, residues in chains.items()])
+    s.renumber_serials()
+    return s
+
+
+@st.composite
+def clouds(draw):
+    """0-200 atoms in up to three chains: cell-face points, free points,
+    coincident atoms and pairs exactly one cutoff apart, near the origin
+    or near +-9999 A."""
+    cutoff = draw(st.sampled_from([0.5, 2.0, 3.5, 3.7]))
+    base = np.array(draw(st.sampled_from([(0.0, 0.0, 0.0), (-9999.0, 9998.5, -9990.0), (9990.25, 9999.0, 0.0)])))
+    names = ("N", "CA", "C", "O", "CB")
+    rows, slots = [], {}
+    for chain, step, name, kind, a, b in draw(st.lists(st.tuples(
+            st.sampled_from("ABC"), st.integers(0, 2), st.integers(0, 4), st.integers(0, 3),
+            st.integers(-4, 4), st.integers(-4, 4)), max_size=200)):
+        res_seq, used = slots.get(chain, (1, set()))
+        if step or names[name] in used:
+            res_seq, used = res_seq + max(step, 1), set()
+        slots[chain] = (res_seq, used | {names[name]})
+        if kind == 0 or not rows:
+            position = base + np.array([a, b, a - b]) * cutoff
+        elif kind == 1:
+            position = base + np.array([a, b, 0.5]) * cutoff / 3.0
+        elif kind == 2:
+            position = rows[a % len(rows)][3].copy()
+        else:
+            position = rows[a % len(rows)][3] + np.eye(3)[b % 3] * cutoff * np.sign(b or 1)
+        rows.append((chain, res_seq, names[name], position))
+    return cloud_structure(rows), cutoff
+
+
+class TestNeighbourSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(clouds())
+    @example((Structure([]), 2.0))
+    @example((cloud_structure([("A", 1, "N", (1.0, 2.0, 3.0))]), 2.0))
+    def test_matches_dense_reference(self, cloud):
+        structure, cutoff = cloud
+        assert fast_audits(structure, cutoff) == dense_audits(structure, cutoff)
+
+    @pytest.mark.parametrize("cutoff", [0.5, 2.0, 3.5])
+    def test_pair_at_exactly_the_cutoff(self, cutoff):
+        s = two_atom_structure(atom_at("N", "A", 1, (cutoff, 0, -cutoff)),
+                               atom_at("O", "B", 1, (2 * cutoff, 0, -cutoff)))
+        assert clash_audit(s, cutoff) == []
+        assert [b.distance for b in detect_hbonds(s, cutoff)] == [cutoff]
+
+    @pytest.mark.parametrize("cutoff", [1e-9, 1e-300])
+    def test_tiny_cutoff_on_a_wide_model(self, cutoff):
+        # 200 A at a 1e-9 A cutoff would need 2e11 cells per axis; the
+        # keys stay in range and the candidates stay local.
+        rows = [("A", 1, "N", (0.0, 0.0, 0.0)), ("B", 1, "O", (0.0, 0.0, cutoff / 2)),
+                ("C", 1, "CB", (100.0, -100.0, 100.0)), ("C", 5, "CB", (100.0, -100.0, 100.0)),
+                ("A", 9, "CA", (50.0, 50.0, 50.0))]
+        s = cloud_structure(rows)
+        clashes, bonds = fast_audits(s, cutoff)
+        assert (clashes, bonds) == dense_audits(s, cutoff)
+        assert len(clashes) == 2 and len(bonds) == 1
+        pos = np.array([row[3] for row in rows])
+        assert len(_neighbour_pairs(pos, pos, cutoff)[0]) == 9
+
+    def test_rounding_at_a_cell_face_keeps_the_pair(self):
+        # Binned without a pad, these N and O, exactly 2 A apart, fall two
+        # cells apart because x - low rounds.
+        rows = [("A", 1, "O", (-3317.1193338755247, 0.0, 0.0)),
+                ("B", 1, "N", (-1269.119333875525, 0.0, 0.0)),
+                ("C", 1, "O", (-1267.119333875525, 0.0, 0.0))]
+        s = cloud_structure(rows)
+        assert fast_audits(s, 2.0) == dense_audits(s, 2.0) == ([], [(1, 2, (2.0).hex())])
+
+    def test_tied_distances_keep_atom_order(self):
+        rows = [("A", 1, "CB", (0.0, 0.0, 0.0)), ("B", 1, "CB", (1.5, 0.0, 0.0)),
+                ("C", 1, "CB", (-1.5, 0.0, 0.0))]
+        assert fast_audits(cloud_structure(rows), 2.0)[0] == [(0, 1, (1.5).hex()), (0, 2, (1.5).hex())]
+
+    def test_candidates_grow_linearly_with_the_stack(self):
+        # A 4-cell stack has 16x the pairs of one cell; neighbour candidates
+        # may grow no faster than the atom count, with room for the ends.
+        spec = FibrilSpec(sequence="GAAAAG")
+        model, _ = build_fibril_model(load_template(), spec)
+        pos = np.array([a.position for a in model.atoms()])
+        names = np.array([a.name for a in model.atoms()])
+        period = 3.0 * spec.lattice.intra_sheet_step
+
+        def stack(points, cells):
+            return np.concatenate([points + k * period for k in range(cells)])
+
+        for first, second, cutoff in ((pos, pos, 2.0), (pos[names == "N"], pos[names == "O"], 3.5)):
+            one, four = (len(_neighbour_pairs(stack(first, c), stack(second, c), cutoff)[0]) for c in (1, 4))
+            assert 0 < four <= 5 * one

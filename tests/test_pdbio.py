@@ -156,6 +156,13 @@ class TestWrite:
         with pytest.raises(PdbWriteError):
             write_pdb(single_atom_structure(position=(-1000.0, 0.0, 0.0)))
 
+    @pytest.mark.parametrize("columns, field", [((54, 60), "occupancy"), ((60, 66), "B-factor")])
+    def test_oversized_occupancy_or_b_factor_names_field_and_atom(self, columns, field):
+        start, end = columns
+        line = SAMPLE_LINE[:start] + "1e5".rjust(end - start) + SAMPLE_LINE[end:]
+        with pytest.raises(PdbWriteError, match=rf"^atom A\.GLY127\.N: {field} 100000\.0 does not fit in F6\.2$"):
+            write_pdb(parse_pdb(line + "\nEND\n"))
+
     def test_serials_renumbered_and_ter_end(self):
         atoms = [make_atom(serial=99, name="N", element="N"),
                  make_atom(serial=98, name="CA")]
