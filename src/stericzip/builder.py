@@ -75,16 +75,23 @@ def mutate_residue(structure: Structure, chain_id: str, res_seq: int, target: st
     if target not in ("ALA", "GLY"):
         raise MutationError(f"target residue must be ALA or GLY, got {target!r}")
     out = structure.copy()
-    chain = out.chain(chain_id)
-    residue = chain.residue(res_seq)
+    residue = out.chain(chain_id).residue(res_seq)
     if residue is None:
         raise MutationError(f"chain {chain_id} has no residue {res_seq}")
+    _mutate_in_place(residue, chain_id, target)
+    out.validate()
+    out.renumber_serials()
+    return out
+
+
+def _mutate_in_place(residue, chain_id: str, target: str) -> None:
+    """The body of ``mutate_residue``: the caller copies, validates and renumbers."""
     backbone = {}
     for name in BACKBONE_ATOM_NAMES:
         atom = residue.atom(name)
         if atom is None:
             raise MutationError(
-                f"residue {chain_id}.{residue.res_name}{res_seq} lacks backbone atom {name}"
+                f"residue {chain_id}.{residue.res_name}{residue.res_seq} lacks backbone atom {name}"
             )
         backbone[name] = atom
 
@@ -103,13 +110,10 @@ def mutate_residue(structure: Structure, chain_id: str, res_seq: int, target: st
     residue.atoms = kept
     for atom in residue.atoms:
         atom.res_name = target
-    out.validate()
-    out.renumber_serials()
-    return out
 
 
 def apply_sequence(structure: Structure, chain_id: str, sequence: str) -> Structure:
-    """Mutate a six-residue chain positionally and renumber it 1-6."""
+    """Mutate a six-residue chain positionally and renumber it 1-6, in one copy."""
     sequence = validate_sequence(sequence)
     chain = structure.chain(chain_id)
     if len(chain.residues) != 6:
@@ -117,13 +121,13 @@ def apply_sequence(structure: Structure, chain_id: str, sequence: str) -> Struct
             f"chain {chain_id} has {len(chain.residues)} residues; apply_sequence needs 6"
         )
     out = structure.copy()
-    # Renumber first so selectors like A.ALA3.CB address the result.
-    for index, residue in enumerate(out.chain(chain_id).residues, start=1):
+    for index, (residue, letter) in enumerate(zip(out.chain(chain_id).residues, sequence), start=1):
         residue.res_seq = index
         for atom in residue.atoms:
             atom.res_seq = index
-    for index, letter in enumerate(sequence, start=1):
-        out = mutate_residue(out, chain_id, index, SEQUENCE_ALPHABET[letter])
+        _mutate_in_place(residue, chain_id, SEQUENCE_ALPHABET[letter])
+    out.validate()
+    out.renumber_serials()
     return out
 
 

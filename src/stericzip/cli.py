@@ -3,14 +3,16 @@
 Subcommands: build, mutate, transform, energy, bench.  Exit codes follow
 one contract everywhere: 0 success, 1 domain failure (parse error, clash,
 optimization failure), 2 usage error.  Every run either writes its
-machine-readable report or prints a located error to stderr, and no
-output files are produced on usage errors.
+machine-readable report or prints a located error to stderr.  No output
+files are produced on usage errors, and every output text is formatted
+before the first file is written, so a write that fails leaves none.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import secrets
 import sys
 from dataclasses import replace
@@ -49,15 +51,30 @@ def _read_structure(path: str):
     return parse_pdb(Path(path).read_text())
 
 
+def _write_outputs(*outputs: tuple[Path, str]) -> None:
+    """Write each (path, text) pair; if one write fails, remove those already written.
+
+    Callers format every text first, so a formatting error writes nothing.
+    """
+    written = []
+    try:
+        for path, text in outputs:
+            path.write_text(text)
+            written.append(path)
+    except OSError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_build(args) -> int:
     try:
         sequence = validate_sequence(args.sequence)
     except StericZipError as exc:
         return _usage(str(exc))
-    if args.sigma is not None and args.sigma <= 0:
-        return _usage("--sigma must be positive")
-    if args.epsilon is not None and args.epsilon <= 0:
-        return _usage("--epsilon must be positive")
+    for flag, value in (("--sigma", args.sigma), ("--epsilon", args.epsilon)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            return _usage(f"{flag} must be finite and positive")
 
     seed = _resolve_seed(args.seed)
     try:
@@ -81,15 +98,16 @@ def _cmd_build(args) -> int:
             optimizer=replace(spec.optimizer, seed=seed),
         )
         model, report = build_fibril_model(template, spec)
+        payload = report.to_dict()
+        payload["seed"] = seed
+        out = Path(args.out)
+        report_path = Path(f"{args.out}.report.json")
+        _write_outputs(
+            (out, write_pdb(model)),
+            (report_path, json.dumps(payload, indent=2, sort_keys=True) + "\n"),
+        )
     except (StericZipError, OSError) as exc:
         return _fail(str(exc))
-
-    out = Path(args.out)
-    report_path = Path(f"{args.out}.report.json")
-    payload = report.to_dict()
-    payload["seed"] = seed
-    out.write_text(write_pdb(model))
-    report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out} and {report_path}")
     if not report.success:
         print("stericzip: build completed with clashes; see report", file=sys.stderr)
@@ -105,9 +123,9 @@ def _cmd_mutate(args) -> int:
     try:
         structure = _read_structure(args.infile)
         mutated = apply_sequence(structure, args.chain, sequence)
+        _write_outputs((Path(args.out), write_pdb(mutated)))
     except (StericZipError, OSError) as exc:
         return _fail(str(exc))
-    Path(args.out).write_text(write_pdb(mutated))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -123,9 +141,9 @@ def _cmd_transform(args) -> int:
     try:
         structure = _read_structure(args.infile)
         result = transform_chain(structure, args.chain, transform, args.new_chain)
+        _write_outputs((Path(args.out), write_pdb(result)))
     except (StericZipError, OSError) as exc:
         return _fail(str(exc))
-    Path(args.out).write_text(write_pdb(result))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -145,9 +163,9 @@ def _cmd_energy(args) -> int:
             except StericZipError:
                 continue  # contact atoms absent in this structure
         report = structure_energy_report(structure, lj=lj, hb=hb, contacts=contacts)
+        _write_outputs((Path(args.report), json.dumps(report, indent=2, sort_keys=True) + "\n"))
     except (StericZipError, OSError) as exc:
         return _fail(str(exc))
-    Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.report}")
     return EXIT_OK
 
@@ -166,8 +184,11 @@ def _cmd_bench(args) -> int:
 
     seed = _resolve_seed(args.seed)
     config = default_bench_config(args.budget)
-    report = run_benchmark(args.suite, dims=dims, runs=args.runs, config=config, seed=seed)
-    Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    try:
+        report = run_benchmark(args.suite, dims=dims, runs=args.runs, config=config, seed=seed)
+        _write_outputs((Path(args.report), json.dumps(report, indent=2, sort_keys=True) + "\n"))
+    except (StericZipError, OSError) as exc:
+        return _fail(str(exc))
     for cell in report["cells"]:
         status = "pass" if cell["passed"] else "FAIL"
         print(

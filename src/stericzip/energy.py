@@ -35,6 +35,13 @@ MIN_PAIR_DISTANCE = 1e-12
 HBOND_CUTOFF = 3.5
 
 
+def _require_finite_positive(kind: str, **values) -> None:
+    # `nan <= 0` is false, so a plain sign test would let nan through.
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise StericZipError(f"{kind} requires finite {name} > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LJParams:
     """Well depth (energy units) and zero-crossing distance (Angstroms)."""
@@ -43,8 +50,7 @@ class LJParams:
     sigma: float = 4.0
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.sigma <= 0:
-            raise StericZipError("LJParams requires epsilon > 0 and sigma > 0")
+        _require_finite_positive("LJParams", epsilon=self.epsilon, sigma=self.sigma)
 
     @property
     def r_min(self) -> float:
@@ -60,8 +66,7 @@ class LJABParams:
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise StericZipError("LJABParams requires a > 0 and b > 0")
+        _require_finite_positive("LJABParams", a=self.a, b=self.b)
 
 
 @dataclass(frozen=True)
@@ -72,8 +77,7 @@ class HBParams:
     d: float
 
     def __post_init__(self):
-        if self.c <= 0 or self.d <= 0:
-            raise StericZipError("HBParams requires c > 0 and d > 0")
+        _require_finite_positive("HBParams", c=self.c, d=self.d)
 
     @property
     def r_min(self) -> float:

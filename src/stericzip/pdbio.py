@@ -8,7 +8,14 @@ the file.  Every other line is carried as an opaque header and re-emitted
 verbatim ahead of the coordinates, so writing a parsed file reproduces it
 byte for byte once it has passed through the writer.
 
-Coordinates are emitted as F8.3 with ties rounded half away from zero.
+Coordinates are emitted as F8.3, and occupancy and B-factor as F6.2, with
+ties rounded half away from zero in the value's shortest decimal form
+(``format_coordinate``).  The writer rounds all fields of a structure at
+once: k = floor(|v| 10^d), plus one when the fraction is at least 0.5,
+with the sign restored and -0.000 never emitted.  Below 1e4 that binary
+arithmetic is within 4e-9 of the decimal value in units of the last
+digit, so only values within 1e-7 of a tie, and values that do not fit,
+go through ``format_coordinate``; the text is the same either way.
 Parsing and writing are pure functions; structures are plain values and
 should be copied before mutation.
 """
@@ -17,7 +24,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from operator import itemgetter
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -34,7 +42,7 @@ from .errors import (
 _COORD_RECORDS = ("ATOM  ", "HETATM")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Atom:
     """One atom record.
 
@@ -59,7 +67,7 @@ class Atom:
         self.position = np.asarray(self.position, dtype=np.float64)
         if self.position.shape != (3,):
             raise StructureError(f"atom {self.name}: position must be a 3-vector")
-        if not np.all(np.isfinite(self.position)):
+        if not all(map(math.isfinite, self.position.tolist())):
             raise StructureError(f"atom {self.name}: non-finite position")
         if not (math.isfinite(self.occupancy) and math.isfinite(self.temp_factor)):
             raise StructureError(f"atom {self.name}: non-finite occupancy or temperature factor")
@@ -71,7 +79,10 @@ class Atom:
             self.element = _infer_element(self.name)
 
     def copy(self) -> "Atom":
-        return replace(self, position=self.position.copy())
+        return Atom(
+            self.serial, self.name, self.alt_loc, self.res_name, self.chain_id, self.res_seq,
+            self.position.copy(), self.occupancy, self.temp_factor, self.element, self.is_hetatm,
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Atom):
@@ -287,18 +298,30 @@ def _infer_element(name: str) -> str:
     return stripped[0].upper() if stripped else "X"
 
 
-def _parse_float(text: str, what: str, line_number: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise PdbParseError(f"malformed {what} field {text!r}", line_number) from None
+# Columns of an ATOM/HETATM record: serial, name, altLoc, resName, chainID,
+# resSeq, x, y, z, occupancy, tempFactor and element, cut in one call.
+_RECORD_COLUMNS = itemgetter(
+    slice(6, 11), slice(12, 16), 16, slice(17, 20), 21, slice(22, 26),
+    slice(30, 38), slice(38, 46), slice(46, 54), slice(54, 60), slice(60, 66), slice(76, 78),
+)
+_NUMBER_COLUMNS = (
+    (0, int, "serial"), (5, int, "residue number"), (6, float, "x coordinate"),
+    (7, float, "y coordinate"), (8, float, "z coordinate"), (9, float, "occupancy"),
+    (10, float, "temperature factor"),
+)
 
 
-def _parse_int(text: str, what: str, line_number: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise PdbParseError(f"malformed {what} field {text!r}", line_number) from None
+def _malformed(columns, line_number: int) -> PdbParseError:
+    """The error for the first number column, in record order, that does not parse."""
+    for index, kind, what in _NUMBER_COLUMNS:
+        # A blank occupancy or B-factor takes its default.
+        text = columns[index].strip() if index >= 9 else columns[index]
+        try:
+            if text:
+                kind(text)
+        except ValueError:
+            return PdbParseError(f"malformed {what} field {text!r}", line_number)
+    raise AssertionError("every number column parses")
 
 
 def parse_pdb(text: str) -> Structure:
@@ -320,8 +343,7 @@ def parse_pdb(text: str) -> Structure:
             closed_ids.add(open_chain.chain_id)
             open_chain = None
 
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
+    for line_number, line in enumerate(text.splitlines(), start=1):
         record = line[:6]
         if ended and line.strip():
             raise PdbParseError("content after END record", line_number)
@@ -329,38 +351,28 @@ def parse_pdb(text: str) -> Structure:
             padded = line.ljust(80)
             if len(line) < 54:
                 raise PdbParseError("truncated coordinate record", line_number)
-            serial = _parse_int(padded[6:11], "serial", line_number)
-            name = padded[12:16].strip()
-            alt_loc = padded[16].strip()
+            columns = _RECORD_COLUMNS(padded)
+            alt_loc = columns[2].strip()
             if alt_loc not in ("", "A"):
                 raise PdbParseError(f"unsupported alternate location {alt_loc!r}", line_number)
-            res_name = padded[17:20].strip()
-            chain_id = padded[21]
-            res_seq = _parse_int(padded[22:26], "residue number", line_number)
-            x = _parse_float(padded[30:38], "x coordinate", line_number)
-            y = _parse_float(padded[38:46], "y coordinate", line_number)
-            z = _parse_float(padded[46:54], "z coordinate", line_number)
-            occ_text = padded[54:60].strip()
-            occupancy = _parse_float(occ_text, "occupancy", line_number) if occ_text else 1.0
-            tf_text = padded[60:66].strip()
-            temp_factor = _parse_float(tf_text, "temperature factor", line_number) if tf_text else 0.0
-            element = padded[76:78].strip()
+            try:
+                serial, res_seq = int(columns[0]), int(columns[5])
+                x, y, z = float(columns[6]), float(columns[7]), float(columns[8])
+                occupancy = 1.0 if columns[9].isspace() else float(columns[9])
+                temp_factor = 0.0 if columns[10].isspace() else float(columns[10])
+            except ValueError:
+                raise _malformed(columns, line_number) from None
+            name, res_name, chain_id, element = (
+                columns[1].strip(), columns[3].strip(), columns[4], columns[11].strip()
+            )
             if not name:
                 raise PdbParseError("empty atom name", line_number)
 
             try:
+                # Positional: eleven keyword arguments cost about 1 us more per atom.
                 atom = Atom(
-                    serial=serial,
-                    name=name,
-                    alt_loc=alt_loc,
-                    res_name=res_name,
-                    chain_id=chain_id,
-                    res_seq=res_seq,
-                    position=np.array([x, y, z]),
-                    occupancy=occupancy,
-                    temp_factor=temp_factor,
-                    element=element,
-                    is_hetatm=record == "HETATM",
+                    serial, name, alt_loc, res_name, chain_id, res_seq, np.array([x, y, z]),
+                    occupancy, temp_factor, element, record == "HETATM",
                 )
             except StructureError as exc:
                 raise PdbParseError(str(exc), line_number) from exc
@@ -416,11 +428,60 @@ def format_coordinate(value: float, width: int = 8, decimals: int = 3, field: st
     return out.rjust(width)
 
 
+def _round_half_away(values: np.ndarray, width, decimals) -> tuple[np.ndarray, np.ndarray]:
+    """Round to F<width>.<decimals> in bulk; mask the values ``format_coordinate`` must settle."""
+    scale = 10.0**decimals
+    with np.errstate(invalid="ignore", over="ignore"):
+        scaled = np.abs(values) * scale
+        k = np.floor(scaled)
+        frac = scaled - k
+        k += frac >= 0.5
+        negative = (values < 0) & (k > 0)
+        limit = np.where(negative, 10.0 ** (width - 2), 10.0 ** (width - 1))
+        settled = (np.abs(frac - 0.5) >= 1e-7) & (k < limit)
+    # k == 0 is never negative here, so -0.000 is never emitted.
+    return np.where(negative, -k, k) / scale, ~settled
+
+
+def _checked_fields(atom: Atom, address: str, misfit: str | None) -> list[float]:
+    """One atom's five fields through ``format_coordinate``; raises its PdbWriteError."""
+    if misfit:
+        raise PdbWriteError(f"atom {address}: {misfit}")
+    if abs(float(np.max(np.abs(atom.position)))) >= 10000.0:
+        raise PdbWriteError(f"coordinate magnitude >= 10000 A in atom {atom!r}")
+    values = [float(format_coordinate(v)) for v in atom.position]
+    try:
+        values.append(float(format_coordinate(atom.occupancy, 6, 2, "occupancy")))
+        values.append(float(format_coordinate(atom.temp_factor, 6, 2, "B-factor")))
+    except PdbWriteError as exc:
+        raise PdbWriteError(f"atom {address}: {exc}") from None
+    return values
+
+
+def _misfit(serial, chain_id, res_seq, res_name, name="", alt_loc="", element="") -> str | None:
+    """Describe the first text or integer field that does not fit its columns."""
+    if serial > 99999:
+        return f"serial {serial} does not fit in I5"
+    if len(chain_id) != 1:
+        return f"chain id {chain_id!r} is not one character"
+    if not -999 <= res_seq <= 9999:
+        return f"residue number {res_seq} does not fit in I4"
+    if len(res_name) > 3:
+        return f"residue name {res_name!r} does not fit in A3"
+    if len(name) > 4:
+        return f"atom name {name!r} does not fit in A4"
+    if len(alt_loc) > 1:
+        return f"alternate location {alt_loc!r} does not fit in A1"
+    if len(element) > 2:
+        return f"element {element!r} does not fit in A2"
+    return None
+
+
 def _aligned_name(atom: Atom) -> str:
     # One-letter elements start in column 14, longer names fill from column 13.
-    if len(atom.name) >= 4:
-        return atom.name[:4]
-    if len(atom.element) == 1 and len(atom.name) <= 3:
+    if len(atom.name) == 4:
+        return atom.name
+    if len(atom.element) == 1:
         return f" {atom.name:<3}"
     return f"{atom.name:<4}"
 
@@ -430,37 +491,47 @@ def write_pdb(structure: Structure) -> str:
 
     Serial numbers are renumbered sequentially, each chain is closed with a
     TER record, and the file ends with END.  Coordinates use F8.3 fields;
-    values outside the representable range raise PdbWriteError.
+    a value or name that does not fit its columns raises PdbWriteError
+    naming the first such atom in record order.
     """
+    # x, y, z as F8.3, then occupancy and B-factor as F6.2.
+    values = [a.position.tolist() + [a.occupancy, a.temp_factor] for a in structure.atoms()]
+    rounded, unsettled = _round_half_away(
+        np.array(values).reshape(-1, 5), np.array([8, 8, 8, 6, 6]), np.array([3, 3, 3, 2, 2])
+    )
+    fields = rounded.tolist()
+    unsettled = unsettled.any(axis=1).tolist()
+
     lines: list[str] = list(structure.headers)
     serial = 1
+    index = 0
     for chain in structure.chains:
+        chain_id = chain.chain_id
         last_residue = None
         for residue in chain.residues:
+            res_seq = residue.res_seq
             for atom in residue.atoms:
-                if abs(float(np.max(np.abs(atom.position)))) >= 10000.0:
-                    raise PdbWriteError(
-                        f"coordinate magnitude >= 10000 A in atom {atom!r}"
-                    )
-                record = "HETATM" if atom.is_hetatm else "ATOM  "
-                x, y, z = (format_coordinate(v) for v in atom.position)
-                try:
-                    occ = format_coordinate(atom.occupancy, 6, 2, "occupancy")
-                    tf = format_coordinate(atom.temp_factor, 6, 2, "B-factor")
-                except PdbWriteError as exc:
-                    address = f"{chain.chain_id}.{atom.res_name}{residue.res_seq}.{atom.name}"
-                    raise PdbWriteError(f"atom {address}: {exc}") from None
-                lines.append(
-                    f"{record}{serial:5d} {_aligned_name(atom)}{atom.alt_loc or ' '}"
-                    f"{atom.res_name:>3} {chain.chain_id}{residue.res_seq:4d}    "
-                    f"{x}{y}{z}{occ}{tf}          {atom.element:>2}"
+                misfit = _misfit(
+                    serial, chain_id, res_seq, atom.res_name, atom.name, atom.alt_loc, atom.element
                 )
+                if misfit or unsettled[index]:
+                    address = f"{chain_id}.{atom.res_name}{res_seq}.{atom.name}"
+                    fields[index] = _checked_fields(atom, address, misfit)
+                # %-formatting skips the per-field __format__ call of an f-string.
+                lines.append("%s%5d %s%s%3s %s%4d    %8.3f%8.3f%8.3f%6.2f%6.2f          %2s" % (
+                    "HETATM" if atom.is_hetatm else "ATOM  ", serial, _aligned_name(atom),
+                    atom.alt_loc or " ", atom.res_name, chain_id, res_seq, *fields[index], atom.element,
+                ))
                 serial += 1
+                index += 1
             last_residue = residue
         if last_residue is not None:
+            misfit = _misfit(serial, chain_id, last_residue.res_seq, last_residue.res_name)
+            if misfit:
+                raise PdbWriteError(f"TER record of chain {chain_id}: {misfit}")
             lines.append(
                 f"TER   {serial:5d}      {last_residue.res_name:>3} "
-                f"{chain.chain_id}{last_residue.res_seq:4d}"
+                f"{chain_id}{last_residue.res_seq:4d}"
             )
             serial += 1
     lines.append("END")

@@ -142,6 +142,23 @@ class TestApplySequence:
         with pytest.raises(MutationError):
             apply_sequence(s, "A", "GAAAAG")
 
+    def test_one_build_makes_few_copies(self, monkeypatch):
+        # apply_sequence copies its structure once, not once per residue: a
+        # default build makes 7 structure and 1,033 atom copies (19 and 1,773
+        # with a copy per mutated residue).
+        from stericzip.pdbio import Atom, Structure
+
+        calls = {Atom: 0, Structure: 0}
+        for cls in calls:
+            def counted(self, _copy=cls.copy, _cls=cls):
+                calls[_cls] += 1
+                return _copy(self)
+
+            monkeypatch.setattr(cls, "copy", counted)
+        build_fibril_model(synthetic_template(), FibrilSpec(sequence="GAAAAG"))
+        assert 1 <= calls[Structure] <= 8
+        assert calls[Atom] <= 1100
+
 
 class TestPlacement:
     def test_synthetic_two_anchor_problem(self):

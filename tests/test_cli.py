@@ -79,6 +79,28 @@ class TestBuild:
         assert not out.exists()
         assert not (tmp_path / "s.pdb.report.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--sigma", "--epsilon"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_potential_exits_2_without_files(
+        self, tmp_path, template_file, capsys, flag, value
+    ):
+        out = tmp_path / "p.pdb"
+        code = run("build", "--template", template_file, "--sequence", "GAAAAG",
+                   "--out", out, "--seed", "1", flag, value)
+        assert code == 2
+        assert f"{flag} must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "p.pdb.report.json").exists()
+
+    def test_unwritable_report_exits_1_and_removes_the_model(self, tmp_path, template_file, capsys):
+        out = tmp_path / "m.pdb"
+        (tmp_path / "m.pdb.report.json").mkdir()
+        code = run("build", "--template", template_file, "--sequence", "GAAAAG",
+                   "--out", out, "--seed", "1")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("stericzip: error: ")
+        assert not out.exists()
+
     def test_generated_seed_echoed(self, tmp_path, template_file):
         out = tmp_path / "m.pdb"
         assert run("build", "--template", template_file, "--sequence", "GAAAAG",
@@ -101,6 +123,13 @@ class TestMutate:
         assert run("mutate", "--in", template_file, "--chain", "A",
                    "--sequence", "QQQQQQ", "--out", tmp_path / "x.pdb") == 2
 
+    def test_missing_output_directory_exits_1(self, tmp_path, template_file, capsys):
+        out = tmp_path / "nodir" / "x.pdb"
+        assert run("mutate", "--in", template_file, "--chain", "A",
+                   "--sequence", "GAAAAG", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stericzip: error: ") and str(out) in err
+
 
 class TestTransform:
     def test_adds_screw_image(self, tmp_path, template_file):
@@ -111,6 +140,16 @@ class TestTransform:
         assert code == 0
         s = parse_pdb(out.read_text())
         assert s.chain_ids() == ["A", "B", "G"]
+
+    def test_unwritable_coordinates_exit_1_without_file(self, tmp_path, template_file, capsys):
+        out = tmp_path / "far.pdb"
+        code = run("transform", "--in", template_file, "--chain", "A", "--new-chain", "G",
+                   "--matrix", "1", "0", "0", "0", "1", "0", "0", "0", "1",
+                   "--translate", "20000", "0", "0", "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stericzip: error: coordinate magnitude >= 10000 A in atom <Atom G.")
+        assert not out.exists()
 
     def test_missing_chain_exits_1(self, tmp_path, template_file):
         code = run("transform", "--in", template_file, "--chain", "Q", "--new-chain", "G",
@@ -141,6 +180,11 @@ class TestEnergy:
         assert report["clashes"] == []
         assert report["total_contact_energy"] == 0.0
 
+    def test_missing_report_directory_exits_1(self, tmp_path, template_file, capsys):
+        report_path = tmp_path / "nodir" / "energy.json"
+        assert run("energy", "--in", template_file, "--report", report_path) == 1
+        assert str(report_path) in capsys.readouterr().err
+
     def test_truncated_line_names_line(self, tmp_path, capsys):
         broken = tmp_path / "broken.pdb"
         text = write_pdb(synthetic_template()).splitlines()
@@ -157,6 +201,12 @@ class TestBench:
     def test_zero_runs_exits_2(self, tmp_path):
         assert run("bench", "--suite", "classic", "--runs", "0",
                    "--report", tmp_path / "b.json") == 2
+
+    def test_missing_report_directory_exits_1(self, tmp_path, capsys):
+        report_path = tmp_path / "nodir" / "b.json"
+        assert run("bench", "--suite", "classic", "--dims", "2", "--runs", "1",
+                   "--seed", "5", "--budget", "2000", "--report", report_path) == 1
+        assert str(report_path) in capsys.readouterr().err
 
     def test_deterministic_report_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

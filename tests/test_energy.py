@@ -382,6 +382,16 @@ def test_audits_reject_a_cutoff_that_is_not_finite_and_positive(audit, cutoff):
         audit(synthetic_template(), cutoff)
 
 
+@pytest.mark.parametrize("kind", [LJParams, LJABParams, HBParams])
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("position", [0, 1])
+def test_potential_parameters_must_be_finite_and_positive(kind, bad, position):
+    values = [1.0, 4.0]
+    values[position] = bad
+    with pytest.raises(StericZipError, match=rf"^{kind.__name__} requires finite \w+ > 0"):
+        kind(*values)
+
+
 def dense_audits(structure, cutoff):
     """Reference: both audits from the full N x N distance matrix, in its row-major order."""
     atoms = list(structure.atoms())

@@ -1,5 +1,8 @@
 """Fixed-column parsing, byte-exact emission, and atom selection."""
 
+import math
+from decimal import ROUND_HALF_UP, Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +195,58 @@ class TestWrite:
         assert format_coordinate(value) == expected
 
 
+@pytest.mark.parametrize(
+    "chain_id, res_seq, atom_edit, message",
+    [
+        ("AB", 1, {}, r"atom AB\.ALA1\.CA: chain id 'AB' is not one character"),
+        ("", 1, {}, r"atom \.ALA1\.CA: chain id '' is not one character"),
+        ("A", 12345, {}, r"atom A\.ALA12345\.CA: residue number 12345 does not fit in I4"),
+        ("A", -1000, {}, r"atom A\.ALA-1000\.CA: residue number -1000 does not fit in I4"),
+        ("A", 1, {"res_name": "ALAX"}, r"atom A\.ALAX1\.CA: residue name 'ALAX' does not fit in A3"),
+        ("A", 1, {"name": "CDEFG"}, r"atom A\.ALA1\.CDEFG: atom name 'CDEFG' does not fit in A4"),
+        ("A", 1, {"alt_loc": "AB"}, r"atom A\.ALA1\.CA: alternate location 'AB' does not fit in A1"),
+        ("A", 1, {"element": "XYZ"}, r"atom A\.ALA1\.CA: element 'XYZ' does not fit in A2"),
+    ],
+    ids=["chain-id-long", "chain-id-empty", "res-seq-high", "res-seq-low", "res-name", "atom-name",
+         "alt-loc", "element"],
+)
+def test_field_that_does_not_fit_names_field_and_atom(chain_id, res_seq, atom_edit, message):
+    atom = make_atom(chain_id=chain_id, res_seq=res_seq)
+    for attribute, value in atom_edit.items():
+        setattr(atom, attribute, value)
+    s = Structure([Chain(chain_id, [Residue(res_seq, "ALA", [atom])])])
+    with pytest.raises(PdbWriteError, match=f"^{message}$"):
+        write_pdb(s)
+
+
+def serial_overflow_structure(first_residue_atoms, extra_chain_atoms):
+    """Ten shared atoms per residue, so ~100,000 records cost little to build."""
+    names = [f"C{k}" for k in range(10)]
+    atoms = [make_atom(name=name, element="C") for name in names]
+    residues = [Residue(0, "ALA", atoms[:first_residue_atoms])]
+    residues += [Residue(seq, "ALA", atoms) for seq in range(1, 10_000)]
+    chains = [Chain("A", residues)]
+    if extra_chain_atoms:
+        chains.append(Chain("B", [Residue(1, "ALA", atoms[:extra_chain_atoms])]))
+    return Structure(chains)
+
+
+@pytest.mark.parametrize(
+    "first_residue_atoms, extra_chain_atoms, message",
+    [
+        # 99,990 atoms and their TER in chain A, then serial 100,000 on B's 9th atom.
+        (0, 10, r"atom B\.ALA1\.C8: serial 100000 does not fit in I5"),
+        # 99,999 atoms in chain A: its TER record would take serial 100,000.
+        (9, 0, r"TER record of chain A: serial 100000 does not fit in I5"),
+    ],
+    ids=["atom", "ter"],
+)
+def test_serial_that_does_not_fit_is_rejected(first_residue_atoms, extra_chain_atoms, message):
+    s = serial_overflow_structure(first_residue_atoms, extra_chain_atoms)
+    with pytest.raises(PdbWriteError, match=f"^{message}$"):
+        write_pdb(s)
+
+
 coordinates = st.integers(min_value=-500_000, max_value=500_000).map(lambda n: n / 1000.0)
 atom_menu = [("N", "N"), ("CA", "C"), ("C", "C"), ("O", "O"), ("CB", "C")]
 
@@ -245,6 +300,112 @@ class TestRoundTrip:
 
     def test_shipped_template_matches_generator(self):
         assert write_pdb(load_template()) == write_pdb(synthetic_template())
+
+
+def decimal_field(value, width, decimals, what):
+    """Reference F<width>.<decimals> field: the shortest repr, rounded by Decimal."""
+    if not math.isfinite(value):
+        raise PdbWriteError(f"non-finite {what} {value!r}")
+    q = Decimal(repr(float(value))).quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP)
+    out = f"{abs(q) if q == 0 else q:.{decimals}f}"
+    if len(out) > width:
+        raise PdbWriteError(f"{what} {value!r} does not fit in F{width}.{decimals}")
+    return out.rjust(width)
+
+
+def reference_write_pdb(structure):
+    """The writer one atom and one Decimal field at a time."""
+    lines = list(structure.headers)
+    serial = 1
+    for chain in structure.chains:
+        last_residue = None
+        for residue in chain.residues:
+            for atom in residue.atoms:
+                if abs(float(np.max(np.abs(atom.position)))) >= 10000.0:
+                    raise PdbWriteError(f"coordinate magnitude >= 10000 A in atom {atom!r}")
+                x, y, z = (decimal_field(v, 8, 3, "coordinate") for v in atom.position)
+                try:
+                    occ = decimal_field(atom.occupancy, 6, 2, "occupancy")
+                    tf = decimal_field(atom.temp_factor, 6, 2, "B-factor")
+                except PdbWriteError as exc:
+                    address = f"{chain.chain_id}.{atom.res_name}{residue.res_seq}.{atom.name}"
+                    raise PdbWriteError(f"atom {address}: {exc}") from None
+                one_letter = len(atom.element) == 1 and len(atom.name) < 4
+                name = f" {atom.name:<3}" if one_letter else f"{atom.name:<4}"
+                lines.append(
+                    f"{'HETATM' if atom.is_hetatm else 'ATOM  '}{serial:5d} {name}"
+                    f"{atom.alt_loc or ' '}{atom.res_name:>3} {chain.chain_id}{residue.res_seq:4d}    "
+                    f"{x}{y}{z}{occ}{tf}          {atom.element:>2}"
+                )
+                serial += 1
+            last_residue = residue
+        if last_residue is not None:
+            lines.append(
+                f"TER   {serial:5d}      {last_residue.res_name:>3} "
+                f"{chain.chain_id}{last_residue.res_seq:4d}"
+            )
+            serial += 1
+    lines.append("END")
+    return "\n".join(lines) + "\n"
+
+
+def one_ulp_either_side(values):
+    return values.flatmap(
+        lambda v: st.sampled_from([float(np.nextafter(v, -np.inf)), v, float(np.nextafter(v, np.inf))])
+    )
+
+
+# Width edges of F8.3 and F6.2, ties, and values that round to zero from below.
+EDGE_VALUES = [
+    999.9995, -999.9995, 9999.9995, -9999.9995, 9999.9994, 1e4, -1e3, 99.995, -99.995, 999.995,
+    4.7765, 1.0005, -1.0005, 123.4565, -0.0, -1e-300, -0.0004, -0.0004999, -0.0005, -0.005,
+]
+# Decimal ties of each field, the edge values and plain values; each may be
+# moved one ulp either way.
+f83_ties = st.integers(-1_000_000, 10_000_000).map(lambda k: (2 * k - 1) / 2000)
+f62_ties = st.integers(-10_000, 100_000).map(lambda k: (2 * k - 1) / 200)
+edge_coordinates = one_ulp_either_side(
+    st.one_of(f83_ties, f83_ties, st.floats(-1000.0, 10_000.0), st.sampled_from(EDGE_VALUES))
+)
+edge_fields = one_ulp_either_side(st.one_of(f62_ties, f62_ties, st.sampled_from(EDGE_VALUES)))
+
+
+@st.composite
+def edge_structures(draw):
+    atoms = [
+        Atom(serial=1, name=name, alt_loc="", res_name="ALA", chain_id="A", res_seq=1,
+             position=np.array([draw(edge_coordinates) for _ in range(3)]),
+             occupancy=draw(edge_fields), temp_factor=draw(edge_fields), element=element)
+        for name, element in atom_menu[: draw(st.integers(1, len(atom_menu)))]
+    ]
+    return Structure([Chain("A", [Residue(1, "ALA", atoms)])])
+
+
+def assert_matches_reference(s):
+    try:
+        expected = reference_write_pdb(s)
+    except PdbWriteError as exc:
+        with pytest.raises(PdbWriteError) as err:
+            write_pdb(s)
+        assert str(err.value) == str(exc)
+    else:
+        assert write_pdb(s) == expected
+
+
+class TestBulkWriter:
+    @settings(max_examples=500, deadline=None)
+    @given(edge_structures())
+    def test_matches_decimal_reference(self, s):
+        assert_matches_reference(s)
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    @pytest.mark.parametrize("step", [-np.inf, 0.0, np.inf], ids=["ulp-below", "exact", "ulp-above"])
+    def test_edge_value_matches_decimal_reference(self, value, step):
+        value = value if step == 0.0 else float(np.nextafter(value, step))
+        assert_matches_reference(single_atom_structure(position=(value, 0.0, 0.0)))
+        s = single_atom_structure()
+        next(s.atoms()).occupancy = value
+        assert_matches_reference(s)
 
 
 # Columns of the fields of an ATOM/HETATM record, and the edits made to them.
