@@ -1,20 +1,17 @@
 """Walk through the lattice operations that assemble the twelve-chain cell.
 
-Starting from the two-chain template: apply the two-fold screw to build
-sheet 2, then replicate both sheets by the stacking translation.  Prints
-the chain layout by strand level at each step.
+Shows the two-fold screw on its own, then builds the whole cell from
+the two-chain template in one call: each chain is a copy of A or B,
+screwed into sheet 2 or not, and shifted by a multiple of the stacking
+step.  Prints the chain table and the layout by strand level.
 
 Run:  python demos/symmetry_tour.py
 """
 
 import numpy as np
 
-from stericzip import (
-    RigidTransform,
-    load_template,
-    replicate_lattice,
-    transform_chain,
-)
+from stericzip import RigidTransform, load_template, replicate_lattice
+from stericzip.geometry import FIBRIL_CELL
 from stericzip.template import (
     INTRA_SHEET_STEP,
     SHEET_FLIP_ROTATION,
@@ -28,13 +25,13 @@ print("screw applied to the origin:", screw.apply([0.0, 0.0, 0.0]))
 print("screw composed with itself:", screw.compose(screw).translation,
       "(a pure lattice translation along x)\n")
 
-structure = load_template()
-structure = transform_chain(structure, "A", screw, "G")
-structure = transform_chain(structure, "B", screw, "H")
-print("after the screw:", structure.chain_ids())
+print("the cell (chain: source, screwed, step multiple):")
+for new_id, source, screwed, shift in FIBRIL_CELL:
+    print(f"  {new_id}: {source}  {'screw' if screwed else '     '}  {shift:+d}")
 
-full = replicate_lattice(structure, default_lattice())
-print("after replication:", full.chain_ids())
+template = load_template()
+full = replicate_lattice(template, default_lattice())
+print("\nfrom chains", template.chain_ids(), "to", full.chain_ids())
 print("stacking step:", INTRA_SHEET_STEP, "\n")
 
 print("strand levels (chain, mean y, mean z):")
@@ -43,8 +40,10 @@ for chain in full.chains:
     sheet = "sheet 1" if centroid[2] > 0 else "sheet 2"
     print(f"  {chain.chain_id}: y = {centroid[1]:8.3f}   z = {centroid[2]:7.3f}   ({sheet})")
 
-# neighbours within a translation family differ by exactly one step
+# sheet 2 is the screw image of sheet 1, and neighbours within a
+# translation family differ by exactly one step
 a = full.chain("A").positions()
-c = full.chain("C").positions()
-assert np.array_equal(c, a + INTRA_SHEET_STEP)
-print("\nchain C is chain A shifted by exactly", INTRA_SHEET_STEP)
+assert np.array_equal(full.chain("G").positions(), screw.apply(a))
+assert np.array_equal(full.chain("C").positions(), a + INTRA_SHEET_STEP)
+print("\nchain G is the screw image of chain A")
+print("chain C is chain A shifted by exactly", INTRA_SHEET_STEP)

@@ -1,9 +1,9 @@
 """End-to-end fibril model construction.
 
-Pipeline: mutate the template's two strands to the target Ala/Gly
-hexapeptide, generate the opposing sheet by the lattice screw, place
-that sheet by a translation-only update of the screw, replicate to the
-twelve-chain cell, and audit hydrogen bonds and clashes.
+Pipeline: mutate the template's chains A and B (the asymmetric unit) to
+the target Ala/Gly hexapeptide, place the opposing sheet by a
+translation-only update of the lattice screw, build the twelve-chain
+cell from the unit in one pass, and audit hydrogen bonds and clashes.
 
 Sheet 2 moves as a rigid body with its rotation fixed, so the placement
 has three unknowns: the translation u added to the screw.  It puts free
@@ -30,14 +30,16 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .energy import LJParams, clash_audit, detect_hbonds, lj_kernel, lj_pair_energy
-from .errors import BuildError, MutationError, StericZipError
+from .errors import BuildError, MutationError, SelectionError, StericZipError
 from .geometry import (
     RigidTransform,
     SheetLattice,
+    SCREW_SOURCES,
+    UNIT_CHAINS,
     cbeta_position,
     reconcile_translation,  # unused; perfbench/tracing.py patches it by this name
     replicate_lattice,
-    transform_chain,
+    transform_chain,  # unused; perfbench/tracing.py patches it by this name
 )
 from .optimize import Objective, OptimizerConfig, OptimizationResult, local_refine, minimize_saec, uniform_bounds
 from .pdbio import AtomSelector, Structure, select_atom
@@ -86,24 +88,18 @@ def mutate_residue(structure: Structure, chain_id: str, res_seq: int, target: st
 
 def _mutate_in_place(residue, chain_id: str, target: str) -> None:
     """The body of ``mutate_residue``: the caller copies, validates and renumbers."""
-    backbone = {}
-    for name in BACKBONE_ATOM_NAMES:
-        atom = residue.atom(name)
+    kept = [residue.atom(name) for name in BACKBONE_ATOM_NAMES]
+    for name, atom in zip(BACKBONE_ATOM_NAMES, kept):
         if atom is None:
             raise MutationError(
                 f"residue {chain_id}.{residue.res_name}{residue.res_seq} lacks backbone atom {name}"
             )
-        backbone[name] = atom
-
-    kept = [residue.atom(name) for name in BACKBONE_ATOM_NAMES]
     if target == "ALA":
         cb = residue.atom("CB")
         if cb is None:
-            position = cbeta_position(
-                backbone["N"].position, backbone["CA"].position, backbone["C"].position,
-                bond=CB_BOND_LENGTH,
-            )
-            cb = replace(backbone["CA"], name="CB", element="C", position=position)
+            n, ca, c, _ = kept
+            position = cbeta_position(n.position, ca.position, c.position, bond=CB_BOND_LENGTH)
+            cb = replace(ca, name="CB", element="C", position=position)
         kept.append(cb)
 
     residue.res_name = target
@@ -148,10 +144,15 @@ class FibrilSpec:
         self.sequence = validate_sequence(self.sequence)
         if len(self.anchors) != len(self.free_atoms) or not self.anchors:
             raise StericZipError("anchors and free_atoms must have the same nonzero length")
-        for text in (*self.anchors, *self.free_atoms):
-            sel = AtomSelector.parse(text)
-            if sel.res_name != "ALA" or sel.atom_name != "CB":
-                raise StericZipError(f"contact selector {sel} must address an ALA CB atom")
+        for kind, texts, chains in (
+            ("anchor", self.anchors, UNIT_CHAINS), ("free atom", self.free_atoms, tuple(SCREW_SOURCES))
+        ):
+            for text in texts:
+                sel = AtomSelector.parse(text)
+                if sel.res_name != "ALA" or sel.atom_name != "CB":
+                    raise StericZipError(f"contact selector {sel} must address an ALA CB atom")
+                if sel.chain_id not in chains:
+                    raise StericZipError(f"{kind} {sel} must lie in chain {' or '.join(chains)}")
 
     def anchor_selectors(self) -> list[AtomSelector]:
         return [AtomSelector.parse(t) for t in self.anchors]
@@ -301,17 +302,23 @@ def solve_contact_placement(
     )
 
 
-def place_opposing_sheet(structure: Structure, spec: FibrilSpec) -> PlacementOutcome:
-    """Solve the sheet-2 placement for a mutated four-chain structure.
+def place_opposing_sheet(unit: Structure, spec: FibrilSpec) -> PlacementOutcome:
+    """Solve the sheet-2 placement for the mutated asymmetric unit.
 
-    ``structure`` must already contain the mutated sheet-1 chains and the
-    template-derived sheet-2 chains that the free selectors address.
+    Anchors are read from ``unit``.  Each free atom is read as the image,
+    under the lattice screw, of the same atom in its source chain, so
+    ``G.ALA4.CB`` is the screw image of ``A.ALA4.CB``.
     """
-    anchors = np.array([select_atom(structure, s).position for s in spec.anchor_selectors()])
-    free0 = np.array([select_atom(structure, s).position for s in spec.free_selectors()])
-    return solve_contact_placement(
-        anchors, free0, spec.lj, spec.lattice.sheet2_transform, spec.optimizer, spec.full_sum
-    )
+    screw = spec.lattice.sheet2_transform
+    anchors = np.array([select_atom(unit, s).position for s in spec.anchor_selectors()])
+    free0 = []
+    for sel in spec.free_selectors():
+        source = replace(sel, chain_id=SCREW_SOURCES[sel.chain_id])
+        try:
+            free0.append(screw.apply(select_atom(unit, source).position))
+        except SelectionError as exc:
+            raise type(exc)(f"free atom {sel} is the screw image of {source}: {exc}") from None
+    return solve_contact_placement(anchors, free0, spec.lj, screw, spec.optimizer, spec.full_sum)
 
 
 @dataclass
@@ -356,41 +363,28 @@ def build_fibril_model(template: Structure, spec: FibrilSpec) -> tuple[Structure
     warnings: list[str] = []
 
     with _stage("template"):
-        for cid in ("A", "B"):
-            if not template.has_chain(cid):
-                raise StericZipError(f"template must supply chain {cid}")
+        unit = template.subset(UNIT_CHAINS)
+        unit.headers = list(template.headers)
+        ignored = [cid for cid in template.chain_ids() if cid not in UNIT_CHAINS]
+        if ignored:
+            warnings.append(f"template chain(s) {', '.join(ignored)} ignored; the model is built from A and B")
 
     with _stage("hbond-before"):
-        hb_before = len(detect_hbonds(template.subset(("A", "B"))))
+        hb_before = len(detect_hbonds(unit))
 
     with _stage("mutate"):
-        work = apply_sequence(template, "A", spec.sequence)
-        work = apply_sequence(work, "B", spec.sequence)
+        unit = apply_sequence(unit, "A", spec.sequence)
+        unit = apply_sequence(unit, "B", spec.sequence)
 
     with _stage("hbond-after"):
-        hb_after = len(detect_hbonds(work.subset(("A", "B"))))
-
-    with _stage("sheet2"):
-        base = spec.lattice.sheet2_transform
-        if work.has_chain("G") or work.has_chain("H"):
-            work = apply_sequence(work, "G", spec.sequence)
-            work = apply_sequence(work, "H", spec.sequence)
-        else:
-            work = transform_chain(work, "A", base, "G")
-            work = transform_chain(work, "B", base, "H")
+        hb_after = len(detect_hbonds(unit))
 
     with _stage("placement"):
-        placement = place_opposing_sheet(work, spec)
+        placement = place_opposing_sheet(unit, spec)
         warnings.extend(placement.warnings)
 
-    with _stage("regenerate"):
-        final = work.subset(("A", "B"))
-        final.headers = list(template.headers)
-        final = transform_chain(final, "A", placement.transform, "G")
-        final = transform_chain(final, "B", placement.transform, "H")
-
     with _stage("replicate"):
-        final = replicate_lattice(final, spec.lattice)
+        final = replicate_lattice(unit, replace(spec.lattice, sheet2_transform=placement.transform))
 
     with _stage("audit"):
         model_hbonds = detect_hbonds(final)
@@ -399,25 +393,13 @@ def build_fibril_model(template: Structure, spec: FibrilSpec) -> tuple[Structure
         if clashes:
             warnings.append(f"{len(clashes)} steric clash(es) below {CLASH_CUTOFF} A; build marked failed")
 
-    anchor_sel = spec.anchor_selectors()
-    free_sel = spec.free_selectors()
-    contacts = []
-    for sel_a, sel_f, r, e in zip(
-        anchor_sel, free_sel, placement.contact_distances, placement.contact_energies
-    ):
-        contacts.append(
-            {
-                "anchor": str(sel_a),
-                "free": str(sel_f),
-                "distance": float(r),
-                "energy": float(e),
-                "optimal_distance": spec.lj.r_min,
-            }
+    contacts = [
+        {"anchor": str(a), "free": str(f), "distance": float(r), "energy": float(e),
+         "optimal_distance": spec.lj.r_min}
+        for a, f, r, e in zip(
+            spec.anchor_selectors(), spec.free_selectors(), placement.contact_distances, placement.contact_energies
         )
-
-    def atom_address(atom) -> str:
-        return f"{atom.chain_id}.{atom.res_name}{atom.res_seq}.{atom.name}"
-
+    ]
     report = BuildReport(
         model_name=spec.model_name,
         sequence=spec.sequence,
@@ -437,7 +419,7 @@ def build_fibril_model(template: Structure, spec: FibrilSpec) -> tuple[Structure
             "seed": spec.optimizer.seed,
         },
         clashes=[
-            {"first": atom_address(a), "second": atom_address(b), "distance": d}
+            {"first": a.address, "second": b.address, "distance": d}
             for a, b, d in clashes
         ],
         parameters={

@@ -67,14 +67,19 @@ def _write_outputs(*outputs: tuple[Path, str]) -> None:
         raise
 
 
+def _bad_potential_flag(*flags: tuple[str, float | None]) -> str | None:
+    """The usage error for the first (flag, value) set to a value not finite and positive."""
+    bad = [flag for flag, value in flags if value is not None and not (math.isfinite(value) and value > 0)]
+    return f"{bad[0]} must be finite and positive" if bad else None
+
+
 def _cmd_build(args) -> int:
     try:
         sequence = validate_sequence(args.sequence)
     except StericZipError as exc:
         return _usage(str(exc))
-    for flag, value in (("--sigma", args.sigma), ("--epsilon", args.epsilon)):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            return _usage(f"{flag} must be finite and positive")
+    if bad := _bad_potential_flag(("--sigma", args.sigma), ("--epsilon", args.epsilon)):
+        return _usage(bad)
 
     seed = _resolve_seed(args.seed)
     try:
@@ -149,6 +154,9 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_energy(args) -> int:
+    flags = ("--sigma", args.sigma), ("--epsilon", args.epsilon), ("--hb-c", args.hb_c), ("--hb-d", args.hb_d)
+    if bad := _bad_potential_flag(*flags):
+        return _usage(bad)
     try:
         structure = _read_structure(args.infile)
         lj = LJParams(args.epsilon, args.sigma)

@@ -99,8 +99,7 @@ def lj_from_ab(params: LJABParams) -> LJParams:
 
 def hb_params_from_minimum(r0: float, depth: float) -> HBParams:
     """10-12 coefficients with the well at distance r0 and depth ``depth``."""
-    if r0 <= 0 or depth <= 0:
-        raise StericZipError("hb_params_from_minimum requires r0 > 0 and depth > 0")
+    _require_finite_positive("hb_params_from_minimum", r0=r0, depth=depth)
     d = 6.0 * depth * r0**10
     c = (5.0 / 6.0) * d * r0**2
     return HBParams(c, d)
@@ -363,9 +362,6 @@ def structure_energy_report(
     hbonds = detect_hbonds(structure)
     clashes = clash_audit(structure, clash_cutoff)
 
-    def atom_address(atom: Atom) -> str:
-        return f"{atom.chain_id}.{atom.res_name}{atom.res_seq}.{atom.name}"
-
     return {
         "parameters": {
             "epsilon": lj.epsilon,
@@ -379,8 +375,8 @@ def structure_energy_report(
         "hbond_count": len(hbonds),
         "hbonds": [
             {
-                "donor": atom_address(b.donor),
-                "acceptor": atom_address(b.acceptor),
+                "donor": b.donor.address,
+                "acceptor": b.acceptor.address,
                 "distance": b.distance,
                 "energy": hb_pair_energy(b.distance, hb),
             }
@@ -388,7 +384,7 @@ def structure_energy_report(
         ],
         "clash_count": len(clashes),
         "clashes": [
-            {"first": atom_address(a), "second": atom_address(b), "distance": d}
+            {"first": a.address, "second": b.address, "distance": d}
             for a, b, d in clashes
         ],
     }

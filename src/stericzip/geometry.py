@@ -1,8 +1,9 @@
 """Rigid-body transforms and the lattice replication that builds the fibril.
 
-A fibril model is generated from a two-chain asymmetric unit: sheet 2 is
-the image of sheet 1 under a fixed rotation-plus-translation, and the
-remaining chains follow by pure translations along the stacking axis.
+A fibril model is generated in one pass from a two-chain asymmetric unit:
+sheet 2 is the image of sheet 1 under a fixed rotation-plus-translation
+(the screw), and the remaining chains follow by translations along the
+stacking axis.  ``FIBRIL_CELL`` names every chain by source, screw and step.
 Transforms are stored explicitly as (rotation, translation) so that the
 composition order is unambiguous: ``a.compose(b)`` applies ``b`` first.
 """
@@ -112,45 +113,49 @@ def transform_chain(
     return out
 
 
-# Chain naming of the twelve-chain fibril cell: sheet 1 holds A, B and the
-# translated copies C, D (up) and E, F (down); sheet 2 holds G, H with
-# copies I, J and K, L.
-_REPLICA_MAP = (
-    ("C", "A", +1.0),
-    ("D", "B", +1.0),
-    ("E", "A", -1.0),
-    ("F", "B", -1.0),
-    ("I", "G", +1.0),
-    ("J", "H", +1.0),
-    ("K", "G", -1.0),
-    ("L", "H", -1.0),
+# The twelve-chain fibril cell as (chain id, source chain, screwed?, step
+# multiple): sheet 1 holds A, B and their translated copies C, D (up) and
+# E, F (down); sheet 2 holds the screw images G, H of A, B, with copies
+# I, J and K, L.  The asymmetric unit is the source chains A and B.
+FIBRIL_CELL = (
+    ("A", "A", False, 0), ("B", "B", False, 0),
+    ("C", "A", False, +1), ("D", "B", False, +1),
+    ("E", "A", False, -1), ("F", "B", False, -1),
+    ("G", "A", True, 0), ("H", "B", True, 0),
+    ("I", "A", True, +1), ("J", "B", True, +1),
+    ("K", "A", True, -1), ("L", "B", True, -1),
 )
+UNIT_CHAINS = ("A", "B")
+# Sheet-2 chains of the cell's first layer, by the unit chain they image.
+SCREW_SOURCES = {new_id: src for new_id, src, screwed, shift in FIBRIL_CELL if screwed and not shift}
 
 
-def replicate_lattice(
-    structure: Structure, lattice: SheetLattice, source_ids=("A", "B", "G", "H")
-) -> Structure:
-    """Expand the four source chains into the full twelve-chain arrangement.
+def replicate_lattice(unit: Structure, lattice: SheetLattice) -> Structure:
+    """Build the twelve-chain cell from the asymmetric unit's chains A and B.
 
-    C, D and E, F are A, B shifted by +/- the intra-sheet step; I, J and
-    K, L likewise from G, H.  Chains are returned in alphabetical order.
+    Each chain of ``FIBRIL_CELL`` is a copy of its source chain, moved by
+    ``lattice.sheet2_transform`` when screwed and then shifted by its
+    multiple of the intra-sheet step.  Headers are carried over and chains
+    come out in alphabetical order.  A unit missing A or B, or holding any
+    other chain, raises StructureError.
     """
-    for cid in source_ids:
-        if not structure.has_chain(cid):
-            raise StructureError(f"replication source chain {cid!r} missing")
-    out = structure.copy()
+    extra = sorted(set(unit.chain_ids()) - set(UNIT_CHAINS))
+    if extra:
+        raise StructureError(f"asymmetric unit may hold only chains A and B, not {extra}")
+    screw = lattice.sheet2_transform
     step = lattice.intra_sheet_step
-    for new_id, src_id, sign in _REPLICA_MAP:
-        if out.has_chain(new_id):
-            raise StructureError(f"chain id {new_id!r} already in use")
-        chain = out.chain(src_id).copy()
+    chains = []
+    for new_id, src_id, screwed, shift in FIBRIL_CELL:
+        chain = unit.chain(src_id).copy()
         chain.chain_id = new_id
         for atom in chain.atoms():
             atom.chain_id = new_id
-            atom.position = atom.position + sign * step
-        out.chains.append(chain)
-    out.chains.sort(key=lambda c: c.chain_id)
-    out.validate()
+            if screwed:
+                atom.position = screw.apply(atom.position)
+            if shift:
+                atom.position = atom.position + shift * step
+        chains.append(chain)
+    out = Structure(chains, list(unit.headers))
     out.renumber_serials()
     return out
 

@@ -31,6 +31,7 @@ used to polish solutions to gradient-level accuracy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -117,12 +118,19 @@ class OptimizerConfig:
             raise StericZipError("population_size must be >= 1")
         if self.offspring_per_parent < 1:
             raise StericZipError("offspring_per_parent must be >= 1")
-        if self.initial_temperature is not None and self.initial_temperature <= 0:
-            raise StericZipError("initial_temperature must be positive")
+        # `nan <= 0` is false, so each real knob is tested for finiteness too.
+        if self.initial_temperature is not None and not (
+            math.isfinite(self.initial_temperature) and self.initial_temperature > 0
+        ):
+            raise StericZipError("initial_temperature must be finite and positive")
         if not 0.0 < self.cooling_factor < 1.0:
             raise StericZipError("cooling_factor must lie in (0, 1)")
-        if self.step_scale <= 0:
-            raise StericZipError("step_scale must be positive")
+        if not (math.isfinite(self.step_scale) and self.step_scale > 0):
+            raise StericZipError("step_scale must be finite and positive")
+        if self.target_value is not None and not math.isfinite(self.target_value):
+            raise StericZipError("target_value must be finite")
+        if not (math.isfinite(self.target_tolerance) and self.target_tolerance >= 0):
+            raise StericZipError("target_tolerance must be finite and >= 0")
         if self.max_evaluations < self.population_size:
             raise StericZipError("max_evaluations must cover the initial population")
         if self.stagnation_window < 1:

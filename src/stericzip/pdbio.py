@@ -101,15 +101,17 @@ class Atom:
             and self.is_hetatm == other.is_hetatm
         )
 
+    @property
+    def address(self) -> str:
+        """``CHAIN.RESNAMESEQ.ATOM``, as the audits and reports name the atom."""
+        return f"{self.chain_id}.{self.res_name}{self.res_seq}.{self.name}"
+
     def __repr__(self):
         x, y, z = self.position
-        return (
-            f"<Atom {self.chain_id}.{self.res_name}{self.res_seq}.{self.name}"
-            f" ({x:.3f}, {y:.3f}, {z:.3f})>"
-        )
+        return f"<Atom {self.address} ({x:.3f}, {y:.3f}, {z:.3f})>"
 
 
-@dataclass(eq=False)
+@dataclass
 class Residue:
     res_seq: int
     res_name: str
@@ -124,17 +126,8 @@ class Residue:
     def copy(self) -> "Residue":
         return Residue(self.res_seq, self.res_name, [a.copy() for a in self.atoms])
 
-    def __eq__(self, other):
-        if not isinstance(other, Residue):
-            return NotImplemented
-        return (
-            self.res_seq == other.res_seq
-            and self.res_name == other.res_name
-            and self.atoms == other.atoms
-        )
 
-
-@dataclass(eq=False)
+@dataclass
 class Chain:
     chain_id: str
     residues: list[Residue] = field(default_factory=list)
@@ -162,13 +155,8 @@ class Chain:
     def copy(self) -> "Chain":
         return Chain(self.chain_id, [r.copy() for r in self.residues])
 
-    def __eq__(self, other):
-        if not isinstance(other, Chain):
-            return NotImplemented
-        return self.chain_id == other.chain_id and self.residues == other.residues
 
-
-@dataclass(eq=False)
+@dataclass
 class Structure:
     """Ordered chains plus opaque header lines carried through for re-emission."""
 
@@ -176,9 +164,15 @@ class Structure:
     headers: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        self.validate()
+        # Construction checks the layout only, so a structure may be put together
+        # from shared or half-edited records.
+        self._validate(records=False)
 
     def validate(self):
+        """Check the layout, and that each atom's chain id, residue number and name match its parents."""
+        self._validate(records=True)
+
+    def _validate(self, records: bool):
         ids = [c.chain_id for c in self.chains]
         if len(set(ids)) != len(ids):
             raise StructureError(f"duplicate chain ids: {ids}")
@@ -192,6 +186,12 @@ class Structure:
                     )
                 last_seq = residue.res_seq
                 for atom in residue.atoms:
+                    if records and (atom.chain_id, atom.res_seq, atom.res_name) != (
+                        chain.chain_id, residue.res_seq, residue.res_name
+                    ):
+                        raise StructureError(
+                            f"atom {atom.address} sits in {chain.chain_id}.{residue.res_name}{residue.res_seq}"
+                        )
                     key = (chain.chain_id, residue.res_seq, atom.name, atom.alt_loc)
                     if key in seen:
                         raise StructureError(f"duplicate atom key {key}")
@@ -233,11 +233,6 @@ class Structure:
                 serial += 1
             if chain.n_atoms():
                 serial += 1
-
-    def __eq__(self, other):
-        if not isinstance(other, Structure):
-            return NotImplemented
-        return self.chains == other.chains and self.headers == other.headers
 
 
 _SELECTOR_RE = re.compile(r"^(?P<chain>[A-Za-z0-9])\.(?P<res>[A-Z]{1,3})(?P<seq>\d+)\.(?P<atom>[A-Z0-9']{1,4})$")

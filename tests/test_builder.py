@@ -143,9 +143,10 @@ class TestApplySequence:
             apply_sequence(s, "A", "GAAAAG")
 
     def test_one_build_makes_few_copies(self, monkeypatch):
-        # apply_sequence copies its structure once, not once per residue: a
-        # default build makes 7 structure and 1,033 atom copies (19 and 1,773
-        # with a copy per mutated residue).
+        # apply_sequence copies its structure once, not once per residue, and
+        # the cell is built from the mutated unit in one pass: a default build
+        # makes 2 structure and 529 atom copies (7 and 1,033 with sheet 2 built
+        # before placement and again after it).
         from stericzip.pdbio import Atom, Structure
 
         calls = {Atom: 0, Structure: 0}
@@ -156,8 +157,8 @@ class TestApplySequence:
 
             monkeypatch.setattr(cls, "copy", counted)
         build_fibril_model(synthetic_template(), FibrilSpec(sequence="GAAAAG"))
-        assert 1 <= calls[Structure] <= 8
-        assert calls[Atom] <= 1100
+        assert 1 <= calls[Structure] <= 2
+        assert calls[Atom] <= 600
 
 
 class TestPlacement:
@@ -373,6 +374,33 @@ class TestBuildPipeline:
         assert write_pdb(first) == write_pdb(second)
         assert report_a.to_json() == report_b.to_json()
 
+    def test_template_sheet_two_is_ignored_with_a_warning(self):
+        # A template that carries its own sheet 2, moved 1 A off the screw
+        # image, gives the model built from chains A and B alone.
+        spec = FibrilSpec(sequence="GAAAAG", optimizer=quick_config(0))
+        template = synthetic_template()
+        for source, new_id in (("A", "G"), ("B", "H")):
+            template = transform_chain(template, source, spec.lattice.sheet2_transform, new_id)
+            for atom in template.chain(new_id).atoms():
+                atom.position = atom.position - np.array([0.0, 0.0, 1.0])
+        model, report = build_fibril_model(template, spec)
+        assert [w for w in report.warnings if "G, H ignored" in w]
+        for contact in report.contacts:
+            measured = np.linalg.norm(
+                select_atom(model, contact["anchor"]).position - select_atom(model, contact["free"]).position
+            )
+            assert measured == pytest.approx(contact["distance"], abs=1e-9)
+            assert contact["distance"] == pytest.approx(spec.lj.r_min, abs=1e-6)
+        clean, _ = build_fibril_model(synthetic_template(), spec)
+        assert write_pdb(model) == write_pdb(clean)
+
+    def test_free_atom_missing_from_its_source_names_the_selector(self):
+        from stericzip import BuildError
+
+        spec = FibrilSpec(sequence="AGAAAA", free_atoms=("G.ALA2.CB", "H.ALA3.CB"), optimizer=quick_config(0))
+        with pytest.raises(BuildError, match=r"^placement: free atom G\.ALA2\.CB is the screw image of A\.ALA2\.CB"):
+            build_fibril_model(synthetic_template(), spec)
+
     def test_template_missing_chain_fails_with_stage(self):
         from stericzip import BuildError
 
@@ -390,6 +418,17 @@ class TestFibrilSpec:
     def test_contact_selectors_must_be_ala_cb(self):
         with pytest.raises(StericZipError):
             FibrilSpec(sequence="GAAAAG", anchors=("A.GLY1.CA", "B.ALA4.CB"))
+
+    @pytest.mark.parametrize(
+        "anchors, free_atoms, named",
+        [
+            (("A.ALA3.CB", "B.ALA4.CB"), ("A.ALA4.CB", "H.ALA3.CB"), "free atom A.ALA4.CB"),
+            (("G.ALA3.CB", "B.ALA4.CB"), ("G.ALA4.CB", "H.ALA3.CB"), "anchor G.ALA3.CB"),
+        ],
+    )
+    def test_contact_selectors_must_lie_in_their_sheet(self, anchors, free_atoms, named):
+        with pytest.raises(StericZipError, match=named):
+            FibrilSpec(sequence="GAAAAG", anchors=anchors, free_atoms=free_atoms)
 
     def test_anchor_free_length_mismatch(self):
         with pytest.raises(StericZipError):

@@ -92,6 +92,18 @@ class TestBuild:
         assert not out.exists()
         assert not (tmp_path / "p.pdb.report.json").exists()
 
+    def test_non_finite_optimizer_knob_in_spec_exits_1(self, tmp_path, template_file, capsys):
+        # json.loads accepts NaN; the optimizer config must not.
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"optimizer": {"initial_temperature": NaN}}')
+        out = tmp_path / "t.pdb"
+        code = run("build", "--template", template_file, "--sequence", "GAAAAG",
+                   "--out", out, "--seed", "1", "--spec", spec, "--full-sum")
+        assert code == 1
+        assert "initial_temperature must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "t.pdb.report.json").exists()
+
     def test_unwritable_report_exits_1_and_removes_the_model(self, tmp_path, template_file, capsys):
         out = tmp_path / "m.pdb"
         (tmp_path / "m.pdb.report.json").mkdir()
@@ -184,6 +196,18 @@ class TestEnergy:
         report_path = tmp_path / "nodir" / "energy.json"
         assert run("energy", "--in", template_file, "--report", report_path) == 1
         assert str(report_path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--sigma", "nan"), ("--sigma", "-1"), ("--epsilon", "inf"), ("--epsilon", "0"),
+         ("--hb-c", "inf"), ("--hb-c", "nan"), ("--hb-d", "0"), ("--hb-d", "-2")],
+    )
+    def test_bad_potential_flag_exits_2_before_reading_input(self, tmp_path, capsys, flag, value):
+        report_path = tmp_path / "energy.json"
+        code = run("energy", "--in", tmp_path / "absent.pdb", flag, value, "--report", report_path)
+        assert code == 2
+        assert f"{flag} must be finite and positive" in capsys.readouterr().err
+        assert not report_path.exists()
 
     def test_truncated_line_names_line(self, tmp_path, capsys):
         broken = tmp_path / "broken.pdb"

@@ -382,7 +382,7 @@ def test_audits_reject_a_cutoff_that_is_not_finite_and_positive(audit, cutoff):
         audit(synthetic_template(), cutoff)
 
 
-@pytest.mark.parametrize("kind", [LJParams, LJABParams, HBParams])
+@pytest.mark.parametrize("kind", [LJParams, LJABParams, HBParams, hb_params_from_minimum])
 @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
 @pytest.mark.parametrize("position", [0, 1])
 def test_potential_parameters_must_be_finite_and_positive(kind, bad, position):

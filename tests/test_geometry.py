@@ -10,10 +10,12 @@ from stericzip import (
     SheetLattice,
     StructureError,
     cbeta_position,
+    parse_pdb,
     reconcile_translation,
     replicate_lattice,
     synthetic_template,
     transform_chain,
+    write_pdb,
 )
 from stericzip.template import (
     INTRA_SHEET_STEP,
@@ -135,25 +137,19 @@ class TestTransformChain:
             transform_chain(synthetic_template(), "A", sheet_screw(), "B")
 
 
-def four_chain_template():
-    s = synthetic_template()
-    s = transform_chain(s, "A", sheet_screw(), "G")
-    return transform_chain(s, "B", sheet_screw(), "H")
-
-
 class TestReplicate:
     def test_twelve_chains_with_expected_ids(self):
-        full = replicate_lattice(four_chain_template(), default_lattice())
+        full = replicate_lattice(synthetic_template(), default_lattice())
         assert full.chain_ids() == list("ABCDEFGHIJKL")
 
     def test_atom_counts_match_sources(self):
-        full = replicate_lattice(four_chain_template(), default_lattice())
+        full = replicate_lattice(synthetic_template(), default_lattice())
         for new_id, src_id in (("C", "A"), ("D", "B"), ("E", "A"), ("F", "B"),
                                ("I", "G"), ("J", "H"), ("K", "G"), ("L", "H")):
             assert full.chain(new_id).n_atoms() == full.chain(src_id).n_atoms()
 
     def test_step_offsets_exact(self):
-        full = replicate_lattice(four_chain_template(), default_lattice())
+        full = replicate_lattice(synthetic_template(), default_lattice())
         a = full.chain("A").positions()
         assert np.array_equal(full.chain("E").positions(), a - INTRA_SHEET_STEP)
         assert np.array_equal(full.chain("C").positions(), a + INTRA_SHEET_STEP)
@@ -162,7 +158,7 @@ class TestReplicate:
         assert np.array_equal(full.chain("K").positions(), g - INTRA_SHEET_STEP)
 
     def test_translation_family_centroid_offsets_are_step_multiples(self):
-        full = replicate_lattice(four_chain_template(), default_lattice())
+        full = replicate_lattice(synthetic_template(), default_lattice())
         step_y = INTRA_SHEET_STEP[1]
         for family in (("E", "A", "C"), ("F", "B", "D"), ("K", "G", "I"), ("L", "H", "J")):
             centroids = [full.chain(c).positions().mean(axis=0) for c in family]
@@ -177,7 +173,24 @@ class TestReplicate:
 
     def test_missing_source_chain(self):
         with pytest.raises(StructureError):
-            replicate_lattice(synthetic_template(), default_lattice())
+            replicate_lattice(synthetic_template().subset(("A",)), default_lattice())
+
+    def test_sheet_two_is_the_screw_image_of_sheet_one(self):
+        unit = synthetic_template()
+        lattice = SheetLattice(INTRA_SHEET_STEP, RigidTransform(SHEET_FLIP_ROTATION, [9.0, 4.0, -1.5]))
+        full = replicate_lattice(unit, lattice)
+        for new_id, src_id in (("G", "A"), ("H", "B")):
+            expected = [lattice.sheet2_transform.apply(p) for p in unit.chain(src_id).positions()]
+            assert np.array_equal(full.chain(new_id).positions(), np.array(expected))
+        # Headers are carried over and serials follow the writer's numbering.
+        assert full.headers == unit.headers
+        written = parse_pdb(write_pdb(full))
+        assert [a.serial for a in written.atoms()] == [a.serial for a in full.atoms()]
+
+    def test_extra_unit_chains_rejected(self):
+        unit = transform_chain(synthetic_template(), "A", sheet_screw(), "G")
+        with pytest.raises(StructureError, match=r"\['G'\]"):
+            replicate_lattice(unit, default_lattice())
 
 
 class TestReconcile:

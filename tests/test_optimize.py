@@ -135,6 +135,23 @@ class TestMinimize:
         with pytest.raises(StericZipError):
             OptimizerConfig(max_evaluations=3, population_size=10)
 
+    @pytest.mark.parametrize(
+        "knob, value, named",
+        [
+            ("step_scale", float("nan"), "step_scale must be finite and positive"),
+            ("step_scale", float("inf"), "step_scale must be finite and positive"),
+            ("initial_temperature", float("nan"), "initial_temperature must be finite and positive"),
+            ("initial_temperature", float("inf"), "initial_temperature must be finite and positive"),
+            ("target_value", float("nan"), "target_value must be finite"),
+            ("target_value", -float("inf"), "target_value must be finite"),
+            ("target_tolerance", float("nan"), "target_tolerance must be finite and >= 0"),
+            ("target_tolerance", -1.0, "target_tolerance must be finite and >= 0"),
+        ],
+    )
+    def test_non_finite_knobs_rejected(self, knob, value, named):
+        with pytest.raises(StericZipError, match=named):
+            OptimizerConfig(**{knob: value})
+
     def test_objective_failure_carries_point(self):
         def boom(x):
             raise ValueError("bad point")

@@ -495,3 +495,13 @@ class TestStructureInvariants:
         c = s.copy()
         c.chain("A").residues[0].atoms[0].position[0] = 99.0
         assert next(s.atoms()).position[0] == 1.0
+
+    @pytest.mark.parametrize(
+        "field, value", [("chain_id", "B"), ("res_seq", 5), ("res_name", "GLY")]
+    )
+    def test_atom_must_agree_with_its_chain_and_residue(self, field, value):
+        # The writer takes the chain id and residue number from the parents and
+        # the audits read them from the atom, so a disagreement is rejected.
+        s = Structure([Chain("A", [Residue(1, "ALA", [make_atom(**{field: value})])])])
+        with pytest.raises(StructureError, match=r"atom \w\.\w+\d+\.CA sits in A\.ALA1"):
+            s.validate()
