@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .energy import LJParams, clash_audit, detect_hbonds, lj_kernel, lj_pair_energy
+from .energy import CLASH_CUTOFF, LJParams, clash_audit, detect_hbonds, lj_kernel, lj_pair_energy
 from .errors import BuildError, MutationError, SelectionError, StericZipError
 from .geometry import (
     RigidTransform,
@@ -52,8 +52,6 @@ from .template import (
 
 BACKBONE_ATOM_NAMES = ("N", "CA", "C", "O")
 SEQUENCE_ALPHABET = {"A": "ALA", "G": "GLY"}
-CLASH_CUTOFF = 2.0
-CB_BOND_LENGTH = 1.521
 
 
 def validate_sequence(sequence: str) -> str:
@@ -98,7 +96,7 @@ def _mutate_in_place(residue, chain_id: str, target: str) -> None:
         cb = residue.atom("CB")
         if cb is None:
             n, ca, c, _ = kept
-            position = cbeta_position(n.position, ca.position, c.position, bond=CB_BOND_LENGTH)
+            position = cbeta_position(n.position, ca.position, c.position)
             cb = replace(ca, name="CB", element="C", position=position)
         kept.append(cb)
 

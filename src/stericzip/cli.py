@@ -22,7 +22,7 @@ import numpy as np
 
 from .benchmarks import SUITES, default_bench_config, run_benchmark
 from .builder import FibrilSpec, build_fibril_model, apply_sequence, validate_sequence
-from .energy import HBParams, LJParams, structure_energy_report, ContactPair
+from .energy import DEFAULT_HB_PARAMS, HBParams, LJParams, structure_energy_report, ContactPair
 from .errors import StericZipError
 from .geometry import RigidTransform, transform_chain
 from .pdbio import AtomSelector, parse_pdb, select_atom, write_pdb
@@ -80,6 +80,8 @@ def _cmd_build(args) -> int:
         return _usage(str(exc))
     if bad := _bad_potential_flag(("--sigma", args.sigma), ("--epsilon", args.epsilon)):
         return _usage(bad)
+    if args.seed is not None and args.seed < 0:
+        return _usage("--seed must be >= 0")
 
     seed = _resolve_seed(args.seed)
     try:
@@ -189,6 +191,11 @@ def _cmd_bench(args) -> int:
             raise ValueError
     except ValueError:
         return _usage(f"bad --dims {args.dims!r}; expected comma-separated positive integers")
+    if args.seed is not None and args.seed < 0:
+        return _usage("--seed must be >= 0")
+    population = default_bench_config().population_size
+    if args.budget < population:
+        return _usage(f"--budget must cover the population of {population}")
 
     seed = _resolve_seed(args.seed)
     config = default_bench_config(args.budget)
@@ -246,10 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("energy", help="hydrogen-bond, clash, and contact-energy report")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--sigma", type=float, default=4.0)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--hb-c", type=float, default=1769127.6, help="10-12 repulsion coefficient")
-    p.add_argument("--hb-d", type=float, default=252432.0, help="10-12 attraction coefficient")
+    p.add_argument("--sigma", type=float, default=LJParams().sigma)
+    p.add_argument("--epsilon", type=float, default=LJParams().epsilon)
+    p.add_argument("--hb-c", type=float, default=DEFAULT_HB_PARAMS.c, help="10-12 repulsion coefficient")
+    p.add_argument("--hb-d", type=float, default=DEFAULT_HB_PARAMS.d, help="10-12 attraction coefficient")
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_energy)
 

@@ -33,6 +33,7 @@ from .pdbio import Atom, AtomSelector, Structure
 
 MIN_PAIR_DISTANCE = 1e-12
 HBOND_CUTOFF = 3.5
+CLASH_CUTOFF = 2.0
 
 
 def _require_finite_positive(kind: str, **values) -> None:
@@ -353,14 +354,13 @@ def structure_energy_report(
     lj: LJParams | None = None,
     hb: HBParams | None = None,
     contacts: list[ContactPair] | None = None,
-    clash_cutoff: float = 2.0,
 ) -> dict:
     """JSON-ready audit: contact energies, hydrogen bonds, clashes."""
     lj = lj or LJParams()
     hb = hb or DEFAULT_HB_PARAMS
     contact_rows = contact_report(structure, contacts) if contacts else []
     hbonds = detect_hbonds(structure)
-    clashes = clash_audit(structure, clash_cutoff)
+    clashes = clash_audit(structure, CLASH_CUTOFF)
 
     return {
         "parameters": {
@@ -368,7 +368,7 @@ def structure_energy_report(
             "sigma": lj.sigma,
             "hb_c": hb.c,
             "hb_d": hb.d,
-            "clash_cutoff": clash_cutoff,
+            "clash_cutoff": CLASH_CUTOFF,
         },
         "contacts": contact_rows,
         "total_contact_energy": float(sum(row["energy"] for row in contact_rows)),

@@ -18,6 +18,8 @@ from .errors import StructureError
 from .pdbio import Structure
 
 _ORTHO_TOL = 1e-9
+CB_BOND_LENGTH = 1.521  # A, CA-CB
+CB_ANGLE_DEG = 109.47  # degrees from CA-CB to each of CA-N and CA-C
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,13 +185,11 @@ def reconcile_translation(
     return base.with_translation(base.translation + mean), residual
 
 
-def cbeta_position(
-    n: np.ndarray, ca: np.ndarray, c: np.ndarray, bond: float = 1.521, angle_deg: float = 109.47
-) -> np.ndarray:
+def cbeta_position(n: np.ndarray, ca: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Standard tetrahedral side-chain branch point off CA.
 
-    Places CB at ``bond`` Angstroms from CA, making equal angles with the
-    CA->N and CA->C bonds, on the side matching L-amino-acid chirality.
+    Places CB at CB_BOND_LENGTH Angstroms from CA, at CB_ANGLE_DEG to both
+    the CA->N and CA->C bonds, on the side matching L-amino-acid chirality.
     """
     n = np.asarray(n, dtype=np.float64)
     ca = np.asarray(ca, dtype=np.float64)
@@ -205,7 +205,7 @@ def cbeta_position(
     # Component along the bisector fixing the angle to both bonds, the rest
     # out of plane; the +perp branch is the L configuration.
     cos_to_bonds = float(np.dot(bisector, u1))
-    p = np.cos(np.radians(angle_deg)) / cos_to_bonds
+    p = np.cos(np.radians(CB_ANGLE_DEG)) / cos_to_bonds
     q = np.sqrt(max(0.0, 1.0 - p * p))
     direction = p * bisector + q * perp
-    return ca + bond * direction
+    return ca + CB_BOND_LENGTH * direction

@@ -1,9 +1,10 @@
 """Simulated-annealing evolutionary minimization and a gradient refiner.
 
 The global optimizer runs mu annealing chains in parallel.  Each
-generation every chain spawns lambda offspring; the workhorse move is a
+generation every chain spawns 5 offspring; the workhorse move is a
 Gaussian perturbation of the whole vector whose standard deviation is
-step_scale * (hi - lo) * (T / T0) per coordinate.  Geometric cooling
+0.1 * (hi - lo) * (T / T0) per coordinate, where T0 is the value spread
+of the starting population.  Geometric cooling (T *= 0.95 a generation)
 sweeps that scale downward quickly, which strands multimodal problems
 whose escape moves live at one particular length scale, so a fraction of
 offspring instead perturb one or two random coordinates at a random
@@ -18,12 +19,12 @@ by the Metropolis rule exp(-dE / T); recombination offspring, being
 exploitative rather than thermal, are accepted only downhill.  The best
 accepted offspring of each chain replaces that chain (family survivor
 selection, which keeps the chains independent and the population
-diverse), and T cools geometrically.  After ``stagnation_window``
-generations without meaningful improvement the population is redrawn
-fresh and the temperature re-heats, up to ``restarts`` times; the global
-best is tracked outside the population and never lost.  Everything is
-driven by one seeded generator, so a fixed (objective, config, seed)
-gives a bit-identical result.
+diverse), and T cools geometrically.  After 50 generations without
+meaningful improvement the population is redrawn fresh and the
+temperature re-heats, up to ``restarts`` times; the global best is
+tracked outside the population and never lost.  Everything is driven by
+one seeded generator, so a fixed (objective, config, seed) gives a
+bit-identical result.
 
 The local refiner is projected steepest descent with Armijo backtracking,
 used to polish solutions to gradient-level accuracy.
@@ -32,6 +33,7 @@ used to polish solutions to gradient-level accuracy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -91,52 +93,46 @@ def _start_point(objective: Objective, x0) -> np.ndarray:
     return objective.clamp(x)
 
 
+# Fixed tuning of the annealed search.
+_OFFSPRING_PER_PARENT = 5  # per chain per generation
+_COOLING_FACTOR = 0.95  # T *= 0.95 each generation
+_STEP_SCALE = 0.1  # Gaussian step as a fraction of the bound span
+_STAGNATION_WINDOW = 50  # generations without improvement before a restart
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs of the annealed evolutionary search.
+    """What callers vary in the annealed search; its tuning is fixed above.
 
-    ``initial_temperature=None`` means: use the value spread (max - min) of
-    the starting population, re-derived after each restart.  ``target_value``
-    enables early termination once the best value is within
+    The four integer settings must be integers (bool is refused).
+    ``target_value`` enables early termination once the best value is within
     ``target_tolerance`` of it (reported as terminated_by="tolerance").
     """
 
     population_size: int = 20
-    offspring_per_parent: int = 5
-    initial_temperature: float | None = None
-    cooling_factor: float = 0.95
-    step_scale: float = 0.1
     max_evaluations: int = 100_000
-    stagnation_window: int = 50
     restarts: int = 5
     seed: int = 0
     target_value: float | None = None
     target_tolerance: float = 0.0
 
     def __post_init__(self):
-        if self.population_size < 1:
-            raise StericZipError("population_size must be >= 1")
-        if self.offspring_per_parent < 1:
-            raise StericZipError("offspring_per_parent must be >= 1")
-        # `nan <= 0` is false, so each real knob is tested for finiteness too.
-        if self.initial_temperature is not None and not (
-            math.isfinite(self.initial_temperature) and self.initial_temperature > 0
-        ):
-            raise StericZipError("initial_temperature must be finite and positive")
-        if not 0.0 < self.cooling_factor < 1.0:
-            raise StericZipError("cooling_factor must lie in (0, 1)")
-        if not (math.isfinite(self.step_scale) and self.step_scale > 0):
-            raise StericZipError("step_scale must be finite and positive")
+        floors = {"population_size": 1, "max_evaluations": self.population_size, "restarts": 0, "seed": 0}
+        for name, least in floors.items():
+            value = getattr(self, name)
+            try:
+                number = operator.index(value)
+            except TypeError:
+                number = None
+            if number is None or isinstance(value, bool) or number < least:
+                raise StericZipError(f"{name} must be an integer >= {least}, got {value!r}")
+            # A NumPy integer is stored as int, so reports stay JSON-ready.
+            object.__setattr__(self, name, number)
+        # `nan <= 0` is false, so each real setting is tested for finiteness too.
         if self.target_value is not None and not math.isfinite(self.target_value):
             raise StericZipError("target_value must be finite")
         if not (math.isfinite(self.target_tolerance) and self.target_tolerance >= 0):
             raise StericZipError("target_tolerance must be finite and >= 0")
-        if self.max_evaluations < self.population_size:
-            raise StericZipError("max_evaluations must cover the initial population")
-        if self.stagnation_window < 1:
-            raise StericZipError("stagnation_window must be >= 1")
-        if self.restarts < 0:
-            raise StericZipError("restarts must be >= 0")
 
 
 @dataclass
@@ -185,7 +181,7 @@ _MOVE_SINGLE = 0.75
 _MOVE_PAIR = 0.85
 
 
-def _spawn_offspring(pop, lam, rng, span, lower, annealed_std, step_scale):
+def _spawn_offspring(pop, lam, rng, span, lower, annealed_std):
     """Draw mu * lam offspring.  Returns (offspring, is_recombination)."""
     mu, n = pop.shape
     m = mu * lam
@@ -197,7 +193,7 @@ def _spawn_offspring(pop, lam, rng, span, lower, annealed_std, step_scale):
     coord = ((move >= _MOVE_FULL) & (move < _MOVE_PAIR)).nonzero()[0]
     c1 = rng.integers(0, n, m)
     c2 = rng.integers(0, n, m)
-    scale = step_scale * span * 10.0 ** (-2.0 * rng.random(m))[:, None]
+    scale = _STEP_SCALE * span * 10.0 ** (-2.0 * rng.random(m))[:, None]
     coord_noise = rng.standard_normal((m, n)) * scale
     if coord.size:
         mask = np.zeros((m, n), dtype=bool)
@@ -235,7 +231,7 @@ def minimize_saec(
     lost; otherwise the population is drawn uniformly within bounds.
     """
     mu = config.population_size
-    lam = config.offspring_per_parent
+    lam = _OFFSPRING_PER_PARENT
     n = objective.dimension
     span = objective.upper - objective.lower
     root = np.random.SeedSequence(config.seed)
@@ -280,11 +276,8 @@ def minimize_saec(
             terminated_by = "tolerance"
             break
 
-        if config.initial_temperature is not None:
-            t0 = config.initial_temperature
-        else:
-            spread = float(np.max(values) - np.min(values))
-            t0 = spread if spread > 0 else 1.0
+        spread = float(np.max(values) - np.min(values))
+        t0 = spread if spread > 0 else 1.0
         temperature = t0
 
         # Stagnation is judged on this run's own population best, so a
@@ -297,10 +290,8 @@ def minimize_saec(
                 done = True
                 break
 
-            annealed_std = config.step_scale * span * (temperature / t0)
-            offspring, is_mix = _spawn_offspring(
-                pop, lam, rng, span, objective.lower, annealed_std, config.step_scale
-            )
+            annealed_std = _STEP_SCALE * span * (temperature / t0)
+            offspring, is_mix = _spawn_offspring(pop, lam, rng, span, objective.lower, annealed_std)
             off_values = evaluator(offspring)
 
             parent_values = np.repeat(values, lam)
@@ -326,7 +317,7 @@ def minimize_saec(
             k = int(np.argmin(values))
             record_best(pop[k], float(values[k]))
             # Geometric cooling; the floor keeps T strictly positive in floats.
-            temperature = max(temperature * config.cooling_factor, 1e-300)
+            temperature = max(temperature * _COOLING_FACTOR, 1e-300)
 
             if target_reached():
                 terminated_by = "tolerance"
@@ -341,7 +332,7 @@ def minimize_saec(
             else:
                 run_best = min(run_best, run_min)
                 since_improvement += 1
-            if since_improvement >= config.stagnation_window:
+            if since_improvement >= _STAGNATION_WINDOW:
                 if restart_index == config.restarts:
                     terminated_by = "stagnation"
                     done = True
@@ -366,10 +357,11 @@ def local_refine(
 ) -> OptimizationResult:
     """Projected steepest descent with Armijo backtracking (c = 1e-4).
 
-    Descends until the gradient norm is at most ``tol`` or the iteration
-    budget runs out.  The value never increases; iterates stay inside the
-    objective's bounds.  Non-finite values or gradients raise
-    RefinementError carrying the last good point.
+    Descends until the gradient norm is at most ``tol`` ("tolerance"), the
+    iteration budget runs out ("budget") or no step along the projected
+    gradient lowers the value ("line_search").  The value never increases;
+    iterates stay inside the objective's bounds.  Non-finite values or
+    gradients raise RefinementError carrying the last good point.
     """
     if objective.gradient is None:
         raise StericZipError("local_refine requires an objective gradient")
@@ -414,8 +406,8 @@ def local_refine(
             step *= 0.5
         if not improved:
             # Line search exhausted: the projected direction yields no
-            # decrease at the smallest step, so treat as converged.
-            terminated_by = "tolerance"
+            # decrease at the smallest step, though |g| is still above tol.
+            terminated_by = "line_search"
             break
 
     return OptimizationResult(

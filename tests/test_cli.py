@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from stericzip import parse_pdb, synthetic_template, write_pdb
+from stericzip import parse_pdb, structure_energy_report, synthetic_template, write_pdb
 from stericzip.cli import main
 from stericzip.template import template_path
 
@@ -64,6 +64,7 @@ class TestBuild:
             ('{"sequence": "GAAAAG",', "line 1 column"),
             ('{"placement_margin": 12.0}', "'placement_margin'"),
             ('{"optimizer": {"seed": 1, "max_evals": 10}}', "'max_evals'"),
+            ('{"optimizer": {"cooling_factor": 0.9}}', "unknown key(s) 'cooling_factor' in optimizer"),
         ],
     )
     def test_bad_spec_exits_1_without_files(self, tmp_path, template_file, capsys, text, located):
@@ -95,14 +96,23 @@ class TestBuild:
     def test_non_finite_optimizer_knob_in_spec_exits_1(self, tmp_path, template_file, capsys):
         # json.loads accepts NaN; the optimizer config must not.
         spec = tmp_path / "spec.json"
-        spec.write_text('{"optimizer": {"initial_temperature": NaN}}')
+        spec.write_text('{"optimizer": {"target_tolerance": NaN}}')
         out = tmp_path / "t.pdb"
         code = run("build", "--template", template_file, "--sequence", "GAAAAG",
                    "--out", out, "--seed", "1", "--spec", spec, "--full-sum")
         assert code == 1
-        assert "initial_temperature must be finite and positive" in capsys.readouterr().err
+        assert "target_tolerance must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "t.pdb.report.json").exists()
+
+    def test_negative_seed_exits_2_without_files(self, tmp_path, template_file, capsys):
+        out = tmp_path / "n.pdb"
+        code = run("build", "--template", template_file, "--sequence", "GAAAAG",
+                   "--out", out, "--seed", "-1")
+        assert code == 2
+        assert capsys.readouterr().err == "stericzip: usage error: --seed must be >= 0\n"
+        assert not out.exists()
+        assert not (tmp_path / "n.pdb.report.json").exists()
 
     def test_unwritable_report_exits_1_and_removes_the_model(self, tmp_path, template_file, capsys):
         out = tmp_path / "m.pdb"
@@ -209,6 +219,14 @@ class TestEnergy:
         assert f"{flag} must be finite and positive" in capsys.readouterr().err
         assert not report_path.exists()
 
+    def test_default_hbond_rows_match_library_report(self, tmp_path, template_file):
+        report_path = tmp_path / "energy.json"
+        assert run("energy", "--in", template_file, "--report", report_path) == 0
+        cli_rows = json.loads(report_path.read_text())["hbonds"]
+        library = structure_energy_report(parse_pdb(template_file.read_text()))
+        assert cli_rows
+        assert cli_rows == json.loads(json.dumps(library["hbonds"]))
+
     def test_truncated_line_names_line(self, tmp_path, capsys):
         broken = tmp_path / "broken.pdb"
         text = write_pdb(synthetic_template()).splitlines()
@@ -225,6 +243,17 @@ class TestBench:
     def test_zero_runs_exits_2(self, tmp_path):
         assert run("bench", "--suite", "classic", "--runs", "0",
                    "--report", tmp_path / "b.json") == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--seed", "-1", "--seed must be >= 0"), ("--budget", "10", "--budget must cover the population of 50")],
+    )
+    def test_out_of_range_flag_exits_2_without_report(self, tmp_path, capsys, flag, value, message):
+        report_path = tmp_path / "b.json"
+        code = run("bench", "--dims", "2", "--runs", "1", flag, value, "--report", report_path)
+        assert code == 2
+        assert capsys.readouterr().err == f"stericzip: usage error: {message}\n"
+        assert not report_path.exists()
 
     def test_missing_report_directory_exits_1(self, tmp_path, capsys):
         report_path = tmp_path / "nodir" / "b.json"

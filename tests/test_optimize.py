@@ -129,8 +129,6 @@ class TestMinimize:
 
     def test_invalid_config(self):
         with pytest.raises(StericZipError):
-            OptimizerConfig(cooling_factor=1.5)
-        with pytest.raises(StericZipError):
             OptimizerConfig(population_size=0)
         with pytest.raises(StericZipError):
             OptimizerConfig(max_evaluations=3, population_size=10)
@@ -138,19 +136,27 @@ class TestMinimize:
     @pytest.mark.parametrize(
         "knob, value, named",
         [
-            ("step_scale", float("nan"), "step_scale must be finite and positive"),
-            ("step_scale", float("inf"), "step_scale must be finite and positive"),
-            ("initial_temperature", float("nan"), "initial_temperature must be finite and positive"),
-            ("initial_temperature", float("inf"), "initial_temperature must be finite and positive"),
             ("target_value", float("nan"), "target_value must be finite"),
             ("target_value", -float("inf"), "target_value must be finite"),
             ("target_tolerance", float("nan"), "target_tolerance must be finite and >= 0"),
             ("target_tolerance", -1.0, "target_tolerance must be finite and >= 0"),
+            ("seed", -1, "seed must be an integer >= 0, got -1"),
         ],
     )
     def test_non_finite_knobs_rejected(self, knob, value, named):
         with pytest.raises(StericZipError, match=named):
             OptimizerConfig(**{knob: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, True])
+    @pytest.mark.parametrize("name", ["population_size", "max_evaluations", "restarts", "seed"])
+    def test_integer_fields_must_be_integers(self, name, value):
+        with pytest.raises(StericZipError, match=f"^{name} must be an integer"):
+            OptimizerConfig(**{name: value})
+
+    def test_numpy_integers_are_stored_as_int(self):
+        cfg = OptimizerConfig(population_size=np.int64(10), max_evaluations=np.int32(500), seed=np.uint8(3))
+        assert [type(v) for v in (cfg.population_size, cfg.max_evaluations, cfg.seed)] == [int] * 3
+        assert (cfg.population_size, cfg.max_evaluations, cfg.seed) == (10, 500, 3)
 
     def test_objective_failure_carries_point(self):
         def boom(x):
@@ -210,6 +216,20 @@ class TestLocalRefine:
         assert result.terminated_by == "tolerance"
         # one evaluation for the start, none beyond the gradient check
         assert result.evaluations_used == 1
+
+    def test_exhausted_line_search_is_reported(self):
+        # Near x = 3 the offset swamps the quadratic: |g| = 2e-6 is far above
+        # tol, but no step changes the rounded value, so the search gives up.
+        obj = Objective(
+            dimension=1,
+            evaluate=lambda x: float((x[0] - 3.0) ** 2 + 1e6),
+            gradient=lambda x: np.array([2.0 * (x[0] - 3.0)]),
+            bounds=uniform_bounds(-10.0, 10.0, 1),
+        )
+        result = local_refine(obj, np.array([3.000001]), tol=1e-12)
+        assert result.terminated_by == "line_search"
+        assert result.best_point[0] == 3.000001
+        assert result.evaluations_used == 61
 
     def test_quadratic_descends_from_anywhere(self):
         obj = quadratic_objective()
