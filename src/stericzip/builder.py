@@ -79,13 +79,12 @@ def mutate_residue(structure: Structure, chain_id: str, res_seq: int, target: st
     if residue is None:
         raise MutationError(f"chain {chain_id} has no residue {res_seq}")
     _mutate_in_place(residue, chain_id, target)
-    out.validate()
     out.renumber_serials()
     return out
 
 
 def _mutate_in_place(residue, chain_id: str, target: str) -> None:
-    """The body of ``mutate_residue``: the caller copies, validates and renumbers."""
+    """The body of ``mutate_residue``: the caller copies and renumbers."""
     kept = [residue.atom(name) for name in BACKBONE_ATOM_NAMES]
     for name, atom in zip(BACKBONE_ATOM_NAMES, kept):
         if atom is None:
@@ -102,8 +101,6 @@ def _mutate_in_place(residue, chain_id: str, target: str) -> None:
 
     residue.res_name = target
     residue.atoms = kept
-    for atom in residue.atoms:
-        atom.res_name = target
 
 
 def apply_sequence(structure: Structure, chain_id: str, sequence: str) -> Structure:
@@ -117,10 +114,7 @@ def apply_sequence(structure: Structure, chain_id: str, sequence: str) -> Struct
     out = structure.copy()
     for index, (residue, letter) in enumerate(zip(out.chain(chain_id).residues, sequence), start=1):
         residue.res_seq = index
-        for atom in residue.atoms:
-            atom.res_seq = index
         _mutate_in_place(residue, chain_id, SEQUENCE_ALPHABET[letter])
-    out.validate()
     out.renumber_serials()
     return out
 
@@ -362,7 +356,6 @@ def build_fibril_model(template: Structure, spec: FibrilSpec) -> tuple[Structure
 
     with _stage("template"):
         unit = template.subset(UNIT_CHAINS)
-        unit.headers = list(template.headers)
         ignored = [cid for cid in template.chain_ids() if cid not in UNIT_CHAINS]
         if ignored:
             warnings.append(f"template chain(s) {', '.join(ignored)} ignored; the model is built from A and B")
@@ -416,10 +409,7 @@ def build_fibril_model(template: Structure, spec: FibrilSpec) -> tuple[Structure
             "terminated_by": placement.optimizer_result.terminated_by,
             "seed": spec.optimizer.seed,
         },
-        clashes=[
-            {"first": a.address, "second": b.address, "distance": d}
-            for a, b, d in clashes
-        ],
+        clashes=[{"first": a, "second": b, "distance": d} for a, b, d in clashes],
         parameters={
             "epsilon": spec.lj.epsilon,
             "sigma": spec.lj.sigma,

@@ -19,6 +19,8 @@ Both audits, ``detect_hbonds`` and ``clash_audit``, take candidate pairs
 from one cell-list neighbour search, so their cost is linear in the atom
 count.  Their lists equal, in order and in every distance bit, those of a
 dense N x N distance matrix scanned row by row and then stably sorted.
+They read identity from the chains and residues they walk, since an atom
+carries none, and name atoms by their ``CHAIN.RESNAMESEQ.ATOM`` address.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularityError, StericZipError
-from .pdbio import Atom, AtomSelector, Structure
+from .pdbio import AtomSelector, Structure, atom_address
 
 MIN_PAIR_DISTANCE = 1e-12
 HBOND_CUTOFF = 3.5
@@ -221,20 +223,22 @@ class ContactPair:
             raise StericZipError("contact pair selectors must be distinct")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HBond:
-    """A backbone N...O pair within the detection cutoff."""
+    """A backbone N...O pair within the detection cutoff, named by atom address."""
 
-    donor: Atom
-    acceptor: Atom
+    donor: str
+    acceptor: str
     distance: float
 
 
-def _collect_atoms(structure: Structure, names=None) -> tuple[list[Atom], np.ndarray]:
-    atoms = [a for a in structure.atoms() if names is None or a.name in names]
-    if not atoms:
-        return [], np.zeros((0, 3))
-    return atoms, np.stack([a.position for a in atoms])
+def _collect_atoms(structure: Structure, names=None):
+    """(chain id, residue, atom) of each audited atom, and its position, chain id and residue number columns."""
+    sites = [(chain.chain_id, residue, atom) for chain in structure.chains for residue in chain.residues
+             for atom in residue.atoms if names is None or atom.name in names]
+    positions = np.stack([atom.position for _, _, atom in sites]) if sites else np.zeros((0, 3))
+    chain_ids = np.array([chain_id for chain_id, _, _ in sites], dtype=str)
+    return sites, positions, chain_ids, np.array([r.res_seq for _, r, _ in sites], dtype=np.int64)
 
 
 def _neighbour_pairs(first: np.ndarray, second: np.ndarray, cutoff: float):
@@ -281,28 +285,21 @@ def detect_hbonds(structure: Structure, cutoff: float = HBOND_CUTOFF) -> list[HB
     chain, are excluded; those separations are covalent geometry, not
     hydrogen bonds.  Candidates come from a cell-list neighbour search,
     so the cost grows linearly with the atom count.  The list is stably
-    sorted by donor then acceptor identity.  ``cutoff`` must be finite
-    and positive.
+    sorted by donor then acceptor chain id and residue number.
+    ``cutoff`` must be finite and positive.
     """
-    donors, d_pos = _collect_atoms(structure, names=("N",))
-    acceptors, a_pos = _collect_atoms(structure, names=("O",))
+    donors, d_pos, d_chain, d_res = _collect_atoms(structure, names=("N",))
+    acceptors, a_pos, a_chain, a_res = _collect_atoms(structure, names=("O",))
     di, ai = _neighbour_pairs(d_pos, a_pos, cutoff)
     dist = np.linalg.norm(d_pos[di] - a_pos[ai], axis=1)
-    d_chain, d_res = _residue_columns(donors)
-    a_chain, a_res = _residue_columns(acceptors)
     covalent = (d_chain[di] == a_chain[ai]) & (np.abs(d_res[di] - a_res[ai]) <= 1)
     keep = np.flatnonzero((dist <= cutoff) & ~covalent)
-    bonds = [HBond(donors[di[k]], acceptors[ai[k]], float(dist[k])) for k in keep]
-    bonds.sort(key=lambda b: (b.donor.chain_id, b.donor.res_seq, b.acceptor.chain_id, b.acceptor.res_seq))
-    return bonds
+    d, a = di[keep], ai[keep]
+    keep = keep[np.lexsort((a_res[a], a_chain[a], d_res[d], d_chain[d]))]  # stable
+    return [HBond(atom_address(*donors[di[k]]), atom_address(*acceptors[ai[k]]), float(dist[k])) for k in keep]
 
 
-def _residue_columns(atoms: list[Atom]) -> tuple[np.ndarray, np.ndarray]:
-    chain_ids = np.array([a.chain_id for a in atoms], dtype=str)
-    return chain_ids, np.array([a.res_seq for a in atoms], dtype=np.int64)
-
-
-def clash_audit(structure: Structure, cutoff: float) -> list[tuple[Atom, Atom, float]]:
+def clash_audit(structure: Structure, cutoff: float) -> list[tuple[str, str, float]]:
     """Non-bonded atom pairs from different residues closer than ``cutoff``.
 
     Same-residue pairs and the peptide-bond C(i)-N(i+1) pair of one chain
@@ -310,20 +307,19 @@ def clash_audit(structure: Structure, cutoff: float) -> list[tuple[Atom, Atom, f
     cost grows linearly with the atom count.  Stably sorted ascending by
     distance, so ties keep atom order.  ``cutoff`` must be finite and positive.
     """
-    atoms, pos = _collect_atoms(structure)
+    sites, pos, chains, res = _collect_atoms(structure)
     i, j = _neighbour_pairs(pos, pos, cutoff)
     upper = i < j
     i, j = i[upper], j[upper]
     dist = np.linalg.norm(pos[i] - pos[j], axis=1)
-    chains, res = _residue_columns(atoms)
-    names = np.array([a.name for a in atoms], dtype=str)
+    names = np.array([atom.name for _, _, atom in sites], dtype=str)
     # The only covalent link between residues is the peptide bond C(i)-N(i+1).
     peptide = ((res[i] + 1 == res[j]) & (names[i] == "C") & (names[j] == "N")) | (
         (res[j] + 1 == res[i]) & (names[j] == "C") & (names[i] == "N")
     )
     exempt = (chains[i] == chains[j]) & ((res[i] == res[j]) | peptide)
     keep = np.flatnonzero((dist < cutoff) & ~exempt)
-    clashes = [(atoms[i[k]], atoms[j[k]], float(dist[k])) for k in keep]
+    clashes = [(atom_address(*sites[i[k]]), atom_address(*sites[j[k]]), float(dist[k])) for k in keep]
     clashes.sort(key=lambda entry: entry[2])
     return clashes
 
@@ -375,16 +371,13 @@ def structure_energy_report(
         "hbond_count": len(hbonds),
         "hbonds": [
             {
-                "donor": b.donor.address,
-                "acceptor": b.acceptor.address,
+                "donor": b.donor,
+                "acceptor": b.acceptor,
                 "distance": b.distance,
                 "energy": hb_pair_energy(b.distance, hb),
             }
             for b in hbonds
         ],
         "clash_count": len(clashes),
-        "clashes": [
-            {"first": a.address, "second": b.address, "distance": d}
-            for a, b, d in clashes
-        ],
+        "clashes": [{"first": a, "second": b, "distance": d} for a, b, d in clashes],
     }

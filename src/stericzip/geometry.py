@@ -98,7 +98,8 @@ def transform_chain(
 ) -> Structure:
     """Return ``structure`` extended with a transformed copy of one chain.
 
-    Residue and atom metadata are copied; only positions change.
+    The copy takes the new chain id; its residues are copied as they are,
+    and only atom positions change.
     """
     if structure.has_chain(new_id):
         raise StructureError(f"chain id {new_id!r} already in use")
@@ -107,10 +108,8 @@ def transform_chain(
     new_chain = source.copy()
     new_chain.chain_id = new_id
     for atom in new_chain.atoms():
-        atom.chain_id = new_id
         atom.position = transform.apply(atom.position)
     out.chains.append(new_chain)
-    out.validate()
     out.renumber_serials()
     return out
 
@@ -151,7 +150,6 @@ def replicate_lattice(unit: Structure, lattice: SheetLattice) -> Structure:
         chain = unit.chain(src_id).copy()
         chain.chain_id = new_id
         for atom in chain.atoms():
-            atom.chain_id = new_id
             if screwed:
                 atom.position = screw.apply(atom.position)
             if shift:

@@ -18,6 +18,8 @@ digit, so only values within 1e-7 of a tie, and values that do not fit,
 go through ``format_coordinate``; the text is the same either way.
 Parsing and writing are pure functions; structures are plain values and
 should be copied before mutation.
+An atom carries no chain or residue identity: the writer and the audits
+read the chain id, residue number and name from its ``Chain`` and ``Residue``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ _COORD_RECORDS = ("ATOM  ", "HETATM")
 
 @dataclass(eq=False, slots=True)
 class Atom:
-    """One atom record.
+    """One atom record, without the chain and residue identity its parents hold.
 
     ``name`` is stored with PDB column alignment stripped; the writer
     reconstructs the alignment from the element.  ``position`` is a
@@ -54,9 +56,6 @@ class Atom:
     serial: int
     name: str
     alt_loc: str
-    res_name: str
-    chain_id: str
-    res_seq: int
     position: np.ndarray
     occupancy: float = 1.0
     temp_factor: float = 0.0
@@ -80,8 +79,8 @@ class Atom:
 
     def copy(self) -> "Atom":
         return Atom(
-            self.serial, self.name, self.alt_loc, self.res_name, self.chain_id, self.res_seq,
-            self.position.copy(), self.occupancy, self.temp_factor, self.element, self.is_hetatm,
+            self.serial, self.name, self.alt_loc, self.position.copy(),
+            self.occupancy, self.temp_factor, self.element, self.is_hetatm,
         )
 
     def __eq__(self, other):
@@ -91,9 +90,6 @@ class Atom:
             self.serial == other.serial
             and self.name == other.name
             and self.alt_loc == other.alt_loc
-            and self.res_name == other.res_name
-            and self.chain_id == other.chain_id
-            and self.res_seq == other.res_seq
             and np.array_equal(self.position, other.position)
             and self.occupancy == other.occupancy
             and self.temp_factor == other.temp_factor
@@ -101,14 +97,9 @@ class Atom:
             and self.is_hetatm == other.is_hetatm
         )
 
-    @property
-    def address(self) -> str:
-        """``CHAIN.RESNAMESEQ.ATOM``, as the audits and reports name the atom."""
-        return f"{self.chain_id}.{self.res_name}{self.res_seq}.{self.name}"
-
     def __repr__(self):
         x, y, z = self.position
-        return f"<Atom {self.address} ({x:.3f}, {y:.3f}, {z:.3f})>"
+        return f"<Atom {self.name} ({x:.3f}, {y:.3f}, {z:.3f})>"
 
 
 @dataclass
@@ -158,21 +149,16 @@ class Chain:
 
 @dataclass
 class Structure:
-    """Ordered chains plus opaque header lines carried through for re-emission."""
+    """Ordered chains plus opaque header lines carried through for re-emission.
+
+    Construction checks the layout: chain ids are unique, residue numbers
+    strictly increase within a chain, and atom keys are unique.
+    """
 
     chains: list[Chain] = field(default_factory=list)
     headers: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        # Construction checks the layout only, so a structure may be put together
-        # from shared or half-edited records.
-        self._validate(records=False)
-
-    def validate(self):
-        """Check the layout, and that each atom's chain id, residue number and name match its parents."""
-        self._validate(records=True)
-
-    def _validate(self, records: bool):
         ids = [c.chain_id for c in self.chains]
         if len(set(ids)) != len(ids):
             raise StructureError(f"duplicate chain ids: {ids}")
@@ -180,18 +166,13 @@ class Structure:
         for chain in self.chains:
             last_seq = None
             for residue in chain.residues:
-                if last_seq is not None and residue.res_seq < last_seq:
+                if last_seq is not None and residue.res_seq <= last_seq:
                     raise StructureError(
-                        f"chain {chain.chain_id}: residue order not monotone at {residue.res_seq}"
+                        f"chain {chain.chain_id}: residue numbers must strictly increase,"
+                        f" got {residue.res_seq} after {last_seq}"
                     )
                 last_seq = residue.res_seq
                 for atom in residue.atoms:
-                    if records and (atom.chain_id, atom.res_seq, atom.res_name) != (
-                        chain.chain_id, residue.res_seq, residue.res_name
-                    ):
-                        raise StructureError(
-                            f"atom {atom.address} sits in {chain.chain_id}.{residue.res_name}{residue.res_seq}"
-                        )
                     key = (chain.chain_id, residue.res_seq, atom.name, atom.alt_loc)
                     if key in seen:
                         raise StructureError(f"duplicate atom key {key}")
@@ -220,8 +201,8 @@ class Structure:
         return Structure([c.copy() for c in self.chains], list(self.headers))
 
     def subset(self, chain_ids) -> "Structure":
-        """New structure containing copies of the named chains, in the given order."""
-        return Structure([self.chain(cid).copy() for cid in chain_ids])
+        """New structure containing copies of the named chains, in the given order, and the headers."""
+        return Structure([self.chain(cid).copy() for cid in chain_ids], list(self.headers))
 
     def renumber_serials(self) -> None:
         # Mirrors the writer's numbering: each chain's TER record consumes
@@ -262,6 +243,11 @@ class AtomSelector:
 
     def __str__(self):
         return f"{self.chain_id}.{self.res_name}{self.res_seq}.{self.atom_name}"
+
+
+def atom_address(chain_id: str, residue: Residue, atom: Atom) -> str:
+    """``CHAIN.RESNAMESEQ.ATOM``, as writer errors and audits name an atom."""
+    return f"{chain_id}.{residue.res_name}{residue.res_seq}.{atom.name}"
 
 
 def select_atom(structure: Structure, selector: AtomSelector | str) -> Atom:
@@ -364,9 +350,9 @@ def parse_pdb(text: str) -> Structure:
                 raise PdbParseError("empty atom name", line_number)
 
             try:
-                # Positional: eleven keyword arguments cost about 1 us more per atom.
+                # Positional: eight keyword arguments cost about 1 us more per atom.
                 atom = Atom(
-                    serial, name, alt_loc, res_name, chain_id, res_seq, np.array([x, y, z]),
+                    serial, name, alt_loc, np.array([x, y, z]),
                     occupancy, temp_factor, element, record == "HETATM",
                 )
             except StructureError as exc:
@@ -443,7 +429,10 @@ def _checked_fields(atom: Atom, address: str, misfit: str | None) -> list[float]
     if misfit:
         raise PdbWriteError(f"atom {address}: {misfit}")
     if abs(float(np.max(np.abs(atom.position)))) >= 10000.0:
-        raise PdbWriteError(f"coordinate magnitude >= 10000 A in atom {atom!r}")
+        x, y, z = atom.position
+        raise PdbWriteError(
+            f"coordinate magnitude >= 10000 A in atom <Atom {address} ({x:.3f}, {y:.3f}, {z:.3f})>"
+        )
     values = [float(format_coordinate(v)) for v in atom.position]
     try:
         values.append(float(format_coordinate(atom.occupancy, 6, 2, "occupancy")))
@@ -504,18 +493,17 @@ def write_pdb(structure: Structure) -> str:
         chain_id = chain.chain_id
         last_residue = None
         for residue in chain.residues:
-            res_seq = residue.res_seq
+            res_seq, res_name = residue.res_seq, residue.res_name
             for atom in residue.atoms:
                 misfit = _misfit(
-                    serial, chain_id, res_seq, atom.res_name, atom.name, atom.alt_loc, atom.element
+                    serial, chain_id, res_seq, res_name, atom.name, atom.alt_loc, atom.element
                 )
                 if misfit or unsettled[index]:
-                    address = f"{chain_id}.{atom.res_name}{res_seq}.{atom.name}"
-                    fields[index] = _checked_fields(atom, address, misfit)
+                    fields[index] = _checked_fields(atom, atom_address(chain_id, residue, atom), misfit)
                 # %-formatting skips the per-field __format__ call of an f-string.
                 lines.append("%s%5d %s%s%3s %s%4d    %8.3f%8.3f%8.3f%6.2f%6.2f          %2s" % (
                     "HETATM" if atom.is_hetatm else "ATOM  ", serial, _aligned_name(atom),
-                    atom.alt_loc or " ", atom.res_name, chain_id, res_seq, *fields[index], atom.element,
+                    atom.alt_loc or " ", res_name, chain_id, res_seq, *fields[index], atom.element,
                 ))
                 serial += 1
                 index += 1

@@ -103,9 +103,6 @@ def _build_strand(chain_id: str, y_shift: float, serial_start: int) -> Chain:
                     serial=serial,
                     name=name,
                     alt_loc="",
-                    res_name=res_name,
-                    chain_id=chain_id,
-                    res_seq=res_seq,
                     # Quantized to the F8.3 grid so the shipped file
                     # round-trips field for field.
                     position=np.round(positions[name], 3),

@@ -184,6 +184,28 @@ class TestPlacement:
         assert outcome.optimizer_result.terminated_by == "tolerance"
         assert np.allclose(outcome.transform.translation, 0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seed_dependent_fallback_warns(self, seed):
+        # Three centres on an equilateral triangle about the origin: the
+        # gradient vanishes at u = 0, so descent stays at that stationary point
+        # and the search's point, above or below the plane, is used instead.
+        angles = np.radians([90.0, 210.0, 330.0])
+        centres = 3.0 * np.stack([np.cos(angles), np.sin(angles), np.zeros(3)], axis=1)
+        free0 = np.tile([0.0, 0.0, 10.0], (3, 1))
+        params = LJParams(1.0, 4.0)
+        outcome = solve_contact_placement(
+            centres + free0, free0, params, RigidTransform.identity(), quick_config(seed)
+        )
+        assert len(outcome.warnings) == 1
+        assert outcome.warnings[0].endswith("the sheet placement depends on the seed")
+        assert outcome.refined_energy == pytest.approx(-3.0, abs=1e-9)
+        assert np.allclose(outcome.contact_distances, params.r_min, rtol=0, atol=1e-9)
+        assert params.r_min == pytest.approx(4.489848, abs=5e-7)
+        height = np.sqrt(params.r_min**2 - 9.0)
+        sign = -1.0 if seed == 0 else 1.0
+        assert np.allclose(outcome.transform.translation, [0.0, 0.0, sign * height], rtol=0, atol=1e-9)
+        assert height == pytest.approx(3.3405, abs=5e-5)
+
     def test_rotation_preserved_translation_updated(self):
         template = synthetic_template()
         spec = FibrilSpec(sequence="GAAAAG", optimizer=quick_config(3))

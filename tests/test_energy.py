@@ -14,6 +14,7 @@ from stericzip import (
     Atom,
     Chain,
     FibrilSpec,
+    HBond,
     HBParams,
     LJABParams,
     LJParams,
@@ -33,7 +34,9 @@ from stericzip import (
     lj_from_ab,
     lj_pair_energy,
     load_template,
+    structure_energy_report,
     synthetic_template,
+    write_pdb,
 )
 from stericzip.energy import MIN_PAIR_DISTANCE, _neighbour_pairs
 
@@ -271,48 +274,38 @@ class TestGradient:
             lj_cluster_gradient([0, 0, 0, 0, 0, 0], REDUCED)
 
 
-def atom_at(name, chain_id, res_seq, xyz, element=None, res_name="ALA"):
-    return Atom(serial=1, name=name, alt_loc="", res_name=res_name, chain_id=chain_id,
-                res_seq=res_seq, position=np.array(xyz, dtype=float),
-                occupancy=1.0, temp_factor=0.0, element=element or name[0])
+def atom_at(name, xyz):
+    return Atom(serial=1, name=name, alt_loc="", position=np.array(xyz, dtype=float),
+                occupancy=1.0, temp_factor=0.0, element=name[0])
 
 
 def two_atom_structure(a, b):
-    s = Structure([
-        Chain(a.chain_id, [Residue(a.res_seq, a.res_name, [a])]),
-        Chain(b.chain_id, [Residue(b.res_seq, b.res_name, [b])]),
-    ])
+    """Two one-residue ALA chains from (chain id, residue number, atom name, position) rows."""
+    s = Structure([Chain(cid, [Residue(seq, "ALA", [atom_at(name, xyz)])]) for cid, seq, name, xyz in (a, b)])
     s.renumber_serials()
     return s
 
 
 class TestHBondDetection:
     def test_cross_chain_pair_found(self):
-        s = two_atom_structure(
-            atom_at("N", "A", 2, (0, 0, 0)), atom_at("O", "B", 3, (2.9, 0, 0))
-        )
+        s = two_atom_structure(("A", 2, "N", (0, 0, 0)), ("B", 3, "O", (2.9, 0, 0)))
         bonds = detect_hbonds(s)
         assert len(bonds) == 1
         assert bonds[0].distance == pytest.approx(2.9, abs=1e-12)
 
     def test_beyond_cutoff_empty(self):
-        s = two_atom_structure(
-            atom_at("N", "A", 2, (0, 0, 0)), atom_at("O", "B", 3, (4.0, 0, 0))
-        )
+        s = two_atom_structure(("A", 2, "N", (0, 0, 0)), ("B", 3, "O", (4.0, 0, 0)))
         assert detect_hbonds(s) == []
 
     def test_adjacent_residues_excluded(self):
-        n = atom_at("N", "A", 3, (0, 0, 0))
-        o = atom_at("O", "A", 2, (2.2, 0, 0))
+        n = atom_at("N", (0, 0, 0))
+        o = atom_at("O", (2.2, 0, 0))
         s = Structure([Chain("A", [Residue(2, "ALA", [o]), Residue(3, "ALA", [n])])])
         s.renumber_serials()
         assert detect_hbonds(s) == []
 
     def test_no_backbone_atoms_empty(self):
-        s = two_atom_structure(
-            atom_at("CB", "A", 1, (0, 0, 0), element="C"),
-            atom_at("CB", "B", 1, (3.0, 0, 0), element="C"),
-        )
+        s = two_atom_structure(("A", 1, "CB", (0, 0, 0)), ("B", 1, "CB", (3.0, 0, 0)))
         assert detect_hbonds(s) == []
 
     def test_symmetric_in_chain_order_and_rigid_motion(self):
@@ -335,34 +328,28 @@ class TestHBondDetection:
 
 class TestClashAudit:
     def test_distant_chains_clean(self):
-        s = two_atom_structure(
-            atom_at("CB", "A", 1, (0, 0, 0), element="C"),
-            atom_at("CB", "B", 1, (10.0, 0, 0), element="C"),
-        )
+        s = two_atom_structure(("A", 1, "CB", (0, 0, 0)), ("B", 1, "CB", (10.0, 0, 0)))
         assert clash_audit(s, 2.0) == []
 
     def test_close_pair_reported(self):
-        s = two_atom_structure(
-            atom_at("CB", "A", 1, (0, 0, 0), element="C"),
-            atom_at("CB", "B", 1, (1.5, 0, 0), element="C"),
-        )
+        s = two_atom_structure(("A", 1, "CB", (0, 0, 0)), ("B", 1, "CB", (1.5, 0, 0)))
         clashes = clash_audit(s, 2.0)
         assert len(clashes) == 1
         assert clashes[0][2] == pytest.approx(1.5, abs=1e-12)
 
     def test_sorted_ascending(self):
         s = Structure([
-            Chain("A", [Residue(1, "ALA", [atom_at("CB", "A", 1, (0, 0, 0), element="C")])]),
-            Chain("B", [Residue(1, "ALA", [atom_at("CB", "B", 1, (1.8, 0, 0), element="C")])]),
-            Chain("C", [Residue(1, "ALA", [atom_at("CB", "C", 1, (-1.2, 0, 0), element="C")])]),
+            Chain("A", [Residue(1, "ALA", [atom_at("CB", (0, 0, 0))])]),
+            Chain("B", [Residue(1, "ALA", [atom_at("CB", (1.8, 0, 0))])]),
+            Chain("C", [Residue(1, "ALA", [atom_at("CB", (-1.2, 0, 0))])]),
         ])
         s.renumber_serials()
         distances = [d for _, _, d in clash_audit(s, 2.0)]
         assert distances == sorted(distances)
 
     def test_peptide_bond_exempt(self):
-        c = atom_at("C", "A", 1, (0, 0, 0))
-        n = atom_at("N", "A", 2, (1.33, 0, 0))
+        c = atom_at("C", (0, 0, 0))
+        n = atom_at("N", (1.33, 0, 0))
         s = Structure([Chain("A", [Residue(1, "ALA", [c]), Residue(2, "ALA", [n])])])
         s.renumber_serials()
         assert clash_audit(s, 2.0) == []
@@ -373,6 +360,23 @@ class TestClashAudit:
     def test_bad_cutoff(self):
         with pytest.raises(StericZipError):
             clash_audit(synthetic_template(), 0.0)
+
+
+def test_renamed_chain_and_residue_name_every_record_and_audit():
+    # Identity lives on the chain and residue only, so renaming them after
+    # construction renames the atoms in the file and in both audits.
+    s = two_atom_structure(("A", 2, "N", (0, 0, 0)), ("B", 3, "O", (1.5, 0, 0)))
+    s.chains[1].chain_id = "Z"
+    residue = s.chains[0].residues[0]
+    residue.res_name, residue.res_seq = "GLY", 7
+    records = [(line[17:20], line[21], int(line[22:26])) for line in write_pdb(s).splitlines()
+               if line.startswith("ATOM")]
+    assert records == [("GLY", "A", 7), ("ALA", "Z", 3)]
+    assert clash_audit(s, 2.0) == [("A.GLY7.N", "Z.ALA3.O", 1.5)]
+    assert detect_hbonds(s) == [HBond("A.GLY7.N", "Z.ALA3.O", 1.5)]
+    report = structure_energy_report(s)
+    assert [(b["donor"], b["acceptor"]) for b in report["hbonds"]] == [("A.GLY7.N", "Z.ALA3.O")]
+    assert [(c["first"], c["second"]) for c in report["clashes"]] == [("A.GLY7.N", "Z.ALA3.O")]
 
 
 @pytest.mark.parametrize("audit", [clash_audit, detect_hbonds])
@@ -392,28 +396,35 @@ def test_potential_parameters_must_be_finite_and_positive(kind, bad, position):
         kind(*values)
 
 
+def sites(structure):
+    """(chain id, residue, atom) of every atom, in record order."""
+    return [(c.chain_id, r, a) for c in structure.chains for r in c.residues for a in r.atoms]
+
+
 def dense_audits(structure, cutoff):
     """Reference: both audits from the full N x N distance matrix, in its row-major order."""
-    atoms = list(structure.atoms())
-    pos = np.array([a.position for a in atoms]).reshape(-1, 3)
+    rows = sites(structure)
+    pos = np.array([a.position for _, _, a in rows]).reshape(-1, 3)
     dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
     clashes, bonds = [], []
     for i, j in zip(*np.nonzero(dist <= cutoff)):
-        a, b = atoms[i], atoms[j]
-        near = a.chain_id == b.chain_id and abs(a.res_seq - b.res_seq) <= 1
-        peptide = (a.name, b.name, b.res_seq - a.res_seq) in (("C", "N", 1), ("N", "C", -1))
-        if i < j and dist[i, j] < cutoff and not (near and (a.res_seq == b.res_seq or peptide)):
+        (a_chain, a_res, a), (b_chain, b_res, b) = rows[i], rows[j]
+        a_seq, b_seq = a_res.res_seq, b_res.res_seq
+        near = a_chain == b_chain and abs(a_seq - b_seq) <= 1
+        peptide = (a.name, b.name, b_seq - a_seq) in (("C", "N", 1), ("N", "C", -1))
+        if i < j and dist[i, j] < cutoff and not (near and (a_seq == b_seq or peptide)):
             clashes.append((i, j, float(dist[i, j]).hex()))
         if a.name == "N" and b.name == "O" and not near:
             bonds.append((i, j, float(dist[i, j]).hex()))
-    key = {k: (a.chain_id, a.res_seq) for k, a in enumerate(atoms)}
+    key = {k: (chain_id, residue.res_seq) for k, (chain_id, residue, _) in enumerate(rows)}
     return sorted(clashes, key=lambda c: float.fromhex(c[2])), sorted(bonds, key=lambda b: key[b[0]] + key[b[1]])
 
 
 def fast_audits(structure, cutoff):
-    index = {id(a): k for k, a in enumerate(structure.atoms())}
-    clashes = [(index[id(a)], index[id(b)], d.hex()) for a, b, d in clash_audit(structure, cutoff)]
-    bonds = [(index[id(b.donor)], index[id(b.acceptor)], b.distance.hex()) for b in detect_hbonds(structure, cutoff)]
+    """Both audits with each atom address replaced by the atom's record index."""
+    index = {f"{cid}.{r.res_name}{r.res_seq}.{a.name}": k for k, (cid, r, a) in enumerate(sites(structure))}
+    clashes = [(index[a], index[b], d.hex()) for a, b, d in clash_audit(structure, cutoff)]
+    bonds = [(index[b.donor], index[b.acceptor], b.distance.hex()) for b in detect_hbonds(structure, cutoff)]
     return clashes, bonds
 
 
@@ -423,7 +434,7 @@ def cloud_structure(atoms):
     for chain_id, res_seq, name, position in atoms:
         residues = chains.setdefault(chain_id, {})
         residue = residues.setdefault(res_seq, Residue(res_seq, "ALA"))
-        residue.atoms.append(atom_at(name, chain_id, res_seq, position))
+        residue.atoms.append(atom_at(name, position))
     s = Structure([Chain(cid, [residues[r] for r in sorted(residues)]) for cid, residues in chains.items()])
     s.renumber_serials()
     return s
@@ -468,8 +479,7 @@ class TestNeighbourSearch:
 
     @pytest.mark.parametrize("cutoff", [0.5, 2.0, 3.5])
     def test_pair_at_exactly_the_cutoff(self, cutoff):
-        s = two_atom_structure(atom_at("N", "A", 1, (cutoff, 0, -cutoff)),
-                               atom_at("O", "B", 1, (2 * cutoff, 0, -cutoff)))
+        s = two_atom_structure(("A", 1, "N", (cutoff, 0, -cutoff)), ("B", 1, "O", (2 * cutoff, 0, -cutoff)))
         assert clash_audit(s, cutoff) == []
         assert [b.distance for b in detect_hbonds(s, cutoff)] == [cutoff]
 

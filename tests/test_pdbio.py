@@ -31,10 +31,8 @@ from stericzip.pdbio import format_coordinate
 SAMPLE_LINE = "ATOM      1  N   GLY A 127      1.000   2.000   3.000  1.00  0.00           N"
 
 
-def make_atom(serial=1, name="CA", res_name="ALA", chain_id="A", res_seq=1,
-              position=(0.0, 0.0, 0.0), element="C"):
-    return Atom(serial=serial, name=name, alt_loc="", res_name=res_name,
-                chain_id=chain_id, res_seq=res_seq, position=np.array(position),
+def make_atom(serial=1, name="CA", position=(0.0, 0.0, 0.0), element="C"):
+    return Atom(serial=serial, name=name, alt_loc="", position=np.array(position),
                 occupancy=1.0, temp_factor=0.0, element=element)
 
 
@@ -46,12 +44,14 @@ def single_atom_structure(position=(1.0, 2.0, 3.0)):
 class TestParse:
     def test_fixed_column_example(self):
         s = parse_pdb(SAMPLE_LINE + "\nEND\n")
-        atom = next(s.atoms())
+        chain = s.chains[0]
+        residue = chain.residues[0]
+        atom = residue.atoms[0]
         assert atom.serial == 1
         assert atom.name == "N"
-        assert atom.res_name == "GLY"
-        assert atom.chain_id == "A"
-        assert atom.res_seq == 127
+        assert residue.res_name == "GLY"
+        assert chain.chain_id == "A"
+        assert residue.res_seq == 127
         assert np.array_equal(atom.position, [1.0, 2.0, 3.0])
         assert atom.element == "N"
 
@@ -211,10 +211,11 @@ class TestWrite:
          "alt-loc", "element"],
 )
 def test_field_that_does_not_fit_names_field_and_atom(chain_id, res_seq, atom_edit, message):
-    atom = make_atom(chain_id=chain_id, res_seq=res_seq)
+    atom = make_atom()
+    residue = Residue(res_seq, "ALA", [atom])
     for attribute, value in atom_edit.items():
-        setattr(atom, attribute, value)
-    s = Structure([Chain(chain_id, [Residue(res_seq, "ALA", [atom])])])
+        setattr(residue if attribute == "res_name" else atom, attribute, value)
+    s = Structure([Chain(chain_id, [residue])])
     with pytest.raises(PdbWriteError, match=f"^{message}$"):
         write_pdb(s)
 
@@ -268,8 +269,7 @@ def structures(draw):
             for name, element in atom_menu[:n_atoms]:
                 pos = [draw(coordinates) for _ in range(3)]
                 atoms.append(
-                    Atom(serial=serial, name=name, alt_loc="", res_name="ALA",
-                         chain_id=cid, res_seq=seq, position=np.array(pos),
+                    Atom(serial=serial, name=name, alt_loc="", position=np.array(pos),
                          occupancy=1.0, temp_factor=0.0, element=element)
                 )
                 serial += 1
@@ -321,20 +321,23 @@ def reference_write_pdb(structure):
         last_residue = None
         for residue in chain.residues:
             for atom in residue.atoms:
+                address = f"{chain.chain_id}.{residue.res_name}{residue.res_seq}.{atom.name}"
                 if abs(float(np.max(np.abs(atom.position)))) >= 10000.0:
-                    raise PdbWriteError(f"coordinate magnitude >= 10000 A in atom {atom!r}")
+                    px, py, pz = atom.position
+                    raise PdbWriteError(
+                        f"coordinate magnitude >= 10000 A in atom <Atom {address} ({px:.3f}, {py:.3f}, {pz:.3f})>"
+                    )
                 x, y, z = (decimal_field(v, 8, 3, "coordinate") for v in atom.position)
                 try:
                     occ = decimal_field(atom.occupancy, 6, 2, "occupancy")
                     tf = decimal_field(atom.temp_factor, 6, 2, "B-factor")
                 except PdbWriteError as exc:
-                    address = f"{chain.chain_id}.{atom.res_name}{residue.res_seq}.{atom.name}"
                     raise PdbWriteError(f"atom {address}: {exc}") from None
                 one_letter = len(atom.element) == 1 and len(atom.name) < 4
                 name = f" {atom.name:<3}" if one_letter else f"{atom.name:<4}"
                 lines.append(
                     f"{'HETATM' if atom.is_hetatm else 'ATOM  '}{serial:5d} {name}"
-                    f"{atom.alt_loc or ' '}{atom.res_name:>3} {chain.chain_id}{residue.res_seq:4d}    "
+                    f"{atom.alt_loc or ' '}{residue.res_name:>3} {chain.chain_id}{residue.res_seq:4d}    "
                     f"{x}{y}{z}{occ}{tf}          {atom.element:>2}"
                 )
                 serial += 1
@@ -373,7 +376,7 @@ edge_fields = one_ulp_either_side(st.one_of(f62_ties, f62_ties, st.sampled_from(
 @st.composite
 def edge_structures(draw):
     atoms = [
-        Atom(serial=1, name=name, alt_loc="", res_name="ALA", chain_id="A", res_seq=1,
+        Atom(serial=1, name=name, alt_loc="",
              position=np.array([draw(edge_coordinates) for _ in range(3)]),
              occupancy=draw(edge_fields), temp_factor=draw(edge_fields), element=element)
         for name, element in atom_menu[: draw(st.integers(1, len(atom_menu)))]
@@ -464,7 +467,8 @@ class TestSelectors:
     def test_selects_template_atom(self):
         s = synthetic_template()
         atom = select_atom(s, "A.MET129.SD")
-        assert atom.name == "SD" and atom.res_seq == 129
+        residue = s.chain("A").residue(129)
+        assert atom.name == "SD" and residue.res_name == "MET" and atom is residue.atom("SD")
 
     def test_missing_chain_not_found(self):
         with pytest.raises(AtomNotFoundError):
@@ -485,8 +489,8 @@ class TestStructureInvariants:
             Structure([Chain("A"), Chain("A")])
 
     def test_residue_order_monotone(self):
-        r2 = Residue(2, "ALA", [make_atom(res_seq=2)])
-        r1 = Residue(1, "ALA", [make_atom(serial=2, name="N", res_seq=1, element="N")])
+        r2 = Residue(2, "ALA", [make_atom()])
+        r1 = Residue(1, "ALA", [make_atom(serial=2, name="N", element="N")])
         with pytest.raises(StructureError):
             Structure([Chain("A", [r2, r1])])
 
@@ -496,12 +500,17 @@ class TestStructureInvariants:
         c.chain("A").residues[0].atoms[0].position[0] = 99.0
         assert next(s.atoms()).position[0] == 1.0
 
-    @pytest.mark.parametrize(
-        "field, value", [("chain_id", "B"), ("res_seq", 5), ("res_name", "GLY")]
-    )
-    def test_atom_must_agree_with_its_chain_and_residue(self, field, value):
-        # The writer takes the chain id and residue number from the parents and
-        # the audits read them from the atom, so a disagreement is rejected.
-        s = Structure([Chain("A", [Residue(1, "ALA", [make_atom(**{field: value})])])])
-        with pytest.raises(StructureError, match=r"atom \w\.\w+\d+\.CA sits in A\.ALA1"):
-            s.validate()
+    @pytest.mark.parametrize("second_name", ["GLY", "ALA"])
+    def test_residue_number_may_not_repeat(self, second_name):
+        # The file would not parse back (GLY) or would merge the residues (ALA).
+        residues = [Residue(1, "ALA", [make_atom()]), Residue(1, second_name, [make_atom(name="N", element="N")])]
+        with pytest.raises(StructureError, match=r"^chain A: residue numbers must strictly increase, got 1 after 1$"):
+            Structure([Chain("A", residues)])
+
+    def test_subset_keeps_the_headers(self):
+        template = synthetic_template()
+        unit = template.subset(("B",))
+        assert unit.chain_ids() == ["B"]
+        assert unit.headers == template.headers and len(unit.headers) == 3
+        assert all(line.startswith("REMARK") for line in unit.headers)
+        assert unit.headers is not template.headers
