@@ -14,12 +14,14 @@ over the contact pairs (i, i), or over every anchor-free pair with
 rigid translation).
 
 For the default two contacts the optimum set is a circle, so the model
-is fixed by where the descent starts, not by a seed: gradient descent
-from the template screw (u = 0) ends on the optimum nearest the
-template.  The seeded annealed search, started from that answer, only
-checks it over a box that holds every optimum; when it finds a lower
-energy, its point is polished and used, and the report warns that the
-model depends on the seed.
+is fixed by where the descent starts, not by a seed: Newton descent on
+the analytic Hessian from the template screw (u = 0) ends on the optimum
+nearest the template, because its trust cap keeps each step within 1.5
+times the last move.  The seeded annealed search, started from that
+answer, only checks it over a box that holds every optimum; when it
+finds a lower energy, its point is polished and used, and the report
+warns that the model depends on the seed.  A descent that stops on its
+iteration budget is a report warning too.
 """
 
 from __future__ import annotations
@@ -202,8 +204,9 @@ def placement_objective(
     The centres c are anchor_i - free_j over the contact pairs (i, i), or
     over every anchor-free pair with ``full_sum``.  Each pair adds the
     kernel's V(r) + eps >= 0: V itself rounds near r_min and would stall
-    descent ~1e-8 A short.  The box |u_x|, |u_y|, |u_z| <= max|c| + r_min
-    holds every optimum.
+    descent ~1e-8 A short.  Gradient and Hessian are analytic, both from
+    the kernel.  The box |u_x|, |u_y|, |u_z| <= max|c| + r_min holds every
+    optimum.
     """
     if full_sum:
         centres = (anchors[:, None, :] - free0[None, :, :]).reshape(-1, 3)
@@ -225,12 +228,19 @@ def placement_objective(
     def gradient(u: np.ndarray) -> np.ndarray:
         return evaluate_batch(u[None, :], with_gradient=True)[1][0]
 
+    def hessian(u: np.ndarray) -> np.ndarray:
+        diff = u - centres
+        _, coeff, curvature = lj_kernel((diff * diff).sum(axis=1), params, with_curvature=True)
+        outer = diff[:, :, None] * diff[:, None, :]  # exactly symmetric, so the sum is too
+        return coeff.sum() * np.eye(3) + (curvature[:, None, None] * outer).sum(axis=0)
+
     return Objective(
         dimension=3,
         evaluate=evaluate,
         gradient=gradient,
         evaluate_batch=evaluate_batch,
         bounds=uniform_bounds(-half, half, 3),
+        hessian=hessian,
     )
 
 
@@ -244,11 +254,12 @@ def solve_contact_placement(
 ) -> PlacementOutcome:
     """Translate the free atoms rigidly to minimize their contact energy.
 
-    The answer is the end point of gradient descent from u = 0, the base
+    The answer is the end point of Newton descent from u = 0, the base
     transform itself.  The seeded annealed search, started from that
     point, checks it over the whole box; if the search reaches a lower
     energy, its best point is polished and used instead, and a warning
-    says the result depends on the seed.
+    says the result depends on the seed.  A descent that ends on its
+    iteration budget adds a warning naming |g| there.
     """
     anchors = np.asarray(anchor_points, dtype=np.float64).reshape(-1, 3)
     free0 = np.asarray(free_points, dtype=np.float64).reshape(-1, 3)
@@ -264,12 +275,25 @@ def solve_contact_placement(
     elif not full_sum:
         # Contact-restricted global minimum is exactly the floor, -k epsilon.
         cfg = replace(cfg, target_value=0.0, target_tolerance=1e-3)
-    refined = local_refine(objective, np.zeros(3), tol=1e-10, max_iters=500)
+    warnings = []
+
+    def descend(start: np.ndarray) -> OptimizationResult:
+        result = local_refine(objective, start, tol=1e-10, max_iters=500)
+        # A line-search stop is the float floor of the energy (full_sum ends
+        # there at |g| ~ 1e-8), so only a budget stop is news.
+        if result.terminated_by == "budget":
+            gnorm = float(np.linalg.norm(objective.gradient(result.best_point)))
+            warnings.append(
+                f"the placement descent stopped on its iteration budget at |g| = {gnorm:.3g}, "
+                "short of its tolerance; the sheet placement may not be at an optimum"
+            )
+        return result
+
+    refined = descend(np.zeros(3))
     # Starting the search from the descent's end point ends it at once
     # when that point already meets the target.
     saec = minimize_saec(objective, cfg, x0=refined.best_point)
     evaluations = saec.evaluations_used + refined.evaluations_used
-    warnings = []
     energy = refined.best_value + floor
     if saec.best_value < refined.best_value - 1e-9 * max(1.0, abs(energy)):
         warnings.append(
@@ -277,7 +301,7 @@ def solve_contact_placement(
             f"{energy:.6g} of descent from the template screw; "
             "the sheet placement depends on the seed"
         )
-        refined = local_refine(objective, saec.best_point, tol=1e-10, max_iters=500)
+        refined = descend(saec.best_point)
         evaluations += refined.evaluations_used
         energy = refined.best_value + floor
 

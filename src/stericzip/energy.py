@@ -119,22 +119,28 @@ def _check_distance(r) -> np.ndarray:
     return r
 
 
-def lj_kernel(r2, params: LJParams, with_force: bool = False):
+def lj_kernel(r2, params: LJParams, with_force: bool = False, with_curvature: bool = False):
     """Each pair's energy above the well floor, from squared distances of any shape.
 
     V + eps = eps (2 s6 - 1)^2 with s6 = (sigma^2 / r2)^3 keeps full relative
     precision near r_min, where V itself rounds.  ``with_force`` also returns
-    (dV/dr) / r.  r2 is floored at MIN_PAIR_DISTANCE^2, so a coincident pair
-    gets a huge finite value and no force.
+    (dV/dr) / r; ``with_curvature`` returns that and (V'' - V'/r) / r^2 too,
+    so a pair with difference vector d has gradient (V'/r) d and Hessian
+    (V'/r) I + ((V'' - V'/r) / r^2) d d^T.  r2 is floored at
+    MIN_PAIR_DISTANCE^2, so a coincident pair gets a huge finite value, no
+    force and an isotropic Hessian.
     """
     r2 = np.maximum(r2, MIN_PAIR_DISTANCE**2)
     s2 = params.sigma**2 / r2
     s6 = s2 * s2 * s2
     well = 2.0 * s6 - 1.0
     terms = params.epsilon * (well * well)
-    if not with_force:
+    if not (with_force or with_curvature):
         return terms
-    return terms, -24.0 * params.epsilon * s6 * well / r2
+    force = -24.0 * params.epsilon * s6 * well / r2
+    if not with_curvature:
+        return terms, force
+    return terms, force, 96.0 * params.epsilon * s6 * (7.0 * s6 - 2.0) / (r2 * r2)
 
 
 def lj_pair_energy(r, params: LJParams):
@@ -233,7 +239,11 @@ class HBond:
 
 
 def _collect_atoms(structure: Structure, names=None):
-    """(chain id, residue, atom) of each audited atom, and its position, chain id and residue number columns."""
+    """(chain id, residue, atom) of each audited atom, and its position, chain id and residue number columns.
+
+    Chains that share an id would be audited as one, so a repeated id raises StructureError.
+    """
+    structure.check_chain_ids()
     sites = [(chain.chain_id, residue, atom) for chain in structure.chains for residue in chain.residues
              for atom in residue.atoms if names is None or atom.name in names]
     positions = np.stack([atom.position for _, _, atom in sites]) if sites else np.zeros((0, 3))

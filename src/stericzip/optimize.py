@@ -26,8 +26,12 @@ tracked outside the population and never lost.  Everything is driven by
 one seeded generator, so a fixed (objective, config, seed) gives a
 bit-identical result.
 
-The local refiner is projected steepest descent with Armijo backtracking,
-used to polish solutions to gradient-level accuracy.
+The local refiner polishes a point to gradient-level accuracy by
+projected descent with Armijo backtracking.  Given only a gradient it
+steps along -g; given an analytic Hessian it takes modified Newton steps
+(Nocedal & Wright, *Numerical Optimization*, sec. 3.4): the direction
+solves (H + tau I) d = g, with tau raised from 0 until a Cholesky
+factorisation succeeds, and a trust length caps each step.
 """
 
 from __future__ import annotations
@@ -49,8 +53,10 @@ class Objective:
     ``evaluate`` maps an n-vector to a float.  ``evaluate_batch``, when
     provided, maps an (m, n) array to an (m,) array and is used by the
     optimizer to avoid per-point Python overhead; it must agree with
-    ``evaluate``.  ``gradient`` is required only by local_refine.  Both
-    paths must accept any point in bounds: the Lennard-Jones objectives
+    ``evaluate``.  ``gradient`` is required only by local_refine, and
+    ``hessian``, an n-vector to (n, n) symmetric map, is optional: with it
+    local_refine takes Newton steps instead of steepest-descent ones.  Every
+    path must accept any point in bounds: the Lennard-Jones objectives
     floor pair distances at ``energy.MIN_PAIR_DISTANCE`` instead of raising.
     """
 
@@ -59,6 +65,7 @@ class Objective:
     bounds: np.ndarray
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     evaluate_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    hessian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -349,19 +356,50 @@ def minimize_saec(
     )
 
 
+# Fixed tuning of the Newton step.
+_SHIFT_FRACTION = 1e-3  # first nonzero Hessian shift, as a fraction of |H|_F
+_TRUST_GROWTH = 1.5  # a Newton step is at most this times the last accepted move
+
+
+def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """d solving (H + tau I) d = g for the first of tau = 0, beta, 2 beta, ...
+    at which the Cholesky factorisation succeeds (Nocedal & Wright, Algorithm 3.3).
+
+    beta = 1e-3 |H|_F is unchanged by a rotation of the frame, so d turns with
+    the frame.  Any tau above |H|_F, which bounds every eigenvalue magnitude,
+    factorises, so the doubling ends within 11 steps.
+    """
+    beta = _SHIFT_FRACTION * float(np.linalg.norm(hess)) or 1.0  # H = 0 steps along g
+    shift = 0.0
+    while True:
+        try:
+            lower = np.linalg.cholesky(hess + shift * np.eye(len(grad)))
+            return np.linalg.solve(lower.T, np.linalg.solve(lower, grad))
+        except np.linalg.LinAlgError:
+            shift = max(2.0 * shift, beta)
+
+
 def local_refine(
     objective: Objective,
     x0: np.ndarray,
     tol: float = 1e-8,
     max_iters: int = 500,
 ) -> OptimizationResult:
-    """Projected steepest descent with Armijo backtracking (c = 1e-4).
+    """Projected descent with Armijo backtracking (c = 1e-4).
+
+    Without a Hessian each iteration steps along -g, first trying a step
+    of length min(|g|, 1).  With the objective's ``hessian`` it steps along
+    the modified Newton direction -d, (H + tau I) d = g, whose first trial
+    length is min(|d|, cap): the cap is min(|g|, 1) at the first iteration
+    and 1.5 times the last accepted move after it, so a near-singular H
+    cannot fling the iterate across a flat valley.  Either way a trial
+    step is halved until it lowers the value enough.
 
     Descends until the gradient norm is at most ``tol`` ("tolerance"), the
-    iteration budget runs out ("budget") or no step along the projected
-    gradient lowers the value ("line_search").  The value never increases;
-    iterates stay inside the objective's bounds.  Non-finite values or
-    gradients raise RefinementError carrying the last good point.
+    iteration budget runs out ("budget") or no step along the direction
+    lowers the value ("line_search").  The value never increases;
+    iterates stay inside the objective's bounds.  Non-finite values,
+    gradients or Hessians raise RefinementError carrying the last good point.
     """
     if objective.gradient is None:
         raise StericZipError("local_refine requires an objective gradient")
@@ -380,6 +418,7 @@ def local_refine(
         raise RefinementError("non-finite value at starting point", x, value)
     trace: list[tuple[int, float]] = [(evaluations, value)]
     terminated_by = "budget"
+    cap = None  # longest Newton step the next iteration may try
 
     for _ in range(max_iters):
         grad = np.asarray(objective.gradient(x), dtype=np.float64)
@@ -390,15 +429,26 @@ def local_refine(
             terminated_by = "tolerance"
             break
 
-        step = 1.0 / max(gnorm, 1.0)
+        if objective.hessian is None:
+            direction, step = grad, 1.0 / max(gnorm, 1.0)
+        else:
+            hess = np.asarray(objective.hessian(x), dtype=np.float64)
+            if not np.all(np.isfinite(hess)):
+                raise RefinementError("non-finite Hessian", x, value)
+            direction = _newton_direction(hess, grad)
+            if cap is None:
+                cap = min(gnorm, 1.0)
+            length = float(np.linalg.norm(direction))
+            step = cap / length if length > cap else 1.0
         improved = False
         for _halving in range(60):
-            candidate = objective.clamp(x - step * grad)
+            candidate = objective.clamp(x - step * direction)
             cand_value = value_at(candidate)
             if not np.isfinite(cand_value):
                 raise RefinementError("non-finite value during line search", x, value)
             decrease = float(grad @ (x - candidate))
             if cand_value <= value - armijo_c * decrease and cand_value < value:
+                cap = _TRUST_GROWTH * float(np.linalg.norm(candidate - x))
                 x, value = candidate, cand_value
                 trace.append((evaluations, value))
                 improved = True

@@ -159,9 +159,7 @@ class Structure:
     headers: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        ids = [c.chain_id for c in self.chains]
-        if len(set(ids)) != len(ids):
-            raise StructureError(f"duplicate chain ids: {ids}")
+        self.check_chain_ids()
         seen = set()
         for chain in self.chains:
             last_seq = None
@@ -180,6 +178,18 @@ class Structure:
 
     def chain_ids(self) -> list[str]:
         return [c.chain_id for c in self.chains]
+
+    def check_chain_ids(self) -> None:
+        """Raise StructureError naming the first repeated chain id.
+
+        Construction checks this, and so do the writer and the audits,
+        because a chain can be renamed after construction.
+        """
+        seen = set()
+        for chain in self.chains:
+            if chain.chain_id in seen:
+                raise StructureError(f"chain id {chain.chain_id!r} is repeated in {self.chain_ids()}")
+            seen.add(chain.chain_id)
 
     def chain(self, chain_id: str) -> Chain:
         for c in self.chains:
@@ -476,8 +486,10 @@ def write_pdb(structure: Structure) -> str:
     Serial numbers are renumbered sequentially, each chain is closed with a
     TER record, and the file ends with END.  Coordinates use F8.3 fields;
     a value or name that does not fit its columns raises PdbWriteError
-    naming the first such atom in record order.
+    naming the first such atom in record order.  A repeated chain id, which
+    ``parse_pdb`` would reject, raises StructureError.
     """
+    structure.check_chain_ids()
     # x, y, z as F8.3, then occupancy and B-factor as F6.2.
     values = [a.position.tolist() + [a.occupancy, a.temp_factor] for a in structure.atoms()]
     rounded, unsettled = _round_half_away(

@@ -17,6 +17,7 @@ from stericzip import (
     apply_sequence,
     build_fibril_model,
     detect_hbonds,
+    local_refine,
     mutate_residue,
     select_atom,
     solve_contact_placement,
@@ -206,6 +207,20 @@ class TestPlacement:
         assert np.allclose(outcome.transform.translation, [0.0, 0.0, sign * height], rtol=0, atol=1e-9)
         assert height == pytest.approx(3.3405, abs=5e-5)
 
+    def test_descent_stopped_on_budget_warns(self, monkeypatch):
+        # A descent cut short by its iteration budget used to pass silently.
+        from stericzip import builder
+
+        refine = builder.local_refine
+        monkeypatch.setattr(
+            builder, "local_refine", lambda objective, x0, tol, max_iters: refine(objective, x0, tol, max_iters=1)
+        )
+        anchors = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
+        free0 = np.array([[0.0, 6.0, 0.0], [10.0, 6.0, 1.0]])
+        outcome = solve_contact_placement(anchors, free0, LJParams(1.0, 4.0), RigidTransform.identity(), quick_config())
+        stops = [w for w in outcome.warnings if w.startswith("the placement descent stopped on its iteration budget")]
+        assert stops and all("|g| = " in w for w in stops)
+
     def test_rotation_preserved_translation_updated(self):
         template = synthetic_template()
         spec = FibrilSpec(sequence="GAAAAG", optimizer=quick_config(3))
@@ -231,6 +246,39 @@ class TestPlacementObjective:
             assert obj.evaluate(u) == value
             central = [(obj.evaluate(u + h * e) - obj.evaluate(u - h * e)) / (2 * h) for e in np.eye(3)]
             assert np.allclose(obj.gradient(u), central, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("full_sum", [False, True])
+    def test_hessian_is_symmetric_and_matches_gradient_differences(self, full_sum):
+        obj = placement_objective(self.anchors, self.free0, self.params, full_sum)
+        points = np.random.default_rng(7).uniform(obj.lower, obj.upper, size=(40, 3))
+        h = 1e-6
+        for u in points:
+            hess = obj.hessian(u)
+            assert np.array_equal(hess, hess.T)
+            central = np.array([(obj.gradient(u + h * e) - obj.gradient(u - h * e)) / (2 * h) for e in np.eye(3)])
+            assert np.allclose(hess, central, rtol=1e-6, atol=1e-8)
+
+    def test_without_hessian_the_descent_is_steepest_descent(self):
+        # Dropping the Hessian gives the plain Armijo steepest descent,
+        # checked step by step against this reference loop.
+        obj = replace(placement_objective(self.anchors, self.free0, self.params), hessian=None)
+        result = local_refine(obj, np.zeros(3), tol=1e-10, max_iters=50)
+        x, value, evaluations, trace = np.zeros(3), obj.evaluate(np.zeros(3)), 1, []
+        for _ in range(50):
+            grad = obj.gradient(x)
+            step = 1.0 / max(np.linalg.norm(grad), 1.0)
+            while True:
+                candidate = obj.clamp(x - step * grad)
+                cand_value = obj.evaluate(candidate)
+                evaluations += 1
+                if cand_value <= value - 1e-4 * (grad @ (x - candidate)) and cand_value < value:
+                    break
+                step *= 0.5
+            x, value = candidate, cand_value
+            trace.append((evaluations, value))
+        assert result.terminated_by == "budget"
+        assert result.trace[1:] == trace
+        assert np.array_equal(result.best_point, x)
 
     def test_point_on_a_centre_is_finite_and_path_independent(self):
         obj = placement_objective(self.anchors, self.free0, self.params)
@@ -268,6 +316,51 @@ class TestDefaultPlacement:
         assert np.max(np.abs(u - expected)) <= 1e-9
         assert np.allclose(expected, [-7.343, -2.373, 2.950], atol=5e-4)
         assert radius == pytest.approx(2.610, abs=5e-4)
+
+
+def two_contact_geometries(count, params, seed=0):
+    """Seeded anchors in +-12 A and free atoms within +-10 A of them whose
+    centres are closer than 0.9 * 2 r_min, so the optima form a circle."""
+    rng = np.random.default_rng(seed)
+    while count:
+        anchors = rng.uniform(-12.0, 12.0, (2, 3))
+        free0 = anchors + rng.uniform(-10.0, 10.0, (2, 3))
+        centres = anchors - free0
+        if np.linalg.norm(centres[0] - centres[1]) < 0.9 * 2.0 * params.r_min:
+            count -= 1
+            yield anchors, free0, centres
+
+
+class TestNearestOptimum:
+    def test_random_two_contact_geometries_end_at_the_nearest_optimum(self):
+        # The trust cap keeps Newton steps from leaping along the circle of
+        # optima; the old steepest descent hit its budget or let the search
+        # move the answer in about 14% of these.
+        params = LJParams(1.0, 4.0)
+        config = OptimizerConfig(max_evaluations=40_000, seed=0)
+        for anchors, free0, centres in two_contact_geometries(200, params):
+            outcome = solve_contact_placement(anchors, free0, params, RigidTransform.identity(), config)
+            expected, _ = nearest_optimum(centres[0], centres[1], params.r_min)
+            assert outcome.warnings == []
+            assert np.max(np.abs(outcome.transform.translation - expected)) <= 1e-6
+
+    def test_default_build_places_sheet_two_in_few_evaluations(self, monkeypatch):
+        # Newton descent from the template screw takes 19 evaluations and the
+        # check 20 (306 and 326 with steepest descent).
+        from stericzip import builder
+
+        used = []
+        refine = builder.local_refine
+
+        def counted(*args, **kwargs):
+            result = refine(*args, **kwargs)
+            used.append(result.evaluations_used)
+            return result
+
+        monkeypatch.setattr(builder, "local_refine", counted)
+        _, report = build_fibril_model(synthetic_template(), FibrilSpec(sequence="GAAAAG"))
+        assert len(used) == 1 and used[0] <= 30
+        assert report.optimizer["evaluations"] <= 60
 
 
 def random_frame(seed):

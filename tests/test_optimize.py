@@ -262,3 +262,63 @@ class TestLocalRefine:
         obj = Objective(dimension=1, evaluate=lambda x: 0.0, bounds=uniform_bounds(0, 1, 1))
         with pytest.raises(StericZipError):
             local_refine(obj, np.array([0.5]))
+
+
+class TestNewtonRefine:
+    def test_quadratic_converges_in_few_steps(self):
+        # f = (x - a)^T A (x - a) with a badly scaled A: steepest descent
+        # zigzags for about 1,000 steps, while the Newton step, shorter than
+        # its first cap of 1, lands on a at once.
+        matrix = np.array([[100.0, 3.0, 0.0], [3.0, 1.0, 0.5], [0.0, 0.5, 10.0]])
+        target = np.array([0.7, -0.4, 0.2])
+        obj = Objective(
+            dimension=3,
+            evaluate=lambda x: float((x - target) @ matrix @ (x - target)),
+            gradient=lambda x: 2.0 * matrix @ (x - target),
+            hessian=lambda x: 2.0 * matrix,
+            bounds=uniform_bounds(-1.0, 1.0, 3),
+        )
+        result = local_refine(obj, np.zeros(3), tol=1e-10)
+        assert result.terminated_by == "tolerance"
+        assert np.allclose(result.best_point, target, rtol=0, atol=1e-12)
+        assert result.evaluations_used == 2
+
+    def test_descends_from_a_saddle_region(self):
+        # f = x^2 + (y^2 - 1)^2 has an indefinite Hessian near y = 0, so the
+        # shifted Cholesky step is what points the descent downhill.
+        obj = Objective(
+            dimension=2,
+            evaluate=lambda p: float(p[0] ** 2 + (p[1] ** 2 - 1.0) ** 2),
+            gradient=lambda p: np.array([2.0 * p[0], 4.0 * p[1] * (p[1] ** 2 - 1.0)]),
+            hessian=lambda p: np.diag([2.0, 12.0 * p[1] ** 2 - 4.0]),
+            bounds=uniform_bounds(-3.0, 3.0, 2),
+        )
+        result = local_refine(obj, np.array([0.3, 1e-3]), tol=1e-10)
+        assert result.terminated_by == "tolerance"
+        assert np.allclose(result.best_point, [0.0, 1.0], rtol=0, atol=1e-10)
+        values = [v for _, v in result.trace]
+        assert all(b < a for a, b in zip(values, values[1:]))
+
+    def test_zero_hessian_steps_along_the_gradient_to_the_bound(self):
+        obj = Objective(
+            dimension=1,
+            evaluate=lambda x: float(x[0]),
+            gradient=lambda x: np.array([1.0]),
+            hessian=lambda x: np.zeros((1, 1)),
+            bounds=uniform_bounds(-2.0, 2.0, 1),
+        )
+        result = local_refine(obj, np.array([1.5]), tol=1e-10)
+        assert result.best_point[0] == -2.0
+        assert result.terminated_by == "line_search"
+
+    def test_non_finite_hessian_raises_with_last_point(self):
+        obj = Objective(
+            dimension=1,
+            evaluate=lambda x: float(x[0] ** 2),
+            gradient=lambda x: 2.0 * x,
+            hessian=lambda x: np.array([[np.nan]]),
+            bounds=uniform_bounds(-1.0, 1.0, 1),
+        )
+        with pytest.raises(RefinementError, match="non-finite Hessian") as err:
+            local_refine(obj, np.array([0.4]))
+        assert np.array_equal(err.value.last_point, [0.4])

@@ -507,6 +507,20 @@ class TestStructureInvariants:
         with pytest.raises(StructureError, match=r"^chain A: residue numbers must strictly increase, got 1 after 1$"):
             Structure([Chain("A", residues)])
 
+    def test_chain_renamed_onto_another_is_rejected_by_writer_and_audits(self):
+        # Renaming after construction used to write two chain-A blocks that
+        # parse_pdb rejects, and the audits merged the strands into one chain.
+        from stericzip import clash_audit, detect_hbonds
+        from stericzip.energy import CLASH_CUTOFF
+
+        s = synthetic_template()
+        s.chains[1].chain_id = "A"
+        for check in (write_pdb, detect_hbonds, lambda t: clash_audit(t, CLASH_CUTOFF)):
+            with pytest.raises(StructureError, match=r"^chain id 'A' is repeated in \['A', 'A'"):
+                check(s)
+        with pytest.raises(StructureError, match="chain id 'A' is repeated"):
+            Structure([Chain("A"), Chain("B"), Chain("A")])
+
     def test_subset_keeps_the_headers(self):
         template = synthetic_template()
         unit = template.subset(("B",))
