@@ -44,7 +44,7 @@ from .geometry import (
     transform_chain,  # unused; perfbench/tracing.py patches it by this name
 )
 from .optimize import Objective, OptimizerConfig, OptimizationResult, local_refine, minimize_saec, uniform_bounds
-from .pdbio import AtomSelector, Structure, select_atom
+from .pdbio import ATOM_COLUMNS, AtomSelector, Structure, atom_row
 from .template import (
     DEFAULT_ANCHOR_SELECTORS,
     DEFAULT_FREE_SELECTORS,
@@ -67,58 +67,67 @@ def validate_sequence(sequence: str) -> str:
 
 
 def mutate_residue(structure: Structure, chain_id: str, res_seq: int, target: str) -> Structure:
-    """Mutate one residue to ALA or GLY, preserving the backbone bit for bit.
+    """Return a new structure with one residue mutated to ALA or GLY.
 
-    ALA keeps (or constructs) CB and drops everything further out; GLY
-    drops the whole side chain.  A CB built for a source glycine sits at
-    the standard tetrahedral position 1.521 A from CA.
+    The residue keeps the rows of its backbone atoms N, CA, C and O, in
+    that order and bit for bit, and for ALA the row of its CB; its other
+    rows are dropped.  A source glycine mutated to ALA gets a CB row built
+    at the standard tetrahedral position 1.521 A from CA.
     """
     target = target.strip().upper()
     if target not in ("ALA", "GLY"):
         raise MutationError(f"target residue must be ALA or GLY, got {target!r}")
-    out = structure.copy()
-    residue = out.chain(chain_id).residue(res_seq)
-    if residue is None:
+    c = structure.chain_index(chain_id)
+    first, last = structure.chain_starts[c:c + 2]
+    hits = np.flatnonzero(structure.res_seqs[first:last] == res_seq)
+    if not hits.size:
         raise MutationError(f"chain {chain_id} has no residue {res_seq}")
-    _mutate_in_place(residue, chain_id, target)
-    out.renumber_serials()
-    return out
-
-
-def _mutate_in_place(residue, chain_id: str, target: str) -> None:
-    """The body of ``mutate_residue``: the caller copies and renumbers."""
-    kept = [residue.atom(name) for name in BACKBONE_ATOM_NAMES]
-    for name, atom in zip(BACKBONE_ATOM_NAMES, kept):
-        if atom is None:
-            raise MutationError(
-                f"residue {chain_id}.{residue.res_name}{residue.res_seq} lacks backbone atom {name}"
-            )
-    if target == "ALA":
-        cb = residue.atom("CB")
-        if cb is None:
-            n, ca, c, _ = kept
-            position = cbeta_position(n.position, ca.position, c.position)
-            cb = replace(ca, name="CB", element="C", position=position)
-        kept.append(cb)
-
-    residue.res_name = target
-    residue.atoms = kept
+    return _mutate(structure, chain_id, [first + hits[0]], [target], [res_seq])
 
 
 def apply_sequence(structure: Structure, chain_id: str, sequence: str) -> Structure:
-    """Mutate a six-residue chain positionally and renumber it 1-6, in one copy."""
+    """Return a new structure with a six-residue chain mutated positionally and renumbered 1-6.
+
+    Each residue is cut as in ``mutate_residue``; the new structure is built once.
+    """
     sequence = validate_sequence(sequence)
-    chain = structure.chain(chain_id)
-    if len(chain.residues) != 6:
+    c = structure.chain_index(chain_id)
+    first, last = structure.chain_starts[c:c + 2].tolist()
+    if last - first != 6:
         raise MutationError(
-            f"chain {chain_id} has {len(chain.residues)} residues; apply_sequence needs 6"
+            f"chain {chain_id} has {last - first} residues; apply_sequence needs 6"
         )
-    out = structure.copy()
-    for index, (residue, letter) in enumerate(zip(out.chain(chain_id).residues, sequence), start=1):
-        residue.res_seq = index
-        _mutate_in_place(residue, chain_id, SEQUENCE_ALPHABET[letter])
-    out.renumber_serials()
-    return out
+    return _mutate(structure, chain_id, range(first, last), [SEQUENCE_ALPHABET[s] for s in sequence], range(1, 7))
+
+
+def _mutate(structure: Structure, chain_id: str, rows, targets, res_seqs) -> Structure:
+    """Residue ``rows`` of one chain renamed to ``targets``, renumbered to ``res_seqs`` and cut to their kept rows."""
+    s, starts = structure, structure.res_starts.tolist()
+    seqs, res_names = s.res_seqs.tolist(), s.res_names.tolist()
+    kept, built = {}, []  # rows each mutated residue keeps; (CA row, position) of each built CB
+    for r, target, res_seq in zip(rows, targets, res_seqs):
+        names = s.names[starts[r]:starts[r + 1]].tolist()
+        for name in BACKBONE_ATOM_NAMES:
+            if name not in names:
+                raise MutationError(f"residue {chain_id}.{res_names[r]}{res_seq} lacks backbone atom {name}")
+        picked = [starts[r] + names.index(name) for name in BACKBONE_ATOM_NAMES]
+        if target == "ALA" and "CB" in names:
+            picked.append(starts[r] + names.index("CB"))
+        elif target == "ALA":
+            built.append((picked[1], cbeta_position(*s.coords[picked[:3]])))
+            picked.append(s.n_atoms() + len(built) - 1)
+        kept[r], seqs[r], res_names[r] = picked, res_seq, target
+    # A built CB row copies its CA's fields and is appended after the existing rows.
+    extra = {name: getattr(s, name)[[ca for ca, _ in built]] for name in ATOM_COLUMNS} | {
+        "coords": np.reshape([p for _, p in built], (-1, 3)),
+        "names": np.full(len(built), "CB"), "elements": np.full(len(built), "C"),
+    }
+    pieces = [np.asarray(kept.get(r, range(starts[r], starts[r + 1])), dtype=np.int64) for r in range(len(seqs))]
+    return Structure.from_columns(
+        s.headers, s.chain_ids(), chain_starts=s.chain_starts, res_starts=np.cumsum([0] + [len(p) for p in pieces]),
+        res_seqs=seqs, res_names=res_names,
+        **{name: np.concatenate([getattr(s, name), extra[name]])[np.concatenate(pieces)] for name in ATOM_COLUMNS},
+    )
 
 
 @dataclass
@@ -321,17 +330,17 @@ def solve_contact_placement(
 def place_opposing_sheet(unit: Structure, spec: FibrilSpec) -> PlacementOutcome:
     """Solve the sheet-2 placement for the mutated asymmetric unit.
 
-    Anchors are read from ``unit``.  Each free atom is read as the image,
-    under the lattice screw, of the same atom in its source chain, so
-    ``G.ALA4.CB`` is the screw image of ``A.ALA4.CB``.
+    Anchors are read from the unit's coordinate block.  Each free atom is
+    read as the image, under the lattice screw, of the same atom in its
+    source chain, so ``G.ALA4.CB`` is the screw image of ``A.ALA4.CB``.
     """
     screw = spec.lattice.sheet2_transform
-    anchors = np.array([select_atom(unit, s).position for s in spec.anchor_selectors()])
+    anchors = unit.coords[[atom_row(unit, s) for s in spec.anchor_selectors()]]
     free0 = []
     for sel in spec.free_selectors():
         source = replace(sel, chain_id=SCREW_SOURCES[sel.chain_id])
         try:
-            free0.append(screw.apply(select_atom(unit, source).position))
+            free0.append(screw.apply(unit.coords[atom_row(unit, source)]))
         except SelectionError as exc:
             raise type(exc)(f"free atom {sel} is the screw image of {source}: {exc}") from None
     return solve_contact_placement(anchors, free0, spec.lj, screw, spec.optimizer, spec.full_sum)

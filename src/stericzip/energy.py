@@ -19,8 +19,8 @@ Both audits, ``detect_hbonds`` and ``clash_audit``, take candidate pairs
 from one cell-list neighbour search, so their cost is linear in the atom
 count.  Their lists equal, in order and in every distance bit, those of a
 dense N x N distance matrix scanned row by row and then stably sorted.
-They read identity from the chains and residues they walk, since an atom
-carries none, and name atoms by their ``CHAIN.RESNAMESEQ.ATOM`` address.
+They read positions, names and identity from the structure's columns and
+name atoms by their ``CHAIN.RESNAMESEQ.ATOM`` address.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularityError, StericZipError
-from .pdbio import AtomSelector, Structure, atom_address
+from .pdbio import AtomSelector, Structure, atom_addresses
 
 MIN_PAIR_DISTANCE = 1e-12
 HBOND_CUTOFF = 3.5
@@ -239,16 +239,10 @@ class HBond:
 
 
 def _collect_atoms(structure: Structure, names=None):
-    """(chain id, residue, atom) of each audited atom, and its position, chain id and residue number columns.
-
-    Chains that share an id would be audited as one, so a repeated id raises StructureError.
-    """
-    structure.check_chain_ids()
-    sites = [(chain.chain_id, residue, atom) for chain in structure.chains for residue in chain.residues
-             for atom in residue.atoms if names is None or atom.name in names]
-    positions = np.stack([atom.position for _, _, atom in sites]) if sites else np.zeros((0, 3))
-    chain_ids = np.array([chain_id for chain_id, _, _ in sites], dtype=str)
-    return sites, positions, chain_ids, np.array([r.res_seq for _, r, _ in sites], dtype=np.int64)
+    """Record index of each audited atom, and its position, chain id and residue number columns."""
+    rows = np.arange(structure.n_atoms()) if names is None else np.flatnonzero(np.isin(structure.names, names))
+    chain_ids = np.array(structure.chain_ids(), dtype=str)[structure.atom_chains()[rows]]
+    return rows, structure.coords[rows], chain_ids, structure.res_seqs[structure.atom_residues()[rows]]
 
 
 def _neighbour_pairs(first: np.ndarray, second: np.ndarray, cutoff: float):
@@ -306,7 +300,8 @@ def detect_hbonds(structure: Structure, cutoff: float = HBOND_CUTOFF) -> list[HB
     keep = np.flatnonzero((dist <= cutoff) & ~covalent)
     d, a = di[keep], ai[keep]
     keep = keep[np.lexsort((a_res[a], a_chain[a], d_res[d], d_chain[d]))]  # stable
-    return [HBond(atom_address(*donors[di[k]]), atom_address(*acceptors[ai[k]]), float(dist[k])) for k in keep]
+    names = zip(atom_addresses(structure, donors[di[keep]]), atom_addresses(structure, acceptors[ai[keep]]))
+    return [HBond(donor, acceptor, float(dist[k])) for (donor, acceptor), k in zip(names, keep)]
 
 
 def clash_audit(structure: Structure, cutoff: float) -> list[tuple[str, str, float]]:
@@ -317,19 +312,19 @@ def clash_audit(structure: Structure, cutoff: float) -> list[tuple[str, str, flo
     cost grows linearly with the atom count.  Stably sorted ascending by
     distance, so ties keep atom order.  ``cutoff`` must be finite and positive.
     """
-    sites, pos, chains, res = _collect_atoms(structure)
+    _, pos, chains, res = _collect_atoms(structure)
     i, j = _neighbour_pairs(pos, pos, cutoff)
     upper = i < j
     i, j = i[upper], j[upper]
     dist = np.linalg.norm(pos[i] - pos[j], axis=1)
-    names = np.array([atom.name for _, _, atom in sites], dtype=str)
+    names = structure.names
     # The only covalent link between residues is the peptide bond C(i)-N(i+1).
     peptide = ((res[i] + 1 == res[j]) & (names[i] == "C") & (names[j] == "N")) | (
         (res[j] + 1 == res[i]) & (names[j] == "C") & (names[i] == "N")
     )
     exempt = (chains[i] == chains[j]) & ((res[i] == res[j]) | peptide)
     keep = np.flatnonzero((dist < cutoff) & ~exempt)
-    clashes = [(atom_address(*sites[i[k]]), atom_address(*sites[j[k]]), float(dist[k])) for k in keep]
+    clashes = list(zip(atom_addresses(structure, i[keep]), atom_addresses(structure, j[keep]), dist[keep].tolist()))
     clashes.sort(key=lambda entry: entry[2])
     return clashes
 

@@ -96,22 +96,16 @@ class SheetLattice:
 def transform_chain(
     structure: Structure, chain_id: str, transform: RigidTransform, new_id: str
 ) -> Structure:
-    """Return ``structure`` extended with a transformed copy of one chain.
+    """Return a new structure: ``structure`` plus a moved copy of one chain.
 
-    The copy takes the new chain id; its residues are copied as they are,
-    and only atom positions change.
+    The copy takes the new chain id and the source chain's rows; only its
+    coordinates differ, the slice of the source block moved by ``transform``.
     """
     if structure.has_chain(new_id):
         raise StructureError(f"chain id {new_id!r} already in use")
-    source = structure.chain(chain_id)
-    out = structure.copy()
-    new_chain = source.copy()
-    new_chain.chain_id = new_id
-    for atom in new_chain.atoms():
-        atom.position = transform.apply(atom.position)
-    out.chains.append(new_chain)
-    out.renumber_serials()
-    return out
+    moved = transform.apply(structure.coords[structure.atom_slice(chain_id)])
+    chains = [(c, c) for c in structure.chain_ids()] + [(new_id, chain_id)]
+    return structure.with_chains(chains, np.concatenate([structure.coords, moved]))
 
 
 # The twelve-chain fibril cell as (chain id, source chain, screwed?, step
@@ -134,7 +128,8 @@ SCREW_SOURCES = {new_id: src for new_id, src, screwed, shift in FIBRIL_CELL if s
 def replicate_lattice(unit: Structure, lattice: SheetLattice) -> Structure:
     """Build the twelve-chain cell from the asymmetric unit's chains A and B.
 
-    Each chain of ``FIBRIL_CELL`` is a copy of its source chain, moved by
+    Each chain of ``FIBRIL_CELL`` takes the rows of its source chain; its
+    coordinates are the slice of the unit's block moved by
     ``lattice.sheet2_transform`` when screwed and then shifted by its
     multiple of the intra-sheet step.  Headers are carried over and chains
     come out in alphabetical order.  A unit missing A or B, or holding any
@@ -145,19 +140,15 @@ def replicate_lattice(unit: Structure, lattice: SheetLattice) -> Structure:
         raise StructureError(f"asymmetric unit may hold only chains A and B, not {extra}")
     screw = lattice.sheet2_transform
     step = lattice.intra_sheet_step
-    chains = []
-    for new_id, src_id, screwed, shift in FIBRIL_CELL:
-        chain = unit.chain(src_id).copy()
-        chain.chain_id = new_id
-        for atom in chain.atoms():
-            if screwed:
-                atom.position = screw.apply(atom.position)
-            if shift:
-                atom.position = atom.position + shift * step
-        chains.append(chain)
-    out = Structure(chains, list(unit.headers))
-    out.renumber_serials()
-    return out
+    blocks = []
+    for _, src_id, screwed, shift in FIBRIL_CELL:
+        block = unit.coords[unit.atom_slice(src_id)]
+        if screwed:
+            block = screw.apply(block)
+        if shift:
+            block = block + shift * step
+        blocks.append(block)
+    return unit.with_chains([(new_id, src_id) for new_id, src_id, _, _ in FIBRIL_CELL], np.concatenate(blocks))
 
 
 def reconcile_translation(

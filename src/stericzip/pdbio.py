@@ -16,10 +16,13 @@ with the sign restored and -0.000 never emitted.  Below 1e4 that binary
 arithmetic is within 4e-9 of the decimal value in units of the last
 digit, so only values within 1e-7 of a tie, and values that do not fit,
 go through ``format_coordinate``; the text is the same either way.
-Parsing and writing are pure functions; structures are plain values and
-should be copied before mutation.
-An atom carries no chain or residue identity: the writer and the audits
-read the chain id, residue number and name from its ``Chain`` and ``Residue``.
+
+A ``Structure`` is a frozen value: one (N, 3) coordinate block and one
+column per atom field, with residues and chains as index ranges.  Nothing
+in it can be written, so the layout checked at construction always holds,
+and every edit returns a new structure.  The frozen ``Atom``, ``Residue``
+and ``Chain`` are its construction input and the read-only views it hands
+out.  Serial numbers are not stored; the writer numbers every record.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 import re
 from operator import itemgetter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -44,16 +47,17 @@ from .errors import (
 _COORD_RECORDS = ("ATOM  ", "HETATM")
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Atom:
     """One atom record, without the chain and residue identity its parents hold.
 
     ``name`` is stored with PDB column alignment stripped; the writer
-    reconstructs the alignment from the element.  ``position`` is a
-    float64 vector in Angstroms.
+    reconstructs the alignment from the element, which a structure infers
+    from the name when it is blank.  ``position`` is a 3-vector in
+    Angstroms.  ``serial`` is ignored on input; a view carries the number
+    the writer gives its record.  Atoms are equal when all other fields are.
     """
 
-    serial: int
     name: str
     alt_loc: str
     position: np.ndarray
@@ -61,73 +65,42 @@ class Atom:
     temp_factor: float = 0.0
     element: str = ""
     is_hetatm: bool = False
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=np.float64)
-        if self.position.shape != (3,):
-            raise StructureError(f"atom {self.name}: position must be a 3-vector")
-        if not all(map(math.isfinite, self.position.tolist())):
-            raise StructureError(f"atom {self.name}: non-finite position")
-        if not (math.isfinite(self.occupancy) and math.isfinite(self.temp_factor)):
-            raise StructureError(f"atom {self.name}: non-finite occupancy or temperature factor")
-        if not self.name:
-            raise StructureError("atom name must be non-empty")
-        if self.serial < 1:
-            raise StructureError(f"atom {self.name}: serial must be >= 1")
-        if not self.element:
-            self.element = _infer_element(self.name)
-
-    def copy(self) -> "Atom":
-        return Atom(
-            self.serial, self.name, self.alt_loc, self.position.copy(),
-            self.occupancy, self.temp_factor, self.element, self.is_hetatm,
-        )
+    serial: int = 0
 
     def __eq__(self, other):
         if not isinstance(other, Atom):
             return NotImplemented
-        return (
-            self.serial == other.serial
-            and self.name == other.name
-            and self.alt_loc == other.alt_loc
-            and np.array_equal(self.position, other.position)
-            and self.occupancy == other.occupancy
-            and self.temp_factor == other.temp_factor
-            and self.element == other.element
-            and self.is_hetatm == other.is_hetatm
-        )
+        fields = ("name", "alt_loc", "position", "occupancy", "temp_factor", "element", "is_hetatm")
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in fields)
 
     def __repr__(self):
         x, y, z = self.position
         return f"<Atom {self.name} ({x:.3f}, {y:.3f}, {z:.3f})>"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Residue:
     res_seq: int
     res_name: str
-    atoms: list[Atom] = field(default_factory=list)
+    atoms: tuple[Atom, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "atoms", tuple(self.atoms))
 
     def atom(self, name: str) -> Atom | None:
-        for a in self.atoms:
-            if a.name == name:
-                return a
-        return None
-
-    def copy(self) -> "Residue":
-        return Residue(self.res_seq, self.res_name, [a.copy() for a in self.atoms])
+        return next((a for a in self.atoms if a.name == name), None)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Chain:
     chain_id: str
-    residues: list[Residue] = field(default_factory=list)
+    residues: tuple[Residue, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "residues", tuple(self.residues))
 
     def residue(self, res_seq: int) -> Residue | None:
-        for r in self.residues:
-            if r.res_seq == res_seq:
-                return r
-        return None
+        return next((r for r in self.residues if r.res_seq == res_seq), None)
 
     def atoms(self):
         for r in self.residues:
@@ -138,92 +111,217 @@ class Chain:
 
     def positions(self) -> np.ndarray:
         """All atom positions as an (N, 3) array, in record order."""
-        atoms = list(self.atoms())
-        if not atoms:
-            return np.zeros((0, 3))
-        return np.stack([a.position for a in atoms])
+        return np.array([a.position for a in self.atoms()], dtype=np.float64).reshape(-1, 3)
 
     def copy(self) -> "Chain":
-        return Chain(self.chain_id, [r.copy() for r in self.residues])
+        """The chain itself: a frozen value needs no copy."""
+        return self
 
 
-@dataclass
+# A structure's columns and their dtypes: the atom fields in the order of
+# Atom's, then the residue rows and the chains' residue ranges.
+ATOM_COLUMNS = ("names", "alt_locs", "coords", "occupancy", "temp_factor", "elements", "hetatm")
+_DTYPES = dict(zip(ATOM_COLUMNS + ("res_starts", "res_seqs", "res_names", "chain_starts"),
+                   (str, str, np.float64, np.float64, np.float64, str, bool, np.int64, np.int64, str, np.int64)))
+
+
+def _starts(counts) -> np.ndarray:
+    """Boundaries 0, c0, c0 + c1, ... of consecutive blocks of the given sizes."""
+    return np.concatenate([[0], np.cumsum(np.fromiter(counts, dtype=np.int64))])
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The index ranges starts[k]:stops[k], concatenated."""
+    lengths = stops - starts
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
+def _atom_columns(rows: list[tuple]) -> dict:
+    """Atom columns from one field tuple per atom, in ``ATOM_COLUMNS`` order."""
+    return dict(zip(ATOM_COLUMNS, list(zip(*rows)) or [()] * len(ATOM_COLUMNS)))
+
+
 class Structure:
-    """Ordered chains plus opaque header lines carried through for re-emission.
+    """Ordered chains plus opaque header lines, as one frozen array value.
 
-    Construction checks the layout: chain ids are unique, residue numbers
-    strictly increase within a chain, and atom keys are unique.
+    ``ATOM_COLUMNS`` hold the atom fields in record order, ``coords`` being
+    the (N, 3) block.  Residue r holds atoms ``res_starts[r]:res_starts[r+1]``
+    and has number ``res_seqs[r]`` and name ``res_names[r]``; chain c, named
+    ``chain_ids()[c]``, holds residues ``chain_starts[c]:chain_starts[c+1]``.
+
+    Construction, from ``Chain`` inputs or by ``from_columns``, checks the
+    value once: finite fields, non-empty atom names, unique chain ids,
+    residue numbers strictly increasing within a chain and unique atom keys.
     """
 
-    chains: list[Chain] = field(default_factory=list)
-    headers: list[str] = field(default_factory=list)
+    __slots__ = ("_headers", "_chain_ids", *_DTYPES)
 
-    def __post_init__(self):
-        self.check_chain_ids()
-        seen = set()
-        for chain in self.chains:
-            last_seq = None
-            for residue in chain.residues:
-                if last_seq is not None and residue.res_seq <= last_seq:
-                    raise StructureError(
-                        f"chain {chain.chain_id}: residue numbers must strictly increase,"
-                        f" got {residue.res_seq} after {last_seq}"
-                    )
-                last_seq = residue.res_seq
-                for atom in residue.atoms:
-                    key = (chain.chain_id, residue.res_seq, atom.name, atom.alt_loc)
-                    if key in seen:
-                        raise StructureError(f"duplicate atom key {key}")
-                    seen.add(key)
+    def __init__(self, chains=(), headers=()):
+        chains = list(chains)
+        residues = [r for c in chains for r in c.residues]
+        self._set(headers, [c.chain_id for c in chains], dict(
+            _atom_columns([(a.name, a.alt_loc, a.position, a.occupancy, a.temp_factor,
+                            a.element or _infer_element(a.name), a.is_hetatm) for r in residues for a in r.atoms]),
+            res_starts=_starts(len(r.atoms) for r in residues), res_seqs=[r.res_seq for r in residues],
+            res_names=[r.res_name for r in residues], chain_starts=_starts(len(c.residues) for c in chains),
+        ))
+
+    @classmethod
+    def from_columns(cls, headers, chain_ids, **columns) -> "Structure":
+        """Structure from the columns the class docstring names."""
+        structure = object.__new__(cls)
+        structure._set(headers, chain_ids, columns)
+        return structure
+
+    def _set(self, headers, chain_ids, columns) -> None:
+        if set(columns) != set(_DTYPES):
+            raise StructureError(f"structure columns are {', '.join(_DTYPES)}, not {', '.join(columns)}")
+        object.__setattr__(self, "_headers", tuple(headers))
+        object.__setattr__(self, "_chain_ids", ids := tuple(chain_ids))
+        for name, dtype in _DTYPES.items():
+            array = np.array(columns[name], dtype=dtype).reshape((-1, 3) if name == "coords" else -1)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        names, alt_locs, seqs, n = self.names, self.alt_locs, self.res_seqs, len(self.names)
+        res_chain, atom_res = self._rows(self.chain_starts), self._rows(self.res_starts)
+        if (any(len(getattr(self, k)) != n for k in ATOM_COLUMNS) or len(atom_res) != n
+                or self.res_starts[:1].tolist() != [0] or len(self.res_starts) != len(seqs) + 1
+                or self.chain_starts[:1].tolist() != [0] or len(ids) + 1 != len(self.chain_starts)
+                or len(res_chain) != len(seqs) or len(self.res_names) != len(seqs)):
+            raise StructureError("structure columns do not describe one layout")
+        finite = np.isfinite(self.coords).all(axis=1) & np.isfinite(self.occupancy) & np.isfinite(self.temp_factor)
+        if not finite.all():
+            raise StructureError(f"atom {names[~finite][0]}: non-finite position, occupancy or B-factor")
+        if (names == "").any():
+            raise StructureError("atom name must be non-empty")
+        for k, chain_id in enumerate(ids):
+            if chain_id in ids[:k]:
+                raise StructureError(f"chain id {chain_id!r} is repeated in {list(ids)}")
+        # Residue numbers must increase within each chain.  Until the first
+        # residue that breaks this, an atom key (chain, residue number, name,
+        # alternate location) can only repeat within one residue.
+        unordered = np.flatnonzero((res_chain[1:] == res_chain[:-1]) & (seqs[1:] <= seqs[:-1])) + 1
+        order = np.lexsort((alt_locs, names, atom_res))  # stable: a repeat sorts after its first
+        a, b = order[:-1], order[1:]
+        repeats = b[(atom_res[a] == atom_res[b]) & (names[a] == names[b]) & (alt_locs[a] == alt_locs[b])]
+        if unordered.size and not (repeats.size and atom_res[repeats.min()] < unordered[0]):
+            r = unordered[0]
+            raise StructureError(
+                f"chain {ids[res_chain[r]]}: residue numbers must strictly increase, got {seqs[r]} after {seqs[r - 1]}"
+            )
+        if repeats.size:
+            i = repeats.min()
+            key = (ids[res_chain[atom_res[i]]], int(seqs[atom_res[i]]), str(names[i]), str(alt_locs[i]))
+            raise StructureError(f"duplicate atom key {key}")
+
+    @staticmethod
+    def _rows(starts: np.ndarray) -> np.ndarray:
+        """For each element of the blocks that ``starts`` bounds, the index of its block."""
+        return np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Structure is immutable; {name!r} cannot be assigned")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a Structure is immutable; {name!r} cannot be deleted")
+
+    def __eq__(self, other):
+        if not isinstance(other, Structure):
+            return NotImplemented
+        return (self._headers, self._chain_ids) == (other._headers, other._chain_ids) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _DTYPES
+        )
+
+    __hash__ = None
+
+    @property
+    def headers(self) -> list[str]:
+        """The header lines, as a new list."""
+        return list(self._headers)
+
+    @property
+    def chains(self) -> list[Chain]:
+        """Read-only views of the chains, in order, as a new list."""
+        return [self._chain(c) for c in range(len(self._chain_ids))]
 
     def chain_ids(self) -> list[str]:
-        return [c.chain_id for c in self.chains]
+        return list(self._chain_ids)
 
-    def check_chain_ids(self) -> None:
-        """Raise StructureError naming the first repeated chain id.
-
-        Construction checks this, and so do the writer and the audits,
-        because a chain can be renamed after construction.
-        """
-        seen = set()
-        for chain in self.chains:
-            if chain.chain_id in seen:
-                raise StructureError(f"chain id {chain.chain_id!r} is repeated in {self.chain_ids()}")
-            seen.add(chain.chain_id)
+    def chain_index(self, chain_id: str) -> int:
+        if chain_id not in self._chain_ids:
+            raise StructureError(f"no chain {chain_id!r} (have {self.chain_ids()})")
+        return self._chain_ids.index(chain_id)
 
     def chain(self, chain_id: str) -> Chain:
-        for c in self.chains:
-            if c.chain_id == chain_id:
-                return c
-        raise StructureError(f"no chain {chain_id!r} (have {self.chain_ids()})")
+        return self._chain(self.chain_index(chain_id))
 
     def has_chain(self, chain_id: str) -> bool:
-        return any(c.chain_id == chain_id for c in self.chains)
+        return chain_id in self._chain_ids
 
     def atoms(self):
-        for c in self.chains:
-            yield from c.atoms()
+        """Read-only views of every atom, in record order."""
+        yield from self._atoms(0, self.n_atoms())
 
     def n_atoms(self) -> int:
-        return sum(c.n_atoms() for c in self.chains)
+        return len(self.coords)
+
+    def atom_slice(self, chain_id: str) -> slice:
+        """Record indices of one chain's atoms."""
+        c = self.chain_index(chain_id)
+        return slice(*self.res_starts[self.chain_starts[c:c + 2]].tolist())
+
+    def atom_residues(self) -> np.ndarray:
+        """Residue row of each atom."""
+        return self._rows(self.res_starts)
+
+    def atom_chains(self) -> np.ndarray:
+        """Chain index of each atom."""
+        return self._rows(self.res_starts[self.chain_starts])
 
     def copy(self) -> "Structure":
-        return Structure([c.copy() for c in self.chains], list(self.headers))
+        """The structure itself: a frozen value needs no copy."""
+        return self
+
+    def renumber_serials(self) -> "Structure":
+        """The structure itself: serials are not stored, the writer numbers every record."""
+        return self
 
     def subset(self, chain_ids) -> "Structure":
-        """New structure containing copies of the named chains, in the given order, and the headers."""
-        return Structure([self.chain(cid).copy() for cid in chain_ids], list(self.headers))
+        """New structure of the named chains, in the given order, and the headers."""
+        return self.with_chains([(chain_id, chain_id) for chain_id in chain_ids])
 
-    def renumber_serials(self) -> None:
-        # Mirrors the writer's numbering: each chain's TER record consumes
-        # one serial, so re-emission reproduces these values exactly.
-        serial = 1
-        for chain in self.chains:
-            for atom in chain.atoms():
-                atom.serial = serial
-                serial += 1
-            if chain.n_atoms():
-                serial += 1
+    def with_chains(self, chains, coords=None) -> "Structure":
+        """New structure of copies of this one's chains, by (new id, source id), and the headers.
+
+        ``coords``, when given, replaces the gathered atoms' (N, 3) block.
+        """
+        index = np.array([self.chain_index(source) for _, source in chains], dtype=np.int64)
+        first, last = self.chain_starts[index], self.chain_starts[index + 1]
+        residues = _ranges(first, last)
+        columns = {k: getattr(self, k)[_ranges(self.res_starts[first], self.res_starts[last])] for k in ATOM_COLUMNS}
+        return Structure.from_columns(
+            self._headers, [new_id for new_id, _ in chains], **columns | ({} if coords is None else {"coords": coords}),
+            res_starts=_starts(np.diff(self.res_starts)[residues]), res_seqs=self.res_seqs[residues],
+            res_names=self.res_names[residues], chain_starts=_starts(last - first),
+        )
+
+    def _atoms(self, start: int, stop: int) -> list[Atom]:
+        # Each chain's TER record takes one serial, as in the writer.
+        has_ter = np.diff(self.chain_starts) > 0
+        chains = np.searchsorted(self.res_starts[self.chain_starts], np.arange(start, stop), "right") - 1
+        serials = np.arange(start + 1, stop + 1) + (np.cumsum(has_ter) - has_ter)[chains]
+        fields = [getattr(self, k)[start:stop] for k in ATOM_COLUMNS] + [serials]
+        return [Atom(*row) for row in zip(*(f if f.ndim > 1 else f.tolist() for f in fields))]
+
+    def _chain(self, c: int) -> Chain:
+        first, last = self.chain_starts[c:c + 2].tolist()
+        starts = self.res_starts[first:last + 1].tolist()
+        atoms = self._atoms(starts[0], starts[-1])
+        return Chain(self._chain_ids[c], [
+            Residue(seq, name, atoms[a - starts[0]:b - starts[0]])
+            for seq, name, a, b in zip(self.res_seqs[first:last].tolist(), self.res_names[first:last].tolist(),
+                                       starts, starts[1:])
+        ])
 
 
 _SELECTOR_RE = re.compile(r"^(?P<chain>[A-Za-z0-9])\.(?P<res>[A-Z]{1,3})(?P<seq>\d+)\.(?P<atom>[A-Z0-9']{1,4})$")
@@ -255,13 +353,19 @@ class AtomSelector:
         return f"{self.chain_id}.{self.res_name}{self.res_seq}.{self.atom_name}"
 
 
-def atom_address(chain_id: str, residue: Residue, atom: Atom) -> str:
-    """``CHAIN.RESNAMESEQ.ATOM``, as writer errors and audits name an atom."""
-    return f"{chain_id}.{residue.res_name}{residue.res_seq}.{atom.name}"
+def atom_addresses(structure: Structure, rows) -> list[str]:
+    """``CHAIN.RESNAMESEQ.ATOM`` of the atoms at record indices ``rows``, as writer errors and audits name them."""
+    rows = np.asarray(rows, dtype=np.int64)
+    residues = structure.atom_residues()[rows]
+    ids = structure.chain_ids()
+    return [f"{ids[c]}.{res_name}{res_seq}.{name}" for c, res_name, res_seq, name in zip(
+        structure.atom_chains()[rows].tolist(), structure.res_names[residues].tolist(),
+        structure.res_seqs[residues].tolist(), structure.names[rows].tolist(),
+    )]
 
 
-def select_atom(structure: Structure, selector: AtomSelector | str) -> Atom:
-    """Return the unique atom addressed by ``selector``.
+def atom_row(structure: Structure, selector: AtomSelector | str) -> int:
+    """Record index of the unique atom addressed by ``selector``.
 
     Raises AtomNotFoundError when nothing matches and ResidueMismatchError
     when the residue at (chain, number) exists under a different name.
@@ -270,18 +374,28 @@ def select_atom(structure: Structure, selector: AtomSelector | str) -> Atom:
         selector = AtomSelector.parse(selector)
     if not structure.has_chain(selector.chain_id):
         raise AtomNotFoundError(f"no atom matches {selector}: chain not present")
-    residue = structure.chain(selector.chain_id).residue(selector.res_seq)
-    if residue is None:
+    c = structure.chain_index(selector.chain_id)
+    first, last = structure.chain_starts[c:c + 2]
+    hits = np.flatnonzero(structure.res_seqs[first:last] == selector.res_seq)
+    if not hits.size:
         raise AtomNotFoundError(f"no atom matches {selector}: residue not present")
-    if residue.res_name != selector.res_name:
+    r = first + hits[0]
+    if structure.res_names[r] != selector.res_name:
         raise ResidueMismatchError(
             f"{selector}: residue {selector.res_seq} in chain {selector.chain_id}"
-            f" is {residue.res_name}, not {selector.res_name}"
+            f" is {structure.res_names[r]}, not {selector.res_name}"
         )
-    atom = residue.atom(selector.atom_name)
-    if atom is None:
+    start, stop = structure.res_starts[r:r + 2]
+    hits = np.flatnonzero(structure.names[start:stop] == selector.atom_name)
+    if not hits.size:
         raise AtomNotFoundError(f"no atom matches {selector}: atom not present in residue")
-    return atom
+    return int(start + hits[0])
+
+
+def select_atom(structure: Structure, selector: AtomSelector | str) -> Atom:
+    """Read-only view of the unique atom addressed by ``selector``; errors as ``atom_row``."""
+    row = atom_row(structure, selector)
+    return structure._atoms(row, row + 1)[0]
 
 
 def _infer_element(name: str) -> str:
@@ -320,19 +434,15 @@ def parse_pdb(text: str) -> Structure:
 
     LF and CRLF line endings are accepted.  ATOM/HETATM lines become atoms,
     TER closes the current chain, END terminates the file, and every other
-    line is preserved verbatim as a header.
+    line is preserved verbatim as a header.  The columns are collected
+    record by record and the structure is built from them once.
     """
-    chains: list[Chain] = []
     headers: list[str] = []
-    open_chain: Chain | None = None
-    closed_ids: set[str] = set()
+    atoms: list[tuple] = []
+    res_starts, res_seqs, res_names = [], [], []
+    chain_ids, chain_starts = [], []
+    open_chain: str | None = None
     ended = False
-
-    def close_chain():
-        nonlocal open_chain
-        if open_chain is not None:
-            closed_ids.add(open_chain.chain_id)
-            open_chain = None
 
     for line_number, line in enumerate(text.splitlines(), start=1):
         record = line[:6]
@@ -358,44 +468,42 @@ def parse_pdb(text: str) -> Structure:
             )
             if not name:
                 raise PdbParseError("empty atom name", line_number)
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise PdbParseError(f"atom {name}: non-finite position", line_number)
+            if not (math.isfinite(occupancy) and math.isfinite(temp_factor)):
+                raise PdbParseError(f"atom {name}: non-finite occupancy or temperature factor", line_number)
+            if serial < 1:
+                raise PdbParseError(f"atom {name}: serial must be >= 1", line_number)
 
-            try:
-                # Positional: eight keyword arguments cost about 1 us more per atom.
-                atom = Atom(
-                    serial, name, alt_loc, np.array([x, y, z]),
-                    occupancy, temp_factor, element, record == "HETATM",
-                )
-            except StructureError as exc:
-                raise PdbParseError(str(exc), line_number) from exc
-
-            if open_chain is not None and open_chain.chain_id != chain_id:
-                close_chain()
-            if open_chain is None:
-                if chain_id in closed_ids:
+            # A chain closes at TER and when another chain's records begin.
+            if chain_id != open_chain:
+                if chain_id in chain_ids:
                     raise PdbParseError(f"chain {chain_id!r} reopened after TER", line_number)
-                open_chain = Chain(chain_id)
-                chains.append(open_chain)
-            residues = open_chain.residues
-            if residues and residues[-1].res_seq == res_seq:
-                residue = residues[-1]
-                if residue.res_name != res_name:
+                open_chain = chain_id
+                chain_ids.append(chain_id)
+                chain_starts.append(len(res_seqs))
+            if len(res_seqs) > chain_starts[-1] and res_seqs[-1] == res_seq:
+                if res_names[-1] != res_name:
                     raise PdbParseError(
-                        f"residue {res_seq} renamed {residue.res_name} -> {res_name}", line_number
+                        f"residue {res_seq} renamed {res_names[-1]} -> {res_name}", line_number
                     )
             else:
-                residue = Residue(res_seq, res_name)
-                residues.append(residue)
-            residue.atoms.append(atom)
-        elif record.startswith("TER"):
-            close_chain()
-        elif record.startswith("END"):
-            close_chain()
-            ended = True
+                res_starts.append(len(atoms))
+                res_seqs.append(res_seq)
+                res_names.append(res_name)
+            atoms.append((name, alt_loc, (x, y, z), occupancy, temp_factor, element or _infer_element(name),
+                          record == "HETATM"))
+        elif record.startswith(("TER", "END")):
+            open_chain = None
+            ended = record.startswith("END")
         else:
             headers.append(line)
 
     try:
-        return Structure(chains, headers)
+        return Structure.from_columns(
+            headers, chain_ids, **_atom_columns(atoms), res_starts=res_starts + [len(atoms)], res_seqs=res_seqs,
+            res_names=res_names, chain_starts=chain_starts + [len(res_seqs)],
+        )
     except StructureError as exc:
         raise PdbParseError(str(exc)) from exc
 
@@ -434,19 +542,20 @@ def _round_half_away(values: np.ndarray, width, decimals) -> tuple[np.ndarray, n
     return np.where(negative, -k, k) / scale, ~settled
 
 
-def _checked_fields(atom: Atom, address: str, misfit: str | None) -> list[float]:
+def _checked_fields(structure: Structure, row: int, address: str, misfit: str | None) -> list[float]:
     """One atom's five fields through ``format_coordinate``; raises its PdbWriteError."""
     if misfit:
         raise PdbWriteError(f"atom {address}: {misfit}")
-    if abs(float(np.max(np.abs(atom.position)))) >= 10000.0:
-        x, y, z = atom.position
+    position = structure.coords[row]
+    if abs(float(np.max(np.abs(position)))) >= 10000.0:
+        x, y, z = position
         raise PdbWriteError(
             f"coordinate magnitude >= 10000 A in atom <Atom {address} ({x:.3f}, {y:.3f}, {z:.3f})>"
         )
-    values = [float(format_coordinate(v)) for v in atom.position]
+    values = [float(format_coordinate(v)) for v in position]
     try:
-        values.append(float(format_coordinate(atom.occupancy, 6, 2, "occupancy")))
-        values.append(float(format_coordinate(atom.temp_factor, 6, 2, "B-factor")))
+        values.append(float(format_coordinate(float(structure.occupancy[row]), 6, 2, "occupancy")))
+        values.append(float(format_coordinate(float(structure.temp_factor[row]), 6, 2, "B-factor")))
     except PdbWriteError as exc:
         raise PdbWriteError(f"atom {address}: {exc}") from None
     return values
@@ -471,63 +580,60 @@ def _misfit(serial, chain_id, res_seq, res_name, name="", alt_loc="", element=""
     return None
 
 
-def _aligned_name(atom: Atom) -> str:
+def _aligned_name(name: str, element: str) -> str:
     # One-letter elements start in column 14, longer names fill from column 13.
-    if len(atom.name) == 4:
-        return atom.name
-    if len(atom.element) == 1:
-        return f" {atom.name:<3}"
-    return f"{atom.name:<4}"
+    if len(name) == 4:
+        return name
+    if len(element) == 1:
+        return f" {name:<3}"
+    return f"{name:<4}"
 
 
 def write_pdb(structure: Structure) -> str:
     """Emit a Structure as PDB text with LF line endings.
 
-    Serial numbers are renumbered sequentially, each chain is closed with a
-    TER record, and the file ends with END.  Coordinates use F8.3 fields;
-    a value or name that does not fit its columns raises PdbWriteError
-    naming the first such atom in record order.  A repeated chain id, which
-    ``parse_pdb`` would reject, raises StructureError.
+    Records are numbered sequentially, each chain is closed with a TER
+    record, and the file ends with END.  Coordinates use F8.3 fields; a
+    value or name that does not fit its columns raises PdbWriteError
+    naming the first such atom in record order.  The columns are read
+    directly, one list per column.
     """
-    structure.check_chain_ids()
+    s = structure
     # x, y, z as F8.3, then occupancy and B-factor as F6.2.
-    values = [a.position.tolist() + [a.occupancy, a.temp_factor] for a in structure.atoms()]
     rounded, unsettled = _round_half_away(
-        np.array(values).reshape(-1, 5), np.array([8, 8, 8, 6, 6]), np.array([3, 3, 3, 2, 2])
+        np.column_stack([s.coords, s.occupancy, s.temp_factor]),
+        np.array([8, 8, 8, 6, 6]), np.array([3, 3, 3, 2, 2]),
     )
     fields = rounded.tolist()
     unsettled = unsettled.any(axis=1).tolist()
+    names, alt_locs, elements = s.names.tolist(), s.alt_locs.tolist(), s.elements.tolist()
+    records = np.where(s.hetatm, "HETATM", "ATOM  ").tolist()
+    res_starts, res_seqs, res_names = s.res_starts.tolist(), s.res_seqs.tolist(), s.res_names.tolist()
+    chain_starts = s.chain_starts.tolist()
 
-    lines: list[str] = list(structure.headers)
+    lines: list[str] = s.headers
     serial = 1
-    index = 0
-    for chain in structure.chains:
-        chain_id = chain.chain_id
-        last_residue = None
-        for residue in chain.residues:
-            res_seq, res_name = residue.res_seq, residue.res_name
-            for atom in residue.atoms:
-                misfit = _misfit(
-                    serial, chain_id, res_seq, res_name, atom.name, atom.alt_loc, atom.element
-                )
-                if misfit or unsettled[index]:
-                    fields[index] = _checked_fields(atom, atom_address(chain_id, residue, atom), misfit)
+    for c, chain_id in enumerate(s.chain_ids()):
+        first, last = chain_starts[c], chain_starts[c + 1]
+        for r in range(first, last):
+            res_seq, res_name = res_seqs[r], res_names[r]
+            for i in range(res_starts[r], res_starts[r + 1]):
+                name, alt_loc, element = names[i], alt_locs[i], elements[i]
+                misfit = _misfit(serial, chain_id, res_seq, res_name, name, alt_loc, element)
+                if misfit or unsettled[i]:
+                    fields[i] = _checked_fields(s, i, f"{chain_id}.{res_name}{res_seq}.{name}", misfit)
                 # %-formatting skips the per-field __format__ call of an f-string.
                 lines.append("%s%5d %s%s%3s %s%4d    %8.3f%8.3f%8.3f%6.2f%6.2f          %2s" % (
-                    "HETATM" if atom.is_hetatm else "ATOM  ", serial, _aligned_name(atom),
-                    atom.alt_loc or " ", res_name, chain_id, res_seq, *fields[index], atom.element,
+                    records[i], serial, _aligned_name(name, element), alt_loc or " ", res_name,
+                    chain_id, res_seq, *fields[i], element,
                 ))
                 serial += 1
-                index += 1
-            last_residue = residue
-        if last_residue is not None:
-            misfit = _misfit(serial, chain_id, last_residue.res_seq, last_residue.res_name)
+        if last > first:
+            res_seq, res_name = res_seqs[last - 1], res_names[last - 1]
+            misfit = _misfit(serial, chain_id, res_seq, res_name)
             if misfit:
                 raise PdbWriteError(f"TER record of chain {chain_id}: {misfit}")
-            lines.append(
-                f"TER   {serial:5d}      {last_residue.res_name:>3} "
-                f"{chain_id}{last_residue.res_seq:4d}"
-            )
+            lines.append(f"TER   {serial:5d}      {res_name:>3} {chain_id}{res_seq:4d}")
             serial += 1
     lines.append("END")
     return "\n".join(lines) + "\n"

@@ -81,53 +81,32 @@ def default_lattice() -> SheetLattice:
     )
 
 
-def _build_strand(chain_id: str, y_shift: float, serial_start: int) -> Chain:
-    chain = Chain(chain_id)
-    serial = serial_start
+def _build_strand(chain_id: str, y_shift: float) -> Chain:
     shift = np.array([0.0, y_shift, PLANE_HEIGHT])
+    residues = []
     for index, (res_seq, res_name) in enumerate(TEMPLATE_RESIDUES):
         origin = np.array([RESIDUE_RISE * index, 0.0, 0.0]) + shift
-        backbone = {name: origin + offset for name, offset in _BACKBONE_OFFSETS.items()}
-        residue = Residue(res_seq, res_name)
-        positions = dict(backbone)
+        positions = {name: origin + offset for name, offset in _BACKBONE_OFFSETS.items()}
         if res_name != "GLY":
-            cb = cbeta_position(backbone["N"], backbone["CA"], backbone["C"])
+            cb = cbeta_position(positions["N"], positions["CA"], positions["C"])
             positions["CB"] = cb
             for name, offset in _SIDE_CHAIN_OFFSETS[res_name]:
                 positions[name] = cb + offset
-        for name in ("N", "CA", "C", "O", "CB", "CG", "SD", "OG"):
-            if name not in positions:
-                continue
-            residue.atoms.append(
-                Atom(
-                    serial=serial,
-                    name=name,
-                    alt_loc="",
-                    # Quantized to the F8.3 grid so the shipped file
-                    # round-trips field for field.
-                    position=np.round(positions[name], 3),
-                    occupancy=1.0,
-                    temp_factor=0.0,
-                    element=_ELEMENTS[name],
-                )
-            )
-            serial += 1
-        chain.residues.append(residue)
-    return chain
+        # Quantized to the F8.3 grid so the shipped file round-trips field for field.
+        atoms = [Atom(name=name, alt_loc="", position=np.round(positions[name], 3), element=_ELEMENTS[name])
+                 for name in ("N", "CA", "C", "O", "CB", "CG", "SD", "OG") if name in positions]
+        residues.append(Residue(res_seq, res_name, atoms))
+    return Chain(chain_id, residues)
 
 
 def synthetic_template() -> Structure:
     """Deterministically generate the packaged two-chain template."""
-    chain_a = _build_strand("A", 0.0, serial_start=1)
-    chain_b = _build_strand("B", STRAND_SPACING, serial_start=chain_a.n_atoms() + 1)
     headers = [
         "REMARK   1 SYNTHETIC TWO-SHEET HEXAPEPTIDE ZIPPER TEMPLATE (GYMLGS 127-132)",
         "REMARK   1 CHAINS A+B FORM ONE PARALLEL SHEET; SHEET TWO FOLLOWS BY THE",
         "REMARK   1 TWO-FOLD SCREW ABOUT X WITH TRANSLATION (9.075, 4.7765, 0.000)",
     ]
-    structure = Structure([chain_a, chain_b], headers)
-    structure.renumber_serials()
-    return structure
+    return Structure([_build_strand("A", 0.0), _build_strand("B", STRAND_SPACING)], headers)
 
 
 def template_path():

@@ -7,13 +7,16 @@ import pytest
 
 from stericzip import (
     PALINDROME_WINDOWS,
+    Chain,
     FibrilSpec,
     LJParams,
     MutationError,
     OptimizerConfig,
+    Residue,
     RigidTransform,
     SheetLattice,
     StericZipError,
+    Structure,
     apply_sequence,
     build_fibril_model,
     detect_hbonds,
@@ -105,9 +108,11 @@ class TestMutateResidue:
 
     def test_missing_backbone_atom(self):
         s = synthetic_template()
-        residue = s.chain("A").residue(129)
-        residue.atoms = [a for a in residue.atoms if a.name != "CA"]
-        with pytest.raises(MutationError):
+        chain = s.chain("A")
+        residues = [Residue(r.res_seq, r.res_name, [a for a in r.atoms if (r.res_seq, a.name) != (129, "CA")])
+                    for r in chain.residues]
+        s = Structure([Chain("A", residues), s.chain("B")], s.headers)
+        with pytest.raises(MutationError, match=r"^residue A\.MET129 lacks backbone atom CA$"):
             mutate_residue(s, "A", 129, "ALA")
 
     def test_bad_target(self):
@@ -139,27 +144,28 @@ class TestApplySequence:
 
     def test_length_mismatch(self):
         s = synthetic_template()
-        s.chain("A").residues.pop()
+        s = Structure([Chain("A", s.chain("A").residues[:-1]), s.chain("B")], s.headers)
         with pytest.raises(MutationError):
             apply_sequence(s, "A", "GAAAAG")
 
-    def test_one_build_makes_few_copies(self, monkeypatch):
-        # apply_sequence copies its structure once, not once per residue, and
-        # the cell is built from the mutated unit in one pass: a default build
-        # makes 2 structure and 529 atom copies (7 and 1,033 with sheet 2 built
-        # before placement and again after it).
-        from stericzip.pdbio import Atom, Structure
+    def test_one_build_makes_no_copies_and_no_atoms(self, monkeypatch):
+        # Every stage edits the frozen arrays: a default build copies no
+        # structure or chain and constructs no Atom (it made 2 structure and
+        # 529 atom copies when each stage deep-copied a tree of atoms).
+        from stericzip.pdbio import Atom, Chain, Structure
 
-        calls = {Atom: 0, Structure: 0}
-        for cls in calls:
-            def counted(self, _copy=cls.copy, _cls=cls):
+        template = synthetic_template()
+        calls = {Structure: 0, Chain: 0, Atom: 0}
+        for cls, attr in ((Structure, "copy"), (Chain, "copy"), (Atom, "__init__")):
+            def counted(*args, _original=getattr(cls, attr), _cls=cls, **kwargs):
                 calls[_cls] += 1
-                return _copy(self)
+                return _original(*args, **kwargs)
 
-            monkeypatch.setattr(cls, "copy", counted)
-        build_fibril_model(synthetic_template(), FibrilSpec(sequence="GAAAAG"))
-        assert 1 <= calls[Structure] <= 2
-        assert calls[Atom] <= 600
+            monkeypatch.setattr(cls, attr, counted)
+        build_fibril_model(template, FibrilSpec(sequence="GAAAAG"))
+        assert calls == {Structure: 0, Chain: 0, Atom: 0}
+        select_atom(template, "A.GLY127.N")
+        assert calls[Atom] == 1
 
 
 class TestPlacement:
@@ -406,9 +412,9 @@ class TestSeedAndFrameIndependence:
         spec = FibrilSpec(sequence="GAAAAG", optimizer=quick_config(2))
         model, _ = build_fibril_model(template, spec)
 
-        moved = template.copy()
-        for atom in moved.atoms():
-            atom.position = frame.apply(atom.position)
+        moved = Structure([Chain(c.chain_id, [
+            Residue(r.res_seq, r.res_name, [replace(a, position=frame.apply(a.position)) for a in r.atoms])
+            for r in c.residues]) for c in template.chains], template.headers)
         lattice = SheetLattice(
             frame.rotation @ spec.lattice.intra_sheet_step,
             frame.compose(spec.lattice.sheet2_transform).compose(frame.inverse()),
@@ -494,10 +500,9 @@ class TestBuildPipeline:
         # image, gives the model built from chains A and B alone.
         spec = FibrilSpec(sequence="GAAAAG", optimizer=quick_config(0))
         template = synthetic_template()
+        lowered = RigidTransform(np.eye(3), [0.0, 0.0, -1.0]).compose(spec.lattice.sheet2_transform)
         for source, new_id in (("A", "G"), ("B", "H")):
-            template = transform_chain(template, source, spec.lattice.sheet2_transform, new_id)
-            for atom in template.chain(new_id).atoms():
-                atom.position = atom.position - np.array([0.0, 0.0, 1.0])
+            template = transform_chain(template, source, lowered, new_id)
         model, report = build_fibril_model(template, spec)
         assert [w for w in report.warnings if "G, H ignored" in w]
         for contact in report.contacts:

@@ -5,6 +5,8 @@ search in extended precision for potential minima, and central finite
 differences for gradients.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -281,9 +283,7 @@ def atom_at(name, xyz):
 
 def two_atom_structure(a, b):
     """Two one-residue ALA chains from (chain id, residue number, atom name, position) rows."""
-    s = Structure([Chain(cid, [Residue(seq, "ALA", [atom_at(name, xyz)])]) for cid, seq, name, xyz in (a, b)])
-    s.renumber_serials()
-    return s
+    return Structure([Chain(cid, [Residue(seq, "ALA", [atom_at(name, xyz)])]) for cid, seq, name, xyz in (a, b)])
 
 
 class TestHBondDetection:
@@ -301,7 +301,6 @@ class TestHBondDetection:
         n = atom_at("N", (0, 0, 0))
         o = atom_at("O", (2.2, 0, 0))
         s = Structure([Chain("A", [Residue(2, "ALA", [o]), Residue(3, "ALA", [n])])])
-        s.renumber_serials()
         assert detect_hbonds(s) == []
 
     def test_no_backbone_atoms_empty(self):
@@ -313,13 +312,13 @@ class TestHBondDetection:
         count = len(detect_hbonds(s))
         flipped = s.subset(("B", "A"))
         assert len(detect_hbonds(flipped)) == count
-        moved = s.copy()
         rng = np.random.default_rng(5)
         q, r = np.linalg.qr(rng.standard_normal((3, 3)))
         q = q * np.sign(np.diag(r))
         shift = rng.standard_normal(3) * 20
-        for atom in moved.atoms():
-            atom.position = q @ atom.position + shift
+        moved = Structure([Chain(c.chain_id, [
+            Residue(r.res_seq, r.res_name, [replace(a, position=q @ a.position + shift) for a in r.atoms])
+            for r in c.residues]) for c in s.chains], s.headers)
         assert len(detect_hbonds(moved)) == count
 
     def test_template_ladder_count(self):
@@ -343,7 +342,6 @@ class TestClashAudit:
             Chain("B", [Residue(1, "ALA", [atom_at("CB", (1.8, 0, 0))])]),
             Chain("C", [Residue(1, "ALA", [atom_at("CB", (-1.2, 0, 0))])]),
         ])
-        s.renumber_serials()
         distances = [d for _, _, d in clash_audit(s, 2.0)]
         assert distances == sorted(distances)
 
@@ -351,7 +349,6 @@ class TestClashAudit:
         c = atom_at("C", (0, 0, 0))
         n = atom_at("N", (1.33, 0, 0))
         s = Structure([Chain("A", [Residue(1, "ALA", [c]), Residue(2, "ALA", [n])])])
-        s.renumber_serials()
         assert clash_audit(s, 2.0) == []
 
     def test_template_clean_at_two_angstroms(self):
@@ -363,12 +360,10 @@ class TestClashAudit:
 
 
 def test_renamed_chain_and_residue_name_every_record_and_audit():
-    # Identity lives on the chain and residue only, so renaming them after
-    # construction renames the atoms in the file and in both audits.
-    s = two_atom_structure(("A", 2, "N", (0, 0, 0)), ("B", 3, "O", (1.5, 0, 0)))
-    s.chains[1].chain_id = "Z"
-    residue = s.chains[0].residues[0]
-    residue.res_name, residue.res_seq = "GLY", 7
+    # Identity lives on the chain and residue only, so a chain and residue
+    # renamed at construction name the atoms in the file and in both audits.
+    s = Structure([Chain("A", [Residue(7, "GLY", [atom_at("N", (0, 0, 0))])]),
+                   Chain("Z", [Residue(3, "ALA", [atom_at("O", (1.5, 0, 0))])])])
     records = [(line[17:20], line[21], int(line[22:26])) for line in write_pdb(s).splitlines()
                if line.startswith("ATOM")]
     assert records == [("GLY", "A", 7), ("ALA", "Z", 3)]
@@ -432,12 +427,9 @@ def cloud_structure(atoms):
     """Structure from (chain, residue, name, position) rows, grouped in row order."""
     chains = {}
     for chain_id, res_seq, name, position in atoms:
-        residues = chains.setdefault(chain_id, {})
-        residue = residues.setdefault(res_seq, Residue(res_seq, "ALA"))
-        residue.atoms.append(atom_at(name, position))
-    s = Structure([Chain(cid, [residues[r] for r in sorted(residues)]) for cid, residues in chains.items()])
-    s.renumber_serials()
-    return s
+        chains.setdefault(chain_id, {}).setdefault(res_seq, []).append(atom_at(name, position))
+    return Structure([Chain(cid, [Residue(r, "ALA", residues[r]) for r in sorted(residues)])
+                      for cid, residues in chains.items()])
 
 
 @st.composite

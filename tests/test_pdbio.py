@@ -1,6 +1,7 @@
 """Fixed-column parsing, byte-exact emission, and atom selection."""
 
 import math
+from dataclasses import FrozenInstanceError, replace
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -211,10 +212,8 @@ class TestWrite:
          "alt-loc", "element"],
 )
 def test_field_that_does_not_fit_names_field_and_atom(chain_id, res_seq, atom_edit, message):
-    atom = make_atom()
-    residue = Residue(res_seq, "ALA", [atom])
-    for attribute, value in atom_edit.items():
-        setattr(residue if attribute == "res_name" else atom, attribute, value)
+    atom = replace(make_atom(), **{k: v for k, v in atom_edit.items() if k != "res_name"})
+    residue = Residue(res_seq, atom_edit.get("res_name", "ALA"), [atom])
     s = Structure([Chain(chain_id, [residue])])
     with pytest.raises(PdbWriteError, match=f"^{message}$"):
         write_pdb(s)
@@ -275,9 +274,7 @@ def structures(draw):
                 serial += 1
             residues.append(Residue(seq, "ALA", atoms))
         chains.append(Chain(cid, residues))
-    s = Structure(chains)
-    s.renumber_serials()
-    return s
+    return Structure(chains)
 
 
 class TestRoundTrip:
@@ -406,9 +403,8 @@ class TestBulkWriter:
     def test_edge_value_matches_decimal_reference(self, value, step):
         value = value if step == 0.0 else float(np.nextafter(value, step))
         assert_matches_reference(single_atom_structure(position=(value, 0.0, 0.0)))
-        s = single_atom_structure()
-        next(s.atoms()).occupancy = value
-        assert_matches_reference(s)
+        atom = replace(make_atom(position=(1.0, 2.0, 3.0)), occupancy=value)
+        assert_matches_reference(Structure([Chain("A", [Residue(1, "ALA", [atom])])]))
 
 
 # Columns of the fields of an ATOM/HETATM record, and the edits made to them.
@@ -468,7 +464,7 @@ class TestSelectors:
         s = synthetic_template()
         atom = select_atom(s, "A.MET129.SD")
         residue = s.chain("A").residue(129)
-        assert atom.name == "SD" and residue.res_name == "MET" and atom is residue.atom("SD")
+        assert atom.name == "SD" and residue.res_name == "MET" and atom == residue.atom("SD")
 
     def test_missing_chain_not_found(self):
         with pytest.raises(AtomNotFoundError):
@@ -494,11 +490,35 @@ class TestStructureInvariants:
         with pytest.raises(StructureError):
             Structure([Chain("A", [r2, r1])])
 
-    def test_copy_is_deep(self):
+    def test_coordinate_block_is_read_only(self):
         s = single_atom_structure()
-        c = s.copy()
-        c.chain("A").residues[0].atoms[0].position[0] = 99.0
+        assert not s.coords.flags.writeable and s.copy() is s
+        for column in (s.coords, s.names, s.occupancy, s.res_seqs, s.chain_starts):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[0]
+        with pytest.raises(AttributeError):
+            s.coords = np.zeros((1, 3))
         assert next(s.atoms()).position[0] == 1.0
+
+    def test_editing_after_construction_raises(self):
+        # Renumbering a residue after construction used to be accepted and
+        # wrote text that parse_pdb rejects (residue 127 renamed GLY -> TYR).
+        s = synthetic_template()
+        residue = s.chain("A").residues[1]
+        with pytest.raises(FrozenInstanceError):
+            residue.res_seq = 127
+        with pytest.raises(FrozenInstanceError):
+            s.chains[1].chain_id = "A"
+        with pytest.raises(FrozenInstanceError):
+            residue.res_name = "GLY"
+        with pytest.raises(FrozenInstanceError):
+            residue.atoms[0].occupancy = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            residue.atoms[0].position[0] = 99.0
+        with pytest.raises(AttributeError):
+            s.chain("A").residues.pop()
+        assert s == synthetic_template()
+        assert write_pdb(parse_pdb(write_pdb(s))) == write_pdb(s)
 
     @pytest.mark.parametrize("second_name", ["GLY", "ALA"])
     def test_residue_number_may_not_repeat(self, second_name):
@@ -507,17 +527,12 @@ class TestStructureInvariants:
         with pytest.raises(StructureError, match=r"^chain A: residue numbers must strictly increase, got 1 after 1$"):
             Structure([Chain("A", residues)])
 
-    def test_chain_renamed_onto_another_is_rejected_by_writer_and_audits(self):
-        # Renaming after construction used to write two chain-A blocks that
-        # parse_pdb rejects, and the audits merged the strands into one chain.
-        from stericzip import clash_audit, detect_hbonds
-        from stericzip.energy import CLASH_CUTOFF
-
+    def test_chain_renamed_onto_another_is_rejected(self):
+        # Two chain-A blocks would write a file that parse_pdb rejects, and
+        # the audits would merge the strands into one chain.
         s = synthetic_template()
-        s.chains[1].chain_id = "A"
-        for check in (write_pdb, detect_hbonds, lambda t: clash_audit(t, CLASH_CUTOFF)):
-            with pytest.raises(StructureError, match=r"^chain id 'A' is repeated in \['A', 'A'"):
-                check(s)
+        with pytest.raises(StructureError, match=r"^chain id 'A' is repeated in \['A', 'A'\]$"):
+            Structure([s.chain("A"), replace(s.chain("B"), chain_id="A")], s.headers)
         with pytest.raises(StructureError, match="chain id 'A' is repeated"):
             Structure([Chain("A"), Chain("B"), Chain("A")])
 
@@ -528,3 +543,28 @@ class TestStructureInvariants:
         assert unit.headers == template.headers and len(unit.headers) == 3
         assert all(line.startswith("REMARK") for line in unit.headers)
         assert unit.headers is not template.headers
+
+
+def test_stacked_cells_round_trip_and_audit_alike():
+    # A two-cell fibril stacked as the benchmark's files workload stacks it:
+    # chain copies, transform_chain(...).chain(new_id), Structure(chains,
+    # headers) from the chains of two structures, then renumber_serials().
+    from stericzip import (FibrilSpec, OptimizerConfig, RigidTransform, build_fibril_model, clash_audit,
+                           detect_hbonds, transform_chain)
+
+    spec = FibrilSpec(sequence="GAAAAG", optimizer=OptimizerConfig(max_evaluations=40_000, seed=0))
+    model, _ = build_fibril_model(load_template(), spec)
+    shift = RigidTransform(np.eye(3), 3.0 * spec.lattice.intra_sheet_step)
+    chains = [chain.copy() for chain in model.chains]
+    for chain_id, new_id in zip(model.chain_ids(), "MNOPQRSTUVWX"):
+        chains.append(transform_chain(model, chain_id, shift, new_id).chain(new_id))
+    stack = Structure(chains, list(model.headers))
+    stack.renumber_serials()
+    assert len(stack.chain_ids()) == 24 and stack.n_atoms() == 2 * model.n_atoms()
+    text = write_pdb(stack)
+    parsed = parse_pdb(text)
+    assert write_pdb(parsed) == text
+    hbonds = len(detect_hbonds(stack))
+    assert hbonds > len(detect_hbonds(model)) > 0
+    assert len(detect_hbonds(parsed)) == hbonds
+    assert len(clash_audit(parsed, 2.0)) == len(clash_audit(stack, 2.0))
