@@ -13,15 +13,24 @@ over the contact pairs (i, i), or over every anchor-free pair with
 ``full_sum`` (anchor-anchor and free-free terms do not change under a
 rigid translation).
 
-For the default two contacts the optimum set is a circle, so the model
-is fixed by where the descent starts, not by a seed: Newton descent on
-the analytic Hessian from the template screw (u = 0) ends on the optimum
-nearest the template, because its trust cap keeps each step within 1.5
-times the last move.  The seeded annealed search, started from that
-answer, only checks it over a box that holds every optimum; when it
-finds a lower energy, its point is polished and used, and the report
-warns that the model depends on the seed.  A descent that stops on its
-iteration budget is a report warning too.
+With at most two contact centres whose energy floor, -eps per pair, can
+be reached, the optima form a sphere (one centre) or a circle about the
+axis of two, and the model is their point nearest the template screw
+(u = 0), in closed form (``nearest_optimum``).  Otherwise the translation
+is the end point of Newton descent on the analytic Hessian from u = 0.
+The answer is certified when its energy is within CERTIFICATE_GAP * eps
+= 1e-4 eps of the floor or of a proven lower bound.  Such a bound exists
+when every centre lies on one line (one or two contact pairs, and
+``full_sum`` on the packaged template): the energy then depends only on
+the axial position s and the radius rho of u, and a branch and bound over
+(s, rho) bounds it.  The seeded annealed search starts from the answer.
+A certified answer ends it after its first population; otherwise (a tie,
+centres off a line, or, with a report warning, a bound that does not close
+within its box cap) it checks the answer over a box that holds every
+optimum.
+When it finds a lower energy, its point is polished and used, and the
+report warns that the model depends on the seed.  A descent that stops on
+its iteration budget is a report warning too.
 """
 
 from __future__ import annotations
@@ -54,6 +63,10 @@ from .template import (
 
 BACKBONE_ATOM_NAMES = ("N", "CA", "C", "O")
 SEQUENCE_ALPHABET = {"A": "ALA", "G": "GLY"}
+# A placement within CERTIFICATE_GAP * eps of a proven lower bound is certified.
+CERTIFICATE_GAP = 1e-4
+_BOUND_BOX_CAP = 20_000  # boxes the (s, rho) branch and bound may bound before it gives up
+_LINE_TOLERANCE = 1e-9  # distance off a line, relative to the points' spread, still counted as on it
 
 
 def validate_sequence(sequence: str) -> str:
@@ -205,6 +218,13 @@ class PlacementOutcome:
     warnings: list[str] = field(default_factory=list)
 
 
+def placement_centres(anchors: np.ndarray, free0: np.ndarray, full_sum: bool = False) -> np.ndarray:
+    """Centres c = anchor_i - free_j of the contact pairs (i, i), or of every pair with ``full_sum``."""
+    if full_sum:
+        return (anchors[:, None, :] - free0[None, :, :]).reshape(-1, 3)
+    return anchors - free0
+
+
 def placement_objective(
     anchors: np.ndarray, free0: np.ndarray, params: LJParams, full_sum: bool = False
 ) -> Objective:
@@ -217,10 +237,7 @@ def placement_objective(
     the kernel.  The box |u_x|, |u_y|, |u_z| <= max|c| + r_min holds every
     optimum.
     """
-    if full_sum:
-        centres = (anchors[:, None, :] - free0[None, :, :]).reshape(-1, 3)
-    else:
-        centres = anchors - free0
+    centres = placement_centres(anchors, free0, full_sum)
     half = float(np.max(np.linalg.norm(centres, axis=1))) + params.r_min
 
     def evaluate_batch(points: np.ndarray, with_gradient: bool = False):
@@ -253,6 +270,95 @@ def placement_objective(
     )
 
 
+def nearest_optimum(centres: np.ndarray, r_min: float) -> np.ndarray | None:
+    """The point nearest u = 0 at distance r_min from each of one or two centres.
+
+    Those points form a sphere about one centre (or two equal ones), or a
+    circle about the axis of two centres at most 2 r_min apart.  Returns
+    None on a tie, when u = 0 is the sphere's centre or lies on the
+    circle's axis (to 1e-9 of the scale), so no point is nearest.
+    """
+    middle = centres.mean(axis=0)
+    half = (centres[-1] - centres[0]) / 2.0
+    if not half.any():
+        radius, toward = r_min, -middle
+    else:
+        axis = half / np.linalg.norm(half)
+        radius = np.sqrt(max(r_min**2 - half @ half, 0.0))
+        toward = (middle @ axis) * axis - middle  # origin minus middle, in the circle's plane
+    if radius == 0.0:
+        return middle
+    length = np.linalg.norm(toward)
+    if length <= _LINE_TOLERANCE * (np.linalg.norm(middle) + r_min):
+        return None
+    return middle + radius * toward / length
+
+
+def collinear_offsets(centres: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Axial positions t of the centres along their best-fit line, and eta,
+    the largest distance of a centre off it.
+
+    Returns None when eta exceeds 1e-9 of the centres' spread about their mean.
+    """
+    offsets = centres - centres.mean(axis=0)
+    axis = np.linalg.svd(offsets)[2][0]
+    t = offsets @ axis
+    eta = float(np.max(np.linalg.norm(offsets - t[:, None] * axis, axis=1)))
+    if eta > _LINE_TOLERANCE * float(np.max(np.linalg.norm(offsets, axis=1))):
+        return None
+    return t, eta
+
+
+def box_lower_bounds(t: np.ndarray, eta: float, params: LJParams, boxes: np.ndarray) -> np.ndarray:
+    """A lower bound of sum g(|u - c_j|) over each box of (s, rho), g being ``lj_kernel``.
+
+    ``boxes`` is (4, m): rows s_lo, s_hi, rho_lo, rho_hi.  A point at axial
+    position s and distance rho from the line is sqrt((s - t_j)^2 + rho^2)
+    from centre j's projection, which lies within eta of c_j, so over a box
+    |u - c_j| fills at most [r_lo - eta, r_hi + eta].  g falls to its zero
+    at r_min and rises after it, so its least value there is
+    g(clip(r_min, r_lo - eta, r_hi + eta)): each term's bound is exact.
+    """
+    s_lo, s_hi, rho_lo, rho_hi = (row[:, None] for row in boxes)
+    near = np.maximum(np.maximum(s_lo - t, t - s_hi), 0.0)
+    far = np.maximum(np.abs(s_lo - t), np.abs(s_hi - t))
+    r = np.clip(params.r_min, np.hypot(near, rho_lo) - eta, np.hypot(far, rho_hi) + eta)
+    return lj_kernel(r * r, params).sum(axis=1)
+
+
+def certify_lower_bound(t: np.ndarray, eta: float, params: LJParams, ceiling: float) -> bool:
+    """Whether sum g(|u - c_j|) >= ``ceiling`` for every u, by branch and bound over (s, rho).
+
+    Every term of a point farther than R + eta from each centre's projection
+    is above g(R) = ceiling / n, so the boxes need only cover
+    [min t - R - eta, max t + R + eta] x [0, R + eta].  They start about
+    R + eta wide and are halved in both directions, one level at a time in
+    NumPy, until every box's bound reaches the ceiling (True) or
+    _BOUND_BOX_CAP boxes have been bounded (False).
+    """
+    if ceiling <= 0.0:
+        return True  # each term is >= 0
+    level = ceiling / (len(t) * params.epsilon)
+    if level >= 1.0:
+        return False  # g < eps everywhere, so the far field is not ruled out
+    reach = params.sigma * (2.0 / (1.0 - np.sqrt(level))) ** (1.0 / 6.0) + eta
+    columns = int(np.ceil((np.ptp(t) + 2.0 * reach) / reach))
+    edges = np.linspace(t.min() - reach, t.max() + reach, columns + 1)
+    boxes = np.stack([edges[:-1], edges[1:], np.zeros(columns), np.full(columns, reach)])
+    bounded = 0
+    while boxes.shape[1]:
+        bounded += boxes.shape[1]
+        if bounded > _BOUND_BOX_CAP:
+            return False
+        s_lo, s_hi, rho_lo, rho_hi = boxes[:, box_lower_bounds(t, eta, params, boxes) < ceiling]
+        s_mid, rho_mid = (s_lo + s_hi) / 2.0, (rho_lo + rho_hi) / 2.0
+        boxes = np.concatenate([
+            np.stack([s_a, s_b, rho_a, rho_b])
+            for s_a, s_b in ((s_lo, s_mid), (s_mid, s_hi)) for rho_a, rho_b in ((rho_lo, rho_mid), (rho_mid, rho_hi))
+        ], axis=1)
+    return True
+
+
 def solve_contact_placement(
     anchor_points,
     free_points,
@@ -264,11 +370,18 @@ def solve_contact_placement(
     """Translate the free atoms rigidly to minimize their contact energy.
 
     The answer is the end point of Newton descent from u = 0, the base
-    transform itself.  The seeded annealed search, started from that
-    point, checks it over the whole box; if the search reaches a lower
-    energy, its best point is polished and used instead, and a warning
-    says the result depends on the seed.  A descent that ends on its
-    iteration budget adds a warning naming |g| there.
+    transform itself, or, for at most two centres whose floor can be
+    reached, ``nearest_optimum`` (on a tie, the descent's point and a
+    warning).  It is certified when its energy is within
+    CERTIFICATE_GAP * eps = 1e-4 eps of the floor or, for centres on one
+    line (to 1e-9 of their spread), of the lower bound that
+    ``certify_lower_bound`` proves; a bound that does not close is a
+    warning.  The seeded annealed search starts from the answer: a
+    certified answer ends it after its first population, and otherwise it
+    checks the answer over the whole box.  If the search reaches a lower
+    energy, its best point is polished and used instead, and a warning says
+    the result depends on the seed.  A descent that ends on its iteration
+    budget adds a warning naming |g| there.
     """
     anchors = np.asarray(anchor_points, dtype=np.float64).reshape(-1, 3)
     free0 = np.asarray(free_points, dtype=np.float64).reshape(-1, 3)
@@ -278,12 +391,7 @@ def solve_contact_placement(
     floor = -params.epsilon * (k * k if full_sum else k)
 
     objective = placement_objective(anchors, free0, params, full_sum)
-    cfg = config
-    if cfg.target_value is not None:
-        cfg = replace(cfg, target_value=cfg.target_value - floor)
-    elif not full_sum:
-        # Contact-restricted global minimum is exactly the floor, -k epsilon.
-        cfg = replace(cfg, target_value=0.0, target_tolerance=1e-3)
+    centres = placement_centres(anchors, free0, full_sum)
     warnings = []
 
     def descend(start: np.ndarray) -> OptimizationResult:
@@ -299,22 +407,52 @@ def solve_contact_placement(
         return result
 
     refined = descend(np.zeros(3))
-    # Starting the search from the descent's end point ends it at once
-    # when that point already meets the target.
-    saec = minimize_saec(objective, cfg, x0=refined.best_point)
+    u, value = refined.best_point, refined.best_value
+    reachable = len(centres) <= 2 and np.linalg.norm(centres[-1] - centres[0]) <= 2.0 * params.r_min
+    if reachable:
+        nearest = nearest_optimum(centres, params.r_min)
+        if nearest is None:
+            warnings.append(
+                "every optimum is equally near the template screw, so none is nearest; "
+                "the sheet placement is the descent's end point"
+            )
+        else:
+            u, value = nearest, objective.evaluate(nearest)
+
+    cfg = config
+    gap = CERTIFICATE_GAP * params.epsilon
+    line = None if reachable else collinear_offsets(centres)
+    if cfg.target_value is not None:
+        cfg = replace(cfg, target_value=cfg.target_value - floor)
+    elif value <= gap or (line is not None and certify_lower_bound(*line, params, value - gap)):
+        # value - bound is the gap up to rounding, and exact (Fast2Sum), so the
+        # answer, which joins the search's first population, meets the target.
+        bound = max(value - gap, 0.0)
+        cfg = replace(cfg, target_value=bound, target_tolerance=value - bound)
+    else:
+        if line is not None:
+            warnings.append(
+                f"no lower bound certifies the sheet placement (the branch and bound stops at "
+                f"{_BOUND_BOX_CAP} boxes); the seeded search checks it over the whole box"
+            )
+        if not full_sum:
+            # Contact-restricted global minimum is exactly the floor, -k epsilon.
+            cfg = replace(cfg, target_value=0.0, target_tolerance=1e-3)
+
+    saec = minimize_saec(objective, cfg, x0=u)
     evaluations = saec.evaluations_used + refined.evaluations_used
-    energy = refined.best_value + floor
-    if saec.best_value < refined.best_value - 1e-9 * max(1.0, abs(energy)):
+    energy = value + floor
+    if saec.best_value < value - 1e-9 * max(1.0, abs(energy)):
         warnings.append(
             f"the seeded search reached energy {saec.best_value + floor:.6g}, below the "
-            f"{energy:.6g} of descent from the template screw; "
+            f"{energy:.6g} of the placement from the template screw; "
             "the sheet placement depends on the seed"
         )
         refined = descend(saec.best_point)
         evaluations += refined.evaluations_used
-        energy = refined.best_value + floor
+        u, value = refined.best_point, refined.best_value
+        energy = value + floor
 
-    u = refined.best_point
     distances = np.linalg.norm(free0 + u - anchors, axis=1)
     trace = [(e, v + floor) for e, v in saec.trace]
     return PlacementOutcome(

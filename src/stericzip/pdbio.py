@@ -515,15 +515,21 @@ def format_coordinate(value: float, width: int = 8, decimals: int = 3, field: st
     that e.g. 4.7765 rounds to 4.777 regardless of binary representation.
     ``field`` names the value in the PdbWriteError raised when it does not fit.
     """
+    value = float(value)  # so a message prints -1000.0, not np.float64(-1000.0)
     if not np.isfinite(value):
         raise PdbWriteError(f"non-finite {field} {value!r}")
+    misfit = PdbWriteError(f"{field} {value!r} does not fit in F{width}.{decimals}")
+    # Checked before quantizing, which overflows Decimal's 28-digit context
+    # near 1e26; a value of 10**width or more never fits in ``width`` columns.
+    if abs(value) >= 10.0**width:
+        raise misfit
     quantum = Decimal(1).scaleb(-decimals)
-    q = Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP)
+    q = Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP)
     if q == 0:
         q = abs(q)
     out = f"{q:.{decimals}f}"
     if len(out) > width:
-        raise PdbWriteError(f"{field} {value!r} does not fit in F{width}.{decimals}")
+        raise misfit
     return out.rjust(width)
 
 

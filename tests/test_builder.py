@@ -29,7 +29,14 @@ from stericzip import (
     validate_sequence,
     write_pdb,
 )
-from stericzip.builder import placement_objective
+from stericzip.builder import (
+    box_lower_bounds,
+    certify_lower_bound,
+    collinear_offsets,
+    nearest_optimum,
+    placement_centres,
+    placement_objective,
+)
 from stericzip.template import SHEET_FLIP_ROTATION
 
 R_MIN_FACTOR = 2.0 ** (1.0 / 6.0)
@@ -297,42 +304,64 @@ class TestPlacementObjective:
         assert np.array_equal(obj.gradient(centre), other.gradient(centre))
 
 
-def nearest_optimum(c1, c2, r_min):
-    """Point of the circle |u - c1| = |u - c2| = r_min nearest u = 0, and its radius."""
-    axis = (c2 - c1) / np.linalg.norm(c2 - c1)
-    middle = (c1 + c2) / 2
-    radius = np.sqrt(r_min**2 - np.sum((c2 - c1) ** 2) / 4)
-    toward = -middle + (middle @ axis) * axis  # origin minus middle, in the circle's plane
-    return middle + radius * toward / np.linalg.norm(toward), radius
+def template_points(spec):
+    """Anchor and free atom positions of the packaged template's sheets under ``spec``."""
+    work = apply_sequence(apply_sequence(synthetic_template(), "A", spec.sequence), "B", spec.sequence)
+    base = spec.lattice.sheet2_transform
+    work = transform_chain(transform_chain(work, "A", base, "G"), "B", base, "H")
+    anchors = np.array([select_atom(work, s).position for s in spec.anchor_selectors()])
+    free = np.array([select_atom(work, s).position for s in spec.free_selectors()])
+    return anchors, free
+
+
+def assert_nearest_point_of_the_circle(u, centres, r_min):
+    """u is r_min from both centres, and no sampled point of their circle is nearer u = 0."""
+    assert np.allclose(np.linalg.norm(u - centres, axis=1), r_min, rtol=0, atol=1e-9)
+    half = (centres[1] - centres[0]) / 2
+    across = np.linalg.svd(half[None, :])[2][1:]  # two unit vectors normal to the axis
+    angles = np.linspace(0.0, 2 * np.pi, 3600, endpoint=False)
+    circle = centres.mean(axis=0) + np.sqrt(r_min**2 - half @ half) * (
+        np.cos(angles)[:, None] * across[0] + np.sin(angles)[:, None] * across[1])
+    assert np.linalg.norm(u) <= np.linalg.norm(circle, axis=1).min() + 1e-9
+
+
+def built_translation(spec):
+    _, report = build_fibril_model(synthetic_template(), spec)
+    return np.array(report.sheet_transform[9:]) - spec.lattice.sheet2_transform.translation
 
 
 class TestDefaultPlacement:
     @pytest.mark.parametrize("sequence", PALINDROME_WINDOWS)
     def test_translation_is_the_optimum_nearest_the_template(self, sequence):
         spec = FibrilSpec(sequence=sequence)
-        work = apply_sequence(apply_sequence(synthetic_template(), "A", sequence), "B", sequence)
-        base = spec.lattice.sheet2_transform
-        work = transform_chain(transform_chain(work, "A", base, "G"), "B", base, "H")
-        anchors = [select_atom(work, s).position for s in spec.anchor_selectors()]
-        free = [select_atom(work, s).position for s in spec.free_selectors()]
-        expected, radius = nearest_optimum(anchors[0] - free[0], anchors[1] - free[1], spec.lj.r_min)
+        centres = placement_centres(*template_points(spec))
+        expected = nearest_optimum(centres, spec.lj.r_min)
+        radius = np.sqrt(spec.lj.r_min**2 - np.sum((centres[1] - centres[0]) ** 2) / 4)
 
-        _, report = build_fibril_model(synthetic_template(), spec)
-        u = np.array(report.sheet_transform[9:]) - base.translation
-        assert np.max(np.abs(u - expected)) <= 1e-9
+        assert np.max(np.abs(built_translation(spec) - expected)) <= 1e-9
         assert np.allclose(expected, [-7.343, -2.373, 2.950], atol=5e-4)
         assert radius == pytest.approx(2.610, abs=5e-4)
 
+    @pytest.mark.parametrize("sigma, ratio", [(5.35, 0.997), (5.45, 0.979)])
+    def test_near_tangent_contacts_end_at_the_nearest_optimum(self, sigma, ratio):
+        # Newton descent ended 0.885 A (sigma 5.35) and 2.50 A (5.45) away.
+        spec = FibrilSpec(sequence="GAAAAG", lj=LJParams(1.0, sigma))
+        centres = placement_centres(*template_points(spec))
+        assert np.linalg.norm(centres[1] - centres[0]) / (2 * spec.lj.r_min) == pytest.approx(ratio, abs=5e-4)
+        u = built_translation(spec)
+        assert np.max(np.abs(u - nearest_optimum(centres, spec.lj.r_min))) <= 1e-9
+        assert_nearest_point_of_the_circle(u, centres, spec.lj.r_min)
 
-def two_contact_geometries(count, params, seed=0):
+
+def two_contact_geometries(count, params, seed=0, ratios=(0.0, 0.9)):
     """Seeded anchors in +-12 A and free atoms within +-10 A of them whose
-    centres are closer than 0.9 * 2 r_min, so the optima form a circle."""
+    centres are |c1 - c2| / (2 r_min) in [lo, hi) apart, so the optima form a circle."""
     rng = np.random.default_rng(seed)
     while count:
         anchors = rng.uniform(-12.0, 12.0, (2, 3))
         free0 = anchors + rng.uniform(-10.0, 10.0, (2, 3))
         centres = anchors - free0
-        if np.linalg.norm(centres[0] - centres[1]) < 0.9 * 2.0 * params.r_min:
+        if ratios[0] <= np.linalg.norm(centres[0] - centres[1]) / (2.0 * params.r_min) < ratios[1]:
             count -= 1
             yield anchors, free0, centres
 
@@ -346,9 +375,29 @@ class TestNearestOptimum:
         config = OptimizerConfig(max_evaluations=40_000, seed=0)
         for anchors, free0, centres in two_contact_geometries(200, params):
             outcome = solve_contact_placement(anchors, free0, params, RigidTransform.identity(), config)
-            expected, _ = nearest_optimum(centres[0], centres[1], params.r_min)
+            expected = nearest_optimum(centres, params.r_min)
             assert outcome.warnings == []
             assert np.max(np.abs(outcome.transform.translation - expected)) <= 1e-6
+
+    def test_near_tangent_geometries_end_at_the_nearest_optimum(self):
+        params = LJParams(1.0, 4.0)
+        config = OptimizerConfig(max_evaluations=40_000, seed=0)
+        for anchors, free0, centres in two_contact_geometries(100, params, seed=1, ratios=(0.9, 0.999)):
+            outcome = solve_contact_placement(anchors, free0, params, RigidTransform.identity(), config)
+            assert outcome.warnings == []
+            assert outcome.optimizer_result.terminated_by == "tolerance"
+            assert_nearest_point_of_the_circle(outcome.transform.translation, centres, params.r_min)
+
+    def test_template_screw_on_the_axis_is_a_tie_and_warns(self):
+        # u = 0 on the axis of the circle: every point of it is equally near.
+        params = LJParams(1.0, 4.0)
+        centres = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 3.0]])
+        assert nearest_optimum(centres, params.r_min) is None
+        assert nearest_optimum(centres[:1] - centres[:1], params.r_min) is None
+        outcome = solve_contact_placement(centres, np.zeros((2, 3)), params, RigidTransform.identity(), quick_config())
+        assert outcome.warnings[0].startswith("every optimum is equally near the template screw")
+        assert outcome.warnings[-1].endswith("the sheet placement depends on the seed")
+        assert np.allclose(outcome.contact_distances, params.r_min, rtol=0, atol=1e-9)
 
     def test_default_build_places_sheet_two_in_few_evaluations(self, monkeypatch):
         # Newton descent from the template screw takes 19 evaluations and the
@@ -367,6 +416,94 @@ class TestNearestOptimum:
         _, report = build_fibril_model(synthetic_template(), FibrilSpec(sequence="GAAAAG"))
         assert len(used) == 1 and used[0] <= 30
         assert report.optimizer["evaluations"] <= 60
+
+
+def collinear_centres(rng, count):
+    """``count`` centres on a random line: the mean, unit axis and axial positions too."""
+    axis = rng.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    t = rng.uniform(-8.0, 8.0, count)
+    t -= t.mean()
+    middle = rng.uniform(-10.0, 10.0, 3)
+    return middle + t[:, None] * axis, middle, axis, t
+
+
+class TestPlacementCertificate:
+    def test_box_bounds_never_exceed_sampled_energies(self):
+        rng = np.random.default_rng(3)
+        params = LJParams(1.0, 4.0)
+        for _ in range(40):
+            centres, middle, axis, t = collinear_centres(rng, rng.integers(1, 6))
+            t_fit, eta = collinear_offsets(centres)
+            if t_fit @ t < 0:
+                axis = -axis
+            objective = placement_objective(centres, np.zeros_like(centres), params)
+            s_lo, rho_lo = rng.uniform(t.min() - 8.0, t.max() + 8.0), rng.uniform(0.0, 8.0)
+            s_hi, rho_hi = s_lo + rng.uniform(0.0, 6.0), rho_lo + rng.uniform(0.0, 6.0)
+            bound = box_lower_bounds(t_fit, eta, params, np.array([[s_lo], [s_hi], [rho_lo], [rho_hi]]))[0]
+            s, rho = rng.uniform(s_lo, s_hi, 200), rng.uniform(rho_lo, rho_hi, 200)
+            across = rng.standard_normal((200, 3))
+            across -= (across @ axis)[:, None] * axis
+            across /= np.linalg.norm(across, axis=1)[:, None]
+            points = middle + s[:, None] * axis + rho[:, None] * across
+            assert bound <= objective.evaluate_batch(points).min() * (1 + 1e-12)
+
+    def test_collinearity_tolerance_is_relative_to_the_spread(self):
+        # Bending the middle of three points by h leaves it 2h/3 off the fitted line.
+        axis = np.array([2.0, -1.0, 2.0]) / 3.0
+        across = np.array([1.0, 2.0, 0.0]) / np.sqrt(5.0)
+        for scale in (1e-3, 1.0, 1e3):
+            centres = scale * (np.array([4.0, -7.0, 1.0]) + np.outer([-5.0, 0.0, 5.0], axis))
+            for bend, on_line in ((1e-11, True), (1e-8, False)):
+                bent = centres + np.outer([0.0, bend * 5.0 * scale, 0.0], across)
+                assert (collinear_offsets(bent) is not None) == on_line
+
+    def test_planted_deeper_well_gets_no_certificate_and_warns(self):
+        # Descent from u = 0 settles by the first centre; the pair at z = 10-11
+        # holds a well about 1 eps deeper, far from it.
+        params = LJParams(1.0, 4.0)
+        centres = np.array([[0.0, 0.0, -3.0], [0.0, 0.0, 10.0], [0.0, 0.0, 11.0]])
+        t, eta = collinear_offsets(centres)
+        assert not certify_lower_bound(t, eta, params, 1.06)
+        outcome = solve_contact_placement(
+            centres, np.zeros((3, 3)), params, RigidTransform.identity(), quick_config(budget=2_000)
+        )
+        assert outcome.warnings[0].startswith("no lower bound certifies the sheet placement")
+        assert outcome.warnings[1].endswith("the sheet placement depends on the seed")
+        assert outcome.refined_energy < -2.0
+
+    def test_full_sum_mirror_twin(self):
+        # For two contacts the four centres form a parallelogram, symmetric
+        # about its middle m, so f(2m - u) = f(u).
+        params = LJParams(1.0, 4.0)
+        rng = np.random.default_rng(6)
+        for anchors, free0, _ in two_contact_geometries(20, params, seed=2):
+            objective = placement_objective(anchors, free0, params, full_sum=True)
+            middle = placement_centres(anchors, free0, full_sum=True).mean(axis=0)
+            points = rng.uniform(objective.lower, objective.upper, (50, 3))
+            values = objective.evaluate_batch(points)
+            twins = objective.evaluate_batch(2 * middle - points)
+            assert np.all(np.abs(twins - values) <= 1e-12 * np.maximum(values, 1.0))
+
+    def test_full_sum_build_is_certified(self):
+        # The search ran its whole budget, 39,992 evaluations, before.
+        spec = FibrilSpec(sequence="GAAAAG", full_sum=True)
+        assert collinear_offsets(placement_centres(*template_points(spec), full_sum=True)) is not None
+        _, report = build_fibril_model(synthetic_template(), spec)
+        assert report.optimizer["terminated_by"] == "tolerance"
+        assert report.optimizer["evaluations"] <= 100
+        assert report.warnings == []
+
+    def test_unreachable_floor_build_is_certified(self):
+        # sigma 5.30 puts the two contact centres 1.007 * 2 r_min apart; the
+        # search spent 39,981 evaluations on the floor it cannot reach.
+        spec = FibrilSpec(sequence="GAAAAG", lj=LJParams(1.0, 5.30))
+        centres = placement_centres(*template_points(spec))
+        assert np.linalg.norm(centres[1] - centres[0]) / (2 * spec.lj.r_min) == pytest.approx(1.007, abs=5e-4)
+        _, report = build_fibril_model(synthetic_template(), spec)
+        assert report.optimizer["terminated_by"] == "tolerance"
+        assert report.optimizer["evaluations"] <= 100
+        assert not [w for w in report.warnings if "placement" in w]
 
 
 def random_frame(seed):
@@ -405,11 +542,14 @@ class TestSeedAndFrameIndependence:
         assert len(texts) == 1
 
     @pytest.mark.parametrize(
-        "frame", [QUARTER_TURN_ABOUT_X, random_frame(1), random_frame(2), random_frame(3)]
+        "frame, full_sum",
+        [(frame, full_sum) for full_sum in (False, True)
+         for frame in (QUARTER_TURN_ABOUT_X, random_frame(1), random_frame(2), random_frame(3))],
+        ids=[f"{kind}frame{i}" for kind in ("", "full_sum-") for i in range(4)],
     )
-    def test_moved_template_gives_moved_model(self, frame):
+    def test_moved_template_gives_moved_model(self, frame, full_sum):
         template = synthetic_template()
-        spec = FibrilSpec(sequence="GAAAAG", optimizer=quick_config(2))
+        spec = FibrilSpec(sequence="GAAAAG", optimizer=quick_config(2), full_sum=full_sum)
         model, _ = build_fibril_model(template, spec)
 
         moved = Structure([Chain(c.chain_id, [

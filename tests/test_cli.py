@@ -152,6 +152,19 @@ class TestMutate:
         err = capsys.readouterr().err
         assert err.startswith("stericzip: error: ") and str(out) in err
 
+    def test_unwritable_occupancy_exits_1_without_traceback(self, tmp_path, capsys):
+        # An occupancy of 1e308 used to escape as decimal.InvalidOperation.
+        lines = template_path().read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if line.startswith("ATOM"))
+        lines[first] = lines[first][:54] + " 1e308" + lines[first][60:]
+        source = tmp_path / "huge.pdb"
+        source.write_text("".join(lines))
+        out = tmp_path / "x.pdb"
+        assert run("mutate", "--in", source, "--chain", "A", "--sequence", "GAAAAG", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == "stericzip: error: atom A.GLY1.N: occupancy 1e+308 does not fit in F6.2\n"
+        assert not out.exists()
+
 
 class TestTransform:
     def test_adds_screw_image(self, tmp_path, template_file):

@@ -160,6 +160,18 @@ class TestWrite:
         with pytest.raises(PdbWriteError):
             write_pdb(single_atom_structure(position=(-1000.0, 0.0, 0.0)))
 
+    def test_oversized_coordinate_message_prints_a_plain_float(self):
+        with pytest.raises(PdbWriteError, match=r"^coordinate -1000\.0 does not fit in F8\.3$"):
+            write_pdb(single_atom_structure(position=(-1000.0, 0.0, 0.0)))
+
+    @pytest.mark.parametrize("columns, field", [((54, 60), "occupancy"), ((60, 66), "B-factor")])
+    def test_huge_occupancy_or_b_factor_is_a_write_error(self, columns, field):
+        # Quantizing 1e308 through Decimal raised decimal.InvalidOperation.
+        start, end = columns
+        line = SAMPLE_LINE[:start] + " 1e308" + SAMPLE_LINE[end:]
+        with pytest.raises(PdbWriteError, match=rf"^atom A\.GLY127\.N: {field} 1e\+308 does not fit in F6\.2$"):
+            write_pdb(parse_pdb(line + "\nEND\n"))
+
     @pytest.mark.parametrize("columns, field", [((54, 60), "occupancy"), ((60, 66), "B-factor")])
     def test_oversized_occupancy_or_b_factor_names_field_and_atom(self, columns, field):
         start, end = columns
@@ -301,6 +313,7 @@ class TestRoundTrip:
 
 def decimal_field(value, width, decimals, what):
     """Reference F<width>.<decimals> field: the shortest repr, rounded by Decimal."""
+    value = float(value)
     if not math.isfinite(value):
         raise PdbWriteError(f"non-finite {what} {value!r}")
     q = Decimal(repr(float(value))).quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP)
