@@ -13,24 +13,23 @@ over the contact pairs (i, i), or over every anchor-free pair with
 ``full_sum`` (anchor-anchor and free-free terms do not change under a
 rigid translation).
 
-With at most two contact centres whose energy floor, -eps per pair, can
-be reached, the optima form a sphere (one centre) or a circle about the
-axis of two, and the model is their point nearest the template screw
-(u = 0), in closed form (``nearest_optimum``).  Otherwise the translation
-is the end point of Newton descent on the analytic Hessian from u = 0.
-The answer is certified when its energy is within CERTIFICATE_GAP * eps
-= 1e-4 eps of the floor or of a proven lower bound.  Such a bound exists
-when every centre lies on one line (one or two contact pairs, and
-``full_sum`` on the packaged template): the energy then depends only on
-the axial position s and the radius rho of u, and a branch and bound over
-(s, rho) bounds it.  The seeded annealed search starts from the answer.
-A certified answer ends it after its first population; otherwise (a tie,
-centres off a line, or, with a report warning, a bound that does not close
-within its box cap) it checks the answer over a box that holds every
-optimum.
-When it finds a lower energy, its point is polished and used, and the
-report warns that the model depends on the seed.  A descent that stops on
-its iteration budget is a report warning too.
+The placement is settled once, by the geometry.  With at most two contact
+centres whose floor, -eps per pair, can be reached, the optima form a
+sphere (one centre) or a circle about the axis of two, and the model is
+their point nearest the template screw (u = 0), in closed form
+(``nearest_optimum``).  Otherwise (a tie, an unreachable floor, three or
+more centres, as with ``full_sum``) it is the end point of Newton descent
+on the analytic Hessian from u = 0.  The answer is certified when its
+energy is within CERTIFICATE_GAP * eps = 1e-4 eps of the floor or of a
+lower bound, which a branch and bound over the axial position s and radius
+rho of u proves when every centre lies on one line (one or two contact
+pairs, and ``full_sum`` on the packaged template).  The certificate alone
+sets the target of the seeded annealed search, which starts from the
+answer: a certified answer ends it after its first population, and
+otherwise it checks the answer over a box that holds every optimum; a
+lower energy found there is polished and used.  Each fallback (a tie, a
+bound that does not close, a seed-dependent answer, a descent stopped on
+its iteration budget) is a report warning.
 """
 
 from __future__ import annotations
@@ -169,6 +168,7 @@ class FibrilSpec:
                     raise StericZipError(f"contact selector {sel} must address an ALA CB atom")
                 if sel.chain_id not in chains:
                     raise StericZipError(f"{kind} {sel} must lie in chain {' or '.join(chains)}")
+        _check_no_search_target(self.optimizer)
 
     def anchor_selectors(self) -> list[AtomSelector]:
         return [AtomSelector.parse(t) for t in self.anchors]
@@ -206,6 +206,12 @@ def _from_known_keys(kind, data: dict, where: str):
     if unknown:
         raise StericZipError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
     return kind(**data)
+
+
+def _check_no_search_target(config: OptimizerConfig) -> None:
+    """Raise unless ``config`` leaves the search target to the placement's certificate."""
+    if config.target_value is not None or config.target_tolerance:
+        raise StericZipError("optimizer target_value and target_tolerance are set by the placement; leave both unset")
 
 
 @dataclass
@@ -369,24 +375,22 @@ def solve_contact_placement(
 ) -> PlacementOutcome:
     """Translate the free atoms rigidly to minimize their contact energy.
 
-    The answer is the end point of Newton descent from u = 0, the base
-    transform itself, or, for at most two centres whose floor can be
-    reached, ``nearest_optimum`` (on a tie, the descent's point and a
-    warning).  It is certified when its energy is within
-    CERTIFICATE_GAP * eps = 1e-4 eps of the floor or, for centres on one
-    line (to 1e-9 of their spread), of the lower bound that
-    ``certify_lower_bound`` proves; a bound that does not close is a
-    warning.  The seeded annealed search starts from the answer: a
-    certified answer ends it after its first population, and otherwise it
-    checks the answer over the whole box.  If the search reaches a lower
-    energy, its best point is polished and used instead, and a warning says
-    the result depends on the seed.  A descent that ends on its iteration
-    budget adds a warning naming |g| there.
+    The answer is ``nearest_optimum`` for at most two centres whose floor
+    can be reached, and otherwise the end point of Newton descent from
+    u = 0, the base transform itself.  Its certificate (the floor, the
+    (s, rho) bound for centres on one line to 1e-9 of their spread, or none)
+    sets the target of the seeded search, so ``config`` may set none.  A tie,
+    a bound that does not close, a search that finds a lower energy (its
+    point is polished and used) and a descent that ends on its iteration
+    budget (naming |g| there) each add a warning.
     """
     anchors = np.asarray(anchor_points, dtype=np.float64).reshape(-1, 3)
     free0 = np.asarray(free_points, dtype=np.float64).reshape(-1, 3)
     if anchors.shape != free0.shape:
         raise StericZipError("anchor and free point lists must have matching shapes")
+    if not anchors.size:
+        raise StericZipError("anchor and free point lists must not be empty")
+    _check_no_search_target(config)
     k = anchors.shape[0]
     floor = -params.epsilon * (k * k if full_sum else k)
 
@@ -406,41 +410,37 @@ def solve_contact_placement(
             )
         return result
 
-    refined = descend(np.zeros(3))
-    u, value = refined.best_point, refined.best_value
     reachable = len(centres) <= 2 and np.linalg.norm(centres[-1] - centres[0]) <= 2.0 * params.r_min
-    if reachable:
-        nearest = nearest_optimum(centres, params.r_min)
-        if nearest is None:
+    u = nearest_optimum(centres, params.r_min) if reachable else None
+    if u is not None:
+        value, evaluations = objective.evaluate(u), 0
+    else:
+        refined = descend(np.zeros(3))
+        u, value, evaluations = refined.best_point, refined.best_value, refined.evaluations_used
+        if reachable:
             warnings.append(
                 "every optimum is equally near the template screw, so none is nearest; "
                 "the sheet placement is the descent's end point"
             )
-        else:
-            u, value = nearest, objective.evaluate(nearest)
 
-    cfg = config
     gap = CERTIFICATE_GAP * params.epsilon
     line = None if reachable else collinear_offsets(centres)
-    if cfg.target_value is not None:
-        cfg = replace(cfg, target_value=cfg.target_value - floor)
-    elif value <= gap or (line is not None and certify_lower_bound(*line, params, value - gap)):
+    if value <= gap or (line is not None and certify_lower_bound(*line, params, value - gap)):
         # value - bound is the gap up to rounding, and exact (Fast2Sum), so the
         # answer, which joins the search's first population, meets the target.
         bound = max(value - gap, 0.0)
-        cfg = replace(cfg, target_value=bound, target_tolerance=value - bound)
+        cfg = replace(config, target_value=bound, target_tolerance=value - bound)
     else:
         if line is not None:
             warnings.append(
                 f"no lower bound certifies the sheet placement (the branch and bound stops at "
                 f"{_BOUND_BOX_CAP} boxes); the seeded search checks it over the whole box"
             )
-        if not full_sum:
-            # Contact-restricted global minimum is exactly the floor, -k epsilon.
-            cfg = replace(cfg, target_value=0.0, target_tolerance=1e-3)
+        # Contact-restricted global minimum is exactly the floor, -k epsilon.
+        cfg = config if full_sum else replace(config, target_value=0.0, target_tolerance=1e-3)
 
     saec = minimize_saec(objective, cfg, x0=u)
-    evaluations = saec.evaluations_used + refined.evaluations_used
+    evaluations += saec.evaluations_used
     energy = value + floor
     if saec.best_value < value - 1e-9 * max(1.0, abs(energy)):
         warnings.append(

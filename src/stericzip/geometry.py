@@ -34,6 +34,9 @@ class RigidTransform:
         object.__setattr__(self, "translation", np.array(self.translation, dtype=np.float64))
         if self.rotation.shape != (3, 3) or self.translation.shape != (3,):
             raise StructureError("rigid transform needs a 3x3 rotation and a 3-vector translation")
+        # Every NaN comparison is false, so the orthogonality test alone would pass a NaN.
+        if not (np.isfinite(self.rotation).all() and np.isfinite(self.translation).all()):
+            raise StructureError("rigid transform must be finite")
         err = np.max(np.abs(self.rotation.T @ self.rotation - np.eye(3)))
         det = float(np.linalg.det(self.rotation))
         if err > _ORTHO_TOL or abs(abs(det) - 1.0) > _ORTHO_TOL:
@@ -87,8 +90,8 @@ class SheetLattice:
         object.__setattr__(
             self, "intra_sheet_step", np.array(self.intra_sheet_step, dtype=np.float64)
         )
-        if self.intra_sheet_step.shape != (3,):
-            raise StructureError("intra-sheet step must be a 3-vector")
+        if self.intra_sheet_step.shape != (3,) or not np.isfinite(self.intra_sheet_step).all():
+            raise StructureError("intra-sheet step must be a finite 3-vector")
         if not np.any(self.intra_sheet_step):
             raise StructureError("intra-sheet step must be nonzero")
 

@@ -549,22 +549,15 @@ def _round_half_away(values: np.ndarray, width, decimals) -> tuple[np.ndarray, n
 
 
 def _checked_fields(structure: Structure, row: int, address: str, misfit: str | None) -> list[float]:
-    """One atom's five fields through ``format_coordinate``; raises its PdbWriteError."""
+    """One atom's five fields through ``format_coordinate``; a PdbWriteError names the atom."""
     if misfit:
         raise PdbWriteError(f"atom {address}: {misfit}")
-    position = structure.coords[row]
-    if abs(float(np.max(np.abs(position)))) >= 10000.0:
-        x, y, z = position
-        raise PdbWriteError(
-            f"coordinate magnitude >= 10000 A in atom <Atom {address} ({x:.3f}, {y:.3f}, {z:.3f})>"
-        )
-    values = [float(format_coordinate(v)) for v in position]
+    values = [*structure.coords[row].tolist(), float(structure.occupancy[row]), float(structure.temp_factor[row])]
+    columns = zip(values, (8, 8, 8, 6, 6), (3, 3, 3, 2, 2), ("coordinate",) * 3 + ("occupancy", "B-factor"))
     try:
-        values.append(float(format_coordinate(float(structure.occupancy[row]), 6, 2, "occupancy")))
-        values.append(float(format_coordinate(float(structure.temp_factor[row]), 6, 2, "B-factor")))
+        return [float(format_coordinate(*column)) for column in columns]
     except PdbWriteError as exc:
         raise PdbWriteError(f"atom {address}: {exc}") from None
-    return values
 
 
 def _misfit(serial, chain_id, res_seq, res_name, name="", alt_loc="", element="") -> str | None:

@@ -228,11 +228,23 @@ class TestPlacement:
         monkeypatch.setattr(
             builder, "local_refine", lambda objective, x0, tol, max_iters: refine(objective, x0, tol, max_iters=1)
         )
+        # Centres 10 A apart, beyond 2 r_min = 8.98 A: no closed form, so the placement descends.
         anchors = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
-        free0 = np.array([[0.0, 6.0, 0.0], [10.0, 6.0, 1.0]])
+        free0 = np.array([[0.0, 6.0, 0.0], [0.0, 6.0, 0.0]])
         outcome = solve_contact_placement(anchors, free0, LJParams(1.0, 4.0), RigidTransform.identity(), quick_config())
         stops = [w for w in outcome.warnings if w.startswith("the placement descent stopped on its iteration budget")]
         assert stops and all("|g| = " in w for w in stops)
+
+    @pytest.mark.parametrize("points", [np.zeros((0, 3)), []])
+    def test_empty_point_lists_rejected(self, points):
+        with pytest.raises(StericZipError, match="must not be empty"):
+            solve_contact_placement(points, points, LJParams(1.0, 4.0), RigidTransform.identity(), quick_config())
+
+    def test_search_target_in_the_config_rejected(self):
+        anchors, free0 = np.zeros((1, 3)), np.ones((1, 3))
+        for config in (replace(quick_config(), target_value=0.0), replace(quick_config(), target_tolerance=1e-3)):
+            with pytest.raises(StericZipError, match="target_value and target_tolerance are set by"):
+                solve_contact_placement(anchors, free0, LJParams(1.0, 4.0), RigidTransform.identity(), config)
 
     def test_rotation_preserved_translation_updated(self):
         template = synthetic_template()
@@ -400,22 +412,35 @@ class TestNearestOptimum:
         assert np.allclose(outcome.contact_distances, params.r_min, rtol=0, atol=1e-9)
 
     def test_default_build_places_sheet_two_in_few_evaluations(self, monkeypatch):
-        # Newton descent from the template screw takes 19 evaluations and the
-        # check 20 (306 and 326 with steepest descent).
-        from stericzip import builder
-
-        used = []
-        refine = builder.local_refine
-
-        def counted(*args, **kwargs):
-            result = refine(*args, **kwargs)
-            used.append(result.evaluations_used)
-            return result
-
-        monkeypatch.setattr(builder, "local_refine", counted)
+        # The closed form places sheet 2; only the search's first population of 20 evaluates.
+        descents = count_descents(monkeypatch)
         _, report = build_fibril_model(synthetic_template(), FibrilSpec(sequence="GAAAAG"))
-        assert len(used) == 1 and used[0] <= 30
-        assert report.optimizer["evaluations"] <= 60
+        assert descents == []
+        assert report.optimizer["evaluations"] == 20
+
+    @pytest.mark.parametrize("spec_fields", [{"lj": LJParams(1.0, 5.30)}, {"full_sum": True}])
+    def test_placements_without_a_closed_form_descend(self, monkeypatch, spec_fields):
+        # An unreachable floor (sigma 5.30) and the four full_sum centres.
+        descents = count_descents(monkeypatch)
+        _, report = build_fibril_model(synthetic_template(), FibrilSpec(sequence="GAAAAG", **spec_fields))
+        assert len(descents) == 1 and descents[0] <= 30
+        assert report.optimizer["evaluations"] == 20 + descents[0]
+
+
+def count_descents(monkeypatch) -> list[int]:
+    """The evaluations of each ``builder.local_refine`` call from now on, as a list that fills."""
+    from stericzip import builder
+
+    used = []
+    refine = builder.local_refine
+
+    def counted(*args, **kwargs):
+        result = refine(*args, **kwargs)
+        used.append(result.evaluations_used)
+        return result
+
+    monkeypatch.setattr(builder, "local_refine", counted)
+    return used
 
 
 def collinear_centres(rng, count):

@@ -65,6 +65,9 @@ class TestBuild:
             ('{"placement_margin": 12.0}', "'placement_margin'"),
             ('{"optimizer": {"seed": 1, "max_evals": 10}}', "'max_evals'"),
             ('{"optimizer": {"cooling_factor": 0.9}}', "unknown key(s) 'cooling_factor' in optimizer"),
+            ('{"optimizer": {"target_value": 0}}', "optimizer target_value and target_tolerance are set by"),
+            ('{"lattice": {"intra_sheet_step": [0, 9.553, 0], "sheet2_transform": '
+             '[1, 0, 0, 0, -1, 0, 0, 0, -1, NaN, 4.7765, 0]}}', "rigid transform must be finite"),
         ],
     )
     def test_bad_spec_exits_1_without_files(self, tmp_path, template_file, capsys, text, located):
@@ -183,7 +186,20 @@ class TestTransform:
                    "--translate", "20000", "0", "0", "--out", out)
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("stericzip: error: coordinate magnitude >= 10000 A in atom <Atom G.")
+        assert err.startswith("stericzip: error: atom G.")
+        assert err.endswith(" does not fit in F8.3\n") and ": coordinate 2000" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("matrix, message", [
+        (["nan", 0, 0, 0, 1, 0, 0, 0, 1], "rigid transform must be finite"),
+        ([2, 0, 0, 0, 1, 0, 0, 0, 1], "rotation part is not orthogonal"),
+    ])
+    def test_non_finite_or_non_orthogonal_matrix_exits_2(self, tmp_path, template_file, capsys, matrix, message):
+        out = tmp_path / "bad.pdb"
+        code = run("transform", "--in", template_file, "--chain", "A", "--new-chain", "G",
+                   "--matrix", *matrix, "--translate", "0", "0", "0", "--out", out)
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_chain_exits_1(self, tmp_path, template_file):

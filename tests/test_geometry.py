@@ -171,6 +171,17 @@ class TestReplicate:
         with pytest.raises(StructureError):
             SheetLattice(np.zeros(3), sheet_screw())
 
+    @pytest.mark.parametrize("rotation, translation, step", [
+        (np.full((3, 3), np.nan), np.zeros(3), INTRA_SHEET_STEP),
+        (np.diag([1.0, np.nan, 1.0]), np.zeros(3), INTRA_SHEET_STEP),
+        (np.eye(3), [0.0, np.inf, 0.0], INTRA_SHEET_STEP),
+        (np.eye(3), np.zeros(3), [0.0, np.nan, 0.0]),
+        (np.eye(3), np.zeros(3), [0.0, -np.inf, 0.0]),
+    ])
+    def test_non_finite_transform_or_step_rejected(self, rotation, translation, step):
+        with pytest.raises(StructureError, match="finite"):
+            SheetLattice(step, RigidTransform(rotation, translation))
+
     def test_missing_source_chain(self):
         with pytest.raises(StructureError):
             replicate_lattice(synthetic_template().subset(("A",)), default_lattice())

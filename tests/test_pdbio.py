@@ -161,7 +161,7 @@ class TestWrite:
             write_pdb(single_atom_structure(position=(-1000.0, 0.0, 0.0)))
 
     def test_oversized_coordinate_message_prints_a_plain_float(self):
-        with pytest.raises(PdbWriteError, match=r"^coordinate -1000\.0 does not fit in F8\.3$"):
+        with pytest.raises(PdbWriteError, match=r"^atom A\.ALA1\.CA: coordinate -1000\.0 does not fit in F8\.3$"):
             write_pdb(single_atom_structure(position=(-1000.0, 0.0, 0.0)))
 
     @pytest.mark.parametrize("columns, field", [((54, 60), "occupancy"), ((60, 66), "B-factor")])
@@ -332,13 +332,8 @@ def reference_write_pdb(structure):
         for residue in chain.residues:
             for atom in residue.atoms:
                 address = f"{chain.chain_id}.{residue.res_name}{residue.res_seq}.{atom.name}"
-                if abs(float(np.max(np.abs(atom.position)))) >= 10000.0:
-                    px, py, pz = atom.position
-                    raise PdbWriteError(
-                        f"coordinate magnitude >= 10000 A in atom <Atom {address} ({px:.3f}, {py:.3f}, {pz:.3f})>"
-                    )
-                x, y, z = (decimal_field(v, 8, 3, "coordinate") for v in atom.position)
                 try:
+                    x, y, z = (decimal_field(v, 8, 3, "coordinate") for v in atom.position)
                     occ = decimal_field(atom.occupancy, 6, 2, "occupancy")
                     tf = decimal_field(atom.temp_factor, 6, 2, "B-factor")
                 except PdbWriteError as exc:
