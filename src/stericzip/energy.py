@@ -17,10 +17,12 @@ hydrogens.
 
 Both audits, ``detect_hbonds`` and ``clash_audit``, take candidate pairs
 from one cell-list neighbour search, so their cost is linear in the atom
-count.  Their lists equal, in order and in every distance bit, those of a
-dense N x N distance matrix scanned row by row and then stably sorted.
-They read positions, names and identity from the structure's columns and
-name atoms by their ``CHAIN.RESNAMESEQ.ATOM`` address.
+count: donors against acceptors, and every atom against the later atoms
+of a half shell of cells.  Their lists equal, in order and in every
+distance bit, those of a dense N x N distance matrix scanned row by row
+and then stably sorted.  They read positions, names and identity from the
+structure's columns and name atoms by their ``CHAIN.RESNAMESEQ.ATOM``
+address.
 """
 
 from __future__ import annotations
@@ -238,48 +240,62 @@ class HBond:
     distance: float
 
 
-def _collect_atoms(structure: Structure, names=None):
-    """Record index of each audited atom, and its position, chain id and residue number columns."""
-    rows = np.arange(structure.n_atoms()) if names is None else np.flatnonzero(np.isin(structure.names, names))
-    chain_ids = np.array(structure.chain_ids(), dtype=str)[structure.atom_chains()[rows]]
-    return rows, structure.coords[rows], chain_ids, structure.res_seqs[structure.atom_residues()[rows]]
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise |a - b|, bit-identical to np.linalg.norm(a - b, axis=1) at a fraction of its cost."""
+    dx, dy, dz = (a[:, k] - b[:, k] for k in range(3))
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def _neighbour_pairs(first: np.ndarray, second: np.ndarray, cutoff: float):
+def _neighbour_pairs(first: np.ndarray, second: np.ndarray | None, cutoff: float):
     """Index pairs (i, j) of first[i] and second[j] in the same or adjacent cells.
 
     The points are binned into cubes with an edge of about ``cutoff``, so
-    every pair within the cutoff is among the candidates.  One sort of the
-    cell keys and 27 offset lookups make the cost linear in the points and
-    candidates.  The pairs come in row-major (i, j) order, as np.nonzero on
-    a dense distance matrix gives them.
+    every pair within the cutoff is among the candidates.  One sort orders
+    the second set by cell key.  The cells z - 1, z and z + 1 of one (x, y)
+    column then hold one run of that order, so a first point finds its 27
+    neighbour cells with two binary searches in each of its 9 columns, and
+    the cost is linear in the points and candidates.  With ``second`` None
+    the pairs are those i < j of ``first`` with itself, each found once from
+    a half shell: the own cell's later points and the 13 cells after it in
+    key order, which are the next cell of the own column and the 4 columns
+    after it.  The pairs come in row-major (i, j) order, as np.nonzero on a
+    dense distance matrix gives them.
     """
     if not math.isfinite(cutoff) or cutoff <= 0:
         raise StericZipError(f"audit cutoff must be finite and positive, got {cutoff!r}")
-    n = len(first)
-    if n == 0 or len(second) == 0:
+    n, m = len(first), len(first if second is None else second)
+    if n == 0 or m == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    points = np.concatenate([first, second])
-    low = points.min(axis=0)
+    points = first if second is None else np.concatenate([first, second])
+    axes = [points[:, k] for k in range(3)]  # three column minima beat one min(axis=0)
+    low, high = [float(x.min()) for x in axes], [float(x.max()) for x in axes]
     # The pad absorbs rounding in the cell arithmetic, so a pair within the
     # cutoff is never two cells apart; the second bound keeps each axis to
     # 2^20 cells, so the keys fit in int64 at any cutoff.
-    pad = (cutoff + float(np.max(np.abs(points)))) * 2.0**-40
-    edge = max(cutoff + pad, float(np.max(points.max(axis=0) - low)) * 2.0**-20)
-    cells = np.floor((points - low) / edge).astype(np.int64) + 1
-    dims = cells.max(axis=0) + 2
-    keys = (cells[:, 0] * dims[1] + cells[:, 1]) * dims[2] + cells[:, 2]
-    order = np.argsort(keys[n:])
-    sorted_keys = keys[n:][order]
+    pad = (cutoff + max(*high, *(-lo for lo in low))) * 2.0**-40
+    edge = max(cutoff + pad, max(hi - lo for hi, lo in zip(high, low)) * 2.0**-20)
+    cx, cy, cz = (np.floor((x - lo) / edge).astype(np.int64) + 1 for x, lo in zip(axes, low))
+    dims = [math.floor((hi - lo) / edge) + 3 for hi, lo in zip(high, low)]
+    keys = (cx * dims[1] + cy) * dims[2] + cz
+    other = keys if second is None else keys[n:]
+    order = np.argsort(other, kind="stable")
+    ordered = other[order]
     step = np.arange(-1, 2)
-    offsets = ((step[:, None, None] * dims[1] + step[None, :, None]) * dims[2] + step).ravel()
-    targets = (keys[:n, None] + offsets).ravel()
-    start = np.searchsorted(sorted_keys, targets, "left")
-    counts = np.searchsorted(sorted_keys, targets, "right") - start
-    rows = np.repeat(np.arange(n), counts.reshape(n, -1).sum(axis=1))
-    ends = np.cumsum(counts)
-    cols = order[np.repeat(start - ends + counts, counts) + np.arange(ends[-1])]
-    return np.divmod(np.sort(rows * len(second) + cols), len(second))
+    columns = ((step[:, None] * dims[1] + step) * dims[2]).ravel()
+    rows, base = np.arange(n), keys[:n]
+    if second is None:
+        columns, rows, base = columns[4:], order, ordered  # the own column, then the 4 after it
+    centres = base[:, None] + columns
+    start, stop = np.searchsorted(ordered, centres - 1), np.searchsorted(ordered, centres + 2)
+    if second is None:
+        start[:, 0] = np.arange(1, n + 1)  # the points ordered after this one
+    count = (stop - start).ravel()
+    ends = np.cumsum(count)
+    cols = order[np.repeat(start.ravel() - ends + count, count) + np.arange(ends[-1])]
+    rows = np.repeat(np.repeat(rows, len(columns)), count)
+    if second is None:
+        rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
+    return np.divmod(np.sort(rows * m + cols), m)
 
 
 def detect_hbonds(structure: Structure, cutoff: float = HBOND_CUTOFF) -> list[HBond]:
@@ -292,16 +308,19 @@ def detect_hbonds(structure: Structure, cutoff: float = HBOND_CUTOFF) -> list[HB
     sorted by donor then acceptor chain id and residue number.
     ``cutoff`` must be finite and positive.
     """
-    donors, d_pos, d_chain, d_res = _collect_atoms(structure, names=("N",))
-    acceptors, a_pos, a_chain, a_res = _collect_atoms(structure, names=("O",))
-    di, ai = _neighbour_pairs(d_pos, a_pos, cutoff)
-    dist = np.linalg.norm(d_pos[di] - a_pos[ai], axis=1)
-    covalent = (d_chain[di] == a_chain[ai]) & (np.abs(d_res[di] - a_res[ai]) <= 1)
-    keep = np.flatnonzero((dist <= cutoff) & ~covalent)
-    d, a = di[keep], ai[keep]
-    keep = keep[np.lexsort((a_res[a], a_chain[a], d_res[d], d_chain[d]))]  # stable
-    names = zip(atom_addresses(structure, donors[di[keep]]), atom_addresses(structure, acceptors[ai[keep]]))
-    return [HBond(donor, acceptor, float(dist[k])) for (donor, acceptor), k in zip(names, keep)]
+    chains, seqs, coords = structure.atom_chains(), structure.res_seqs[structure.atom_residues()], structure.coords
+    donors, acceptors = np.flatnonzero(structure.names == "N"), np.flatnonzero(structure.names == "O")
+    di, ai = _neighbour_pairs(coords[donors], coords[acceptors], cutoff)
+    d, a = donors[di], acceptors[ai]
+    dist = _distances(coords[d], coords[a])
+    near = np.flatnonzero(dist <= cutoff)
+    d, a, dist = d[near], a[near], dist[near]
+    keep = np.flatnonzero((chains[d] != chains[a]) | (np.abs(seqs[d] - seqs[a]) > 1))
+    d, a, dist = d[keep], a[keep], dist[keep]
+    ids = np.array(structure.chain_ids(), dtype=str)
+    order = np.lexsort((seqs[a], ids[chains[a]], seqs[d], ids[chains[d]]))  # stable
+    names = zip(atom_addresses(structure, d[order]), atom_addresses(structure, a[order]))
+    return [HBond(donor, acceptor, r) for (donor, acceptor), r in zip(names, dist[order].tolist())]
 
 
 def clash_audit(structure: Structure, cutoff: float) -> list[tuple[str, str, float]]:
@@ -312,42 +331,35 @@ def clash_audit(structure: Structure, cutoff: float) -> list[tuple[str, str, flo
     cost grows linearly with the atom count.  Stably sorted ascending by
     distance, so ties keep atom order.  ``cutoff`` must be finite and positive.
     """
-    _, pos, chains, res = _collect_atoms(structure)
-    i, j = _neighbour_pairs(pos, pos, cutoff)
-    upper = i < j
-    i, j = i[upper], j[upper]
-    dist = np.linalg.norm(pos[i] - pos[j], axis=1)
-    names = structure.names
+    pos, chains, residues = structure.coords, structure.atom_chains(), structure.atom_residues()
+    seqs, is_c, is_n = structure.res_seqs[residues], structure.names == "C", structure.names == "N"
+    i, j = _neighbour_pairs(pos, None, cutoff)
+    dist = _distances(pos[i], pos[j])
+    near = np.flatnonzero(dist < cutoff)
+    i, j, dist = i[near], j[near], dist[near]
     # The only covalent link between residues is the peptide bond C(i)-N(i+1).
-    peptide = ((res[i] + 1 == res[j]) & (names[i] == "C") & (names[j] == "N")) | (
-        (res[j] + 1 == res[i]) & (names[j] == "C") & (names[i] == "N")
-    )
-    exempt = (chains[i] == chains[j]) & ((res[i] == res[j]) | peptide)
-    keep = np.flatnonzero((dist < cutoff) & ~exempt)
+    peptide = ((seqs[i] + 1 == seqs[j]) & is_c[i] & is_n[j]) | ((seqs[j] + 1 == seqs[i]) & is_c[j] & is_n[i])
+    keep = np.flatnonzero((residues[i] != residues[j]) & ~((chains[i] == chains[j]) & peptide))
     clashes = list(zip(atom_addresses(structure, i[keep]), atom_addresses(structure, j[keep]), dist[keep].tolist()))
     clashes.sort(key=lambda entry: entry[2])
     return clashes
 
 
 def contact_report(structure: Structure, contacts: list[ContactPair]) -> list[dict]:
-    """Distance and LJ energy for each monitored contact pair."""
+    """Distance and LJ energy for each monitored contact pair, one energy call per parameter set."""
     from .pdbio import select_atom
 
-    rows = []
-    for pair in contacts:
-        a = select_atom(structure, pair.first)
-        b = select_atom(structure, pair.second)
-        r = float(np.linalg.norm(a.position - b.position))
-        rows.append(
-            {
-                "first": str(pair.first),
-                "second": str(pair.second),
-                "distance": r,
-                "energy": lj_pair_energy(r, pair.params),
-                "optimal_distance": pair.params.r_min,
-            }
-        )
-    return rows
+    r = np.array([float(np.linalg.norm(select_atom(structure, pair.first).position
+                                       - select_atom(structure, pair.second).position)) for pair in contacts])
+    energy = np.empty(len(contacts))
+    for params in dict.fromkeys(pair.params for pair in contacts):
+        same = np.array([pair.params == params for pair in contacts])
+        energy[same] = lj_pair_energy(r[same], params)
+    return [
+        {"first": str(pair.first), "second": str(pair.second), "distance": d, "energy": e,
+         "optimal_distance": pair.params.r_min}
+        for pair, d, e in zip(contacts, r.tolist(), energy.tolist())
+    ]
 
 
 def structure_energy_report(
@@ -375,13 +387,8 @@ def structure_energy_report(
         "total_contact_energy": float(sum(row["energy"] for row in contact_rows)),
         "hbond_count": len(hbonds),
         "hbonds": [
-            {
-                "donor": b.donor,
-                "acceptor": b.acceptor,
-                "distance": b.distance,
-                "energy": hb_pair_energy(b.distance, hb),
-            }
-            for b in hbonds
+            {"donor": b.donor, "acceptor": b.acceptor, "distance": b.distance, "energy": e}
+            for b, e in zip(hbonds, hb_pair_energy(np.array([b.distance for b in hbonds]), hb).tolist())
         ],
         "clash_count": len(clashes),
         "clashes": [{"first": a, "second": b, "distance": d} for a, b, d in clashes],

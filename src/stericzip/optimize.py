@@ -370,7 +370,12 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     factorises, so the doubling ends within 11 steps.
     """
     beta = _SHIFT_FRACTION * float(np.linalg.norm(hess)) or 1.0  # H = 0 steps along g
-    shift = 0.0
+    # A Cholesky factorisation that succeeds is backward stable, so it leaves
+    # lambda_min(H + tau I) >= -O(u)|H + tau I|: a shift that keeps the least
+    # eigenvalue clearly negative would fail, and is skipped unattempted.
+    lowest, shift = float(np.linalg.eigvalsh(hess)[0]), 0.0
+    while lowest + shift < -1e-8 * (beta + shift):
+        shift = max(2.0 * shift, beta)
     while True:
         try:
             lower = np.linalg.cholesky(hess + shift * np.eye(len(grad)))

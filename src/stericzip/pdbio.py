@@ -189,7 +189,7 @@ class Structure:
                 or self.chain_starts[:1].tolist() != [0] or len(ids) + 1 != len(self.chain_starts)
                 or len(res_chain) != len(seqs) or len(self.res_names) != len(seqs)):
             raise StructureError("structure columns do not describe one layout")
-        finite = np.isfinite(self.coords).all(axis=1) & np.isfinite(self.occupancy) & np.isfinite(self.temp_factor)
+        finite = np.logical_and.reduce([np.isfinite(c) for c in (*self.coords.T, self.occupancy, self.temp_factor)])
         if not finite.all():
             raise StructureError(f"atom {names[~finite][0]}: non-finite position, occupancy or B-factor")
         if (names == "").any():
@@ -604,7 +604,7 @@ def write_pdb(structure: Structure) -> str:
         np.array([8, 8, 8, 6, 6]), np.array([3, 3, 3, 2, 2]),
     )
     fields = rounded.tolist()
-    unsettled = unsettled.any(axis=1).tolist()
+    unsettled = np.logical_or.reduce(list(unsettled.T)).tolist()  # column-wise: any(axis=1) is slower
     names, alt_locs, elements = s.names.tolist(), s.alt_locs.tolist(), s.elements.tolist()
     records = np.where(s.hetatm, "HETATM", "ATOM  ").tolist()
     res_starts, res_seqs, res_names = s.res_starts.tolist(), s.res_seqs.tolist(), s.res_names.tolist()

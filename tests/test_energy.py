@@ -40,7 +40,7 @@ from stericzip import (
     synthetic_template,
     write_pdb,
 )
-from stericzip.energy import MIN_PAIR_DISTANCE, _neighbour_pairs
+from stericzip.energy import MIN_PAIR_DISTANCE, _distances, _neighbour_pairs
 
 R_MIN_FACTOR = 2.0 ** (1.0 / 6.0)
 
@@ -488,6 +488,26 @@ class TestNeighbourSearch:
         assert len(clashes) == 2 and len(bonds) == 1
         pos = np.array([row[3] for row in rows])
         assert len(_neighbour_pairs(pos, pos, cutoff)[0]) == 9
+        assert len(_neighbour_pairs(pos, None, cutoff)[0]) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(clouds())
+    def test_self_join_is_the_upper_triangle_of_the_cross_join(self, cloud):
+        structure, cutoff = cloud
+        pos = structure.coords
+        i, j = _neighbour_pairs(pos, pos, cutoff)
+        upper = i < j
+        half = _neighbour_pairs(pos, None, cutoff)
+        assert np.array_equal(half[0], i[upper]) and np.array_equal(half[1], j[upper])
+
+    def test_distances_are_bitwise_the_norm(self):
+        rng = np.random.default_rng(0)
+        scale = 10.0 ** rng.choice([-160, -150, -145, 0, 145, 150, 155], size=(20_000, 1))
+        a, b = rng.normal(size=(2, 20_000, 3)) * scale
+        a[::7] = b[::7]  # coincident points
+        a[::11, 1] = b[::11, 1]  # one zero component
+        with np.errstate(over="ignore"):
+            assert _distances(a, b).tobytes() == np.linalg.norm(a - b, axis=1).tobytes()
 
     def test_rounding_at_a_cell_face_keeps_the_pair(self):
         # Binned without a pad, these N and O, exactly 2 A apart, fall two
@@ -513,8 +533,8 @@ class TestNeighbourSearch:
         period = 3.0 * spec.lattice.intra_sheet_step
 
         def stack(points, cells):
-            return np.concatenate([points + k * period for k in range(cells)])
+            return None if points is None else np.concatenate([points + k * period for k in range(cells)])
 
-        for first, second, cutoff in ((pos, pos, 2.0), (pos[names == "N"], pos[names == "O"], 3.5)):
+        for first, second, cutoff in ((pos, pos, 2.0), (pos, None, 2.0), (pos[names == "N"], pos[names == "O"], 3.5)):
             one, four = (len(_neighbour_pairs(stack(first, c), stack(second, c), cutoff)[0]) for c in (1, 4))
             assert 0 < four <= 5 * one

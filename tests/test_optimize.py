@@ -55,6 +55,8 @@ def lj_objective(n_atoms, pairs=None):
 
 
 from stericzip import LJParams
+from stericzip.benchmarks import CLASSIC_SUITE
+from stericzip.optimize import _newton_direction
 
 LJ_REDUCED = LJParams(1.0, 1.0)
 
@@ -73,9 +75,11 @@ class TestMinimize:
         assert result.best_value <= 1e-4
 
     def test_lj_triangle(self):
+        # The SAEC may draw any point in bounds, so its objective floors pair
+        # distances as the benchmark cluster does; lj_cluster_energy raises.
         cfg = OptimizerConfig(max_evaluations=100_000, seed=5,
                               target_value=-3.0, target_tolerance=1e-3)
-        result = minimize_saec(lj_objective(3), cfg)
+        result = minimize_saec(CLASSIC_SUITE["lj_cluster_n3"].make_objective(9), cfg)
         assert result.best_value == pytest.approx(-3.0, abs=1e-3)
 
     def test_deterministic_bit_for_bit(self):
@@ -262,6 +266,38 @@ class TestLocalRefine:
         obj = Objective(dimension=1, evaluate=lambda x: 0.0, bounds=uniform_bounds(0, 1, 1))
         with pytest.raises(StericZipError):
             local_refine(obj, np.array([0.5]))
+
+
+def doubling_direction(hess, grad):
+    """Reference: the plain shift doubling, trying every tau = 0, beta, 2 beta, ..."""
+    beta = 1e-3 * float(np.linalg.norm(hess)) or 1.0
+    shift = 0.0
+    while True:
+        try:
+            lower = np.linalg.cholesky(hess + shift * np.eye(len(grad)))
+            return np.linalg.solve(lower.T, np.linalg.solve(lower, grad))
+        except np.linalg.LinAlgError:
+            shift = max(2.0 * shift, beta)
+
+
+@pytest.mark.parametrize("seed, kind", enumerate(["indefinite", "singular", "near_singular", "definite", "zero"]))
+def test_newton_direction_matches_the_plain_doubling(seed, kind):
+    # Skipping the shifts that leave the least eigenvalue clearly negative
+    # must not change the first shift that factorises, so not one bit of d.
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        rotation = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        eigenvalues = {
+            "indefinite": rng.uniform(0.01, 1, 3) * [-1.0, 1.0, rng.choice([-1.0, 1.0])],
+            "singular": [0.0, *rng.uniform(-1, 1, 2)],
+            "near_singular": [rng.choice([-1, 1]) * 10.0 ** rng.uniform(-16, -8), *rng.uniform(-1, 1, 2)],
+            "definite": rng.uniform(0.1, 1, 3) * rng.choice([-1, 1]),
+            "zero": [0.0, 0.0, 0.0],
+        }[kind]
+        hess = 10.0 ** rng.uniform(-6, 6) * (rotation * eigenvalues) @ rotation.T
+        hess = (hess + hess.T) / 2
+        grad = rng.normal(size=3)
+        assert np.array_equal(_newton_direction(hess, grad), doubling_direction(hess, grad))
 
 
 class TestNewtonRefine:
