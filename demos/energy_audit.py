@@ -21,7 +21,7 @@ spec = FibrilSpec(sequence="GAAAAG", optimizer=OptimizerConfig(max_evaluations=4
 model, build_report = build_fibril_model(load_template(), spec)
 
 contacts = [
-    ContactPair(AtomSelector.parse(a), AtomSelector.parse(b), spec.lj)
+    ContactPair(AtomSelector.parse(a), AtomSelector.parse(b))
     for a, b in zip(DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS)
 ]
 report = structure_energy_report(model, lj=spec.lj, contacts=contacts)

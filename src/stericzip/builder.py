@@ -382,7 +382,8 @@ def solve_contact_placement(
     sets the target of the seeded search, so ``config`` may set none.  A tie,
     a bound that does not close, a search that finds a lower energy (its
     point is polished and used) and a descent that ends on its iteration
-    budget (naming |g| there) each add a warning.
+    budget (naming |g| there) each add a warning.  Every tolerance scales
+    with ``params.epsilon``, so the answer does not depend on the energy unit.
     """
     anchors = np.asarray(anchor_points, dtype=np.float64).reshape(-1, 3)
     free0 = np.asarray(free_points, dtype=np.float64).reshape(-1, 3)
@@ -399,7 +400,7 @@ def solve_contact_placement(
     warnings = []
 
     def descend(start: np.ndarray) -> OptimizationResult:
-        result = local_refine(objective, start, tol=1e-10, max_iters=500)
+        result = local_refine(objective, start, tol=1e-10 * params.epsilon, max_iters=500)
         # A line-search stop is the float floor of the energy (full_sum ends
         # there at |g| ~ 1e-8), so only a budget stop is news.
         if result.terminated_by == "budget":
@@ -437,12 +438,12 @@ def solve_contact_placement(
                 f"{_BOUND_BOX_CAP} boxes); the seeded search checks it over the whole box"
             )
         # Contact-restricted global minimum is exactly the floor, -k epsilon.
-        cfg = config if full_sum else replace(config, target_value=0.0, target_tolerance=1e-3)
+        cfg = config if full_sum else replace(config, target_value=0.0, target_tolerance=1e-3 * params.epsilon)
 
     saec = minimize_saec(objective, cfg, x0=u)
     evaluations += saec.evaluations_used
     energy = value + floor
-    if saec.best_value < value - 1e-9 * max(1.0, abs(energy)):
+    if saec.best_value < value - 1e-9 * max(params.epsilon, abs(energy)):
         warnings.append(
             f"the seeded search reached energy {saec.best_value + floor:.6g}, below the "
             f"{energy:.6g} of the placement from the template screw; "

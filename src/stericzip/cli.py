@@ -25,7 +25,7 @@ from .builder import FibrilSpec, build_fibril_model, apply_sequence, validate_se
 from .energy import DEFAULT_HB_PARAMS, HBParams, LJParams, structure_energy_report, ContactPair
 from .errors import StericZipError
 from .geometry import RigidTransform, transform_chain
-from .pdbio import AtomSelector, parse_pdb, select_atom, write_pdb
+from .pdbio import AtomSelector, atom_row, parse_pdb, write_pdb
 from .template import DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS, TEMPLATE_CONTACT_SIGMA
 
 EXIT_OK = 0
@@ -166,9 +166,9 @@ def _cmd_energy(args) -> int:
         contacts = []
         for first, second in zip(DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS):
             try:
-                pair = ContactPair(AtomSelector.parse(first), AtomSelector.parse(second), lj)
-                select_atom(structure, pair.first)
-                select_atom(structure, pair.second)
+                pair = ContactPair(AtomSelector.parse(first), AtomSelector.parse(second))
+                atom_row(structure, pair.first)
+                atom_row(structure, pair.second)
                 contacts.append(pair)
             except StericZipError:
                 continue  # contact atoms absent in this structure

@@ -9,6 +9,8 @@ Two interchangeable Lennard-Jones parameterizations are supported:
 Every 12-6 value comes from one kernel, ``lj_kernel``.  The public
 functions raise SingularityError for a pair closer than MIN_PAIR_DISTANCE;
 optimizer objectives built on the kernel take that distance as a floor.
+Cluster energies and gradients sum every i < j pair; an energy report
+scores every contact with the one parameter set its ``parameters`` name.
 
 Backbone hydrogen bonds use the 10-12 form V(r) = C / r^12 - D / r^10,
 whose minimum sits at sqrt(6C / 5D).  Hydrogen-bond *detection* is purely
@@ -29,11 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SingularityError, StericZipError
-from .pdbio import AtomSelector, Structure, atom_addresses
+from .pdbio import AtomSelector, Structure, atom_addresses, atom_row
 
 MIN_PAIR_DISTANCE = 1e-12
 HBOND_CUTOFF = 3.5
@@ -166,8 +169,8 @@ def hb_pair_energy(r, params: HBParams):
     return float(out) if out.ndim == 0 else out
 
 
-def _cluster_pairs(coords, pairs):
-    """Checked points, pair indices, difference vectors and squared distances."""
+def _cluster_pairs(coords):
+    """Checked points, i < j pair indices, difference vectors and squared distances."""
     pts = np.asarray(coords, dtype=np.float64)
     if pts.ndim == 1:
         if pts.size % 3:
@@ -177,17 +180,7 @@ def _cluster_pairs(coords, pairs):
         raise StericZipError("coordinates must be a flat 3N-vector or an (N, 3) array")
     if pts.shape[0] < 2:
         raise StericZipError("a cluster needs at least two atoms")
-    if pairs is None:
-        i, j = np.triu_indices(pts.shape[0], k=1)
-    else:
-        pairs = np.asarray(pairs, dtype=np.intp)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise StericZipError("pairs must be a sequence of (i, j) index tuples")
-        if np.any(pairs < 0) or np.any(pairs >= pts.shape[0]):
-            raise StericZipError("pair index out of range")
-        if np.any(pairs[:, 0] == pairs[:, 1]):
-            raise StericZipError("pair indices must be distinct")
-        i, j = pairs[:, 0], pairs[:, 1]
+    i, j = np.triu_indices(pts.shape[0], k=1)
     diff = pts[i] - pts[j]
     r2 = np.sum(diff * diff, axis=1)
     if np.any(r2 < MIN_PAIR_DISTANCE**2):
@@ -195,22 +188,19 @@ def _cluster_pairs(coords, pairs):
     return pts, i, j, diff, r2
 
 
-def lj_cluster_energy(coords, params: LJParams, pairs=None) -> float:
-    """Sum of LJ pair energies over all i < j pairs, or over ``pairs`` only.
+def lj_cluster_energy(coords, params: LJParams) -> float:
+    """Sum of LJ pair energies over every i < j pair of the cluster.
 
-    ``coords`` is a flat 3N-vector (or an (N, 3) array).  Evaluated pairs
-    closer than MIN_PAIR_DISTANCE raise SingularityError.
+    ``coords`` is a flat 3N-vector (or an (N, 3) array).  A pair closer
+    than MIN_PAIR_DISTANCE raises SingularityError.
     """
-    r2 = _cluster_pairs(coords, pairs)[-1]
+    r2 = _cluster_pairs(coords)[-1]
     return float(np.sum(lj_kernel(r2, params) - params.epsilon))
 
 
-def lj_cluster_gradient(coords, params: LJParams, pairs=None) -> np.ndarray:
-    """Analytic gradient of lj_cluster_energy with the same pair selection.
-
-    Returns a flat 3N-vector.
-    """
-    pts, i, j, diff, r2 = _cluster_pairs(coords, pairs)
+def lj_cluster_gradient(coords, params: LJParams) -> np.ndarray:
+    """Analytic gradient of lj_cluster_energy over the same i < j pairs, as a flat 3N-vector."""
+    pts, i, j, diff, r2 = _cluster_pairs(coords)
     forces = lj_kernel(r2, params, with_force=True)[1][:, None] * diff
     grad = np.zeros_like(pts)
     np.add.at(grad, i, forces)
@@ -220,19 +210,17 @@ def lj_cluster_gradient(coords, params: LJParams, pairs=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ContactPair:
-    """A monitored inter-sheet contact between two selected atoms."""
+    """A monitored inter-sheet contact between two selected atoms; the report that scores it sets the potential."""
 
     first: AtomSelector
     second: AtomSelector
-    params: LJParams
 
     def __post_init__(self):
         if self.first == self.second:
             raise StericZipError("contact pair selectors must be distinct")
 
 
-@dataclass(frozen=True)
-class HBond:
+class HBond(NamedTuple):
     """A backbone N...O pair within the detection cutoff, named by atom address."""
 
     donor: str
@@ -345,20 +333,14 @@ def clash_audit(structure: Structure, cutoff: float) -> list[tuple[str, str, flo
     return clashes
 
 
-def contact_report(structure: Structure, contacts: list[ContactPair]) -> list[dict]:
-    """Distance and LJ energy for each monitored contact pair, one energy call per parameter set."""
-    from .pdbio import select_atom
-
-    r = np.array([float(np.linalg.norm(select_atom(structure, pair.first).position
-                                       - select_atom(structure, pair.second).position)) for pair in contacts])
-    energy = np.empty(len(contacts))
-    for params in dict.fromkeys(pair.params for pair in contacts):
-        same = np.array([pair.params == params for pair in contacts])
-        energy[same] = lj_pair_energy(r[same], params)
+def contact_report(structure: Structure, contacts: list[ContactPair], lj: LJParams) -> list[dict]:
+    """Distance and LJ energy under ``lj`` of each contact pair, from one energy call; lookups raise as ``atom_row``."""
+    rows = np.array([(atom_row(structure, pair.first), atom_row(structure, pair.second)) for pair in contacts],
+                    dtype=np.int64).reshape(-1, 2)
+    r = _distances(structure.coords[rows[:, 0]], structure.coords[rows[:, 1]])
     return [
-        {"first": str(pair.first), "second": str(pair.second), "distance": d, "energy": e,
-         "optimal_distance": pair.params.r_min}
-        for pair, d, e in zip(contacts, r.tolist(), energy.tolist())
+        {"first": str(pair.first), "second": str(pair.second), "distance": d, "energy": e, "optimal_distance": lj.r_min}
+        for pair, d, e in zip(contacts, r.tolist(), lj_pair_energy(r, lj).tolist())
     ]
 
 
@@ -368,10 +350,13 @@ def structure_energy_report(
     hb: HBParams | None = None,
     contacts: list[ContactPair] | None = None,
 ) -> dict:
-    """JSON-ready audit: contact energies, hydrogen bonds, clashes."""
+    """JSON-ready audit: contact energies under ``lj``, hydrogen bonds under ``hb``, clashes, and the ``parameters``.
+
+    ``lj`` defaults to ``LJParams()`` and ``hb`` to ``DEFAULT_HB_PARAMS``.
+    """
     lj = lj or LJParams()
     hb = hb or DEFAULT_HB_PARAMS
-    contact_rows = contact_report(structure, contacts) if contacts else []
+    contact_rows = contact_report(structure, contacts, lj) if contacts else []
     hbonds = detect_hbonds(structure)
     clashes = clash_audit(structure, CLASH_CUTOFF)
 

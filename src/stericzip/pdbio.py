@@ -154,7 +154,7 @@ class Structure:
     residue numbers strictly increasing within a chain and unique atom keys.
     """
 
-    __slots__ = ("_headers", "_chain_ids", *_DTYPES)
+    __slots__ = ("_headers", "_chain_ids", "_atom_res", "_atom_chain", *_DTYPES)
 
     def __init__(self, chains=(), headers=()):
         chains = list(chains)
@@ -189,6 +189,9 @@ class Structure:
                 or self.chain_starts[:1].tolist() != [0] or len(ids) + 1 != len(self.chain_starts)
                 or len(res_chain) != len(seqs) or len(self.res_names) != len(seqs)):
             raise StructureError("structure columns do not describe one layout")
+        for name, array in (("_atom_res", atom_res), ("_atom_chain", res_chain[atom_res])):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         finite = np.logical_and.reduce([np.isfinite(c) for c in (*self.coords.T, self.occupancy, self.temp_factor)])
         if not finite.all():
             raise StructureError(f"atom {names[~finite][0]}: non-finite position, occupancy or B-factor")
@@ -271,12 +274,12 @@ class Structure:
         return slice(*self.res_starts[self.chain_starts[c:c + 2]].tolist())
 
     def atom_residues(self) -> np.ndarray:
-        """Residue row of each atom."""
-        return self._rows(self.res_starts)
+        """Residue row of each atom: one read-only array, computed once at construction."""
+        return self._atom_res
 
     def atom_chains(self) -> np.ndarray:
-        """Chain index of each atom."""
-        return self._rows(self.res_starts[self.chain_starts])
+        """Chain index of each atom: one read-only array, computed once at construction."""
+        return self._atom_chain
 
     def copy(self) -> "Structure":
         """The structure itself: a frozen value needs no copy."""
@@ -308,8 +311,7 @@ class Structure:
     def _atoms(self, start: int, stop: int) -> list[Atom]:
         # Each chain's TER record takes one serial, as in the writer.
         has_ter = np.diff(self.chain_starts) > 0
-        chains = np.searchsorted(self.res_starts[self.chain_starts], np.arange(start, stop), "right") - 1
-        serials = np.arange(start + 1, stop + 1) + (np.cumsum(has_ter) - has_ter)[chains]
+        serials = np.arange(start + 1, stop + 1) + (np.cumsum(has_ter) - has_ter)[self._atom_chain[start:stop]]
         fields = [getattr(self, k)[start:stop] for k in ATOM_COLUMNS] + [serials]
         return [Atom(*row) for row in zip(*(f if f.ndim > 1 else f.tolist() for f in fields))]
 

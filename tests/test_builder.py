@@ -198,18 +198,20 @@ class TestPlacement:
         assert outcome.optimizer_result.terminated_by == "tolerance"
         assert np.allclose(outcome.transform.translation, 0.0, atol=1e-9)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_seed_dependent_fallback_warns(self, seed):
+    @staticmethod
+    def triangle(params, seed):
         # Three centres on an equilateral triangle about the origin: the
         # gradient vanishes at u = 0, so descent stays at that stationary point
         # and the search's point, above or below the plane, is used instead.
         angles = np.radians([90.0, 210.0, 330.0])
         centres = 3.0 * np.stack([np.cos(angles), np.sin(angles), np.zeros(3)], axis=1)
         free0 = np.tile([0.0, 0.0, 10.0], (3, 1))
+        return solve_contact_placement(centres + free0, free0, params, RigidTransform.identity(), quick_config(seed))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seed_dependent_fallback_warns(self, seed):
         params = LJParams(1.0, 4.0)
-        outcome = solve_contact_placement(
-            centres + free0, free0, params, RigidTransform.identity(), quick_config(seed)
-        )
+        outcome = self.triangle(params, seed)
         assert len(outcome.warnings) == 1
         assert outcome.warnings[0].endswith("the sheet placement depends on the seed")
         assert outcome.refined_energy == pytest.approx(-3.0, abs=1e-9)
@@ -219,6 +221,13 @@ class TestPlacement:
         sign = -1.0 if seed == 0 else 1.0
         assert np.allclose(outcome.transform.translation, [0.0, 0.0, sign * height], rtol=0, atol=1e-9)
         assert height == pytest.approx(3.3405, abs=5e-5)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_placement_does_not_depend_on_the_energy_unit(self, seed):
+        # Every tolerance scales with epsilon.  Seed 1 used to put sheet 2 at
+        # u_z = +3.3405 A with epsilon 1 but at -3.3405 A with epsilon 100.
+        moves = [self.triangle(LJParams(epsilon, 4.0), seed).transform.translation for epsilon in (1e-3, 1.0, 100.0)]
+        assert np.allclose(moves, moves[1], rtol=0, atol=1e-9)
 
     def test_descent_stopped_on_budget_warns(self, monkeypatch):
         # A descent cut short by its iteration budget used to pass silently.

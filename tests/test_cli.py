@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from stericzip import parse_pdb, structure_energy_report, synthetic_template, write_pdb
+from stericzip import (AtomSelector, ContactPair, LJParams, parse_pdb, structure_energy_report, synthetic_template,
+                       write_pdb)
 from stericzip.cli import main
-from stericzip.template import template_path
+from stericzip.template import DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS, template_path
 
 
 @pytest.fixture()
@@ -220,6 +221,19 @@ class TestEnergy:
         assert report["hbond_count"] > 0
         assert report["clash_count"] == 0
         assert len(report["contacts"]) == 2
+
+    def test_report_matches_the_library_report(self, tmp_path, template_file):
+        model = tmp_path / "m.pdb"
+        assert run("build", "--template", template_file, "--sequence", "GAAAAG", "--out", model, "--seed", "0") == 0
+        report_path = tmp_path / "energy.json"
+        assert run("energy", "--in", model, "--sigma", "5.82", "--report", report_path) == 0
+        report = json.loads(report_path.read_text())
+        contacts = [ContactPair(AtomSelector.parse(a), AtomSelector.parse(b))
+                    for a, b in zip(DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS)]
+        library = structure_energy_report(parse_pdb(model.read_text()), lj=LJParams(1.0, 5.82), contacts=contacts)
+        assert len(report["contacts"]) == 2
+        assert report["contacts"] == library["contacts"]
+        assert report == json.loads(json.dumps(library))
 
     def test_empty_structure(self, tmp_path):
         empty = tmp_path / "empty.pdb"

@@ -5,7 +5,7 @@ search in extended precision for potential minima, and central finite
 differences for gradients.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,12 +14,15 @@ from hypothesis import strategies as st
 
 from stericzip import (
     Atom,
+    AtomSelector,
     Chain,
+    ContactPair,
     FibrilSpec,
     HBond,
     HBParams,
     LJABParams,
     LJParams,
+    OptimizerConfig,
     Residue,
     SingularityError,
     StericZipError,
@@ -36,11 +39,13 @@ from stericzip import (
     lj_from_ab,
     lj_pair_energy,
     load_template,
+    select_atom,
     structure_energy_report,
     synthetic_template,
     write_pdb,
 )
-from stericzip.energy import MIN_PAIR_DISTANCE, _distances, _neighbour_pairs
+from stericzip.energy import MIN_PAIR_DISTANCE, _distances, _neighbour_pairs, contact_report
+from stericzip.template import DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS
 
 R_MIN_FACTOR = 2.0 ** (1.0 / 6.0)
 
@@ -204,10 +209,6 @@ class TestCluster:
     def test_tetrahedron_reaches_six_wells(self):
         coords = regular_tetrahedron(R_MIN_FACTOR)
         assert lj_cluster_energy(coords, REDUCED) == pytest.approx(-6.0, abs=1e-12)
-
-    def test_pair_restriction(self):
-        coords = equilateral_triangle(R_MIN_FACTOR)
-        assert lj_cluster_energy(coords, REDUCED, pairs=[(0, 1)]) == pytest.approx(-1.0, abs=1e-12)
 
     def test_coincident_atoms_raise(self):
         with pytest.raises(SingularityError):
@@ -538,3 +539,61 @@ class TestNeighbourSearch:
         for first, second, cutoff in ((pos, pos, 2.0), (pos, None, 2.0), (pos[names == "N"], pos[names == "O"], 3.5)):
             one, four = (len(_neighbour_pairs(stack(first, c), stack(second, c), cutoff)[0]) for c in (1, 4))
             assert 0 < four <= 5 * one
+
+
+@pytest.fixture(scope="module")
+def gaaaag_model():
+    return build_fibril_model(load_template(), FibrilSpec(sequence="GAAAAG", optimizer=OptimizerConfig(seed=0)))[0]
+
+
+def default_contacts():
+    return [ContactPair(AtomSelector.parse(a), AtomSelector.parse(b))
+            for a, b in zip(DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS)]
+
+
+class TestEnergyReport:
+    def test_contact_pair_carries_no_potential(self):
+        assert [f.name for f in fields(ContactPair)] == ["first", "second"]
+        with pytest.raises(StericZipError, match="must be distinct"):
+            ContactPair(AtomSelector.parse("A.ALA3.CB"), AtomSelector.parse("A.ALA3.CB"))
+
+    @pytest.mark.parametrize("sigma, energy", [(5.82, -1.0), (4.0, -0.1997)])
+    def test_contacts_are_scored_with_the_reported_parameters(self, gaaaag_model, sigma, energy):
+        # A report used to print sigma 4.0 beside contact energies computed
+        # with each contact's own parameters (sigma 5.82, energy -1.0).
+        lj = LJParams(1.0, sigma)
+        report = structure_energy_report(gaaaag_model, lj=lj, contacts=default_contacts())
+        assert report["parameters"]["sigma"] == sigma and report["parameters"]["epsilon"] == 1.0
+        assert len(report["contacts"]) == 2
+        for pair, row in zip(default_contacts(), report["contacts"]):
+            first, second = select_atom(gaaaag_model, pair.first), select_atom(gaaaag_model, pair.second)
+            assert (row["first"], row["second"]) == (str(pair.first), str(pair.second))
+            assert row["distance"] == pytest.approx(np.linalg.norm(first.position - second.position), abs=1e-12)
+            assert row["energy"] == lj_pair_energy(row["distance"], lj)
+            assert row["energy"] == pytest.approx(energy, abs=5e-5)
+            assert row["optimal_distance"] == lj.r_min
+        assert report["total_contact_energy"] == sum(row["energy"] for row in report["contacts"])
+
+    def test_no_contacts_and_missing_atoms(self, gaaaag_model):
+        assert contact_report(gaaaag_model, [], LJParams()) == []
+        assert structure_energy_report(gaaaag_model)["contacts"] == []
+        missing = ContactPair(AtomSelector.parse("A.GLY1.CB"), AtomSelector.parse("G.ALA3.CB"))
+        with pytest.raises(StericZipError, match="no atom matches A.GLY1.CB"):
+            contact_report(gaaaag_model, [missing], LJParams())
+
+    def test_report_rebuilds_no_per_atom_rows(self, gaaaag_model, monkeypatch):
+        # Each atom's residue and chain are derived once, when the structure
+        # is built; the report used to rebuild them 12 times on a 4-cell stack.
+        calls = []
+        rows = Structure._rows
+        monkeypatch.setattr(Structure, "_rows", staticmethod(lambda starts: calls.append(1) or rows(starts)))
+        structure_energy_report(gaaaag_model, contacts=default_contacts())
+        assert calls == []
+
+    def test_hbond_rows_are_named_tuples(self, gaaaag_model):
+        bonds = detect_hbonds(gaaaag_model)
+        assert bonds and all(isinstance(b, tuple) and type(b) is HBond for b in bonds)
+        assert HBond._fields == ("donor", "acceptor", "distance")
+        bond = HBond("A.GLY1.N", "B.ALA2.O", 2.5)
+        assert repr(bond) == "HBond(donor='A.GLY1.N', acceptor='B.ALA2.O', distance=2.5)"
+        assert bond == HBond("A.GLY1.N", "B.ALA2.O", 2.5) and bond != HBond("A.GLY1.N", "B.ALA2.O", 2.6)

@@ -40,16 +40,16 @@ def rastrigin_objective(n):
     )
 
 
-def lj_objective(n_atoms, pairs=None):
+def lj_objective(n_atoms):
     dim = 3 * n_atoms
 
     def evaluate(x):
-        return lj_cluster_energy(np.asarray(x), LJ_REDUCED, pairs=pairs)
+        return lj_cluster_energy(np.asarray(x), LJ_REDUCED)
 
     return Objective(
         dimension=dim,
         evaluate=evaluate,
-        gradient=lambda x: lj_cluster_gradient(np.asarray(x), LJ_REDUCED, pairs=pairs),
+        gradient=lambda x: lj_cluster_gradient(np.asarray(x), LJ_REDUCED),
         bounds=uniform_bounds(-2.0, 2.0, dim),
     )
 

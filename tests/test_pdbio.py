@@ -544,6 +544,14 @@ class TestStructureInvariants:
         with pytest.raises(StructureError, match="chain id 'A' is repeated"):
             Structure([Chain("A"), Chain("B"), Chain("A")])
 
+    @settings(max_examples=60, deadline=None)
+    @given(structures())
+    def test_each_atoms_residue_and_chain_are_computed_once(self, s):
+        for rows, starts in ((s.atom_residues, s.res_starts), (s.atom_chains, s.res_starts[s.chain_starts])):
+            assert rows() is rows()
+            assert not rows().flags.writeable
+            assert np.array_equal(rows(), np.repeat(np.arange(len(starts) - 1), np.diff(starts)))
+
     def test_subset_keeps_the_headers(self):
         template = synthetic_template()
         unit = template.subset(("B",))
