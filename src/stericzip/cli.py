@@ -25,7 +25,7 @@ from .builder import FibrilSpec, build_fibril_model, apply_sequence, validate_se
 from .energy import DEFAULT_HB_PARAMS, HBParams, LJParams, structure_energy_report, ContactPair
 from .errors import StericZipError
 from .geometry import RigidTransform, transform_chain
-from .pdbio import AtomSelector, atom_row, parse_pdb, write_pdb
+from .pdbio import AtomSelector, atom_row, decode_pdb, parse_pdb, write_pdb
 from .template import DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS, TEMPLATE_CONTACT_SIGMA
 
 EXIT_OK = 0
@@ -48,7 +48,7 @@ def _resolve_seed(seed: int | None) -> int:
 
 
 def _read_structure(path: str):
-    return parse_pdb(Path(path).read_text())
+    return parse_pdb(decode_pdb(Path(path).read_bytes()))
 
 
 def _write_outputs(*outputs: tuple[Path, str]) -> None:
@@ -59,7 +59,7 @@ def _write_outputs(*outputs: tuple[Path, str]) -> None:
     written = []
     try:
         for path, text in outputs:
-            path.write_text(text)
+            path.write_text(text, encoding="utf-8")
             written.append(path)
     except OSError:
         for path in written:
@@ -88,8 +88,8 @@ def _cmd_build(args) -> int:
         template = _read_structure(args.template)
         if args.spec:
             try:
-                spec = FibrilSpec.from_json(Path(args.spec).read_text(), sequence=sequence)
-            except StericZipError as exc:
+                spec = FibrilSpec.from_json(Path(args.spec).read_text(encoding="utf-8"), sequence=sequence)
+            except (StericZipError, UnicodeDecodeError) as exc:
                 raise StericZipError(f"{args.spec}: {exc}") from exc
         else:
             spec = FibrilSpec(sequence=sequence)

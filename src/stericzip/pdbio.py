@@ -6,7 +6,17 @@ name, 7-11 serial, 13-16 atom name, 17 altLoc, 18-20 resName, 22 chainID,
 tempFactor, 77-78 element).  TER closes the current chain and END closes
 the file.  Every other line is carried as an opaque header and re-emitted
 verbatim ahead of the coordinates, so writing a parsed file reproduces it
-byte for byte once it has passed through the writer.
+byte for byte once it has passed through the writer; the writer refuses a
+header that would read back as something else.
+
+Both directions work on columns, not record by record.  The parser cuts
+the coordinate records into one array of code points, a row of columns
+1-78 per record, and takes every field as a column slice.  Canonical number text is decoded by
+digit arithmetic, which gives what int() and float() give; any other cell
+goes through int() or float() on its own.  Chain and residue boundaries
+come from comparing neighbouring rows and the positions of TER and END.
+A file with faults raises the error of its lowest faulty line, and of
+that line's first fault in the order the checks are listed.
 
 Coordinates are emitted as F8.3, and occupancy and B-factor as F6.2, with
 ties rounded half away from zero in the value's shortest decimal form
@@ -15,7 +25,9 @@ once: k = floor(|v| 10^d), plus one when the fraction is at least 0.5,
 with the sign restored and -0.000 never emitted.  Below 1e4 that binary
 arithmetic is within 4e-9 of the decimal value in units of the last
 digit, so only values within 1e-7 of a tie, and values that do not fit,
-go through ``format_coordinate``; the text is the same either way.
+go through ``format_coordinate``; the text is the same either way.  The
+serials, residue numbers and rounded fields are written as digit codes
+into one code array of the atom records, decoded to text once.
 
 A ``Structure`` is a frozen value: one (N, 3) coordinate block and one
 column per atom field, with residues and chains as index ranges.  Nothing
@@ -27,9 +39,7 @@ out.  Serial numbers are not stored; the writer numbers every record.
 
 from __future__ import annotations
 
-import math
 import re
-from operator import itemgetter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -43,8 +53,6 @@ from .errors import (
     SelectionError,
     StructureError,
 )
-
-_COORD_RECORDS = ("ATOM  ", "HETATM")
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -405,30 +413,134 @@ def _infer_element(name: str) -> str:
     return stripped[0].upper() if stripped else "X"
 
 
-# Columns of an ATOM/HETATM record: serial, name, altLoc, resName, chainID,
-# resSeq, x, y, z, occupancy, tempFactor and element, cut in one call.
-_RECORD_COLUMNS = itemgetter(
-    slice(6, 11), slice(12, 16), 16, slice(17, 20), 21, slice(22, 26),
-    slice(30, 38), slice(38, 46), slice(46, 54), slice(54, 60), slice(60, 66), slice(76, 78),
-)
-_NUMBER_COLUMNS = (
-    (0, int, "serial"), (5, int, "residue number"), (6, float, "x coordinate"),
-    (7, float, "y coordinate"), (8, float, "z coordinate"), (9, float, "occupancy"),
-    (10, float, "temperature factor"),
-)
+def _codes(text: str) -> np.ndarray:
+    """The text's code points: one byte each when all are ASCII, else one uint32 each."""
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
 
 
-def _malformed(columns, line_number: int) -> PdbParseError:
-    """The error for the first number column, in record order, that does not parse."""
-    for index, kind, what in _NUMBER_COLUMNS:
-        # A blank occupancy or B-factor takes its default.
-        text = columns[index].strip() if index >= 9 else columns[index]
+def _text(codes: np.ndarray) -> str:
+    """The text of a block of code points, row after row."""
+    if codes.dtype == np.uint8:
+        return codes.tobytes().decode("ascii")
+    return codes.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
+
+
+# The number fields of a coordinate record, in the order their faults are
+# checked: columns, decimals, the value of a blank field (None: a fault)
+# and the field's name in errors.
+_NUMBER_FIELDS = (
+    (6, 11, 0, None, "serial"), (22, 26, 0, None, "residue number"), (30, 38, 3, None, "x coordinate"),
+    (38, 46, 3, None, "y coordinate"), (46, 54, 3, None, "z coordinate"), (54, 60, 2, 1.0, "occupancy"),
+    (60, 66, 2, 0.0, "temperature factor"),
+)
+# Byte tables of each code's class in number text (space 0, minus 1, digit
+# 2, point 3, anything else 4) and of its digit value.  Codes from 127 up
+# are looked up as 127, which is not number text.
+_NUMBER_CLASS = bytes({32: 0, 45: 1, 46: 3}.get(c, 2 if 48 <= c < 58 else 4) for c in range(256))
+_DIGIT = bytes(c - 48 if 48 <= c < 58 else 0 for c in range(256))
+
+
+def _number_tables():
+    """The weights that read the number fields, and the signatures of canonical number text.
+
+    A cell's signature is its classes read as one base-5 number plus 5^8
+    times the field's index, its value its digits read as one integer k.
+    Canonical text is ``[ ]*-?d+`` filling the cell or, with d decimals,
+    ``[ ]*-?d+.`` and d digits.  Every weighted sum is an integer below
+    10^7, which a double holds exactly.
+    """
+    columns, canonical = [], {}
+    signature_weights, digit_weights = ([[0.0] * len(_NUMBER_FIELDS) for _ in range(45)] for _ in range(2))
+    for field, (start, stop, decimals, _, _) in enumerate(_NUMBER_FIELDS):
+        width = stop - start
+        whole = width - decimals - 1 if decimals else width
+        for place in range(width):
+            signature_weights[len(columns) + place][field] = 5.0 ** (width - 1 - place)
+        for power, place in enumerate(place for place in reversed(range(width)) if place != whole):
+            digit_weights[len(columns) + place][field] = 10.0**power
+        columns += range(start, stop)
+        for minus in (0, 1):
+            for digits in range(1, whole + 1 - minus):
+                classes = [0] * (whole - minus - digits) + [1] * minus + [2] * digits
+                classes += ([3] + [2] * decimals) * bool(decimals)
+                canonical[sum(5.0 ** (width - 1 - j) * c for j, c in enumerate(classes)) + field * 5.0**8] = minus
+    signatures = sorted(canonical)
+    return (np.array(columns), np.array(signature_weights), np.array(digit_weights), np.array(signatures),
+            np.array([canonical[s] for s in signatures], dtype=bool))
+
+
+_NUMBER_COLUMNS, _SIGNATURE_WEIGHTS, _DIGIT_WEIGHTS, _CANONICAL, _NEGATIVE = _number_tables()
+# By field, as columns: the signature of a blank cell, whether the field
+# has a default, the default and the divisor of k.
+_BLANK = np.array([[field * 5.0**8] for field in range(len(_NUMBER_FIELDS))])
+_HAS_DEFAULT = np.array([[f[3] is not None] for f in _NUMBER_FIELDS])
+_DEFAULTS = np.array([[f[3] or 0.0] for f in _NUMBER_FIELDS])
+_SCALES = np.array([[10.0 ** f[2]] for f in _NUMBER_FIELDS])
+
+
+def _number(text: str, decimals: int, default: float | None):
+    """One cell that is not canonical number text, through Python's int() or float()."""
+    if default is not None and text.isspace():
+        return default
+    return float(text) if decimals else int(text)
+
+
+def _numbers(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The number fields of every record, as (fields, records) values and a mask of the cells that do not parse.
+
+    Canonical text is decoded by digit arithmetic: k / 10^d is the
+    correctly rounded double, which is what float() gives.  A blank
+    occupancy or B-factor takes its default; every other cell goes
+    through ``_number`` on its own.
+    """
+    codes = grid[:, _NUMBER_COLUMNS]
+    if codes.dtype != np.uint8:
+        codes = np.minimum(codes, 127).astype(np.uint8)
+    codes = codes.tobytes()
+    classes, digits = (np.frombuffer(codes.translate(table), dtype=np.uint8).reshape(-1, len(_NUMBER_COLUMNS)).T
+                       for table in (_NUMBER_CLASS, _DIGIT))
+    signature = _SIGNATURE_WEIGHTS.T @ classes + _BLANK
+    at = np.minimum(np.searchsorted(_CANONICAL, signature), len(_CANONICAL) - 1)
+    k = _DIGIT_WEIGHTS.T @ digits
+    blank = (signature == _BLANK) & _HAS_DEFAULT
+    values = np.where(blank, _DEFAULTS, np.where(_NEGATIVE[at], -k, k) / _SCALES)
+    bad = np.zeros(values.shape, dtype=bool)
+    for f, r in zip(*np.nonzero((_CANONICAL[at] != signature) & ~blank)):
+        start, stop, decimals, default, _ = _NUMBER_FIELDS[f]
         try:
-            if text:
-                kind(text)
+            values[f, r] = _number(_text(grid[r, start:stop]), decimals, default)
         except ValueError:
-            return PdbParseError(f"malformed {what} field {text!r}", line_number)
-    raise AssertionError("every number column parses")
+            bad[f, r] = True
+    return values, bad
+
+
+def _texts(grid: np.ndarray, start: int, stop: int, nul_rows: np.ndarray) -> np.ndarray:
+    """The text of columns start:stop of every row, as str.strip() leaves it.
+
+    A NumPy string drops trailing NULs, which str.strip() keeps, so the
+    rows that hold a NUL are cut one by one.
+    """
+    block = np.ascontiguousarray(grid[:, start:stop], dtype="<u4")
+    texts = np.char.strip(block.view(f"U{stop - start}")[:, 0])
+    if nul_rows.size:
+        texts = texts.astype(object)
+        texts[nul_rows] = [_text(block[r]).strip() for r in nul_rows]
+    return texts
+
+
+def decode_pdb(data: bytes) -> str:
+    """The text of a PDB file's bytes, read as UTF-8.
+
+    Bytes that are not UTF-8 raise PdbParseError with the number of the
+    line they are on.
+    """
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_number = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise PdbParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8 text ({exc.reason})", line_number) from None
 
 
 def parse_pdb(text: str) -> Structure:
@@ -436,75 +548,88 @@ def parse_pdb(text: str) -> Structure:
 
     LF and CRLF line endings are accepted.  ATOM/HETATM lines become atoms,
     TER closes the current chain, END terminates the file, and every other
-    line is preserved verbatim as a header.  The columns are collected
-    record by record and the structure is built from them once.
+    line is preserved verbatim as a header.  The coordinate records are
+    read as one (records x 78) array of code points, each line padded with
+    spaces: a field is a column slice, canonical numbers are decoded by
+    digit arithmetic, and chain and residue boundaries come from comparing
+    neighbouring rows.  The error raised names the first faulty line and
+    its first fault, in the order of the checks below.
     """
-    headers: list[str] = []
-    atoms: list[tuple] = []
-    res_starts, res_seqs, res_names = [], [], []
-    chain_ids, chain_starts = [], []
-    open_chain: str | None = None
-    ended = False
+    lines = text.splitlines()
+    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+    # With each CRLF made one LF, every line break is one code.
+    flat = text.replace("\r\n", "\n") if "\r" in text else text
+    starts = np.cumsum(lengths + 1) - lengths - 1
+    codes = _codes(flat + " " * 78)
+    windows = np.ndarray((len(codes) - 77, 78), codes.dtype, codes, strides=2 * codes.strides)  # row k: codes k to k+77
+    head = windows[starts, :6].astype("<u4")
+    head[np.arange(6) >= lengths[:, None]] = 0  # past the line's end: a NumPy string ends there
+    record, opening = head.view("U6")[:, 0], np.ascontiguousarray(head[:, :3]).view("U3")[:, 0]
+    hetatm = record == "HETATM"
+    coordinate = hetatm | (record == "ATOM  ")
+    ends = opening == "END"
+    closing = ends | (opening == "TER")
+    end = int(ends.argmax()) if ends.any() else len(lines)
+    late = next((k for k in range(end + 1, len(lines)) if lines[k].strip()), None)
 
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        record = line[:6]
-        if ended and line.strip():
-            raise PdbParseError("content after END record", line_number)
-        if record in _COORD_RECORDS:
-            padded = line.ljust(80)
-            if len(line) < 54:
-                raise PdbParseError("truncated coordinate record", line_number)
-            columns = _RECORD_COLUMNS(padded)
-            alt_loc = columns[2].strip()
-            if alt_loc not in ("", "A"):
-                raise PdbParseError(f"unsupported alternate location {alt_loc!r}", line_number)
-            try:
-                serial, res_seq = int(columns[0]), int(columns[5])
-                x, y, z = float(columns[6]), float(columns[7]), float(columns[8])
-                occupancy = 1.0 if columns[9].isspace() else float(columns[9])
-                temp_factor = 0.0 if columns[10].isspace() else float(columns[10])
-            except ValueError:
-                raise _malformed(columns, line_number) from None
-            name, res_name, chain_id, element = (
-                columns[1].strip(), columns[3].strip(), columns[4], columns[11].strip()
-            )
-            if not name:
-                raise PdbParseError("empty atom name", line_number)
-            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-                raise PdbParseError(f"atom {name}: non-finite position", line_number)
-            if not (math.isfinite(occupancy) and math.isfinite(temp_factor)):
-                raise PdbParseError(f"atom {name}: non-finite occupancy or temperature factor", line_number)
-            if serial < 1:
-                raise PdbParseError(f"atom {name}: serial must be >= 1", line_number)
+    records = np.flatnonzero(coordinate[:end])
+    grid = windows[starts[records]]
+    # Pad the short lines with spaces.  A record shorter than 54 columns is
+    # a fault of its own, so only the later columns need it.
+    short = np.flatnonzero(lengths[records] < 78)
+    grid[short, 54:] = np.where(np.arange(54, 78) < lengths[records[short], None], grid[short, 54:], 32)
+    numbers, bad = _numbers(grid)
+    serials, seqs, coords, extras = numbers[0], numbers[1], numbers[2:5], numbers[5:]
+    nul_rows = np.flatnonzero((grid == 0).any(1)) if "\x00" in text else np.array([], dtype=np.int64)
+    names, alt_locs, res_names, elements = (
+        _texts(grid, start, stop, nul_rows) for start, stop in ((12, 16), (16, 17), (17, 20), (76, 78))
+    )
 
-            # A chain closes at TER and when another chain's records begin.
-            if chain_id != open_chain:
-                if chain_id in chain_ids:
-                    raise PdbParseError(f"chain {chain_id!r} reopened after TER", line_number)
-                open_chain = chain_id
-                chain_ids.append(chain_id)
-                chain_starts.append(len(res_seqs))
-            if len(res_seqs) > chain_starts[-1] and res_seqs[-1] == res_seq:
-                if res_names[-1] != res_name:
-                    raise PdbParseError(
-                        f"residue {res_seq} renamed {res_names[-1]} -> {res_name}", line_number
-                    )
-            else:
-                res_starts.append(len(atoms))
-                res_seqs.append(res_seq)
-                res_names.append(res_name)
-            atoms.append((name, alt_loc, (x, y, z), occupancy, temp_factor, element or _infer_element(name),
-                          record == "HETATM"))
-        elif record.startswith(("TER", "END")):
-            open_chain = None
-            ended = record.startswith("END")
-        else:
-            headers.append(line)
+    # A chain closes at TER and when another chain's records begin; a
+    # residue, when its chain does or its number changes.
+    chains, closed = grid[:, 21], np.cumsum(closing)[records]
+    new_chain, new_residue = np.ones((2, len(records)), dtype=bool)
+    renamed, reopened = np.zeros((2, len(records)), dtype=bool)
+    new_chain[1:] = (chains[1:] != chains[:-1]) | (closed[1:] != closed[:-1])
+    new_residue[1:] = new_chain[1:] | (seqs[1:] != seqs[:-1])
+    renamed[1:] = ~new_residue[1:] & (res_names[1:] != res_names[:-1])
+    chain_rows = np.flatnonzero(new_chain)
+    chain_ids = [chr(code) for code in chains[chain_rows].tolist()]
+    first_seen = {}
+    reopened[[row for row, chain_id in zip(chain_rows.tolist(), chain_ids)
+              if first_seen.setdefault(chain_id, row) != row][:1]] = True
 
+    faults = np.array([
+        lengths[records] < 54, (alt_locs != "") & (alt_locs != "A"), bad.any(0), names == "",
+        ~np.isfinite(coords).all(0), ~np.isfinite(extras).all(0), serials < 1, reopened, renamed,
+    ])
+    if faults.any():
+        row = int(faults.any(0).argmax())
+        start, stop, _, _, what = _NUMBER_FIELDS[bad[:, row].argmax()]
+        cell = _text(grid[row, start:stop])
+        name, res_name = names[row], res_names[row]
+        messages = (
+            "truncated coordinate record", f"unsupported alternate location {str(alt_locs[row])!r}",
+            # A blank occupancy or B-factor takes its default.
+            f"malformed {what} field {(cell.strip() if start >= 54 else cell)!r}", "empty atom name",
+            f"atom {name}: non-finite position", f"atom {name}: non-finite occupancy or temperature factor",
+            f"atom {name}: serial must be >= 1", f"chain {chr(chains[row])!r} reopened after TER",
+            f"residue {int(seqs[row])} renamed {res_names[row - 1]} -> {res_name}",
+        )
+        raise PdbParseError(messages[faults[:, row].argmax()], int(records[row]) + 1)
+    if late is not None:
+        raise PdbParseError("content after END record", late + 1)
+
+    blank = np.flatnonzero(elements == "")
+    elements[blank] = [_infer_element(name) for name in names[blank]]
+    residue_rows = np.flatnonzero(new_residue)
     try:
         return Structure.from_columns(
-            headers, chain_ids, **_atom_columns(atoms), res_starts=res_starts + [len(atoms)], res_seqs=res_seqs,
-            res_names=res_names, chain_starts=chain_starts + [len(res_seqs)],
+            [lines[k] for k in np.flatnonzero(~(coordinate | closing)).tolist()], chain_ids, names=names,
+            alt_locs=alt_locs, coords=coords.T, occupancy=extras[0], temp_factor=extras[1],
+            elements=elements, hetatm=hetatm[records], res_starts=np.concatenate([residue_rows, [len(records)]]),
+            res_seqs=seqs[residue_rows].astype(np.int64), res_names=res_names[residue_rows],
+            chain_starts=np.concatenate([np.cumsum(new_residue)[chain_rows] - 1, [len(residue_rows)]]),
         )
     except StructureError as exc:
         raise PdbParseError(str(exc)) from exc
@@ -536,10 +661,12 @@ def format_coordinate(value: float, width: int = 8, decimals: int = 3, field: st
 
 
 def _round_half_away(values: np.ndarray, width, decimals) -> tuple[np.ndarray, np.ndarray]:
-    """Round to F<width>.<decimals> in bulk; mask the values ``format_coordinate`` must settle."""
-    scale = 10.0**decimals
+    """Round to F<width>.<decimals> in bulk, as signed counts of the last digit's unit.
+
+    Also returns a mask of the values ``format_coordinate`` must settle.
+    """
     with np.errstate(invalid="ignore", over="ignore"):
-        scaled = np.abs(values) * scale
+        scaled = np.abs(values) * 10.0**decimals
         k = np.floor(scaled)
         frac = scaled - k
         k += frac >= 0.5
@@ -547,17 +674,17 @@ def _round_half_away(values: np.ndarray, width, decimals) -> tuple[np.ndarray, n
         limit = np.where(negative, 10.0 ** (width - 2), 10.0 ** (width - 1))
         settled = (np.abs(frac - 0.5) >= 1e-7) & (k < limit)
     # k == 0 is never negative here, so -0.000 is never emitted.
-    return np.where(negative, -k, k) / scale, ~settled
+    return np.where(negative, -k, k), ~settled
 
 
-def _checked_fields(structure: Structure, row: int, address: str, misfit: str | None) -> list[float]:
+def _checked_fields(structure: Structure, row: int, address: str, misfit: str | None) -> list[int]:
     """One atom's five fields through ``format_coordinate``; a PdbWriteError names the atom."""
     if misfit:
         raise PdbWriteError(f"atom {address}: {misfit}")
     values = [*structure.coords[row].tolist(), float(structure.occupancy[row]), float(structure.temp_factor[row])]
     columns = zip(values, (8, 8, 8, 6, 6), (3, 3, 3, 2, 2), ("coordinate",) * 3 + ("occupancy", "B-factor"))
     try:
-        return [float(format_coordinate(*column)) for column in columns]
+        return [int(format_coordinate(*column).replace(".", "")) for column in columns]
     except PdbWriteError as exc:
         raise PdbWriteError(f"atom {address}: {exc}") from None
 
@@ -581,13 +708,31 @@ def _misfit(serial, chain_id, res_seq, res_name, name="", alt_loc="", element=""
     return None
 
 
-def _aligned_name(name: str, element: str) -> str:
-    # One-letter elements start in column 14, longer names fill from column 13.
-    if len(name) == 4:
-        return name
-    if len(element) == 1:
-        return f" {name:<3}"
-    return f"{name:<4}"
+def _digit_codes(k: np.ndarray, places: int, decimals) -> np.ndarray:
+    """Codes of the (fields, records) integers k as (fields, places, records) right-aligned digits.
+
+    Field f is k / 10^decimals[f] without its point; each k fits, sign
+    included.  Left of the units, a place is blank while every digit up to
+    it is zero, and a minus sign takes the last blank place.
+    """
+    size, quotients = np.abs(k).astype(np.int32), np.empty((len(k), places, k.shape[1]), dtype=np.int32)
+    for place in range(places):  # one division by a constant per place, which NumPy vectorizes
+        np.floor_divide(size, 10 ** (places - 1 - place), out=quotients[:, place])
+    codes = quotients + 48
+    codes[:, 1:] -= 10 * quotients[:, :-1]
+    blank = (quotients == 0) & (np.arange(places)[:, None] < places - 1 - np.asarray(decimals)[:, None, None])
+    sign = blank & (k < 0)[:, None, :]
+    sign[:, :-1] &= ~blank[:, 1:]
+    codes[blank] = 32
+    codes[sign] = 45
+    return codes
+
+
+def _justified(justify, texts: np.ndarray, width: int) -> np.ndarray:
+    """Codes of each text padded with spaces to ``width`` by ``np.char.ljust`` or ``rjust``; each text fits."""
+    if not texts.size:  # NumPy 2's ljust and rjust fail on an empty array
+        return np.zeros((0, width), dtype="<u4")
+    return justify(texts, width).astype(f"U{width}").view("<u4").reshape(-1, width)
 
 
 def write_pdb(structure: Structure) -> str:
@@ -596,45 +741,73 @@ def write_pdb(structure: Structure) -> str:
     Records are numbered sequentially, each chain is closed with a TER
     record, and the file ends with END.  Coordinates use F8.3 fields; a
     value or name that does not fit its columns raises PdbWriteError
-    naming the first such atom in record order.  The columns are read
-    directly, one list per column.
+    naming the first such atom in record order, and a header that would not
+    read back as itself raises one naming the header.  The atom records
+    are written field by field into one array of code points, a line of
+    79 per atom with numbers as digit codes, and decoded once; the headers
+    and one TER line per chain are joined around them.
     """
     s = structure
+    headers = s.headers
+    for index, header in enumerate(headers):
+        # A line break splits a header; a record name makes it a record.
+        if header.splitlines() not in ([header], []) or header.startswith(("ATOM  ", "HETATM", "TER", "END")):
+            raise PdbWriteError(f"header {index} {header!r} would not read back as the same header line")
+    ids, atom_chain, atom_res = s.chain_ids(), s.atom_chains(), s.atom_residues()
+    # Each chain with residues ends in a TER record, which takes one serial.
+    closed = s.chain_starts[1:] > s.chain_starts[:-1]
+    serials = np.arange(1, s.n_atoms() + 1) + (np.cumsum(closed) - closed)[atom_chain]
+    ter_serials = (s.res_starts[s.chain_starts[1:]] + np.cumsum(closed)).tolist()
+    last_residues = (s.chain_starts[1:] - 1).tolist()
+    ter_fault = next(((c, fault) for c, r in enumerate(last_residues) if closed[c] and (
+        fault := _misfit(ter_serials[c], ids[c], int(s.res_seqs[r]), str(s.res_names[r])))), (len(ids), None))
+
     # x, y, z as F8.3, then occupancy and B-factor as F6.2.
-    rounded, unsettled = _round_half_away(
+    fields, unsettled = _round_half_away(
         np.column_stack([s.coords, s.occupancy, s.temp_factor]),
         np.array([8, 8, 8, 6, 6]), np.array([3, 3, 3, 2, 2]),
     )
-    fields = rounded.tolist()
-    unsettled = np.logical_or.reduce(list(unsettled.T)).tolist()  # column-wise: any(axis=1) is slower
-    names, alt_locs, elements = s.names.tolist(), s.alt_locs.tolist(), s.elements.tolist()
-    records = np.where(s.hetatm, "HETATM", "ATOM  ").tolist()
-    res_starts, res_seqs, res_names = s.res_starts.tolist(), s.res_seqs.tolist(), s.res_names.tolist()
-    chain_starts = s.chain_starts.tolist()
+    length = np.char.str_len
+    misfit = ((serials > 99999) | np.array([len(chain_id) != 1 for chain_id in ids], dtype=bool)[atom_chain]
+              | ((s.res_seqs < -999) | (s.res_seqs > 9999) | (length(s.res_names) > 3))[atom_res]
+              | (length(s.names) > 4) | (length(s.alt_locs) > 1) | (length(s.elements) > 2))
+    # Atoms that do not fit or that format_coordinate must round, up to the
+    # first TER record that does not fit: the first fault in record order.
+    for i in np.flatnonzero(misfit | unsettled.any(1)).tolist():
+        c, r = atom_chain[i], atom_res[i]
+        if c > ter_fault[0]:
+            break
+        res_seq, res_name, name = int(s.res_seqs[r]), str(s.res_names[r]), str(s.names[i])
+        fields[i] = _checked_fields(s, i, f"{ids[c]}.{res_name}{res_seq}.{name}", _misfit(
+            int(serials[i]), ids[c], res_seq, res_name, name, str(s.alt_locs[i]), str(s.elements[i])))
+    if ter_fault[1]:
+        raise PdbWriteError(f"TER record of chain {ids[ter_fault[0]]}: {ter_fault[1]}")
 
-    lines: list[str] = s.headers
-    serial = 1
-    for c, chain_id in enumerate(s.chain_ids()):
-        first, last = chain_starts[c], chain_starts[c + 1]
-        for r in range(first, last):
-            res_seq, res_name = res_seqs[r], res_names[r]
-            for i in range(res_starts[r], res_starts[r + 1]):
-                name, alt_loc, element = names[i], alt_locs[i], elements[i]
-                misfit = _misfit(serial, chain_id, res_seq, res_name, name, alt_loc, element)
-                if misfit or unsettled[i]:
-                    fields[i] = _checked_fields(s, i, f"{chain_id}.{res_name}{res_seq}.{name}", misfit)
-                # %-formatting skips the per-field __format__ call of an f-string.
-                lines.append("%s%5d %s%s%3s %s%4d    %8.3f%8.3f%8.3f%6.2f%6.2f          %2s" % (
-                    records[i], serial, _aligned_name(name, element), alt_loc or " ", res_name,
-                    chain_id, res_seq, *fields[i], element,
-                ))
-                serial += 1
-        if last > first:
-            res_seq, res_name = res_seqs[last - 1], res_names[last - 1]
-            misfit = _misfit(serial, chain_id, res_seq, res_name)
-            if misfit:
-                raise PdbWriteError(f"TER record of chain {chain_id}: {misfit}")
-            lines.append(f"TER   {serial:5d}      {res_name:>3} {chain_id}{res_seq:4d}")
-            serial += 1
-    lines.append("END")
-    return "\n".join(lines) + "\n"
+    names, alt_locs = _justified(np.char.ljust, s.names, 4), _justified(np.char.ljust, s.alt_locs, 1)
+    res_names, elements = _justified(np.char.rjust, s.res_names, 3), _justified(np.char.rjust, s.elements, 2)
+    chain_ids = np.array([ord(chain_id[:1] or " ") for chain_id in ids], dtype=np.int64)  # one character where written
+    # One-letter elements start in column 14, longer names fill from column 13.
+    shifted = (length(s.names) < 4) & (length(s.elements) == 1)
+    names = np.where(shifted[:, None], names[:, [3, 0, 1, 2]], names)  # the fourth column is blank
+    texts = (names, alt_locs, elements, res_names, chain_ids)
+    # Column by column, then transposed to records: one byte per code when all are ASCII.
+    out = np.full((79, s.n_atoms()), 32, dtype="<u4" if max(t.max(initial=0) for t in texts) > 127 else np.uint8)
+    out[:6] = np.where(s.hetatm, _codes("HETATM")[:, None], _codes("ATOM  ")[:, None])
+    out[12:16], out[16:17], out[17:20], out[21] = names.T, alt_locs.T, res_names.T[:, atom_res], chain_ids[atom_chain]
+    out[76:78], out[78] = elements.T, 10
+    # Seven places hold I5, I4 and F8.3 and, in their last five, F6.2; the point goes in after.
+    digits = _digit_codes(np.vstack([serials, s.res_seqs[atom_res], fields.T]), 7, [0, 0, 3, 3, 3, 2, 2])
+    out[6:11], out[22:26] = digits[0, 2:], digits[1, 3:]
+    xyz, extras = out[30:54].reshape(3, 8, -1), out[54:66].reshape(2, 6, -1)
+    xyz[:, :4], xyz[:, 4], xyz[:, 5:] = digits[2:5, :4], 46, digits[2:5, 4:]
+    extras[:, :3], extras[:, 3], extras[:, 4:] = digits[5:, 2:5], 46, digits[5:, 5:]
+    records = _text(np.ascontiguousarray(out.T))
+
+    parts = [header + "\n" for header in headers]
+    bounds = (79 * s.res_starts[s.chain_starts]).tolist()
+    for c, r in enumerate(last_residues):
+        if closed[c]:
+            parts += (records[bounds[c]:bounds[c + 1]],
+                      f"TER   {ter_serials[c]:5d}      {s.res_names[r]:>3} {ids[c]}{s.res_seqs[r]:4d}\n")
+    parts.append("END\n")
+    return "".join(parts)

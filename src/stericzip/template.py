@@ -25,7 +25,7 @@ from importlib import resources
 import numpy as np
 
 from .geometry import RigidTransform, SheetLattice, cbeta_position
-from .pdbio import Atom, Chain, Residue, Structure, parse_pdb
+from .pdbio import Atom, Chain, Residue, Structure, decode_pdb, parse_pdb
 
 # Lattice operations of the template crystal form.
 SHEET_FLIP_ROTATION = np.diag([1.0, -1.0, -1.0])
@@ -116,4 +116,4 @@ def template_path():
 
 def load_template() -> Structure:
     """Parse the packaged template file."""
-    return parse_pdb(template_path().read_text())
+    return parse_pdb(decode_pdb(template_path().read_bytes()))

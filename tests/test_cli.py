@@ -279,6 +279,43 @@ class TestEnergy:
         assert "line 4" in capsys.readouterr().err
 
 
+class TestNotUtf8:
+    """A file with one byte that is not UTF-8 fails with one located line and writes nothing."""
+
+    @pytest.fixture()
+    def latin1_template(self, tmp_path):
+        path = tmp_path / "latin1.pdb"
+        path.write_bytes(b"REMARK caf\xe9\n" + template_path().read_bytes())
+        return path
+
+    @pytest.mark.parametrize("command", ["build", "mutate", "transform", "energy"])
+    def test_input_exits_1_without_files(self, tmp_path, latin1_template, capsys, command):
+        out = tmp_path / "out.pdb"
+        args = {
+            "build": ("--template", latin1_template, "--sequence", "GAAAAG", "--out", out, "--seed", 1),
+            "mutate": ("--in", latin1_template, "--chain", "A", "--sequence", "GAAAAG", "--out", out),
+            "transform": ("--in", latin1_template, "--chain", "A", "--new-chain", "G",
+                          "--matrix", 1, 0, 0, 0, -1, 0, 0, 0, -1, "--translate", 0, 0, 0, "--out", out),
+            "energy": ("--in", latin1_template, "--report", out),
+        }[command]
+        assert run(command, *args) == 1
+        assert capsys.readouterr().err == (
+            "stericzip: error: line 1: byte 0xe9 is not UTF-8 text (invalid continuation byte)\n"
+        )
+        assert list(tmp_path.iterdir()) == [latin1_template]
+
+    def test_spec_exits_1_naming_the_spec(self, tmp_path, template_file, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b'{"model_name": "caf\xe9"}')
+        out = tmp_path / "s.pdb"
+        assert run("build", "--template", template_file, "--sequence", "GAAAAG", "--out", out, "--seed", 1,
+                   "--spec", spec) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stericzip: error: {spec}: ") and "can't decode byte 0xe9" in err
+        assert err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == sorted([template_file, spec])
+
+
 class TestBench:
     def test_unknown_suite_exits_2(self, tmp_path):
         assert run("bench", "--suite", "fancy", "--report", tmp_path / "b.json") == 2

@@ -3,6 +3,7 @@
 import math
 from dataclasses import FrozenInstanceError, replace
 from decimal import ROUND_HALF_UP, Decimal
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from stericzip import (
     synthetic_template,
     write_pdb,
 )
-from stericzip.pdbio import format_coordinate
+from stericzip import pdbio
+from stericzip.pdbio import _atom_columns, _infer_element, decode_pdb, format_coordinate
 
 SAMPLE_LINE = "ATOM      1  N   GLY A 127      1.000   2.000   3.000  1.00  0.00           N"
 
@@ -416,31 +418,158 @@ class TestBulkWriter:
 
 
 # Columns of the fields of an ATOM/HETATM record, and the edits made to them.
+# "tail" writes past column 80.  Besides faults, the edits hold text on
+# which a column decoder could differ from int(), float() and str.strip():
+# signs, underscores, exponents, non-ASCII digits and names, tabs and other
+# Unicode whitespace, and NULs, which a NumPy string drops when trailing.
 RECORD_FIELDS = {
-    "serial": (6, 11), "name": (12, 16), "res_name": (17, 20), "chain": (21, 22),
+    "serial": (6, 11), "name": (12, 16), "alt_loc": (16, 17), "res_name": (17, 20), "chain": (21, 22),
     "res_seq": (22, 26), "x": (30, 38), "y": (38, 46), "z": (46, 54),
-    "occupancy": (54, 60), "temp_factor": (60, 66), "element": (76, 78),
+    "occupancy": (54, 60), "temp_factor": (60, 66), "element": (76, 78), "tail": (80, 84),
 }
-FIELD_EDITS = ["nan", "inf", "-inf", "1e5", "-9999", "", "abc", "X"]
+FIELD_EDITS = [
+    "nan", "inf", "-inf", "1e5", "-9999", "", "abc", "X", "+3", "1_0", "1e2", "  1.5", "\u0663", "-0.000",
+    "C\u03b1", "A", "B", "\t", " \xa01", "1.5\t", "--1.000",
+]
+NUL_EDITS = ["\x00", "CA \x00"]
 TEMPLATE_LINES = write_pdb(synthetic_template()).splitlines()
 ATOM_LINES = [k for k, line in enumerate(TEMPLATE_LINES) if line.startswith("ATOM  ")]
 
 
 @st.composite
-def edited_templates(draw):
+def edited_templates(draw, edits=FIELD_EDITS):
     """The written template with one to four fields overwritten, LF or CRLF."""
     lines = list(TEMPLATE_LINES)
     for _ in range(draw(st.integers(1, 4))):
         k = draw(st.sampled_from(ATOM_LINES))
         start, stop = RECORD_FIELDS[draw(st.sampled_from(sorted(RECORD_FIELDS)))]
-        value = draw(st.sampled_from(FIELD_EDITS))[: stop - start].rjust(stop - start)
+        value = draw(st.sampled_from(edits))[: stop - start].rjust(stop - start)
         line = lines[k].ljust(80)
         lines[k] = (line[:start] + value + line[stop:]).rstrip()
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + newline
 
 
+# The record-by-record parser that the column parser replaced, kept as the
+# reference of the differential test.
+_REFERENCE_COLUMNS = itemgetter(
+    slice(6, 11), slice(12, 16), 16, slice(17, 20), 21, slice(22, 26),
+    slice(30, 38), slice(38, 46), slice(46, 54), slice(54, 60), slice(60, 66), slice(76, 78),
+)
+_REFERENCE_NUMBERS = (
+    (0, int, "serial"), (5, int, "residue number"), (6, float, "x coordinate"),
+    (7, float, "y coordinate"), (8, float, "z coordinate"), (9, float, "occupancy"),
+    (10, float, "temperature factor"),
+)
+
+
+def reference_malformed(columns, line_number):
+    for index, kind, what in _REFERENCE_NUMBERS:
+        text = columns[index].strip() if index >= 9 else columns[index]
+        try:
+            if text:
+                kind(text)
+        except ValueError:
+            return PdbParseError(f"malformed {what} field {text!r}", line_number)
+    raise AssertionError("every number column parses")
+
+
+def reference_parse_pdb(text):
+    """The parser one record at a time."""
+    headers, atoms = [], []
+    res_starts, res_seqs, res_names = [], [], []
+    chain_ids, chain_starts = [], []
+    open_chain = None
+    ended = False
+    for line_number, line in enumerate(text.splitlines(), start=1):
+        record = line[:6]
+        if ended and line.strip():
+            raise PdbParseError("content after END record", line_number)
+        if record in ("ATOM  ", "HETATM"):
+            if len(line) < 54:
+                raise PdbParseError("truncated coordinate record", line_number)
+            columns = _REFERENCE_COLUMNS(line.ljust(80))
+            alt_loc = columns[2].strip()
+            if alt_loc not in ("", "A"):
+                raise PdbParseError(f"unsupported alternate location {alt_loc!r}", line_number)
+            try:
+                serial, res_seq = int(columns[0]), int(columns[5])
+                x, y, z = float(columns[6]), float(columns[7]), float(columns[8])
+                occupancy = 1.0 if columns[9].isspace() else float(columns[9])
+                temp_factor = 0.0 if columns[10].isspace() else float(columns[10])
+            except ValueError:
+                raise reference_malformed(columns, line_number) from None
+            name, res_name, chain_id, element = columns[1].strip(), columns[3].strip(), columns[4], columns[11].strip()
+            if not name:
+                raise PdbParseError("empty atom name", line_number)
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise PdbParseError(f"atom {name}: non-finite position", line_number)
+            if not (math.isfinite(occupancy) and math.isfinite(temp_factor)):
+                raise PdbParseError(f"atom {name}: non-finite occupancy or temperature factor", line_number)
+            if serial < 1:
+                raise PdbParseError(f"atom {name}: serial must be >= 1", line_number)
+            if chain_id != open_chain:
+                if chain_id in chain_ids:
+                    raise PdbParseError(f"chain {chain_id!r} reopened after TER", line_number)
+                open_chain = chain_id
+                chain_ids.append(chain_id)
+                chain_starts.append(len(res_seqs))
+            if len(res_seqs) > chain_starts[-1] and res_seqs[-1] == res_seq:
+                if res_names[-1] != res_name:
+                    raise PdbParseError(f"residue {res_seq} renamed {res_names[-1]} -> {res_name}", line_number)
+            else:
+                res_starts.append(len(atoms))
+                res_seqs.append(res_seq)
+                res_names.append(res_name)
+            atoms.append((name, alt_loc, (x, y, z), occupancy, temp_factor, element or _infer_element(name),
+                          record == "HETATM"))
+        elif record.startswith(("TER", "END")):
+            open_chain = None
+            ended = record.startswith("END")
+        else:
+            headers.append(line)
+    try:
+        return Structure.from_columns(
+            headers, chain_ids, **_atom_columns(atoms), res_starts=res_starts + [len(atoms)], res_seqs=res_seqs,
+            res_names=res_names, chain_starts=chain_starts + [len(res_seqs)],
+        )
+    except StructureError as exc:
+        raise PdbParseError(str(exc)) from exc
+
+
+def assert_parses_as_reference(text):
+    """parse_pdb gives the reference's structure, bit for bit, or its error and line number."""
+    try:
+        expected = reference_parse_pdb(text)
+    except PdbParseError as exc:
+        with pytest.raises(PdbParseError) as err:
+            parse_pdb(text)
+        assert (str(err.value), err.value.line_number) == (str(exc), exc.line_number)
+        return
+    parsed = parse_pdb(text)
+    assert parsed == expected
+    for column in ("coords", "occupancy", "temp_factor"):
+        assert getattr(parsed, column).tobytes() == getattr(expected, column).tobytes()
+
+
 class TestEditedRecords:
+    @settings(max_examples=300, deadline=None)
+    @given(edited_templates(FIELD_EDITS + NUL_EDITS))
+    def test_parse_matches_the_record_by_record_reference(self, text):
+        assert_parses_as_reference(text)
+
+    @pytest.mark.parametrize("text", [
+        "", "END\n\n  \n", "END\nREMARK\n", "HEADER\r\nTER\r\nEND\r\n", "ATOM\nTER junk\nENDMDL\n",
+        SAMPLE_LINE + "\r" + SAMPLE_LINE.replace("   1  N", "   2  CA") + "\x1c" + "END\u2028",
+        SAMPLE_LINE + "\n" + SAMPLE_LINE.replace(" 127 ", " 126 ").replace("   1  N", "   2  CA") + "\n",
+        SAMPLE_LINE + "\nTER\n" + SAMPLE_LINE.replace("   1  N", "   2  CA") + "\n",
+        SAMPLE_LINE.replace("GLY", "TYR") + "\n" + SAMPLE_LINE.replace("   1  N", "   2  CA") + "\n",
+        SAMPLE_LINE[:30] + "   1.5e1" + SAMPLE_LINE[38:] + "\nEND\n",
+    ], ids=["empty", "blank-after-end", "header-after-end", "crlf", "short-records", "other-breaks",
+            "residue-order", "reopened", "renamed", "exponent"])
+    def test_edge_files_match_the_reference(self, text):
+        assert_parses_as_reference(text)
+
     @settings(max_examples=300, deadline=None)
     @given(edited_templates())
     def test_parse_rejects_or_round_trips(self, text):
@@ -456,6 +585,80 @@ class TestEditedRecords:
         except PdbWriteError:
             return
         assert write_pdb(parse_pdb(once)) == once
+
+
+class TestHeaders:
+    @pytest.mark.parametrize("header", [
+        "ENDMDL", "END", "TER junk", "TER", "ATOM  x", "HETATM", "REMARK a\nREMARK b", "REMARK a\x0cb",
+        "REMARK a\r", "REMARK a\u2028b",
+    ])
+    def test_header_that_would_not_read_back_is_a_write_error(self, header):
+        template = synthetic_template()
+        s = Structure(template.chains, ["REMARK first", header])
+        with pytest.raises(PdbWriteError, match=r"^header 1 "):
+            write_pdb(s)
+
+    def test_headers_that_read_back(self):
+        headers = ["REMARK   1 NOTE", "", "   ", "ATOM", "HEADER  TER"]
+        s = Structure(synthetic_template().chains, headers)
+        assert parse_pdb(write_pdb(s)).headers == headers
+
+
+def test_bytes_that_are_not_utf8_name_their_line():
+    data = write_pdb(synthetic_template()).encode()
+    assert decode_pdb(data) == data.decode()
+    with pytest.raises(PdbParseError, match=r"^line 3: byte 0xe9 is not UTF-8") as err:
+        decode_pdb(b"REMARK one\r\nREMARK two\rREMARK caf\xe9\n" + data)
+    assert err.value.line_number == 3
+
+
+def stacked_cells(model, cells, step):
+    """A fibril of ``cells`` copies of a twelve-chain model, stacked by translation."""
+    from stericzip import RigidTransform, transform_chain
+
+    chains, ids = list(model.chains), iter("MNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+    for k in range(1, cells):
+        shift = RigidTransform(np.eye(3), 3.0 * k * np.asarray(step))
+        chains += [transform_chain(model, chain_id, shift, new_id).chain(new_id)
+                   for chain_id, new_id in zip(model.chain_ids(), ids)]
+    return Structure(chains, model.headers)
+
+
+def test_canonical_files_take_no_per_cell_path(monkeypatch):
+    from stericzip import FibrilSpec, OptimizerConfig, build_fibril_model
+
+    spec = FibrilSpec(sequence="GAAAAG", optimizer=OptimizerConfig(max_evaluations=40_000, seed=0))
+    model, _ = build_fibril_model(load_template(), spec)
+    texts = [write_pdb(model), write_pdb(stacked_cells(model, 4, spec.lattice.intra_sheet_step))]
+    calls = []
+
+    def counted(function):
+        def wrapper(*args, **kwargs):
+            calls.append(function.__name__)
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pdbio, "_number", counted(pdbio._number))
+    monkeypatch.setattr(pdbio, "format_coordinate", counted(pdbio.format_coordinate))
+    for text in texts:
+        assert write_pdb(parse_pdb(text)) == text
+    assert parse_pdb(texts[1]).n_atoms() == 4 * model.n_atoms() and calls == []
+    line = next(line for line in texts[0].splitlines() if line.startswith("ATOM"))
+    structure = parse_pdb(line[:30] + "   1.5e1" + line[38:] + "\nEND\n")
+    assert calls == ["_number"] and structure.coords[0, 0] == 15.0
+
+
+def test_reads_and_writes_with_the_numpy_1_api(monkeypatch):
+    # The package supports NumPy 1.24, which lacks these names of NumPy 2.0.
+    class NumPy1(type(np)):
+        def __getattr__(self, name):
+            if name in ("strings", "concat", "astype", "permute_dims", "isdtype", "unique_values", "vecdot"):
+                raise AttributeError(f"NumPy 1 has no numpy.{name}")
+            return getattr(np, name)
+
+    text = write_pdb(load_template())
+    monkeypatch.setattr(pdbio, "np", NumPy1("numpy"))
+    assert write_pdb(parse_pdb(text)) == text and write_pdb(Structure([])) == "END\n"
 
 
 class TestSelectors:
