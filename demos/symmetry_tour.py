@@ -36,14 +36,14 @@ print("stacking step:", INTRA_SHEET_STEP, "\n")
 
 print("strand levels (chain, mean y, mean z):")
 for chain in full.chains:
-    centroid = chain.positions().mean(axis=0)
+    centroid = chain.coords.mean(axis=0)
     sheet = "sheet 1" if centroid[2] > 0 else "sheet 2"
-    print(f"  {chain.chain_id}: y = {centroid[1]:8.3f}   z = {centroid[2]:7.3f}   ({sheet})")
+    print(f"  {chain.chain_ids()[0]}: y = {centroid[1]:8.3f}   z = {centroid[2]:7.3f}   ({sheet})")
 
 # sheet 2 is the screw image of sheet 1, and neighbours within a
 # translation family differ by exactly one step
-a = full.chain("A").positions()
-assert np.array_equal(full.chain("G").positions(), screw.apply(a))
-assert np.array_equal(full.chain("C").positions(), a + INTRA_SHEET_STEP)
+a = full.chain("A").coords
+assert np.array_equal(full.chain("G").coords, screw.apply(a))
+assert np.array_equal(full.chain("C").coords, a + INTRA_SHEET_STEP)
 print("\nchain G is the screw image of chain A")
 print("chain C is chain A shifted by exactly", INTRA_SHEET_STEP)

@@ -2,10 +2,13 @@
 
 The package turns a two-chain beta-strand template into twelve-chain
 cross-beta fibril models: residues are mutated to an Ala/Gly hexapeptide,
-the opposing sheet is generated by the template's two-fold screw, the
-inter-sheet contact atoms are placed by simulated-annealing evolutionary
-minimization of a Lennard-Jones energy, and the lattice is completed by
-pure translations.  PDB input and output are byte-exact for files this
+the opposing sheet is generated by the template's two-fold screw, and its
+translation is the minimum of a Lennard-Jones energy over the inter-sheet
+contact atoms.  The geometry places those atoms: in closed form where at
+most two contacts can reach their floor, and otherwise by Newton descent
+from the template screw.  A seeded simulated-annealing evolutionary search
+only checks that answer.  The lattice is then completed by pure
+translations.  PDB input and output are byte-exact for files this
 package writes.
 """
 
@@ -71,13 +74,10 @@ from .optimize import (
     uniform_bounds,
 )
 from .pdbio import (
-    Atom,
     AtomSelector,
-    Chain,
-    Residue,
     Structure,
+    atom_row,
     parse_pdb,
-    select_atom,
     write_pdb,
 )
 from .template import (

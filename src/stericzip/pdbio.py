@@ -32,9 +32,10 @@ into one code array of the atom records, decoded to text once.
 A ``Structure`` is a frozen value: one (N, 3) coordinate block and one
 column per atom field, with residues and chains as index ranges.  Nothing
 in it can be written, so the layout checked at construction always holds,
-and every edit returns a new structure.  The frozen ``Atom``, ``Residue``
-and ``Chain`` are its construction input and the read-only views it hands
-out.  Serial numbers are not stored; the writer numbers every record.
+and every edit returns a new structure.  It is the only structure type: a
+chain is a one-chain structure, and structures are built from columns or
+by joining the chains of other structures.  Serial numbers are not stored;
+the writer numbers every record.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,75 +58,17 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Atom:
-    """One atom record, without the chain and residue identity its parents hold.
-
-    ``name`` is stored with PDB column alignment stripped; the writer
-    reconstructs the alignment from the element, which a structure infers
-    from the name when it is blank.  ``position`` is a 3-vector in
-    Angstroms.  ``serial`` is ignored on input; a view carries the number
-    the writer gives its record.  Atoms are equal when all other fields are.
-    """
+class Atom(NamedTuple):
+    """Read-only view of one atom record: its ``ATOM_COLUMNS`` fields and the serial the writer gives it."""
 
     name: str
     alt_loc: str
     position: np.ndarray
-    occupancy: float = 1.0
-    temp_factor: float = 0.0
-    element: str = ""
-    is_hetatm: bool = False
-    serial: int = 0
-
-    def __eq__(self, other):
-        if not isinstance(other, Atom):
-            return NotImplemented
-        fields = ("name", "alt_loc", "position", "occupancy", "temp_factor", "element", "is_hetatm")
-        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in fields)
-
-    def __repr__(self):
-        x, y, z = self.position
-        return f"<Atom {self.name} ({x:.3f}, {y:.3f}, {z:.3f})>"
-
-
-@dataclass(frozen=True)
-class Residue:
-    res_seq: int
-    res_name: str
-    atoms: tuple[Atom, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-
-    def atom(self, name: str) -> Atom | None:
-        return next((a for a in self.atoms if a.name == name), None)
-
-
-@dataclass(frozen=True)
-class Chain:
-    chain_id: str
-    residues: tuple[Residue, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "residues", tuple(self.residues))
-
-    def residue(self, res_seq: int) -> Residue | None:
-        return next((r for r in self.residues if r.res_seq == res_seq), None)
-
-    def atoms(self):
-        for r in self.residues:
-            yield from r.atoms
-
-    def n_atoms(self) -> int:
-        return sum(len(r.atoms) for r in self.residues)
-
-    def positions(self) -> np.ndarray:
-        """All atom positions as an (N, 3) array, in record order."""
-        return np.array([a.position for a in self.atoms()], dtype=np.float64).reshape(-1, 3)
-
-    def copy(self) -> "Chain":
-        """The chain itself: a frozen value needs no copy."""
-        return self
+    occupancy: float
+    temp_factor: float
+    element: str
+    is_hetatm: bool
+    serial: int
 
 
 # A structure's columns and their dtypes: the atom fields in the order of
@@ -144,11 +89,6 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
 
-def _atom_columns(rows: list[tuple]) -> dict:
-    """Atom columns from one field tuple per atom, in ``ATOM_COLUMNS`` order."""
-    return dict(zip(ATOM_COLUMNS, list(zip(*rows)) or [()] * len(ATOM_COLUMNS)))
-
-
 class Structure:
     """Ordered chains plus opaque header lines, as one frozen array value.
 
@@ -156,23 +96,30 @@ class Structure:
     the (N, 3) block.  Residue r holds atoms ``res_starts[r]:res_starts[r+1]``
     and has number ``res_seqs[r]`` and name ``res_names[r]``; chain c, named
     ``chain_ids()[c]``, holds residues ``chain_starts[c]:chain_starts[c+1]``.
+    A chain on its own is a one-chain structure.
 
-    Construction, from ``Chain`` inputs or by ``from_columns``, checks the
-    value once: finite fields, non-empty atom names, unique chain ids,
-    residue numbers strictly increasing within a chain and unique atom keys.
+    ``Structure(parts, headers)`` joins the chains of the structures in
+    ``parts``, in order; ``from_columns`` takes the columns themselves.
+    Either checks the value once: finite fields, non-empty atom names,
+    unique chain ids, residue numbers strictly increasing within a chain
+    and unique atom keys.
     """
 
     __slots__ = ("_headers", "_chain_ids", "_atom_res", "_atom_chain", *_DTYPES)
 
-    def __init__(self, chains=(), headers=()):
-        chains = list(chains)
-        residues = [r for c in chains for r in c.residues]
-        self._set(headers, [c.chain_id for c in chains], dict(
-            _atom_columns([(a.name, a.alt_loc, a.position, a.occupancy, a.temp_factor,
-                            a.element or _infer_element(a.name), a.is_hetatm) for r in residues for a in r.atoms]),
-            res_starts=_starts(len(r.atoms) for r in residues), res_seqs=[r.res_seq for r in residues],
-            res_names=[r.res_name for r in residues], chain_starts=_starts(len(c.residues) for c in chains),
-        ))
+    def __init__(self, parts=(), headers=()):
+        parts = list(parts)
+        if others := [type(part).__name__ for part in parts if not isinstance(part, Structure)]:
+            raise StructureError(f"a structure joins structures, not {others[0]}")
+
+        def joined(column):
+            return np.concatenate([column(part) for part in parts] or [[]])
+
+        self._set(headers, [chain_id for part in parts for chain_id in part._chain_ids], {
+            **{name: joined(attrgetter(name)) for name in _DTYPES},
+            "res_starts": _starts(joined(lambda part: np.diff(part.res_starts))),
+            "chain_starts": _starts(joined(lambda part: np.diff(part.chain_starts))),
+        })
 
     @classmethod
     def from_columns(cls, headers, chain_ids, **columns) -> "Structure":
@@ -251,9 +198,9 @@ class Structure:
         return list(self._headers)
 
     @property
-    def chains(self) -> list[Chain]:
-        """Read-only views of the chains, in order, as a new list."""
-        return [self._chain(c) for c in range(len(self._chain_ids))]
+    def chains(self) -> list[Structure]:
+        """Each chain as a one-chain structure with the headers, in order, as a new list."""
+        return [self.subset([chain_id]) for chain_id in self._chain_ids]
 
     def chain_ids(self) -> list[str]:
         return list(self._chain_ids)
@@ -263,15 +210,21 @@ class Structure:
             raise StructureError(f"no chain {chain_id!r} (have {self.chain_ids()})")
         return self._chain_ids.index(chain_id)
 
-    def chain(self, chain_id: str) -> Chain:
-        return self._chain(self.chain_index(chain_id))
+    def chain(self, chain_id: str) -> Structure:
+        """Chain ``chain_id`` as a one-chain structure with the headers."""
+        return self.subset([chain_id])
 
     def has_chain(self, chain_id: str) -> bool:
         return chain_id in self._chain_ids
 
     def atoms(self):
-        """Read-only views of every atom, in record order."""
-        yield from self._atoms(0, self.n_atoms())
+        """Read-only ``Atom`` views of every atom, in record order."""
+        # Kept because perfbench/workloads.py reads atom names from these views.
+        # Each chain's TER record takes one serial, as in the writer.
+        closed = np.diff(self.chain_starts) > 0
+        serials = np.arange(1, self.n_atoms() + 1) + (np.cumsum(closed) - closed)[self._atom_chain]
+        return map(Atom, *(getattr(self, k) if k == "coords" else getattr(self, k).tolist() for k in ATOM_COLUMNS),
+                   serials.tolist())
 
     def n_atoms(self) -> int:
         return len(self.coords)
@@ -289,13 +242,12 @@ class Structure:
         """Chain index of each atom: one read-only array, computed once at construction."""
         return self._atom_chain
 
-    def copy(self) -> "Structure":
-        """The structure itself: a frozen value needs no copy."""
+    # Kept because perfbench/ calls copy() and renumber_serials() and traces copy().
+    def copy(self) -> Structure:
+        """The structure itself: a frozen value needs no copy, and the writer numbers every record."""
         return self
 
-    def renumber_serials(self) -> "Structure":
-        """The structure itself: serials are not stored, the writer numbers every record."""
-        return self
+    renumber_serials = copy
 
     def subset(self, chain_ids) -> "Structure":
         """New structure of the named chains, in the given order, and the headers."""
@@ -316,22 +268,9 @@ class Structure:
             res_names=self.res_names[residues], chain_starts=_starts(last - first),
         )
 
-    def _atoms(self, start: int, stop: int) -> list[Atom]:
-        # Each chain's TER record takes one serial, as in the writer.
-        has_ter = np.diff(self.chain_starts) > 0
-        serials = np.arange(start + 1, stop + 1) + (np.cumsum(has_ter) - has_ter)[self._atom_chain[start:stop]]
-        fields = [getattr(self, k)[start:stop] for k in ATOM_COLUMNS] + [serials]
-        return [Atom(*row) for row in zip(*(f if f.ndim > 1 else f.tolist() for f in fields))]
 
-    def _chain(self, c: int) -> Chain:
-        first, last = self.chain_starts[c:c + 2].tolist()
-        starts = self.res_starts[first:last + 1].tolist()
-        atoms = self._atoms(starts[0], starts[-1])
-        return Chain(self._chain_ids[c], [
-            Residue(seq, name, atoms[a - starts[0]:b - starts[0]])
-            for seq, name, a, b in zip(self.res_seqs[first:last].tolist(), self.res_names[first:last].tolist(),
-                                       starts, starts[1:])
-        ])
+# Kept because perfbench/tracing.py patches pdbio.Chain.copy.
+Chain = Structure
 
 
 _SELECTOR_RE = re.compile(r"^(?P<chain>[A-Za-z0-9])\.(?P<res>[A-Z]{1,3})(?P<seq>\d+)\.(?P<atom>[A-Z0-9']{1,4})$")
@@ -400,12 +339,6 @@ def atom_row(structure: Structure, selector: AtomSelector | str) -> int:
     if not hits.size:
         raise AtomNotFoundError(f"no atom matches {selector}: atom not present in residue")
     return int(start + hits[0])
-
-
-def select_atom(structure: Structure, selector: AtomSelector | str) -> Atom:
-    """Read-only view of the unique atom addressed by ``selector``; errors as ``atom_row``."""
-    row = atom_row(structure, selector)
-    return structure._atoms(row, row + 1)[0]
 
 
 def _infer_element(name: str) -> str:
@@ -516,18 +449,13 @@ def _numbers(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, bad
 
 
-def _texts(grid: np.ndarray, start: int, stop: int, nul_rows: np.ndarray) -> np.ndarray:
-    """The text of columns start:stop of every row, as str.strip() leaves it.
+def _texts(grid: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The text of columns start:stop of every row, as str.strip() leaves it, for the rows that hold no NUL.
 
-    A NumPy string drops trailing NULs, which str.strip() keeps, so the
-    rows that hold a NUL are cut one by one.
+    A NumPy string drops trailing NULs, which str.strip() keeps.
     """
     block = np.ascontiguousarray(grid[:, start:stop], dtype="<u4")
-    texts = np.char.strip(block.view(f"U{stop - start}")[:, 0])
-    if nul_rows.size:
-        texts = texts.astype(object)
-        texts[nul_rows] = [_text(block[r]).strip() for r in nul_rows]
-    return texts
+    return np.char.strip(block.view(f"U{stop - start}")[:, 0])
 
 
 def decode_pdb(data: bytes) -> str:
@@ -553,7 +481,9 @@ def parse_pdb(text: str) -> Structure:
     spaces: a field is a column slice, canonical numbers are decoded by
     digit arithmetic, and chain and residue boundaries come from comparing
     neighbouring rows.  The error raised names the first faulty line and
-    its first fault, in the order of the checks below.
+    its first fault, in the order of the checks below.  A NUL in columns
+    1-78 of a coordinate record is a fault, since a NumPy string drops the
+    trailing NULs that a name or element would need to read back.
     """
     lines = text.splitlines()
     lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
@@ -580,9 +510,8 @@ def parse_pdb(text: str) -> Structure:
     grid[short, 54:] = np.where(np.arange(54, 78) < lengths[records[short], None], grid[short, 54:], 32)
     numbers, bad = _numbers(grid)
     serials, seqs, coords, extras = numbers[0], numbers[1], numbers[2:5], numbers[5:]
-    nul_rows = np.flatnonzero((grid == 0).any(1)) if "\x00" in text else np.array([], dtype=np.int64)
     names, alt_locs, res_names, elements = (
-        _texts(grid, start, stop, nul_rows) for start, stop in ((12, 16), (16, 17), (17, 20), (76, 78))
+        _texts(grid, start, stop) for start, stop in ((12, 16), (16, 17), (17, 20), (76, 78))
     )
 
     # A chain closes at TER and when another chain's records begin; a
@@ -600,7 +529,7 @@ def parse_pdb(text: str) -> Structure:
               if first_seen.setdefault(chain_id, row) != row][:1]] = True
 
     faults = np.array([
-        lengths[records] < 54, (alt_locs != "") & (alt_locs != "A"), bad.any(0), names == "",
+        lengths[records] < 54, (grid == 0).any(1), (alt_locs != "") & (alt_locs != "A"), bad.any(0), names == "",
         ~np.isfinite(coords).all(0), ~np.isfinite(extras).all(0), serials < 1, reopened, renamed,
     ])
     if faults.any():
@@ -609,7 +538,8 @@ def parse_pdb(text: str) -> Structure:
         cell = _text(grid[row, start:stop])
         name, res_name = names[row], res_names[row]
         messages = (
-            "truncated coordinate record", f"unsupported alternate location {str(alt_locs[row])!r}",
+            "truncated coordinate record", "NUL character in columns 1-78",
+            f"unsupported alternate location {str(alt_locs[row])!r}",
             # A blank occupancy or B-factor takes its default.
             f"malformed {what} field {(cell.strip() if start >= 54 else cell)!r}", "empty atom name",
             f"atom {name}: non-finite position", f"atom {name}: non-finite occupancy or temperature factor",

@@ -25,7 +25,7 @@ from importlib import resources
 import numpy as np
 
 from .geometry import RigidTransform, SheetLattice, cbeta_position
-from .pdbio import Atom, Chain, Residue, Structure, decode_pdb, parse_pdb
+from .pdbio import Structure, decode_pdb, parse_pdb
 
 # Lattice operations of the template crystal form.
 SHEET_FLIP_ROTATION = np.diag([1.0, -1.0, -1.0])
@@ -81,22 +81,13 @@ def default_lattice() -> SheetLattice:
     )
 
 
-def _build_strand(chain_id: str, y_shift: float) -> Chain:
-    shift = np.array([0.0, y_shift, PLANE_HEIGHT])
-    residues = []
-    for index, (res_seq, res_name) in enumerate(TEMPLATE_RESIDUES):
-        origin = np.array([RESIDUE_RISE * index, 0.0, 0.0]) + shift
-        positions = {name: origin + offset for name, offset in _BACKBONE_OFFSETS.items()}
-        if res_name != "GLY":
-            cb = cbeta_position(positions["N"], positions["CA"], positions["C"])
-            positions["CB"] = cb
-            for name, offset in _SIDE_CHAIN_OFFSETS[res_name]:
-                positions[name] = cb + offset
-        # Quantized to the F8.3 grid so the shipped file round-trips field for field.
-        atoms = [Atom(name=name, alt_loc="", position=np.round(positions[name], 3), element=_ELEMENTS[name])
-                 for name in ("N", "CA", "C", "O", "CB", "CG", "SD", "OG") if name in positions]
-        residues.append(Residue(res_seq, res_name, atoms))
-    return Chain(chain_id, residues)
+def _residue_atoms(origin: np.ndarray, res_name: str) -> dict[str, np.ndarray]:
+    """Positions of one template residue's atoms by name, in record order."""
+    atoms = {name: origin + offset for name, offset in _BACKBONE_OFFSETS.items()}
+    if res_name != "GLY":
+        atoms["CB"] = cb = cbeta_position(atoms["N"], atoms["CA"], atoms["C"])
+        atoms.update((name, cb + offset) for name, offset in _SIDE_CHAIN_OFFSETS[res_name])
+    return atoms
 
 
 def synthetic_template() -> Structure:
@@ -106,7 +97,21 @@ def synthetic_template() -> Structure:
         "REMARK   1 CHAINS A+B FORM ONE PARALLEL SHEET; SHEET TWO FOLLOWS BY THE",
         "REMARK   1 TWO-FOLD SCREW ABOUT X WITH TRANSLATION (9.075, 4.7765, 0.000)",
     ]
-    return Structure([_build_strand("A", 0.0), _build_strand("B", STRAND_SPACING)], headers)
+    names, positions, res_starts = [], [], [0]
+    for y_shift in (0.0, STRAND_SPACING):  # chains A and B
+        for index, (_, res_name) in enumerate(TEMPLATE_RESIDUES):
+            atoms = _residue_atoms(np.array([RESIDUE_RISE * index, y_shift, PLANE_HEIGHT]), res_name)
+            names += atoms
+            positions += atoms.values()
+            res_starts.append(len(names))
+    n = len(names)
+    # Quantized to the F8.3 grid so the shipped file round-trips field for field.
+    return Structure.from_columns(
+        headers, ["A", "B"], names=names, alt_locs=[""] * n, coords=np.round(positions, 3), occupancy=np.ones(n),
+        temp_factor=np.zeros(n), elements=[_ELEMENTS[name] for name in names], hetatm=np.zeros(n, dtype=bool),
+        res_starts=res_starts, res_seqs=[seq for seq, _ in TEMPLATE_RESIDUES] * 2,
+        res_names=[name for _, name in TEMPLATE_RESIDUES] * 2, chain_starts=np.arange(3) * len(TEMPLATE_RESIDUES),
+    )
 
 
 def template_path():

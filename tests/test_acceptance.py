@@ -14,6 +14,7 @@ from stericzip import (
     LJParams,
     OptimizerConfig,
     RigidTransform,
+    atom_row,
     build_fibril_model,
     hb_pair_energy,
     lj_cluster_energy,
@@ -22,7 +23,6 @@ from stericzip import (
     minimize_saec,
     parse_pdb,
     run_benchmark,
-    select_atom,
     solve_contact_placement,
     synthetic_template,
     uniform_bounds,
@@ -214,12 +214,12 @@ def test_pipeline_properties_on_template():
             assert report.success
 
             # stacking step applied exactly, both sheets
-            a = model.chain("A").positions()
-            g = model.chain("G").positions()
-            assert np.array_equal(model.chain("C").positions(), a + INTRA_SHEET_STEP)
-            assert np.array_equal(model.chain("E").positions(), a - INTRA_SHEET_STEP)
-            assert np.array_equal(model.chain("I").positions(), g + INTRA_SHEET_STEP)
-            assert np.array_equal(model.chain("K").positions(), g - INTRA_SHEET_STEP)
+            a = model.chain("A").coords
+            g = model.chain("G").coords
+            assert np.array_equal(model.chain("C").coords, a + INTRA_SHEET_STEP)
+            assert np.array_equal(model.chain("E").coords, a - INTRA_SHEET_STEP)
+            assert np.array_equal(model.chain("I").coords, g + INTRA_SHEET_STEP)
+            assert np.array_equal(model.chain("K").coords, g - INTRA_SHEET_STEP)
             assert INTRA_SHEET_STEP[1] == 9.5530
 
             assert report.hbond_count_after == report.hbond_count_before
@@ -246,8 +246,8 @@ def test_sheet_update_is_translation_only():
             # reported transform
             t = RigidTransform(rotation, np.array(report.sheet_transform[9:]))
             assert np.allclose(
-                model.chain("G").positions(),
-                t.apply(model.chain("A").positions()),
+                model.chain("G").coords,
+                t.apply(model.chain("A").coords),
                 atol=1e-9,
             )
         assert all(np.isfinite(t).all() for t in map(np.array, translations))
@@ -265,6 +265,7 @@ def test_pdb_round_trip_bytes():
         emitted = write_pdb(model)
         assert write_pdb(parse_pdb(emitted)) == emitted
 
-        cb = select_atom(parse_pdb(emitted), "A.ALA3.CB")
+        parsed = parse_pdb(emitted)
+        cb = parsed.coords[atom_row(parsed, "A.ALA3.CB")]
         line = next(l for l in emitted.splitlines() if " CB " in l and " A   3" in l)
-        assert line[30:38] == f"{cb.position[0]:8.3f}"
+        assert line[30:38] == f"{cb[0]:8.3f}"

@@ -5,24 +5,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from atom_rows import rows_of, structure_from_rows
 from stericzip import (
     PALINDROME_WINDOWS,
-    Chain,
     FibrilSpec,
     LJParams,
     MutationError,
     OptimizerConfig,
-    Residue,
     RigidTransform,
     SheetLattice,
     StericZipError,
-    Structure,
     apply_sequence,
+    atom_row,
     build_fibril_model,
     detect_hbonds,
     local_refine,
     mutate_residue,
-    select_atom,
     solve_contact_placement,
     synthetic_template,
     transform_chain,
@@ -47,11 +45,20 @@ def quick_config(seed=0, budget=40_000):
     return OptimizerConfig(max_evaluations=budget, seed=seed)
 
 
+def residue_atoms(structure, chain_id, res_seq):
+    """Name of residue ``res_seq`` of chain ``chain_id`` and its atoms' positions by name, in record order."""
+    chain = structure.chain(chain_id)
+    r = int(np.flatnonzero(chain.res_seqs == res_seq)[0])
+    rows = slice(*chain.res_starts[r:r + 2])
+    return str(chain.res_names[r]), dict(zip(chain.names[rows].tolist(), chain.coords[rows]))
+
+
 def backbone_positions(structure, chain_id):
     rows = []
-    for residue in structure.chain(chain_id).residues:
+    for res_seq in structure.chain(chain_id).res_seqs:
+        atoms = residue_atoms(structure, chain_id, res_seq)[1]
         for name in BACKBONE:
-            rows.append(residue.atom(name).position)
+            rows.append(atoms[name])
     return np.array(rows)
 
 
@@ -71,12 +78,12 @@ class TestSequenceValidation:
 class TestMutateResidue:
     def test_tyr_to_ala_keeps_cb_drops_rest(self):
         s = synthetic_template()
-        source_cb = select_atom(s, "A.TYR128.CB").position.copy()
+        source_cb = s.coords[atom_row(s, "A.TYR128.CB")].copy()
         out = mutate_residue(s, "A", 128, "ALA")
-        residue = out.chain("A").residue(128)
-        assert residue.res_name == "ALA"
-        assert sorted(a.name for a in residue.atoms) == ["C", "CA", "CB", "N", "O"]
-        assert np.array_equal(residue.atom("CB").position, source_cb)
+        res_name, atoms = residue_atoms(out, "A", 128)
+        assert res_name == "ALA"
+        assert sorted(atoms) == ["C", "CA", "CB", "N", "O"]
+        assert np.array_equal(atoms["CB"], source_cb)
 
     def test_gly_to_gly_is_identity(self):
         s = synthetic_template()
@@ -85,16 +92,14 @@ class TestMutateResidue:
 
     def test_met_to_gly_strips_side_chain(self):
         out = mutate_residue(synthetic_template(), "A", 129, "GLY")
-        residue = out.chain("A").residue(129)
-        assert sorted(a.name for a in residue.atoms) == ["C", "CA", "N", "O"]
+        assert sorted(residue_atoms(out, "A", 129)[1]) == ["C", "CA", "N", "O"]
 
     def test_gly_to_ala_constructs_tetrahedral_cb(self):
         s = synthetic_template()
         out = mutate_residue(s, "A", 131, "ALA")
-        residue = out.chain("A").residue(131)
-        new_atoms = [a.name for a in residue.atoms]
-        assert new_atoms == ["N", "CA", "C", "O", "CB"]
-        n, ca, c, cb = (residue.atom(x).position for x in ("N", "CA", "C", "CB"))
+        atoms = residue_atoms(out, "A", 131)[1]
+        assert list(atoms) == ["N", "CA", "C", "O", "CB"]
+        n, ca, c, cb = (atoms[x] for x in ("N", "CA", "C", "CB"))
         assert np.linalg.norm(cb - ca) == pytest.approx(1.521, abs=1e-3)
 
         def angle(p, q, r):
@@ -115,10 +120,7 @@ class TestMutateResidue:
 
     def test_missing_backbone_atom(self):
         s = synthetic_template()
-        chain = s.chain("A")
-        residues = [Residue(r.res_seq, r.res_name, [a for a in r.atoms if (r.res_seq, a.name) != (129, "CA")])
-                    for r in chain.residues]
-        s = Structure([Chain("A", residues), s.chain("B")], s.headers)
+        s = structure_from_rows([row for row in rows_of(s) if (row[0], row[1], row[3]) != ("A", 129, "CA")], s.headers)
         with pytest.raises(MutationError, match=r"^residue A\.MET129 lacks backbone atom CA$"):
             mutate_residue(s, "A", 129, "ALA")
 
@@ -130,12 +132,12 @@ class TestMutateResidue:
 class TestApplySequence:
     def test_renumbers_one_to_six(self):
         out = apply_sequence(synthetic_template(), "A", "GAAAAG")
-        assert [r.res_seq for r in out.chain("A").residues] == [1, 2, 3, 4, 5, 6]
-        assert [r.res_name for r in out.chain("A").residues] == [
+        assert out.chain("A").res_seqs.tolist() == [1, 2, 3, 4, 5, 6]
+        assert out.chain("A").res_names.tolist() == [
             "GLY", "ALA", "ALA", "ALA", "ALA", "GLY"
         ]
         # selectors of the placement problem resolve after renumbering
-        assert select_atom(out, "A.ALA3.CB").name == "CB"
+        assert out.names[atom_row(out, "A.ALA3.CB")] == "CB"
 
     def test_same_content_renumbers_only(self):
         first = apply_sequence(synthetic_template(), "A", "GAAAAG")
@@ -151,28 +153,28 @@ class TestApplySequence:
 
     def test_length_mismatch(self):
         s = synthetic_template()
-        s = Structure([Chain("A", s.chain("A").residues[:-1]), s.chain("B")], s.headers)
+        s = structure_from_rows([row for row in rows_of(s) if row[:2] != ("A", 132)], s.headers)
         with pytest.raises(MutationError):
             apply_sequence(s, "A", "GAAAAG")
 
     def test_one_build_makes_no_copies_and_no_atoms(self, monkeypatch):
         # Every stage edits the frozen arrays: a default build copies no
-        # structure or chain and constructs no Atom (it made 2 structure and
-        # 529 atom copies when each stage deep-copied a tree of atoms).
-        from stericzip.pdbio import Atom, Chain, Structure
+        # structure and makes no Atom view (it made 2 structure and 529 atom
+        # copies when each stage deep-copied a tree of atoms).
+        from stericzip import pdbio
 
         template = synthetic_template()
-        calls = {Structure: 0, Chain: 0, Atom: 0}
-        for cls, attr in ((Structure, "copy"), (Chain, "copy"), (Atom, "__init__")):
-            def counted(*args, _original=getattr(cls, attr), _cls=cls, **kwargs):
-                calls[_cls] += 1
+        calls = {"copy": 0, "Atom": 0}
+        for owner, attr in ((pdbio.Structure, "copy"), (pdbio, "Atom")):
+            def counted(*args, _original=getattr(owner, attr), _attr=attr, **kwargs):
+                calls[_attr] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(cls, attr, counted)
+            monkeypatch.setattr(owner, attr, counted)
         build_fibril_model(template, FibrilSpec(sequence="GAAAAG"))
-        assert calls == {Structure: 0, Chain: 0, Atom: 0}
-        select_atom(template, "A.GLY127.N")
-        assert calls[Atom] == 1
+        assert calls == {"copy": 0, "Atom": 0}
+        next(template.atoms())
+        assert calls["Atom"] == 1
 
 
 class TestPlacement:
@@ -330,8 +332,8 @@ def template_points(spec):
     work = apply_sequence(apply_sequence(synthetic_template(), "A", spec.sequence), "B", spec.sequence)
     base = spec.lattice.sheet2_transform
     work = transform_chain(transform_chain(work, "A", base, "G"), "B", base, "H")
-    anchors = np.array([select_atom(work, s).position for s in spec.anchor_selectors()])
-    free = np.array([select_atom(work, s).position for s in spec.free_selectors()])
+    anchors = np.array([work.coords[atom_row(work, s)] for s in spec.anchor_selectors()])
+    free = np.array([work.coords[atom_row(work, s)] for s in spec.free_selectors()])
     return anchors, free
 
 
@@ -586,9 +588,7 @@ class TestSeedAndFrameIndependence:
         spec = FibrilSpec(sequence="GAAAAG", optimizer=quick_config(2), full_sum=full_sum)
         model, _ = build_fibril_model(template, spec)
 
-        moved = Structure([Chain(c.chain_id, [
-            Residue(r.res_seq, r.res_name, [replace(a, position=frame.apply(a.position)) for a in r.atoms])
-            for r in c.residues]) for c in template.chains], template.headers)
+        moved = template.with_chains([(c, c) for c in template.chain_ids()], coords=frame.apply(template.coords))
         lattice = SheetLattice(
             frame.rotation @ spec.lattice.intra_sheet_step,
             frame.compose(spec.lattice.sheet2_transform).compose(frame.inverse()),
@@ -597,8 +597,8 @@ class TestSeedAndFrameIndependence:
         assert report.success and report.clashes == []
         assert moved_model.chain_ids() == model.chain_ids()
         for cid in model.chain_ids():
-            expected = frame.apply(model.chain(cid).positions())
-            assert np.allclose(moved_model.chain(cid).positions(), expected, rtol=0.0, atol=1e-9)
+            expected = frame.apply(model.chain(cid).coords)
+            assert np.allclose(moved_model.chain(cid).coords, expected, rtol=0.0, atol=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -620,7 +620,7 @@ class TestBuildPipeline:
     def test_six_residues_each(self, builds):
         model, _ = builds["GAAAAG"]
         for chain in model.chains:
-            assert [r.res_seq for r in chain.residues] == [1, 2, 3, 4, 5, 6]
+            assert chain.res_seqs.tolist() == [1, 2, 3, 4, 5, 6]
 
     def test_hbonds_conserved(self, builds):
         for _, report in builds.values():
@@ -648,18 +648,18 @@ class TestBuildPipeline:
 
     def test_residue_identities_differ_only_in_cb(self, builds):
         model, _ = builds["AGAAAA"]
-        names = [r.res_name for r in model.chain("A").residues]
+        names = model.chain("A").res_names.tolist()
         assert names == ["ALA", "GLY", "ALA", "ALA", "ALA", "ALA"]
-        assert model.chain("A").residue(2).atom("CB") is None
-        assert model.chain("A").residue(1).atom("CB") is not None
+        assert "CB" not in residue_atoms(model, "A", 2)[1]
+        assert "CB" in residue_atoms(model, "A", 1)[1]
 
     def test_intra_sheet_spacing_exact(self, builds):
         from stericzip.template import INTRA_SHEET_STEP
 
         model, _ = builds["GAAAAG"]
-        a = model.chain("A").positions()
-        assert np.array_equal(model.chain("C").positions(), a + INTRA_SHEET_STEP)
-        assert np.array_equal(model.chain("E").positions(), a - INTRA_SHEET_STEP)
+        a = model.chain("A").coords
+        assert np.array_equal(model.chain("C").coords, a + INTRA_SHEET_STEP)
+        assert np.array_equal(model.chain("E").coords, a - INTRA_SHEET_STEP)
 
     def test_deterministic_output_bytes(self):
         template = synthetic_template()
@@ -681,7 +681,7 @@ class TestBuildPipeline:
         assert [w for w in report.warnings if "G, H ignored" in w]
         for contact in report.contacts:
             measured = np.linalg.norm(
-                select_atom(model, contact["anchor"]).position - select_atom(model, contact["free"]).position
+                model.coords[atom_row(model, contact["anchor"])] - model.coords[atom_row(model, contact["free"])]
             )
             assert measured == pytest.approx(contact["distance"], abs=1e-9)
             assert contact["distance"] == pytest.approx(spec.lj.r_min, abs=1e-6)

@@ -141,7 +141,7 @@ class TestMutate:
         assert run("mutate", "--in", template_file, "--chain", "A",
                    "--sequence", "GAAAAG", "--out", out) == 0
         s = parse_pdb(out.read_text())
-        assert [r.res_name for r in s.chain("A").residues] == [
+        assert s.chain("A").res_names.tolist() == [
             "GLY", "ALA", "ALA", "ALA", "ALA", "GLY"
         ]
 

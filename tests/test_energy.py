@@ -5,17 +5,16 @@ search in extended precision for potential minima, and central finite
 differences for gradients.
 """
 
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from atom_rows import rows_of, structure_from_rows
 from stericzip import (
-    Atom,
     AtomSelector,
-    Chain,
     ContactPair,
     FibrilSpec,
     HBond,
@@ -23,7 +22,6 @@ from stericzip import (
     LJABParams,
     LJParams,
     OptimizerConfig,
-    Residue,
     SingularityError,
     StericZipError,
     Structure,
@@ -39,12 +37,12 @@ from stericzip import (
     lj_from_ab,
     lj_pair_energy,
     load_template,
-    select_atom,
     structure_energy_report,
     synthetic_template,
     write_pdb,
 )
 from stericzip.energy import MIN_PAIR_DISTANCE, _distances, _neighbour_pairs, contact_report
+from stericzip.pdbio import atom_addresses, atom_row
 from stericzip.template import DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS
 
 R_MIN_FACTOR = 2.0 ** (1.0 / 6.0)
@@ -277,14 +275,9 @@ class TestGradient:
             lj_cluster_gradient([0, 0, 0, 0, 0, 0], REDUCED)
 
 
-def atom_at(name, xyz):
-    return Atom(serial=1, name=name, alt_loc="", position=np.array(xyz, dtype=float),
-                occupancy=1.0, temp_factor=0.0, element=name[0])
-
-
 def two_atom_structure(a, b):
     """Two one-residue ALA chains from (chain id, residue number, atom name, position) rows."""
-    return Structure([Chain(cid, [Residue(seq, "ALA", [atom_at(name, xyz)])]) for cid, seq, name, xyz in (a, b)])
+    return structure_from_rows([(cid, seq, "ALA", name, xyz) for cid, seq, name, xyz in (a, b)])
 
 
 class TestHBondDetection:
@@ -299,9 +292,7 @@ class TestHBondDetection:
         assert detect_hbonds(s) == []
 
     def test_adjacent_residues_excluded(self):
-        n = atom_at("N", (0, 0, 0))
-        o = atom_at("O", (2.2, 0, 0))
-        s = Structure([Chain("A", [Residue(2, "ALA", [o]), Residue(3, "ALA", [n])])])
+        s = structure_from_rows([("A", 2, "ALA", "O", (2.2, 0, 0)), ("A", 3, "ALA", "N", (0, 0, 0))])
         assert detect_hbonds(s) == []
 
     def test_no_backbone_atoms_empty(self):
@@ -317,9 +308,7 @@ class TestHBondDetection:
         q, r = np.linalg.qr(rng.standard_normal((3, 3)))
         q = q * np.sign(np.diag(r))
         shift = rng.standard_normal(3) * 20
-        moved = Structure([Chain(c.chain_id, [
-            Residue(r.res_seq, r.res_name, [replace(a, position=q @ a.position + shift) for a in r.atoms])
-            for r in c.residues]) for c in s.chains], s.headers)
+        moved = s.with_chains([(c, c) for c in s.chain_ids()], coords=s.coords @ q.T + shift)
         assert len(detect_hbonds(moved)) == count
 
     def test_template_ladder_count(self):
@@ -338,18 +327,16 @@ class TestClashAudit:
         assert clashes[0][2] == pytest.approx(1.5, abs=1e-12)
 
     def test_sorted_ascending(self):
-        s = Structure([
-            Chain("A", [Residue(1, "ALA", [atom_at("CB", (0, 0, 0))])]),
-            Chain("B", [Residue(1, "ALA", [atom_at("CB", (1.8, 0, 0))])]),
-            Chain("C", [Residue(1, "ALA", [atom_at("CB", (-1.2, 0, 0))])]),
+        s = structure_from_rows([
+            ("A", 1, "ALA", "CB", (0, 0, 0)),
+            ("B", 1, "ALA", "CB", (1.8, 0, 0)),
+            ("C", 1, "ALA", "CB", (-1.2, 0, 0)),
         ])
         distances = [d for _, _, d in clash_audit(s, 2.0)]
         assert distances == sorted(distances)
 
     def test_peptide_bond_exempt(self):
-        c = atom_at("C", (0, 0, 0))
-        n = atom_at("N", (1.33, 0, 0))
-        s = Structure([Chain("A", [Residue(1, "ALA", [c]), Residue(2, "ALA", [n])])])
+        s = structure_from_rows([("A", 1, "ALA", "C", (0, 0, 0)), ("A", 2, "ALA", "N", (1.33, 0, 0))])
         assert clash_audit(s, 2.0) == []
 
     def test_template_clean_at_two_angstroms(self):
@@ -363,8 +350,7 @@ class TestClashAudit:
 def test_renamed_chain_and_residue_name_every_record_and_audit():
     # Identity lives on the chain and residue only, so a chain and residue
     # renamed at construction name the atoms in the file and in both audits.
-    s = Structure([Chain("A", [Residue(7, "GLY", [atom_at("N", (0, 0, 0))])]),
-                   Chain("Z", [Residue(3, "ALA", [atom_at("O", (1.5, 0, 0))])])])
+    s = structure_from_rows([("A", 7, "GLY", "N", (0, 0, 0)), ("Z", 3, "ALA", "O", (1.5, 0, 0))])
     records = [(line[17:20], line[21], int(line[22:26])) for line in write_pdb(s).splitlines()
                if line.startswith("ATOM")]
     assert records == [("GLY", "A", 7), ("ALA", "Z", 3)]
@@ -392,33 +378,27 @@ def test_potential_parameters_must_be_finite_and_positive(kind, bad, position):
         kind(*values)
 
 
-def sites(structure):
-    """(chain id, residue, atom) of every atom, in record order."""
-    return [(c.chain_id, r, a) for c in structure.chains for r in c.residues for a in r.atoms]
-
-
 def dense_audits(structure, cutoff):
     """Reference: both audits from the full N x N distance matrix, in its row-major order."""
-    rows = sites(structure)
-    pos = np.array([a.position for _, _, a in rows]).reshape(-1, 3)
+    rows = rows_of(structure)
+    pos = np.array([position for *_, position in rows]).reshape(-1, 3)
     dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
     clashes, bonds = [], []
     for i, j in zip(*np.nonzero(dist <= cutoff)):
-        (a_chain, a_res, a), (b_chain, b_res, b) = rows[i], rows[j]
-        a_seq, b_seq = a_res.res_seq, b_res.res_seq
+        (a_chain, a_seq, _, a_name, _), (b_chain, b_seq, _, b_name, _) = rows[i], rows[j]
         near = a_chain == b_chain and abs(a_seq - b_seq) <= 1
-        peptide = (a.name, b.name, b_seq - a_seq) in (("C", "N", 1), ("N", "C", -1))
+        peptide = (a_name, b_name, b_seq - a_seq) in (("C", "N", 1), ("N", "C", -1))
         if i < j and dist[i, j] < cutoff and not (near and (a_seq == b_seq or peptide)):
             clashes.append((i, j, float(dist[i, j]).hex()))
-        if a.name == "N" and b.name == "O" and not near:
+        if a_name == "N" and b_name == "O" and not near:
             bonds.append((i, j, float(dist[i, j]).hex()))
-    key = {k: (chain_id, residue.res_seq) for k, (chain_id, residue, _) in enumerate(rows)}
+    key = {k: (chain_id, res_seq) for k, (chain_id, res_seq, *_) in enumerate(rows)}
     return sorted(clashes, key=lambda c: float.fromhex(c[2])), sorted(bonds, key=lambda b: key[b[0]] + key[b[1]])
 
 
 def fast_audits(structure, cutoff):
     """Both audits with each atom address replaced by the atom's record index."""
-    index = {f"{cid}.{r.res_name}{r.res_seq}.{a.name}": k for k, (cid, r, a) in enumerate(sites(structure))}
+    index = {address: k for k, address in enumerate(atom_addresses(structure, range(structure.n_atoms())))}
     clashes = [(index[a], index[b], d.hex()) for a, b, d in clash_audit(structure, cutoff)]
     bonds = [(index[b.donor], index[b.acceptor], b.distance.hex()) for b in detect_hbonds(structure, cutoff)]
     return clashes, bonds
@@ -426,11 +406,10 @@ def fast_audits(structure, cutoff):
 
 def cloud_structure(atoms):
     """Structure from (chain, residue, name, position) rows, grouped in row order."""
-    chains = {}
-    for chain_id, res_seq, name, position in atoms:
-        chains.setdefault(chain_id, {}).setdefault(res_seq, []).append(atom_at(name, position))
-    return Structure([Chain(cid, [Residue(r, "ALA", residues[r]) for r in sorted(residues)])
-                      for cid, residues in chains.items()])
+    chain_ids = list(dict.fromkeys(chain_id for chain_id, *_ in atoms))
+    # A stable sort: each residue's atoms keep their row order.
+    rows = sorted(atoms, key=lambda row: (chain_ids.index(row[0]), row[1]))
+    return structure_from_rows([(chain_id, res_seq, "ALA", name, xyz) for chain_id, res_seq, name, xyz in rows])
 
 
 @st.composite
@@ -529,8 +508,7 @@ class TestNeighbourSearch:
         # may grow no faster than the atom count, with room for the ends.
         spec = FibrilSpec(sequence="GAAAAG")
         model, _ = build_fibril_model(load_template(), spec)
-        pos = np.array([a.position for a in model.atoms()])
-        names = np.array([a.name for a in model.atoms()])
+        pos, names = model.coords, model.names
         period = 3.0 * spec.lattice.intra_sheet_step
 
         def stack(points, cells):
@@ -566,9 +544,9 @@ class TestEnergyReport:
         assert report["parameters"]["sigma"] == sigma and report["parameters"]["epsilon"] == 1.0
         assert len(report["contacts"]) == 2
         for pair, row in zip(default_contacts(), report["contacts"]):
-            first, second = select_atom(gaaaag_model, pair.first), select_atom(gaaaag_model, pair.second)
+            first, second = (gaaaag_model.coords[atom_row(gaaaag_model, atom)] for atom in (pair.first, pair.second))
             assert (row["first"], row["second"]) == (str(pair.first), str(pair.second))
-            assert row["distance"] == pytest.approx(np.linalg.norm(first.position - second.position), abs=1e-12)
+            assert row["distance"] == pytest.approx(np.linalg.norm(first - second), abs=1e-12)
             assert row["energy"] == lj_pair_energy(row["distance"], lj)
             assert row["energy"] == pytest.approx(energy, abs=5e-5)
             assert row["optimal_distance"] == lj.r_min

@@ -9,6 +9,7 @@ from stericzip import (
     RigidTransform,
     SheetLattice,
     StructureError,
+    atom_row,
     cbeta_position,
     parse_pdb,
     reconcile_translation,
@@ -69,7 +70,7 @@ class TestCompose:
         with_i = transform_chain(with_g, "G", step, "I")
         direct = transform_chain(s, "A", step.compose(sheet_screw()), "I")
         assert np.allclose(
-            with_i.chain("I").positions(), direct.chain("I").positions(), atol=1e-12
+            with_i.chain("I").coords, direct.chain("I").coords, atol=1e-12
         )
 
     def test_inverse_restores(self):
@@ -105,28 +106,28 @@ class TestTransformChain:
     def test_reflected_copy(self):
         s = synthetic_template()
         out = transform_chain(s, "A", sheet_screw(), "G")
-        a = s.chain("A").positions()
-        g = out.chain("G").positions()
+        a = s.chain("A").coords
+        g = out.chain("G").coords
         assert np.allclose(g, a @ SHEET_FLIP_ROTATION.T + TEMPLATE_SHEET_TRANSLATION, atol=0)
         assert out.chain("G").n_atoms() == s.chain("A").n_atoms()
 
     def test_identity_duplicates_coordinates(self):
         s = synthetic_template()
         out = transform_chain(s, "A", RigidTransform.identity(), "X")
-        assert np.array_equal(out.chain("X").positions(), s.chain("A").positions())
+        assert np.array_equal(out.chain("X").coords, s.chain("A").coords)
 
     def test_translation_only_builds_stacked_chain(self):
         s = synthetic_template()
         step = RigidTransform(np.eye(3), INTRA_SHEET_STEP)
         out = transform_chain(s, "A", step, "C")
-        assert np.array_equal(out.chain("C").positions(), s.chain("A").positions() + INTRA_SHEET_STEP)
+        assert np.array_equal(out.chain("C").coords, s.chain("A").coords + INTRA_SHEET_STEP)
 
     def test_inverse_restores_coordinates(self):
         s = synthetic_template()
         t = sheet_screw()
         out = transform_chain(s, "A", t, "G")
         out = transform_chain(out, "G", t.inverse(), "X")
-        assert np.allclose(out.chain("X").positions(), s.chain("A").positions(), atol=1e-9)
+        assert np.allclose(out.chain("X").coords, s.chain("A").coords, atol=1e-9)
 
     def test_missing_chain(self):
         with pytest.raises(StructureError):
@@ -150,18 +151,18 @@ class TestReplicate:
 
     def test_step_offsets_exact(self):
         full = replicate_lattice(synthetic_template(), default_lattice())
-        a = full.chain("A").positions()
-        assert np.array_equal(full.chain("E").positions(), a - INTRA_SHEET_STEP)
-        assert np.array_equal(full.chain("C").positions(), a + INTRA_SHEET_STEP)
-        g = full.chain("G").positions()
-        assert np.array_equal(full.chain("I").positions(), g + INTRA_SHEET_STEP)
-        assert np.array_equal(full.chain("K").positions(), g - INTRA_SHEET_STEP)
+        a = full.chain("A").coords
+        assert np.array_equal(full.chain("E").coords, a - INTRA_SHEET_STEP)
+        assert np.array_equal(full.chain("C").coords, a + INTRA_SHEET_STEP)
+        g = full.chain("G").coords
+        assert np.array_equal(full.chain("I").coords, g + INTRA_SHEET_STEP)
+        assert np.array_equal(full.chain("K").coords, g - INTRA_SHEET_STEP)
 
     def test_translation_family_centroid_offsets_are_step_multiples(self):
         full = replicate_lattice(synthetic_template(), default_lattice())
         step_y = INTRA_SHEET_STEP[1]
         for family in (("E", "A", "C"), ("F", "B", "D"), ("K", "G", "I"), ("L", "H", "J")):
-            centroids = [full.chain(c).positions().mean(axis=0) for c in family]
+            centroids = [full.chain(c).coords.mean(axis=0) for c in family]
             for i in range(len(centroids)):
                 for j in range(len(centroids)):
                     dy = centroids[i][1] - centroids[j][1]
@@ -191,8 +192,8 @@ class TestReplicate:
         lattice = SheetLattice(INTRA_SHEET_STEP, RigidTransform(SHEET_FLIP_ROTATION, [9.0, 4.0, -1.5]))
         full = replicate_lattice(unit, lattice)
         for new_id, src_id in (("G", "A"), ("H", "B")):
-            expected = [lattice.sheet2_transform.apply(p) for p in unit.chain(src_id).positions()]
-            assert np.array_equal(full.chain(new_id).positions(), np.array(expected))
+            expected = [lattice.sheet2_transform.apply(p) for p in unit.chain(src_id).coords]
+            assert np.array_equal(full.chain(new_id).coords, np.array(expected))
         # Headers are carried over and serials follow the writer's numbering.
         assert full.headers == unit.headers
         written = parse_pdb(write_pdb(full))
@@ -240,8 +241,7 @@ class TestReconcile:
 class TestCBetaConstruction:
     def test_geometry_from_template_backbone(self):
         s = synthetic_template()
-        res = s.chain("A").residue(129)
-        n, ca, c = (res.atom(x).position for x in ("N", "CA", "C"))
+        n, ca, c = (s.coords[atom_row(s, f"A.MET129.{x}")] for x in ("N", "CA", "C"))
         cb = cbeta_position(n, ca, c)
         assert np.linalg.norm(cb - ca) == pytest.approx(1.521, abs=1e-9)
 

@@ -1,7 +1,6 @@
 """Fixed-column parsing, byte-exact emission, and atom selection."""
 
 import math
-from dataclasses import FrozenInstanceError, replace
 from decimal import ROUND_HALF_UP, Decimal
 from operator import itemgetter
 
@@ -10,53 +9,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atom_rows import structure_from_rows
 from stericzip import (
-    Atom,
     AtomNotFoundError,
     AtomSelector,
-    Chain,
     PdbParseError,
     PdbWriteError,
-    Residue,
     ResidueMismatchError,
     SelectionError,
     Structure,
     StructureError,
+    atom_row,
     load_template,
     parse_pdb,
-    select_atom,
     synthetic_template,
     write_pdb,
 )
 from stericzip import pdbio
-from stericzip.pdbio import _atom_columns, _infer_element, decode_pdb, format_coordinate
+from stericzip.pdbio import ATOM_COLUMNS, _infer_element, atom_addresses, decode_pdb, format_coordinate
 
 SAMPLE_LINE = "ATOM      1  N   GLY A 127      1.000   2.000   3.000  1.00  0.00           N"
 
 
-def make_atom(serial=1, name="CA", position=(0.0, 0.0, 0.0), element="C"):
-    return Atom(serial=serial, name=name, alt_loc="", position=np.array(position),
-                occupancy=1.0, temp_factor=0.0, element=element)
-
-
-def single_atom_structure(position=(1.0, 2.0, 3.0)):
-    atom = make_atom(position=position)
-    return Structure([Chain("A", [Residue(1, "ALA", [atom])])])
+def single_atom_structure(position=(1.0, 2.0, 3.0), **columns):
+    """One CA atom of residue ALA1 in chain A; ``columns`` replaces whole atom columns."""
+    return structure_from_rows([("A", 1, "ALA", "CA", position)], **columns)
 
 
 class TestParse:
     def test_fixed_column_example(self):
         s = parse_pdb(SAMPLE_LINE + "\nEND\n")
-        chain = s.chains[0]
-        residue = chain.residues[0]
-        atom = residue.atoms[0]
-        assert atom.serial == 1
-        assert atom.name == "N"
-        assert residue.res_name == "GLY"
-        assert chain.chain_id == "A"
-        assert residue.res_seq == 127
-        assert np.array_equal(atom.position, [1.0, 2.0, 3.0])
-        assert atom.element == "N"
+        assert next(s.atoms()).serial == 1
+        assert s.names.tolist() == ["N"]
+        assert s.res_names.tolist() == ["GLY"]
+        assert s.chain_ids() == ["A"]
+        assert s.res_seqs.tolist() == [127]
+        assert np.array_equal(s.coords, [[1.0, 2.0, 3.0]])
+        assert s.elements.tolist() == ["N"]
 
     def test_empty_input(self):
         assert parse_pdb("").chains == []
@@ -127,21 +116,19 @@ class TestParse:
     def test_hetatm_record_round_trips(self):
         line = "HETATM    1  O   HOH A 201      1.000   2.000   3.000  1.00  0.00           O"
         s = parse_pdb(line + "\nEND\n")
-        atom = next(s.atoms())
-        assert atom.is_hetatm
+        assert s.hetatm.tolist() == [True]
         assert write_pdb(s).splitlines()[0].startswith("HETATM")
         assert parse_pdb(write_pdb(s)) == s
 
     def test_blank_occupancy_and_temp_default(self):
         line = SAMPLE_LINE[:54] + " " * 12 + SAMPLE_LINE[66:]
-        atom = next(parse_pdb(line + "\nEND\n").atoms())
-        assert atom.occupancy == 1.0
-        assert atom.temp_factor == 0.0
+        s = parse_pdb(line + "\nEND\n")
+        assert s.occupancy.tolist() == [1.0]
+        assert s.temp_factor.tolist() == [0.0]
 
     def test_missing_element_inferred_from_name(self):
         line = SAMPLE_LINE[:76] + "  "
-        atom = next(parse_pdb(line + "\nEND\n").atoms())
-        assert atom.element == "N"
+        assert parse_pdb(line + "\nEND\n").elements.tolist() == ["N"]
 
 
 class TestWrite:
@@ -182,9 +169,7 @@ class TestWrite:
             write_pdb(parse_pdb(line + "\nEND\n"))
 
     def test_serials_renumbered_and_ter_end(self):
-        atoms = [make_atom(serial=99, name="N", element="N"),
-                 make_atom(serial=98, name="CA")]
-        s = Structure([Chain("A", [Residue(1, "ALA", atoms)])])
+        s = structure_from_rows([("A", 1, "ALA", "N", (0.0, 0.0, 0.0)), ("A", 1, "ALA", "CA", (0.0, 0.0, 0.0))])
         lines = write_pdb(s).splitlines()
         assert lines[0][6:11] == "    1"
         assert lines[1][6:11] == "    2"
@@ -226,23 +211,23 @@ class TestWrite:
          "alt-loc", "element"],
 )
 def test_field_that_does_not_fit_names_field_and_atom(chain_id, res_seq, atom_edit, message):
-    atom = replace(make_atom(), **{k: v for k, v in atom_edit.items() if k != "res_name"})
-    residue = Residue(res_seq, atom_edit.get("res_name", "ALA"), [atom])
-    s = Structure([Chain(chain_id, [residue])])
+    row = (chain_id, res_seq, atom_edit.get("res_name", "ALA"), atom_edit.get("name", "CA"), (0.0, 0.0, 0.0))
+    s = structure_from_rows([row], alt_locs=[atom_edit.get("alt_loc", "")], elements=[atom_edit.get("element", "C")])
     with pytest.raises(PdbWriteError, match=f"^{message}$"):
         write_pdb(s)
 
 
 def serial_overflow_structure(first_residue_atoms, extra_chain_atoms):
-    """Ten shared atoms per residue, so ~100,000 records cost little to build."""
-    names = [f"C{k}" for k in range(10)]
-    atoms = [make_atom(name=name, element="C") for name in names]
-    residues = [Residue(0, "ALA", atoms[:first_residue_atoms])]
-    residues += [Residue(seq, "ALA", atoms) for seq in range(1, 10_000)]
-    chains = [Chain("A", residues)]
-    if extra_chain_atoms:
-        chains.append(Chain("B", [Residue(1, "ALA", atoms[:extra_chain_atoms])]))
-    return Structure(chains)
+    """Ten atoms C0-C9 per residue, after a first residue of ``first_residue_atoms`` (~100,000 records)."""
+    n = first_residue_atoms + 99_990 + extra_chain_atoms
+    residue_sizes = [first_residue_atoms] + [10] * 9_999 + [extra_chain_atoms] * bool(extra_chain_atoms)
+    return Structure.from_columns(
+        (), ["A", "B"][:1 + bool(extra_chain_atoms)], names=[f"C{k}" for size in residue_sizes for k in range(size)],
+        alt_locs=[""] * n, coords=np.zeros((n, 3)), occupancy=np.ones(n), temp_factor=np.zeros(n),
+        elements=["C"] * n, hetatm=np.zeros(n, dtype=bool), res_starts=np.cumsum([0] + residue_sizes),
+        res_seqs=list(range(10_000)) + [1] * bool(extra_chain_atoms), res_names=["ALA"] * len(residue_sizes),
+        chain_starts=[0, 10_000, len(residue_sizes)][:2 + bool(extra_chain_atoms)],
+    )
 
 
 @pytest.mark.parametrize(
@@ -271,24 +256,16 @@ def structures(draw):
     chain_ids = draw(
         st.lists(st.sampled_from("ABCDEFGH"), min_size=n_chains, max_size=n_chains, unique=True)
     )
-    serial = 1
-    chains = []
+    rows, elements = [], []
     for cid in chain_ids:
         n_res = draw(st.integers(1, 3))
-        residues = []
         for seq in range(1, n_res + 1):
             n_atoms = draw(st.integers(1, len(atom_menu)))
-            atoms = []
             for name, element in atom_menu[:n_atoms]:
                 pos = [draw(coordinates) for _ in range(3)]
-                atoms.append(
-                    Atom(serial=serial, name=name, alt_loc="", position=np.array(pos),
-                         occupancy=1.0, temp_factor=0.0, element=element)
-                )
-                serial += 1
-            residues.append(Residue(seq, "ALA", atoms))
-        chains.append(Chain(cid, residues))
-    return Structure(chains)
+                rows.append((cid, seq, "ALA", name, pos))
+                elements.append(element)
+    return structure_from_rows(rows, elements=elements)
 
 
 class TestRoundTrip:
@@ -327,33 +304,33 @@ def decimal_field(value, width, decimals, what):
 
 def reference_write_pdb(structure):
     """The writer one atom and one Decimal field at a time."""
-    lines = list(structure.headers)
+    s = structure
+    lines = list(s.headers)
     serial = 1
-    for chain in structure.chains:
+    for c, chain_id in enumerate(s.chain_ids()):
         last_residue = None
-        for residue in chain.residues:
-            for atom in residue.atoms:
-                address = f"{chain.chain_id}.{residue.res_name}{residue.res_seq}.{atom.name}"
+        for r in range(s.chain_starts[c], s.chain_starts[c + 1]):
+            res_seq, res_name = int(s.res_seqs[r]), str(s.res_names[r])
+            for i in range(s.res_starts[r], s.res_starts[r + 1]):
+                atom_name, alt_loc, element = str(s.names[i]), str(s.alt_locs[i]), str(s.elements[i])
+                address = f"{chain_id}.{res_name}{res_seq}.{atom_name}"
                 try:
-                    x, y, z = (decimal_field(v, 8, 3, "coordinate") for v in atom.position)
-                    occ = decimal_field(atom.occupancy, 6, 2, "occupancy")
-                    tf = decimal_field(atom.temp_factor, 6, 2, "B-factor")
+                    x, y, z = (decimal_field(v, 8, 3, "coordinate") for v in s.coords[i])
+                    occ = decimal_field(s.occupancy[i], 6, 2, "occupancy")
+                    tf = decimal_field(s.temp_factor[i], 6, 2, "B-factor")
                 except PdbWriteError as exc:
                     raise PdbWriteError(f"atom {address}: {exc}") from None
-                one_letter = len(atom.element) == 1 and len(atom.name) < 4
-                name = f" {atom.name:<3}" if one_letter else f"{atom.name:<4}"
+                one_letter = len(element) == 1 and len(atom_name) < 4
+                name = f" {atom_name:<3}" if one_letter else f"{atom_name:<4}"
                 lines.append(
-                    f"{'HETATM' if atom.is_hetatm else 'ATOM  '}{serial:5d} {name}"
-                    f"{atom.alt_loc or ' '}{residue.res_name:>3} {chain.chain_id}{residue.res_seq:4d}    "
-                    f"{x}{y}{z}{occ}{tf}          {atom.element:>2}"
+                    f"{'HETATM' if s.hetatm[i] else 'ATOM  '}{serial:5d} {name}"
+                    f"{alt_loc or ' '}{res_name:>3} {chain_id}{res_seq:4d}    "
+                    f"{x}{y}{z}{occ}{tf}          {element:>2}"
                 )
                 serial += 1
-            last_residue = residue
+            last_residue = (res_seq, res_name)
         if last_residue is not None:
-            lines.append(
-                f"TER   {serial:5d}      {last_residue.res_name:>3} "
-                f"{chain.chain_id}{last_residue.res_seq:4d}"
-            )
+            lines.append(f"TER   {serial:5d}      {last_residue[1]:>3} {chain_id}{last_residue[0]:4d}")
             serial += 1
     lines.append("END")
     return "\n".join(lines) + "\n"
@@ -382,13 +359,13 @@ edge_fields = one_ulp_either_side(st.one_of(f62_ties, f62_ties, st.sampled_from(
 
 @st.composite
 def edge_structures(draw):
-    atoms = [
-        Atom(serial=1, name=name, alt_loc="",
-             position=np.array([draw(edge_coordinates) for _ in range(3)]),
-             occupancy=draw(edge_fields), temp_factor=draw(edge_fields), element=element)
-        for name, element in atom_menu[: draw(st.integers(1, len(atom_menu)))]
-    ]
-    return Structure([Chain("A", [Residue(1, "ALA", atoms)])])
+    rows, occupancy, temp_factor = [], [], []
+    for name, _ in atom_menu[: draw(st.integers(1, len(atom_menu)))]:
+        rows.append(("A", 1, "ALA", name, [draw(edge_coordinates) for _ in range(3)]))
+        occupancy.append(draw(edge_fields))
+        temp_factor.append(draw(edge_fields))
+    return structure_from_rows(rows, occupancy=occupancy, temp_factor=temp_factor,
+                               elements=[element for _, element in atom_menu[:len(rows)]])
 
 
 def assert_matches_reference(s):
@@ -413,8 +390,7 @@ class TestBulkWriter:
     def test_edge_value_matches_decimal_reference(self, value, step):
         value = value if step == 0.0 else float(np.nextafter(value, step))
         assert_matches_reference(single_atom_structure(position=(value, 0.0, 0.0)))
-        atom = replace(make_atom(position=(1.0, 2.0, 3.0)), occupancy=value)
-        assert_matches_reference(Structure([Chain("A", [Residue(1, "ALA", [atom])])]))
+        assert_matches_reference(single_atom_structure(occupancy=[value]))
 
 
 # Columns of the fields of an ATOM/HETATM record, and the edits made to them.
@@ -488,6 +464,8 @@ def reference_parse_pdb(text):
         if record in ("ATOM  ", "HETATM"):
             if len(line) < 54:
                 raise PdbParseError("truncated coordinate record", line_number)
+            if "\x00" in line[:78]:
+                raise PdbParseError("NUL character in columns 1-78", line_number)
             columns = _REFERENCE_COLUMNS(line.ljust(80))
             alt_loc = columns[2].strip()
             if alt_loc not in ("", "A"):
@@ -530,8 +508,9 @@ def reference_parse_pdb(text):
             headers.append(line)
     try:
         return Structure.from_columns(
-            headers, chain_ids, **_atom_columns(atoms), res_starts=res_starts + [len(atoms)], res_seqs=res_seqs,
-            res_names=res_names, chain_starts=chain_starts + [len(res_seqs)],
+            headers, chain_ids, **dict(zip(ATOM_COLUMNS, list(zip(*atoms)) or [()] * len(ATOM_COLUMNS))),
+            res_starts=res_starts + [len(atoms)], res_seqs=res_seqs, res_names=res_names,
+            chain_starts=chain_starts + [len(res_seqs)],
         )
     except StructureError as exc:
         raise PdbParseError(str(exc)) from exc
@@ -571,20 +550,34 @@ class TestEditedRecords:
         assert_parses_as_reference(text)
 
     @settings(max_examples=300, deadline=None)
-    @given(edited_templates())
+    @given(edited_templates(FIELD_EDITS + NUL_EDITS))
     def test_parse_rejects_or_round_trips(self, text):
         try:
             structure = parse_pdb(text)
         except PdbParseError:
             return
-        for atom in structure.atoms():
-            assert np.all(np.isfinite(atom.position))
-            assert np.isfinite(atom.occupancy) and np.isfinite(atom.temp_factor)
+        assert np.all(np.isfinite(structure.coords))
+        assert np.all(np.isfinite(structure.occupancy)) and np.all(np.isfinite(structure.temp_factor))
         try:
             once = write_pdb(structure)
         except PdbWriteError:
             return
         assert write_pdb(parse_pdb(once)) == once
+
+    @pytest.mark.parametrize("edit", NUL_EDITS)
+    @pytest.mark.parametrize("field", ["serial", "name", "res_name", "x", "element"])
+    def test_nul_in_a_coordinate_record_names_its_line(self, edit, field):
+        # A NumPy string drops trailing NULs, so a name or element ending in
+        # one would not read back; the parser refuses the record instead.
+        start, stop = RECORD_FIELDS[field]
+        lines = list(TEMPLATE_LINES)
+        k = ATOM_LINES[2]
+        lines[k] = lines[k][:start] + edit[-(stop - start):].rjust(stop - start) + lines[k][stop:]
+        text = "\n".join(lines) + "\n"
+        for parse in (parse_pdb, reference_parse_pdb):
+            with pytest.raises(PdbParseError, match=r"^line 6: NUL character in columns 1-78$") as err:
+                parse(text)
+            assert err.value.line_number == k + 1 == 6
 
 
 class TestHeaders:
@@ -656,9 +649,11 @@ def test_reads_and_writes_with_the_numpy_1_api(monkeypatch):
                 raise AttributeError(f"NumPy 1 has no numpy.{name}")
             return getattr(np, name)
 
-    text = write_pdb(load_template())
+    template = load_template()
+    text = write_pdb(template)
     monkeypatch.setattr(pdbio, "np", NumPy1("numpy"))
     assert write_pdb(parse_pdb(text)) == text and write_pdb(Structure([])) == "END\n"
+    assert Structure(template.chains, template.headers) == template
 
 
 class TestSelectors:
@@ -673,33 +668,55 @@ class TestSelectors:
 
     def test_selects_template_atom(self):
         s = synthetic_template()
-        atom = select_atom(s, "A.MET129.SD")
-        residue = s.chain("A").residue(129)
-        assert atom.name == "SD" and residue.res_name == "MET" and atom == residue.atom("SD")
+        row = atom_row(s, "A.MET129.SD")
+        residue = s.atom_residues()[row]
+        assert s.names[row] == "SD" and s.res_names[residue] == "MET" and s.res_seqs[residue] == 129
+        assert atom_addresses(s, [row]) == ["A.MET129.SD"]
+        chain = s.chain("A")
+        assert np.array_equal(chain.coords[atom_row(chain, "A.MET129.SD")], s.coords[row])
 
     def test_missing_chain_not_found(self):
         with pytest.raises(AtomNotFoundError):
-            select_atom(synthetic_template(), "Z.ALA1.CB")
+            atom_row(synthetic_template(), "Z.ALA1.CB")
 
     def test_residue_name_mismatch(self):
         with pytest.raises(ResidueMismatchError):
-            select_atom(synthetic_template(), "A.ALA127.CA")
+            atom_row(synthetic_template(), "A.ALA127.CA")
 
     def test_glycine_has_no_cb(self):
         with pytest.raises(AtomNotFoundError):
-            select_atom(synthetic_template(), "A.GLY127.CB")
+            atom_row(synthetic_template(), "A.GLY127.CB")
+
+
+def empty_chains(*chain_ids):
+    """Chains that hold no residues, straight from columns."""
+    return Structure.from_columns(
+        (), chain_ids, names=[], alt_locs=[], coords=[], occupancy=[], temp_factor=[], elements=[], hetatm=[],
+        res_starts=[0], res_seqs=[], res_names=[], chain_starts=[0] * (len(chain_ids) + 1),
+    )
+
+
+def one_chain(residues):
+    """Chain A of one atom per (residue number, residue name, atom name), each atom its own residue."""
+    n = len(residues)
+    return Structure.from_columns(
+        (), ["A"], names=[name for _, _, name in residues], alt_locs=[""] * n, coords=np.zeros((n, 3)),
+        occupancy=np.ones(n), temp_factor=np.zeros(n), elements=[name[0] for _, _, name in residues],
+        hetatm=np.zeros(n, dtype=bool), res_starts=range(n + 1), res_seqs=[seq for seq, _, _ in residues],
+        res_names=[res_name for _, res_name, _ in residues], chain_starts=[0, n],
+    )
 
 
 class TestStructureInvariants:
     def test_duplicate_chain_ids_rejected(self):
         with pytest.raises(StructureError):
-            Structure([Chain("A"), Chain("A")])
+            Structure([empty_chains("A"), empty_chains("A")])
+        with pytest.raises(StructureError):
+            empty_chains("A", "A")
 
     def test_residue_order_monotone(self):
-        r2 = Residue(2, "ALA", [make_atom()])
-        r1 = Residue(1, "ALA", [make_atom(serial=2, name="N", element="N")])
         with pytest.raises(StructureError):
-            Structure([Chain("A", [r2, r1])])
+            one_chain([(2, "ALA", "CA"), (1, "ALA", "N")])
 
     def test_coordinate_block_is_read_only(self):
         s = single_atom_structure()
@@ -715,37 +732,50 @@ class TestStructureInvariants:
         # Renumbering a residue after construction used to be accepted and
         # wrote text that parse_pdb rejects (residue 127 renamed GLY -> TYR).
         s = synthetic_template()
-        residue = s.chain("A").residues[1]
-        with pytest.raises(FrozenInstanceError):
-            residue.res_seq = 127
-        with pytest.raises(FrozenInstanceError):
-            s.chains[1].chain_id = "A"
-        with pytest.raises(FrozenInstanceError):
-            residue.res_name = "GLY"
-        with pytest.raises(FrozenInstanceError):
-            residue.atoms[0].occupancy = 0.5
+        chain = s.chain("A")
         with pytest.raises(ValueError, match="read-only"):
-            residue.atoms[0].position[0] = 99.0
+            chain.res_seqs[1] = 127
         with pytest.raises(AttributeError):
-            s.chain("A").residues.pop()
+            s.chains[1]._chain_ids = ("A",)
+        with pytest.raises(ValueError, match="read-only"):
+            chain.res_names[1] = "GLY"
+        atom = next(chain.atoms())
+        with pytest.raises(AttributeError):
+            atom.occupancy = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            atom.position[0] = 99.0
+        with pytest.raises(ValueError, match="read-only"):
+            chain.res_starts[-1] = 0
         assert s == synthetic_template()
         assert write_pdb(parse_pdb(write_pdb(s))) == write_pdb(s)
 
     @pytest.mark.parametrize("second_name", ["GLY", "ALA"])
     def test_residue_number_may_not_repeat(self, second_name):
         # The file would not parse back (GLY) or would merge the residues (ALA).
-        residues = [Residue(1, "ALA", [make_atom()]), Residue(1, second_name, [make_atom(name="N", element="N")])]
         with pytest.raises(StructureError, match=r"^chain A: residue numbers must strictly increase, got 1 after 1$"):
-            Structure([Chain("A", residues)])
+            one_chain([(1, "ALA", "CA"), (1, second_name, "N")])
 
     def test_chain_renamed_onto_another_is_rejected(self):
         # Two chain-A blocks would write a file that parse_pdb rejects, and
         # the audits would merge the strands into one chain.
         s = synthetic_template()
         with pytest.raises(StructureError, match=r"^chain id 'A' is repeated in \['A', 'A'\]$"):
-            Structure([s.chain("A"), replace(s.chain("B"), chain_id="A")], s.headers)
+            Structure([s.chain("A"), s.with_chains([("A", "B")])], s.headers)
         with pytest.raises(StructureError, match="chain id 'A' is repeated"):
-            Structure([Chain("A"), Chain("B"), Chain("A")])
+            Structure([empty_chains("A"), empty_chains("B"), empty_chains("A")])
+
+    def test_a_part_that_is_not_a_structure_is_rejected(self):
+        s = synthetic_template()
+        with pytest.raises(StructureError, match=r"^a structure joins structures, not tuple$"):
+            Structure([s.chain("A"), ("B", [])], s.headers)
+
+    @settings(max_examples=60, deadline=None)
+    @given(structures())
+    def test_joining_the_chains_gives_the_structure(self, s):
+        assert Structure(s.chains, s.headers) == s
+        assert [chain.chain_ids() for chain in s.chains] == [[chain_id] for chain_id in s.chain_ids()]
+        for chain, chain_id in zip(s.chains, s.chain_ids()):
+            assert chain == s.chain(chain_id) == s.subset([chain_id])
 
     @settings(max_examples=60, deadline=None)
     @given(structures())
