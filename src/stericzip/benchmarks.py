@@ -7,12 +7,13 @@ single n-vector and an (m, n) batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
 from .energy import LJParams, lj_kernel
 from .errors import StericZipError
-from .optimize import Objective, OptimizerConfig, OptimizationResult, minimize_saec, uniform_bounds
+from .optimize import Objective, OptimizerConfig, minimize_saec, uniform_bounds
 
 
 REDUCED_LJ = LJParams(1.0, 1.0)
@@ -43,10 +44,15 @@ def ackley(x):
     )
 
 
+@cache
+def _griewank_roots(n: int) -> np.ndarray:
+    """sqrt(i) for i = 1..n, as a read-only view."""
+    return np.broadcast_to(np.sqrt(np.arange(1, n + 1, dtype=np.float64)), n)
+
+
 def griewank(x):
     x = np.asarray(x)
-    i = np.arange(1, x.shape[-1] + 1, dtype=np.float64)
-    return 1.0 + np.sum(x**2, axis=-1) / 4000.0 - np.prod(np.cos(x / np.sqrt(i)), axis=-1)
+    return 1.0 + np.sum(x**2, axis=-1) / 4000.0 - np.prod(np.cos(x / _griewank_roots(x.shape[-1])), axis=-1)
 
 
 def schwefel_226(x):
@@ -54,11 +60,17 @@ def schwefel_226(x):
     return 418.9829 * x.shape[-1] - np.sum(x * np.sin(np.sqrt(np.abs(x))), axis=-1)
 
 
+@cache
+def _pairs(n: int) -> tuple[np.ndarray, ...]:
+    """Row and column of each pair i < j of n points, as read-only views."""
+    return tuple(np.broadcast_to(index, index.shape) for index in np.triu_indices(n, k=1))
+
+
 def lj_cluster_value(x):
     """Reduced-unit Lennard-Jones cluster energy of a flat 3N point."""
     x = np.asarray(x, dtype=np.float64)
     pts = x.reshape(*x.shape[:-1], -1, 3)
-    i, j = np.triu_indices(pts.shape[-2], k=1)
+    i, j = _pairs(pts.shape[-2])
     diff = pts[..., i, :] - pts[..., j, :]
     # Each kernel term sits one well depth above the pair energy.
     return np.sum(lj_kernel(np.sum(diff * diff, axis=-1), REDUCED_LJ), axis=-1) - i.size
@@ -116,15 +128,6 @@ def default_bench_config(budget: int = DEFAULT_BENCH_BUDGET) -> OptimizerConfig:
     return OptimizerConfig(max_evaluations=budget, population_size=50, restarts=20)
 
 
-def _cell_config(base: OptimizerConfig, problem: BenchmarkProblem, run_seed: int) -> OptimizerConfig:
-    return replace(
-        base,
-        seed=run_seed,
-        target_value=problem.target,
-        target_tolerance=problem.tolerance,
-    )
-
-
 def run_benchmark(
     suite: str = "classic",
     dims=(2, 5, 10),
@@ -153,13 +156,10 @@ def run_benchmark(
     for cell_index, (name, problem) in enumerate(sorted(problems.items())):
         cell_dims = (problem.fixed_dim,) if problem.fixed_dim else dims
         for dim in cell_dims:
-            seeds = np.random.SeedSequence(entropy=seed, spawn_key=(cell_index, dim))
-            run_seeds = seeds.generate_state(runs)
-            results: list[OptimizationResult] = []
-            for run_seed in run_seeds:
-                objective = problem.make_objective(dim)
-                cfg = _cell_config(base, problem, int(run_seed))
-                results.append(minimize_saec(objective, cfg))
+            run_seeds = np.random.SeedSequence(entropy=seed, spawn_key=(cell_index, dim)).generate_state(runs)
+            objective = problem.make_objective(dim)
+            cell = replace(base, target_value=problem.target, target_tolerance=problem.tolerance)
+            results = [minimize_saec(objective, replace(cell, seed=int(run_seed))) for run_seed in run_seeds]
             successes = [r.best_value <= problem.target + problem.tolerance for r in results]
             rate = float(np.mean(successes))
             cells.append(

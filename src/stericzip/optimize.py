@@ -15,16 +15,22 @@ two independently converged chains is a lattice vector of the problem's
 basin structure.
 
 Offspring are clamped into bounds and accepted against their own parent
-by the Metropolis rule exp(-dE / T); recombination offspring, being
-exploitative rather than thermal, are accepted only downhill.  The best
-accepted offspring of each chain replaces that chain (family survivor
-selection, which keeps the chains independent and the population
-diverse), and T cools geometrically.  After 50 generations without
-meaningful improvement the population is redrawn fresh and the
-temperature re-heats, up to ``restarts`` times; the global best is
-tracked outside the population and never lost.  Everything is driven by
-one seeded generator, so a fixed (objective, config, seed) gives a
-bit-identical result.
+by the Metropolis rule exp(-dE / T), taken as dE <= -T log(1 - u);
+recombination offspring, being exploitative rather than thermal, are
+accepted only downhill.  The best accepted offspring of each chain
+replaces that chain (family survivor selection, which keeps the chains
+independent and the population diverse), and T cools geometrically.
+After 50 generations without meaningful improvement the population is
+redrawn fresh and the temperature re-heats, up to ``restarts`` times;
+the global best is tracked outside the population and never lost.
+
+Each restart draws from its own seeded stream, first its (mu, n) starting
+population.  A generation then makes three draws, of only what its moves
+use: a uniform per offspring picks its move; one uniform block holds the
+rest (acceptance, coordinates and scales, recombination members, sign,
+style and crossover); one normal block holds n normals per full-vector or
+recombination offspring and one per coordinate that a coordinate move
+changes.  A fixed (objective, config, seed) gives a bit-identical result.
 
 The local refiner polishes a point to gradient-level accuracy by
 projected descent with Armijo backtracking.  Given only a gradient it
@@ -151,36 +157,6 @@ class OptimizationResult:
     terminated_by: str = "budget"
 
 
-class _Evaluator:
-    """Budgeted objective evaluation with error context."""
-
-    def __init__(self, objective: Objective, budget: int):
-        self.objective = objective
-        self.budget = budget
-        self.used = 0
-
-    def remaining(self) -> int:
-        return self.budget - self.used
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        self.used += points.shape[0]
-        try:
-            if self.objective.evaluate_batch is not None:
-                values = np.asarray(self.objective.evaluate_batch(points), dtype=np.float64)
-            else:
-                values = np.array([self.objective.evaluate(p) for p in points], dtype=np.float64)
-        except StericZipError:
-            raise
-        except Exception as exc:
-            raise ObjectiveError(f"objective evaluation failed: {exc}", points) from exc
-        if values.shape != (points.shape[0],):
-            raise ObjectiveError(
-                f"objective returned shape {values.shape} for {points.shape[0]} points", points
-            )
-        return values
-
-
 # Offspring move mix: annealed full-vector Gaussian, single- and
 # two-coordinate Gaussian at log-uniform scale, population recombination.
 _MOVE_FULL = 0.50
@@ -188,44 +164,68 @@ _MOVE_SINGLE = 0.75
 _MOVE_PAIR = 0.85
 
 
-def _spawn_offspring(pop, lam, rng, span, lower, annealed_std):
-    """Draw mu * lam offspring.  Returns (offspring, is_recombination)."""
+def _index(u: np.ndarray, k: int) -> np.ndarray:
+    """floor(u * k): below k for u in [0, 1), as u * k then rounds below k."""
+    return (u * k).astype(np.intp)
+
+
+def _spawn_offspring(pop, lam, rng, lower, upper, span, annealed_std):
+    """Draw mu * lam offspring.  Returns (offspring, allowance): offspring i is
+    accepted when its value exceeds its parent's by at most allowance[i] * T.
+    A thermal allowance is -log(1 - u), which accepts an uphill dE with
+    probability exp(-dE / T); a recombination allowance is 0, since accepting
+    recombinations uphill would homogenize the chains."""
     mu, n = pop.shape
     m = mu * lam
-    parents = np.repeat(pop, lam, axis=0)
-    noise = rng.standard_normal((m, n)) * annealed_std
     move = rng.random(m)
-    offspring = parents + noise
+    thermal = move < _MOVE_PAIR
+    gauss = ((move < _MOVE_FULL) | ~thermal).nonzero()[0]
+    coord = (thermal & (move >= _MOVE_FULL)).nonzero()[0]
+    pair = (move[coord] >= _MOVE_SINGLE).nonzero()[0]
+    mix = (~thermal).nonzero()[0]
+    k, j = coord.size, mix.size
+    uniform = rng.random(m - j + 2 * k + pair.size + (5 + n) * j)
+    acceptance, rest = uniform[: m - j], uniform[m - j:]
+    first, scale, second = _index(rest[:k], n), rest[k: 2 * k], _index(rest[2 * k: 2 * k + pair.size], n)
+    r = rest[2 * k + pair.size:].reshape(j, 5 + n)
 
-    coord = ((move >= _MOVE_FULL) & (move < _MOVE_PAIR)).nonzero()[0]
-    c1 = rng.integers(0, n, m)
-    c2 = rng.integers(0, n, m)
-    scale = _STEP_SCALE * span * 10.0 ** (-2.0 * rng.random(m))[:, None]
-    coord_noise = rng.standard_normal((m, n)) * scale
-    if coord.size:
-        mask = np.zeros((m, n), dtype=bool)
-        mask[coord, c1[coord]] = True
-        pair = coord[move[coord] >= _MOVE_SINGLE]
-        mask[pair, c2[pair]] = True
-        offspring[coord] = (parents + coord_noise * mask)[coord]
+    # Coordinate steps: the first coordinate of each coordinate row, and the
+    # second of a pair row when it differs from the first.
+    distinct = second != first[pair]
+    again = pair[distinct]
+    rows = np.concatenate([coord, coord[again]])
+    cols = np.concatenate([first, second[distinct]])
+    step = _STEP_SCALE * 10.0 ** (-2.0 * scale)
+    noise = rng.standard_normal(gauss.size * n + rows.size)
 
-    mix = (move >= _MOVE_PAIR).nonzero()[0]
-    if mix.size:
-        # Recombine population members: a uniform mix of two, or one
-        # shifted by the difference of two others (a lattice vector of
-        # the basin grid of separable-ish problems).
-        a = pop[rng.integers(0, mu, mix.size)]
-        b = pop[rng.integers(0, mu, mix.size)]
-        c = pop[rng.integers(0, mu, mix.size)]
-        take = rng.random((mix.size, n)) < 0.5
-        crossed = np.where(take, a, b)
-        sign = np.where(rng.random(mix.size) < 0.5, 1.0, -1.0)[:, None]
-        differed = a + sign * (b - c)
-        style = (rng.random(mix.size) < 0.5)[:, None]
-        offspring[mix] = np.where(style, crossed, differed) + noise[mix]
-    is_mix = np.zeros(m, dtype=bool)
-    is_mix[mix] = True
-    return np.clip(offspring, lower, lower + span), is_mix
+    offspring = np.repeat(pop, lam, axis=0)
+    # Recombine population members: a uniform mix of two, or one shifted by
+    # the difference of two others (a lattice vector of the basin grid of
+    # separable-ish problems).
+    a, b, c = pop[_index(r[:, :3], mu)].transpose(1, 0, 2)
+    shifted = a + np.where(r[:, 3:4] < 0.5, b - c, c - b)
+    offspring[mix] = np.where(r[:, 4:5] < 0.5, np.where(r[:, 5:] < 0.5, a, b), shifted)
+    offspring[gauss] += noise[: gauss.size * n].reshape(-1, n) * annealed_std
+    offspring[rows, cols] += noise[gauss.size * n:] * np.concatenate([step, step[again]]) * span[cols]
+    np.minimum(np.maximum(offspring, lower, out=offspring), upper, out=offspring)
+
+    allowance = np.zeros(m)
+    allowance[thermal] = -np.log1p(-acceptance)
+    return offspring, allowance
+
+
+def _select(pop, values, offspring, off_values, allowance, temperature):
+    """Family survivor selection: the best accepted offspring of each parent
+    takes over that chain; chains stay independent, which preserves the
+    population diversity recombination needs.  Returns (pop, values)."""
+    mu, lam = len(pop), len(offspring) // len(pop)
+    accepted = off_values - np.repeat(values, lam) <= temperature * allowance
+    family = np.where(accepted, off_values, np.inf).reshape(mu, lam)
+    pick = family.argmin(axis=1)
+    best = family[np.arange(mu), pick]
+    replaced = np.isfinite(best)
+    return (np.where(replaced[:, None], offspring[np.arange(0, mu * lam, lam) + pick], pop),
+            np.where(replaced, best, values))
 
 
 def minimize_saec(
@@ -241,22 +241,39 @@ def minimize_saec(
     lam = _OFFSPRING_PER_PARENT
     n = objective.dimension
     span = objective.upper - objective.lower
-    root = np.random.SeedSequence(config.seed)
+    step = _STEP_SCALE * span
     # One stream per possible restart, derived from the master seed.
-    streams = root.spawn(config.restarts + 1)
+    streams = np.random.SeedSequence(config.seed).spawn(config.restarts + 1)
 
-    evaluator = _Evaluator(objective, config.max_evaluations)
     best_point: np.ndarray | None = None
     best_value = np.inf
     trace: list[tuple[int, float]] = []
     terminated_by = "budget"
+    used = 0
+
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        """Budgeted objective evaluation with error context."""
+        nonlocal used
+        used += len(points)
+        try:
+            if objective.evaluate_batch is not None:
+                values = np.asarray(objective.evaluate_batch(points), dtype=np.float64)
+            else:
+                values = np.array([objective.evaluate(p) for p in points], dtype=np.float64)
+        except StericZipError:
+            raise
+        except Exception as exc:
+            raise ObjectiveError(f"objective evaluation failed: {exc}", points) from exc
+        if values.shape != (len(points),):
+            raise ObjectiveError(f"objective returned shape {values.shape} for {len(points)} points", points)
+        return values
 
     def record_best(point: np.ndarray, value: float) -> None:
         nonlocal best_point, best_value
         if value < best_value:
             best_point = point.copy()
             best_value = value
-            trace.append((evaluator.used, float(value)))
+            trace.append((used, float(value)))
 
     def target_reached() -> bool:
         return (
@@ -266,7 +283,7 @@ def minimize_saec(
 
     done = False
     for restart_index in range(config.restarts + 1):
-        if done or evaluator.remaining() < mu:
+        if done or config.max_evaluations - used < mu:
             break
         rng = np.random.default_rng(streams[restart_index])
 
@@ -276,7 +293,7 @@ def minimize_saec(
         pop = objective.lower + rng.random((mu, n)) * span
         if restart_index == 0 and x0 is not None:
             pop[0] = _start_point(objective, x0)
-        values = evaluator(pop)
+        values = evaluate(pop)
         for k in range(mu):
             record_best(pop[k], float(values[k]))
         if target_reached():
@@ -293,33 +310,14 @@ def minimize_saec(
         run_best = float(np.min(values))
         since_improvement = 0
         while True:
-            if evaluator.remaining() < mu * lam:
+            if config.max_evaluations - used < mu * lam:
                 done = True
                 break
 
-            annealed_std = _STEP_SCALE * span * (temperature / t0)
-            offspring, is_mix = _spawn_offspring(pop, lam, rng, span, objective.lower, annealed_std)
-            off_values = evaluator(offspring)
-
-            parent_values = np.repeat(values, lam)
-            delta = off_values - parent_values
-            with np.errstate(over="ignore", under="ignore"):
-                accept_prob = np.where(delta <= 0, 1.0, np.exp(-delta / temperature))
-            accepted = rng.random(mu * lam) < accept_prob
-            # Recombination offspring are exploitative, not thermal moves:
-            # accepting them uphill would homogenize the chains.
-            accepted &= ~is_mix | (delta <= 0)
-
-            # Family survivor selection: the best accepted offspring of
-            # each parent takes over that chain; chains stay independent,
-            # which preserves the population diversity recombination needs.
-            fam_values = np.where(accepted, off_values, np.inf).reshape(mu, lam)
-            fam_arg = np.argmin(fam_values, axis=1)
-            fam_best = fam_values[np.arange(mu), fam_arg]
-            replaced = np.isfinite(fam_best)
-            chosen = offspring.reshape(mu, lam, n)[np.arange(mu), fam_arg]
-            pop = np.where(replaced[:, None], chosen, pop)
-            values = np.where(replaced, fam_best, values)
+            offspring, allowance = _spawn_offspring(
+                pop, lam, rng, objective.lower, objective.upper, span, step * (temperature / t0)
+            )
+            pop, values = _select(pop, values, offspring, evaluate(offspring), allowance, temperature)
 
             k = int(np.argmin(values))
             record_best(pop[k], float(values[k]))
@@ -332,13 +330,9 @@ def minimize_saec(
                 break
             # Micro-refinements of a frozen basin do not count as progress;
             # require a meaningful relative improvement of this run's best.
-            run_min = float(np.min(values))
-            if run_min < run_best - 1e-6 * max(abs(run_best), 1e-12):
-                run_best = run_min
-                since_improvement = 0
-            else:
-                run_best = min(run_best, run_min)
-                since_improvement += 1
+            improved = values[k] < run_best - 1e-6 * max(abs(run_best), 1e-12)
+            since_improvement = 0 if improved else since_improvement + 1
+            run_best = min(run_best, float(values[k]))
             if since_improvement >= _STAGNATION_WINDOW:
                 if restart_index == config.restarts:
                     terminated_by = "stagnation"
@@ -350,7 +344,7 @@ def minimize_saec(
     return OptimizationResult(
         best_point=best_point,
         best_value=float(best_value),
-        evaluations_used=evaluator.used,
+        evaluations_used=used,
         trace=trace,
         terminated_by=terminated_by,
     )

@@ -102,7 +102,8 @@ class Structure:
     ``parts``, in order; ``from_columns`` takes the columns themselves.
     Either checks the value once: finite fields, non-empty atom names,
     unique chain ids, residue numbers strictly increasing within a chain
-    and unique atom keys.
+    and unique atom keys.  A blank element, which is what blank columns
+    77-78 of a record read as, is inferred from the atom name.
     """
 
     __slots__ = ("_headers", "_chain_ids", "_atom_res", "_atom_chain", *_DTYPES)
@@ -135,7 +136,7 @@ class Structure:
         object.__setattr__(self, "_chain_ids", ids := tuple(chain_ids))
         for name, dtype in _DTYPES.items():
             array = np.array(columns[name], dtype=dtype).reshape((-1, 3) if name == "coords" else -1)
-            array.flags.writeable = False
+            array.flags.writeable = name == "elements"  # frozen once its blanks are filled, below
             object.__setattr__(self, name, array)
         names, alt_locs, seqs, n = self.names, self.alt_locs, self.res_seqs, len(self.names)
         res_chain, atom_res = self._rows(self.chain_starts), self._rows(self.res_starts)
@@ -144,6 +145,9 @@ class Structure:
                 or self.chain_starts[:1].tolist() != [0] or len(ids) + 1 != len(self.chain_starts)
                 or len(res_chain) != len(seqs) or len(self.res_names) != len(seqs)):
             raise StructureError("structure columns do not describe one layout")
+        blank = np.flatnonzero(self.elements == "")
+        self.elements[blank] = [_infer_element(name) for name in names[blank].tolist()]
+        self.elements.flags.writeable = False
         for name, array in (("_atom_res", atom_res), ("_atom_chain", res_chain[atom_res])):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -550,8 +554,6 @@ def parse_pdb(text: str) -> Structure:
     if late is not None:
         raise PdbParseError("content after END record", late + 1)
 
-    blank = np.flatnonzero(elements == "")
-    elements[blank] = [_infer_element(name) for name in names[blank]]
     residue_rows = np.flatnonzero(new_residue)
     try:
         return Structure.from_columns(

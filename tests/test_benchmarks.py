@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from stericzip import LJParams, SingularityError, StericZipError, lj_cluster_energy, run_benchmark
+from stericzip import benchmarks
 from stericzip.benchmarks import (
     CLASSIC_SUITE,
+    REDUCED_LJ,
     ackley,
     default_bench_config,
     griewank,
@@ -15,7 +17,7 @@ from stericzip.benchmarks import (
     schwefel_226,
     sphere,
 )
-from stericzip.energy import MIN_PAIR_DISTANCE
+from stericzip.energy import MIN_PAIR_DISTANCE, lj_kernel
 
 
 class TestFunctions:
@@ -51,6 +53,27 @@ class TestFunctions:
         assert lj_cluster_value(at_floor) == pytest.approx(
             lj_cluster_energy(at_floor, LJParams(1.0, 1.0)), rel=1e-12
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_cached_constants_give_the_plain_formulas(self, n):
+        def plain_griewank(x):
+            i = np.arange(1, x.shape[-1] + 1, dtype=np.float64)
+            return 1.0 + np.sum(x**2, axis=-1) / 4000.0 - np.prod(np.cos(x / np.sqrt(i)), axis=-1)
+
+        def plain_cluster(x):
+            pts = x.reshape(*x.shape[:-1], -1, 3)
+            i, j = np.triu_indices(pts.shape[-2], k=1)
+            diff = pts[..., i, :] - pts[..., j, :]
+            return np.sum(lj_kernel(np.sum(diff * diff, axis=-1), REDUCED_LJ), axis=-1) - i.size
+
+        rng = np.random.default_rng(n)
+        x, points = rng.uniform(-600.0, 600.0, (64, n)), rng.uniform(-2.0, 2.0, (64, 3 * (n + 1)))
+        for _ in range(2):  # the second call reads the cache
+            for batch in (x, x[0]):
+                assert np.array_equal(griewank(batch), plain_griewank(batch))
+            for batch in (points, points[0]):
+                assert np.array_equal(lj_cluster_value(batch), plain_cluster(batch))
+        assert not any(a.flags.writeable for a in (benchmarks._griewank_roots(n), *benchmarks._pairs(n + 1)))
 
     def test_batch_shapes(self):
         pts = np.zeros((7, 5))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy1 import numpy_1
 
 from stericzip import (
     Objective,
@@ -56,7 +57,8 @@ def lj_objective(n_atoms):
 
 from stericzip import LJParams
 from stericzip.benchmarks import CLASSIC_SUITE
-from stericzip.optimize import _newton_direction
+from stericzip import optimize
+from stericzip.optimize import _index, _newton_direction, _select, _spawn_offspring
 
 LJ_REDUCED = LJParams(1.0, 1.0)
 
@@ -183,6 +185,117 @@ def sphere_objective(n):
         gradient=lambda x: 2.0 * x,
         bounds=uniform_bounds(-1.0, 1.0, n),
     )
+
+
+# A generation from an interior population of 50 chains in 10 dimensions with
+# unequal spans; the step is 1e-3 of the span unless a test widens it.
+LOWER, UPPER = -np.arange(1.0, 11.0), np.full(10, 4.0)
+
+
+class CountingGenerator:
+    """A seeded generator that records the name and size of each draw."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def draw(size):
+            self.draws.append((name, size))
+            return method(size)
+
+        return draw
+
+
+def generation(seed, step=1e-3, rng=None):
+    """(parents, offspring, allowance, move) of one generation; ``move`` is its first draw."""
+    span = UPPER - LOWER
+    pop = LOWER + (0.25 + 0.5 * np.random.default_rng(seed + 1).random((50, 10))) * span
+    rng = rng or np.random.default_rng(seed)
+    offspring, allowance = _spawn_offspring(pop, 5, rng, LOWER, UPPER, span, step * span)
+    return np.repeat(pop, 5, axis=0), offspring, allowance, np.random.default_rng(seed).random(250)
+
+
+class TestGeneration:
+    def test_move_kinds_take_their_shares(self):
+        kinds = []
+        for seed in range(200):
+            parents, offspring, allowance, _ = generation(seed)
+            changed = (offspring != parents).sum(axis=1)
+            kinds.append(np.select([allowance == 0, changed == 10, changed == 1, changed == 2], [3, 0, 1, 2], 4))
+        shares = np.bincount(np.concatenate(kinds), minlength=5) / 50_000
+        # A pair move whose two coordinates coincide (1 in n) changes one coordinate.
+        assert np.allclose(shares, [0.50, 0.25 + 0.10 / 10, 0.10 * (1 - 1 / 10), 0.15, 0.0], rtol=0, atol=0.01)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_each_move_changes_what_it_moves(self, seed):
+        parents, offspring, allowance, move = generation(seed)
+        changed = (offspring != parents).sum(axis=1)
+        assert (changed[move < 0.50] == 10).all()
+        assert (changed[(move >= 0.50) & (move < 0.75)] == 1).all()
+        assert np.isin(changed[(move >= 0.75) & (move < 0.85)], [1, 2]).all()
+        assert (allowance[move >= 0.85] == 0).all() and (allowance[move < 0.85] > 0).all()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_draws_three_blocks_and_no_unused_normal(self, seed):
+        rng = CountingGenerator(seed)
+        parents, offspring, _, move = generation(seed, rng=rng)
+        assert [name for name, _ in rng.draws] == ["random", "random", "standard_normal"]
+        coordinate, pair, mixed = (move >= 0.50) & (move < 0.85), (move >= 0.75) & (move < 0.85), move >= 0.85
+        # Uniforms: acceptance, coordinates and log-scale, recombination.
+        assert rng.draws[1][1] == (~mixed).sum() + 2 * coordinate.sum() + pair.sum() + 15 * mixed.sum()
+        assert rng.draws[2][1] == 10 * (~coordinate).sum() + (offspring != parents)[coordinate].sum()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_offspring_stay_in_bounds(self, seed):
+        # Steps ten times the span push most moved coordinates past a bound.
+        _, offspring, _, _ = generation(seed, step=10.0)
+        assert ((offspring >= LOWER) & (offspring <= UPPER)).all()
+        assert (offspring == LOWER).any() and (offspring == UPPER).any()
+
+    def test_index_draw_stays_below_its_bound(self):
+        top = np.nextafter(1.0, 0.0)
+        bounds = np.concatenate([np.arange(1, 100_001), 2 ** np.arange(53), 2 ** np.arange(1, 53) - 1])
+        assert np.array_equal(_index(np.full(bounds.size, top), bounds), bounds - 1)
+        assert np.array_equal(_index(np.zeros(3), 7), np.zeros(3))
+
+    def test_recombination_is_never_accepted_uphill(self):
+        parents, offspring, allowance, move = generation(3)
+        pop, values, mixed = parents[::5], np.zeros(50), move >= 0.85
+        hot = 1e300  # any thermal offspring would be accepted uphill
+        for uphill in (1e-12, 1.0):
+            kept = _select(pop, values, offspring, np.where(mixed, uphill, np.inf), allowance, hot)
+            assert np.array_equal(kept[0], pop) and np.array_equal(kept[1], values)
+        # Downhill they are accepted, and thermal offspring uphill too.
+        _, taken = _select(pop, values, offspring, np.where(mixed, -1.0, np.inf), allowance, hot)
+        assert np.array_equal(taken, np.where(mixed.reshape(50, 5).any(axis=1), -1.0, 0.0))
+        _, taken = _select(pop, values, offspring, np.where(mixed, np.inf, 1.0), allowance, hot)
+        assert np.array_equal(taken, np.where((~mixed).reshape(50, 5).any(axis=1), 1.0, 0.0))
+
+    def test_each_restart_first_draws_its_population(self):
+        # A flat objective stagnates, so every restart runs; populations are
+        # the batches of mu points, offspring come mu * 5 at a time.
+        batches = []
+
+        def flat(points):
+            batches.append(points.copy())
+            return np.zeros(len(points))
+
+        objective = Objective(dimension=3, evaluate=lambda x: 0.0, evaluate_batch=flat,
+                              bounds=uniform_bounds(-1.0, 2.0, 3))
+        result = minimize_saec(objective, OptimizerConfig(population_size=4, restarts=2, seed=7))
+        starts = [points for points in batches if len(points) == 4]
+        assert result.terminated_by == "stagnation" and len(starts) == 3
+        for points, stream in zip(starts, np.random.SeedSequence(7).spawn(3)):
+            assert np.array_equal(points, -1.0 + np.random.default_rng(stream).random((4, 3)) * 3.0)
+
+    def test_runs_with_the_numpy_1_api(self, monkeypatch):
+        config = OptimizerConfig(max_evaluations=5_000, seed=4)
+        expected = minimize_saec(rastrigin_objective(3), config)
+        monkeypatch.setattr(optimize, "np", numpy_1)
+        result = minimize_saec(rastrigin_objective(3), config)
+        assert result.best_value == expected.best_value and result.trace == expected.trace
 
 
 class TestStartPointShape:

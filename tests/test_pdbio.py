@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atom_rows import structure_from_rows
+from numpy1 import numpy_1
 from stericzip import (
     AtomNotFoundError,
     AtomSelector,
@@ -280,6 +281,12 @@ class TestRoundTrip:
     def test_write_parse_write_bytes(self, s):
         once = write_pdb(s)
         assert write_pdb(parse_pdb(once)) == once
+
+    def test_blank_element_is_inferred_at_construction(self):
+        # The writer leaves columns 77-78 blank and the parser infers the element.
+        s = single_atom_structure(elements=[""])
+        assert s.elements.tolist() == ["C"]
+        assert parse_pdb(write_pdb(s)) == s
 
     def test_arbitrary_precision_projects_to_grid(self):
         s = single_atom_structure(position=(1.23456789, -2.3456789, 0.999999))
@@ -642,16 +649,9 @@ def test_canonical_files_take_no_per_cell_path(monkeypatch):
 
 
 def test_reads_and_writes_with_the_numpy_1_api(monkeypatch):
-    # The package supports NumPy 1.24, which lacks these names of NumPy 2.0.
-    class NumPy1(type(np)):
-        def __getattr__(self, name):
-            if name in ("strings", "concat", "astype", "permute_dims", "isdtype", "unique_values", "vecdot"):
-                raise AttributeError(f"NumPy 1 has no numpy.{name}")
-            return getattr(np, name)
-
     template = load_template()
     text = write_pdb(template)
-    monkeypatch.setattr(pdbio, "np", NumPy1("numpy"))
+    monkeypatch.setattr(pdbio, "np", numpy_1)
     assert write_pdb(parse_pdb(text)) == text and write_pdb(Structure([])) == "END\n"
     assert Structure(template.chains, template.headers) == template
 
