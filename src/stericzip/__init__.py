@@ -31,6 +31,7 @@ from .energy import (
     HBParams,
     LJABParams,
     LJParams,
+    TEMPLATE_CONTACT_SIGMA,
     clash_audit,
     detect_hbonds,
     hb_pair_energy,
@@ -87,7 +88,6 @@ from .template import (
     PALINDROME_WINDOWS,
     SHEET_FLIP_ROTATION,
     STRAND_SPACING,
-    TEMPLATE_CONTACT_SIGMA,
     TEMPLATE_SHEET_TRANSLATION,
     default_lattice,
     load_template,

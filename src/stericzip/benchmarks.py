@@ -120,6 +120,8 @@ CLASSIC_SUITE: dict[str, BenchmarkProblem] = {
 SUITES = {"classic": CLASSIC_SUITE}
 
 DEFAULT_BENCH_BUDGET = 200_000
+DEFAULT_BENCH_DIMS = (2, 5, 10)
+DEFAULT_BENCH_RUNS = 30
 
 
 def default_bench_config(budget: int = DEFAULT_BENCH_BUDGET) -> OptimizerConfig:
@@ -130,8 +132,8 @@ def default_bench_config(budget: int = DEFAULT_BENCH_BUDGET) -> OptimizerConfig:
 
 def run_benchmark(
     suite: str = "classic",
-    dims=(2, 5, 10),
-    runs: int = 30,
+    dims=DEFAULT_BENCH_DIMS,
+    runs: int = DEFAULT_BENCH_RUNS,
     config: OptimizerConfig | None = None,
     seed: int = 0,
 ) -> dict:

@@ -13,21 +13,22 @@ over the contact pairs (i, i), or over every anchor-free pair with
 ``full_sum`` (anchor-anchor and free-free terms do not change under a
 rigid translation).
 
-The placement is settled once, by the geometry.  With at most two contact
-centres whose floor, -eps per pair, can be reached, the optima form a
-sphere (one centre) or a circle about the axis of two, and the model is
-their point nearest the template screw (u = 0), in closed form
-(``nearest_optimum``).  Otherwise (a tie, an unreachable floor, three or
-more centres, as with ``full_sum``) it is the end point of Newton descent
-on the analytic Hessian from u = 0.  The answer is certified when its
-energy is within CERTIFICATE_GAP * eps = 1e-4 eps of the floor or of a
-lower bound, which a branch and bound over the axial position s and radius
-rho of u proves when every centre lies on one line (one or two contact
-pairs, and ``full_sum`` on the packaged template).  The certificate alone
-sets the target of the seeded annealed search, which starts from the
-answer: a certified answer ends it after its first population, and
-otherwise it checks the answer over a box that holds every optimum; a
-lower energy found there is polished and used.  Each fallback (a tie, a
+The placement is settled once, by the geometry, on the unit-depth energy
+(eps = 1), so every tolerance is in units of eps and the answer does not
+depend on the energy unit.  With at most two contact centres whose floor,
+-1 per pair, can be reached, the optima form a sphere (one centre) or a
+circle about the axis of two, and the model is their point nearest the
+template screw (u = 0), in closed form (``nearest_optimum``).  Otherwise
+(a tie, an unreachable floor, three or more centres, as with ``full_sum``)
+it is the end point of Newton descent on the analytic Hessian from u = 0.
+The answer is certified when its energy is within CERTIFICATE_GAP = 1e-4
+of the floor or of a lower bound, which a branch and bound over the axial
+position s and radius rho of u proves when every centre lies on one line
+(one or two contact pairs, and ``full_sum`` on the packaged template).
+The certificate alone sets the target of the seeded annealed search,
+which starts from the answer: a certified answer ends it after its first
+population, and otherwise it checks the answer over a box that holds
+every optimum; a lower energy found there is polished and used.  Each fallback (a tie, a
 bound that does not close, a seed-dependent answer, a descent stopped on
 its iteration budget) is a report warning.
 """
@@ -53,16 +54,11 @@ from .geometry import (
 )
 from .optimize import Objective, OptimizerConfig, OptimizationResult, local_refine, minimize_saec, uniform_bounds
 from .pdbio import ATOM_COLUMNS, AtomSelector, Structure, atom_row
-from .template import (
-    DEFAULT_ANCHOR_SELECTORS,
-    DEFAULT_FREE_SELECTORS,
-    TEMPLATE_CONTACT_SIGMA,
-    default_lattice,
-)
+from .template import DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS, default_lattice
 
 BACKBONE_ATOM_NAMES = ("N", "CA", "C", "O")
 SEQUENCE_ALPHABET = {"A": "ALA", "G": "GLY"}
-# A placement within CERTIFICATE_GAP * eps of a proven lower bound is certified.
+# A placement within CERTIFICATE_GAP (in units of eps) of a proven lower bound is certified.
 CERTIFICATE_GAP = 1e-4
 _BOUND_BOX_CAP = 20_000  # boxes the (s, rho) branch and bound may bound before it gives up
 _LINE_TOLERANCE = 1e-9  # distance off a line, relative to the points' spread, still counted as on it
@@ -150,7 +146,7 @@ class FibrilSpec:
     model_name: str = "model"
     anchors: tuple[str, ...] = DEFAULT_ANCHOR_SELECTORS
     free_atoms: tuple[str, ...] = DEFAULT_FREE_SELECTORS
-    lj: LJParams = field(default_factory=lambda: LJParams(1.0, TEMPLATE_CONTACT_SIGMA))
+    lj: LJParams = field(default_factory=LJParams)
     lattice: SheetLattice = field(default_factory=default_lattice)
     optimizer: OptimizerConfig = field(default_factory=lambda: OptimizerConfig(max_evaluations=40_000))
     full_sum: bool = False
@@ -340,13 +336,14 @@ def certify_lower_bound(t: np.ndarray, eta: float, params: LJParams, ceiling: fl
     [min t - R - eta, max t + R + eta] x [0, R + eta].  They start about
     R + eta wide and are halved in both directions, one level at a time in
     NumPy, until every box's bound reaches the ceiling (True) or
-    _BOUND_BOX_CAP boxes have been bounded (False).
+    _BOUND_BOX_CAP boxes have been bounded (False).  ``params`` have unit
+    depth (eps = 1), as ``solve_contact_placement`` passes them.
     """
     if ceiling <= 0.0:
         return True  # each term is >= 0
-    level = ceiling / (len(t) * params.epsilon)
+    level = ceiling / len(t)
     if level >= 1.0:
-        return False  # g < eps everywhere, so the far field is not ruled out
+        return False  # g < 1 everywhere, so the far field is not ruled out
     reach = params.sigma * (2.0 / (1.0 - np.sqrt(level))) ** (1.0 / 6.0) + eta
     columns = int(np.ceil((np.ptp(t) + 2.0 * reach) / reach))
     edges = np.linspace(t.min() - reach, t.max() + reach, columns + 1)
@@ -382,8 +379,9 @@ def solve_contact_placement(
     sets the target of the seeded search, so ``config`` may set none.  A tie,
     a bound that does not close, a search that finds a lower energy (its
     point is polished and used) and a descent that ends on its iteration
-    budget (naming |g| there) each add a warning.  Every tolerance scales
-    with ``params.epsilon``, so the answer does not depend on the energy unit.
+    budget (naming |g| there) each add a warning.  It solves the unit-depth
+    energy, so the answer and its evaluation count do not depend on
+    ``params.epsilon``, which scales only the energies it reports.
     """
     anchors = np.asarray(anchor_points, dtype=np.float64).reshape(-1, 3)
     free0 = np.asarray(free_points, dtype=np.float64).reshape(-1, 3)
@@ -392,21 +390,21 @@ def solve_contact_placement(
     if not anchors.size:
         raise StericZipError("anchor and free point lists must not be empty")
     _check_no_search_target(config)
-    k = anchors.shape[0]
-    floor = -params.epsilon * (k * k if full_sum else k)
+    k, eps, unit = anchors.shape[0], params.epsilon, replace(params, epsilon=1.0)
+    floor = -(k * k if full_sum else k)
 
-    objective = placement_objective(anchors, free0, params, full_sum)
+    objective = placement_objective(anchors, free0, unit, full_sum)
     centres = placement_centres(anchors, free0, full_sum)
     warnings = []
 
     def descend(start: np.ndarray) -> OptimizationResult:
-        result = local_refine(objective, start, tol=1e-10 * params.epsilon, max_iters=500)
+        result = local_refine(objective, start, tol=1e-10, max_iters=500)
         # A line-search stop is the float floor of the energy (full_sum ends
         # there at |g| ~ 1e-8), so only a budget stop is news.
         if result.terminated_by == "budget":
             gnorm = float(np.linalg.norm(objective.gradient(result.best_point)))
             warnings.append(
-                f"the placement descent stopped on its iteration budget at |g| = {gnorm:.3g}, "
+                f"the placement descent stopped on its iteration budget at |g| = {gnorm * eps:.3g}, "
                 "short of its tolerance; the sheet placement may not be at an optimum"
             )
         return result
@@ -424,12 +422,11 @@ def solve_contact_placement(
                 "the sheet placement is the descent's end point"
             )
 
-    gap = CERTIFICATE_GAP * params.epsilon
     line = None if reachable else collinear_offsets(centres)
-    if value <= gap or (line is not None and certify_lower_bound(*line, params, value - gap)):
+    if value <= CERTIFICATE_GAP or (line is not None and certify_lower_bound(*line, unit, value - CERTIFICATE_GAP)):
         # value - bound is the gap up to rounding, and exact (Fast2Sum), so the
         # answer, which joins the search's first population, meets the target.
-        bound = max(value - gap, 0.0)
+        bound = max(value - CERTIFICATE_GAP, 0.0)
         cfg = replace(config, target_value=bound, target_tolerance=value - bound)
     else:
         if line is not None:
@@ -437,16 +434,18 @@ def solve_contact_placement(
                 f"no lower bound certifies the sheet placement (the branch and bound stops at "
                 f"{_BOUND_BOX_CAP} boxes); the seeded search checks it over the whole box"
             )
-        # Contact-restricted global minimum is exactly the floor, -k epsilon.
-        cfg = config if full_sum else replace(config, target_value=0.0, target_tolerance=1e-3 * params.epsilon)
+        # The floor (value 0) ends the search early only when every contact can
+        # reach r_min; it is no bound: adding A.ALA5.CB-G.ALA2.CB to the default
+        # contacts gives a minimum of -2.242639 against a floor of -3.
+        cfg = config if full_sum else replace(config, target_value=0.0, target_tolerance=1e-3)
 
     saec = minimize_saec(objective, cfg, x0=u)
     evaluations += saec.evaluations_used
     energy = value + floor
-    if saec.best_value < value - 1e-9 * max(params.epsilon, abs(energy)):
+    if saec.best_value < value - 1e-9 * max(1.0, abs(energy)):
         warnings.append(
-            f"the seeded search reached energy {saec.best_value + floor:.6g}, below the "
-            f"{energy:.6g} of the placement from the template screw; "
+            f"the seeded search reached energy {(saec.best_value + floor) * eps:.6g}, below the "
+            f"{energy * eps:.6g} of the placement from the template screw; "
             "the sheet placement depends on the seed"
         )
         refined = descend(saec.best_point)
@@ -455,11 +454,10 @@ def solve_contact_placement(
         energy = value + floor
 
     distances = np.linalg.norm(free0 + u - anchors, axis=1)
-    trace = [(e, v + floor) for e, v in saec.trace]
     return PlacementOutcome(
         transform=base_transform.with_translation(base_transform.translation + u),
-        optimizer_result=replace(saec, best_point=u, best_value=energy, evaluations_used=evaluations, trace=trace),
-        refined_energy=energy,
+        optimizer_result=replace(saec, best_point=u, best_value=energy * eps, evaluations_used=evaluations),
+        refined_energy=energy * eps,
         contact_distances=distances,
         contact_energies=lj_pair_energy(distances, params),
         warnings=warnings,

@@ -13,20 +13,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import secrets
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import SUITES, default_bench_config, run_benchmark
+from .benchmarks import (DEFAULT_BENCH_BUDGET, DEFAULT_BENCH_DIMS, DEFAULT_BENCH_RUNS, SUITES, default_bench_config,
+                         run_benchmark)
 from .builder import FibrilSpec, build_fibril_model, apply_sequence, validate_sequence
 from .energy import DEFAULT_HB_PARAMS, HBParams, LJParams, structure_energy_report, ContactPair
 from .errors import StericZipError
 from .geometry import RigidTransform, transform_chain
 from .pdbio import AtomSelector, atom_row, decode_pdb, parse_pdb, write_pdb
-from .template import DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS, TEMPLATE_CONTACT_SIGMA
+from .template import DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -41,10 +41,6 @@ def _fail(message: str) -> int:
 def _usage(message: str) -> int:
     print(f"stericzip: usage error: {message}", file=sys.stderr)
     return EXIT_USAGE
-
-
-def _resolve_seed(seed: int | None) -> int:
-    return secrets.randbits(32) if seed is None else seed
 
 
 def _read_structure(path: str):
@@ -83,7 +79,6 @@ def _cmd_build(args) -> int:
     if args.seed is not None and args.seed < 0:
         return _usage("--seed must be >= 0")
 
-    seed = _resolve_seed(args.seed)
     try:
         template = _read_structure(args.template)
         if args.spec:
@@ -99,14 +94,13 @@ def _cmd_build(args) -> int:
         )
         spec = replace(
             spec,
-            model_name=args.model_name,
+            model_name=args.model_name if args.model_name is not None else spec.model_name,
             lj=lj,
             full_sum=args.full_sum or spec.full_sum,
-            optimizer=replace(spec.optimizer, seed=seed),
+            optimizer=replace(spec.optimizer, seed=args.seed if args.seed is not None else spec.optimizer.seed),
         )
         model, report = build_fibril_model(template, spec)
-        payload = report.to_dict()
-        payload["seed"] = seed
+        payload = dict(report.to_dict(), seed=spec.optimizer.seed)
         out = Path(args.out)
         report_path = Path(f"{args.out}.report.json")
         _write_outputs(
@@ -191,16 +185,15 @@ def _cmd_bench(args) -> int:
             raise ValueError
     except ValueError:
         return _usage(f"bad --dims {args.dims!r}; expected comma-separated positive integers")
-    if args.seed is not None and args.seed < 0:
+    if args.seed < 0:
         return _usage("--seed must be >= 0")
     population = default_bench_config().population_size
     if args.budget < population:
         return _usage(f"--budget must cover the population of {population}")
 
-    seed = _resolve_seed(args.seed)
     config = default_bench_config(args.budget)
     try:
-        report = run_benchmark(args.suite, dims=dims, runs=args.runs, config=config, seed=seed)
+        report = run_benchmark(args.suite, dims=dims, runs=args.runs, config=config, seed=args.seed)
         _write_outputs((Path(args.report), json.dumps(report, indent=2, sort_keys=True) + "\n"))
     except (StericZipError, OSError) as exc:
         return _fail(str(exc))
@@ -226,13 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--template", required=True, help="template PDB path (chains A and B)")
     p.add_argument("--sequence", required=True, help="six-letter Ala/Gly sequence, e.g. GAAAAG")
     p.add_argument("--out", required=True, help="output model PDB path")
-    p.add_argument("--seed", type=int, default=None, help="optimizer seed (generated when absent)")
-    p.add_argument("--sigma", type=float, default=None, help=f"contact sigma in A (default {TEMPLATE_CONTACT_SIGMA})")
+    p.add_argument("--seed", type=int, default=None, help="optimizer seed (default: the spec's optimizer.seed, else 0)")
+    p.add_argument("--sigma", type=float, default=None, help=f"contact sigma in A (default {LJParams().sigma})")
     p.add_argument("--epsilon", type=float, default=None, help="contact well depth (default 1.0)")
     p.add_argument("--full-sum", action="store_true",
                    help="sum the contact energy over every anchor-free pair, not only the contact pairs")
     p.add_argument("--spec", default=None, help="JSON file with FibrilSpec overrides")
-    p.add_argument("--model-name", default="model", help="name recorded in the report")
+    p.add_argument("--model-name", default=None, help="name recorded in the report (default: the spec's, else model)")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("mutate", help="mutate one six-residue chain and renumber it 1-6")
@@ -262,10 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="seeded optimizer benchmark table")
     p.add_argument("--suite", default="classic")
-    p.add_argument("--dims", default="2,5,10")
-    p.add_argument("--runs", type=int, default=30)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=int, default=200_000, help="max evaluations per run")
+    p.add_argument("--dims", default=",".join(map(str, DEFAULT_BENCH_DIMS)))
+    p.add_argument("--runs", type=int, default=DEFAULT_BENCH_RUNS)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=DEFAULT_BENCH_BUDGET, help="max evaluations per run")
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_bench)
 

@@ -33,13 +33,6 @@ TEMPLATE_SHEET_TRANSLATION = np.array([9.075, 4.7765, 0.0])
 INTRA_SHEET_STEP = np.array([0.0, 9.553, 0.0])
 STRAND_SPACING = 4.7765  # y offset of chain B from chain A, half the lattice step
 
-# Contact scale matched to this template's geometry: the two monitored
-# inter-sheet contacts cross one strand level each, so their optimal
-# distance must exceed half the crossing offset (about 6.0 A here) for a
-# single sheet translation to satisfy both.  sigma = 5.82 puts the pair
-# minimum at 6.53 A and leaves a 2.6 A inter-sheet clearance.
-TEMPLATE_CONTACT_SIGMA = 5.82
-
 DEFAULT_ANCHOR_SELECTORS = ("A.ALA3.CB", "B.ALA4.CB")
 DEFAULT_FREE_SELECTORS = ("G.ALA4.CB", "H.ALA3.CB")
 

@@ -1,5 +1,7 @@
 """Mutation, placement, and the full model-building pipeline."""
 
+import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +21,7 @@ from stericzip import (
     atom_row,
     build_fibril_model,
     detect_hbonds,
+    load_template,
     local_refine,
     mutate_residue,
     solve_contact_placement,
@@ -229,10 +232,20 @@ class TestPlacement:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_placement_does_not_depend_on_the_energy_unit(self, seed):
-        # Every tolerance scales with epsilon.  Seed 1 used to put sheet 2 at
-        # u_z = +3.3405 A with epsilon 1 but at -3.3405 A with epsilon 100.
-        moves = [self.triangle(LJParams(epsilon, 4.0), seed).transform.translation for epsilon in (1e-3, 1.0, 100.0)]
-        assert np.allclose(moves, moves[1], rtol=0, atol=1e-9)
+        # The placement solves the unit-depth energy.  Seed 1 used to put sheet 2
+        # at u_z = +3.3405 A with epsilon 1 but at -3.3405 A with epsilon 100, and
+        # the polish took 15, 21, 4 and 4 evaluations at the four depths below.
+        epsilons = (2.0**-10, 1e-4, 1.0, 100.0)
+        outcomes = [self.triangle(LJParams(epsilon, 4.0), seed) for epsilon in epsilons]
+        # Only the reported energies, the warning's included, scale with epsilon.
+        unit = outcomes[2]
+        unit_numbers = [float(x) for x in re.findall(r"energy (\S+), below the (\S+) ", unit.warnings[0])[0]]
+        for epsilon, outcome in zip(epsilons, outcomes):
+            assert np.array_equal(outcome.transform.translation, unit.transform.translation)
+            assert outcome.optimizer_result.evaluations_used == unit.optimizer_result.evaluations_used
+            assert outcome.refined_energy == outcome.optimizer_result.best_value == unit.refined_energy * epsilon
+            numbers = [float(x) for x in re.findall(r"energy (\S+), below the (\S+) ", outcome.warnings[0])[0]]
+            assert numbers == pytest.approx([x * epsilon for x in unit_numbers], rel=1e-5)
 
     def test_descent_stopped_on_budget_warns(self, monkeypatch):
         # A descent cut short by its iteration budget used to pass silently.
@@ -663,6 +676,20 @@ class TestBuildPipeline:
         a = model.chain("A").coords
         assert np.array_equal(model.chain("C").coords, a + INTRA_SHEET_STEP)
         assert np.array_equal(model.chain("E").coords, a - INTRA_SHEET_STEP)
+
+    @pytest.mark.parametrize(
+        "sequence, full_sum, digest",
+        [("AGAAAA", False, "dc96752544ed"), ("GAAAAG", False, "17a08e32fdf3"), ("AAAAGA", False, "ca4707f33cff"),
+         ("AGAAAA", True, "fb84477d8b5c"), ("GAAAAG", True, "0ad134489827"), ("AAAAGA", True, "f11bdd5d763e")],
+    )
+    def test_packaged_seed_zero_builds_are_pinned(self, sequence, full_sum, digest):
+        # The PDB text of the six packaged seed-0 builds, and how their placement ends.
+        spec = FibrilSpec(sequence=sequence, full_sum=full_sum, optimizer=quick_config(0))
+        model, report = build_fibril_model(load_template(), spec)
+        assert hashlib.sha256(write_pdb(model).encode()).hexdigest()[:12] == digest
+        assert report.optimizer["evaluations"] == (32 if full_sum else 20)
+        assert report.optimizer["terminated_by"] == "tolerance"
+        assert report.warnings == []
 
     def test_deterministic_output_bytes(self):
         template = synthetic_template()

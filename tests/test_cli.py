@@ -6,7 +6,8 @@ import pytest
 
 from stericzip import (AtomSelector, ContactPair, LJParams, parse_pdb, structure_energy_report, synthetic_template,
                        write_pdb)
-from stericzip.cli import main
+from stericzip.benchmarks import DEFAULT_BENCH_BUDGET, DEFAULT_BENCH_DIMS, DEFAULT_BENCH_RUNS
+from stericzip.cli import build_parser, main
 from stericzip.template import DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS, template_path
 
 
@@ -127,12 +128,28 @@ class TestBuild:
         assert capsys.readouterr().err.startswith("stericzip: error: ")
         assert not out.exists()
 
-    def test_generated_seed_echoed(self, tmp_path, template_file):
-        out = tmp_path / "m.pdb"
-        assert run("build", "--template", template_file, "--sequence", "GAAAAG",
-                   "--out", out) == 0
+    def test_seed_defaults_to_zero(self, tmp_path, template_file):
+        # A build without --seed used to run, and echo, a random seed.
+        out, zero = tmp_path / "m.pdb", tmp_path / "zero.pdb"
+        assert run("build", "--template", template_file, "--sequence", "GAAAAG", "--out", out) == 0
+        assert run("build", "--template", template_file, "--sequence", "GAAAAG", "--out", zero, "--seed", "0") == 0
         report = json.loads((tmp_path / "m.pdb.report.json").read_text())
-        assert isinstance(report["seed"], int)
+        assert report["seed"] == report["optimizer"]["seed"] == 0
+        assert report["model_name"] == "model"
+        assert out.read_bytes() == zero.read_bytes()
+        assert (tmp_path / "m.pdb.report.json").read_bytes() == (tmp_path / "zero.pdb.report.json").read_bytes()
+
+    def test_spec_seed_and_model_name_hold_unless_a_flag_sets_them(self, tmp_path, template_file):
+        # The --seed and --model-name defaults used to replace the spec's values.
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"model_name": "zipper7", "optimizer": {"seed": 5}}')
+        for flags, seed, name in (((), 5, "zipper7"), (("--seed", 9, "--model-name", "other"), 9, "other")):
+            out = tmp_path / f"{name}.pdb"
+            assert run("build", "--template", template_file, "--sequence", "GAAAAG", "--out", out,
+                       "--spec", spec, *flags) == 0
+            report = json.loads((tmp_path / f"{name}.pdb.report.json").read_text())
+            assert report["seed"] == report["optimizer"]["seed"] == seed
+            assert report["model_name"] == name
 
 
 class TestMutate:
@@ -234,6 +251,20 @@ class TestEnergy:
         assert len(report["contacts"]) == 2
         assert report["contacts"] == library["contacts"]
         assert report == json.loads(json.dumps(library))
+
+    def test_default_sigma_is_the_builds(self, tmp_path, template_file):
+        # The default sigma used to be 4.0 A, which scored each contact of a
+        # fresh build at -0.1997 with an optimal distance of 4.49 A.
+        model, report_path = tmp_path / "m.pdb", tmp_path / "energy.json"
+        assert run("build", "--template", template_file, "--sequence", "GAAAAG", "--out", model) == 0
+        assert run("energy", "--in", model, "--report", report_path) == 0
+        built = json.loads((tmp_path / "m.pdb.report.json").read_text())
+        report = json.loads(report_path.read_text())
+        assert report["parameters"]["sigma"] == built["parameters"]["sigma"]
+        assert len(report["contacts"]) == len(built["contacts"]) == 2
+        for row, contact in zip(report["contacts"], built["contacts"]):
+            assert row["energy"] == pytest.approx(-1.0, abs=5e-5)
+            assert row["optimal_distance"] == contact["optimal_distance"]
 
     def test_empty_structure(self, tmp_path):
         empty = tmp_path / "empty.pdb"
@@ -340,6 +371,18 @@ class TestBench:
         assert run("bench", "--suite", "classic", "--dims", "2", "--runs", "1",
                    "--seed", "5", "--budget", "2000", "--report", report_path) == 1
         assert str(report_path) in capsys.readouterr().err
+
+    def test_defaults_come_from_the_harness(self):
+        args = build_parser().parse_args(["bench", "--report", "b.json"])
+        assert (args.budget, args.runs, args.seed) == (DEFAULT_BENCH_BUDGET, DEFAULT_BENCH_RUNS, 0)
+        assert tuple(int(d) for d in args.dims.split(",")) == DEFAULT_BENCH_DIMS
+
+    def test_seed_defaults_to_zero(self, tmp_path):
+        # bench without --seed used to run a random seed.
+        paths = tmp_path / "a.json", tmp_path / "zero.json"
+        for path, flags in zip(paths, ((), ("--seed", "0"))):
+            assert run("bench", "--dims", "2", "--runs", "2", "--budget", "2000", *flags, "--report", path) in (0, 1)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_deterministic_report_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

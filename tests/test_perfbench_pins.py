@@ -1,11 +1,17 @@
-"""The package names that the benchmark in perfbench/ patches and calls.
+"""The package names and the command line that the benchmark in perfbench/ patches and calls.
 
 perfbench/tracing.py wraps stericzip functions by module and class
-attribute, and perfbench/workloads.py stacks fibril cells through the
-structure API.  A name either needs that leaves the package fails here,
-in the tier-1 suite, and not only in the benchmark's own self-test.
+attribute, perfbench/workloads.py stacks fibril cells through the
+structure API, and its files workload checks a ``stericzip build``
+subprocess against the in-process build.  A name either needs that leaves
+the package, or a change to that contract, fails here, in the tier-1
+suite, and not only in the benchmark's own self-test.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +20,8 @@ import stericzip.builder as builder
 import stericzip.energy as energy
 import stericzip.optimize as optimize
 import stericzip.pdbio as pdbio
-from stericzip import FibrilSpec, build_fibril_model, load_template, parse_pdb, write_pdb
+from stericzip import FibrilSpec, OptimizerConfig, build_fibril_model, load_template, parse_pdb, write_pdb
+from stericzip.template import template_path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -57,3 +64,19 @@ def test_stacked_cells_round_trip(perfbench, cells):
     assert [atom.name for atom in stack.atoms()] == stack.names.tolist()
     text = write_pdb(stack)
     assert write_pdb(parse_pdb(text)) == text
+
+
+@pytest.mark.parametrize("window, seed", [("GAAAAG", 7), ("AAAAGA", 3_014_152_581)])
+def test_cli_build_writes_the_in_process_model_and_report(perfbench, tmp_path, window, seed):
+    # The files workload's side operation checks exactly this.
+    _, workloads = perfbench
+    env = dict(os.environ, PYTHONPATH=str(workloads.SRC))
+    done = subprocess.run([sys.executable, "-m", "stericzip.cli", "build", "--template", str(template_path()),
+                           "--sequence", window, "--out", "model.pdb", "--seed", str(seed)],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    spec = FibrilSpec(sequence=window, optimizer=OptimizerConfig(max_evaluations=workloads.BUILD_BUDGET, seed=seed))
+    model, report = build_fibril_model(load_template(), spec)
+    assert (tmp_path / "model.pdb").read_text() == write_pdb(model)
+    expected = json.dumps(dict(report.to_dict(), seed=seed), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "model.pdb.report.json").read_text() == expected
