@@ -1,30 +1,18 @@
 """Audit a built model: contact energies, hydrogen bonds, steric clashes.
 
-Builds one model in memory and prints the same report the `stericzip
-energy` subcommand writes as JSON.
+Builds one model in memory and prints the audit the build itself runs,
+`structure_energy_report` on the spec's contacts; `stericzip energy`
+writes the same report, for the default contacts, as JSON.
 
 Run:  python demos/energy_audit.py
 """
 
-from stericzip import (
-    AtomSelector,
-    ContactPair,
-    FibrilSpec,
-    OptimizerConfig,
-    build_fibril_model,
-    load_template,
-    structure_energy_report,
-)
-from stericzip.template import DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS
+from stericzip import FibrilSpec, OptimizerConfig, build_fibril_model, load_template, structure_energy_report
 
 spec = FibrilSpec(sequence="GAAAAG", optimizer=OptimizerConfig(max_evaluations=40_000, seed=42))
 model, build_report = build_fibril_model(load_template(), spec)
-
-contacts = [
-    ContactPair(AtomSelector.parse(a), AtomSelector.parse(b))
-    for a, b in zip(DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS)
-]
-report = structure_energy_report(model, lj=spec.lj, contacts=contacts)
+report = structure_energy_report(model, lj=spec.lj, contacts=spec.contacts())
+assert report["contacts"] == build_report.contacts  # the build report carries this same audit
 
 print(f"model: {build_report.sequence}, {len(model.chains)} chains")
 print(f"total contact energy: {report['total_contact_energy']:.6f}")

@@ -3,7 +3,9 @@
 Pipeline: mutate the template's chains A and B (the asymmetric unit) to
 the target Ala/Gly hexapeptide, place the opposing sheet by a
 translation-only update of the lattice screw, build the twelve-chain
-cell from the unit in one pass, and audit hydrogen bonds and clashes.
+cell from the unit in one pass, and audit the model with
+``structure_energy_report``, the audit ``stericzip energy`` runs: the
+report's contacts, model H-bond count, clashes and parameters are its.
 
 Sheet 2 moves as a rigid body with its rotation fixed, so the placement
 has three unknowns: the translation u added to the screw.  It puts free
@@ -40,7 +42,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .energy import CLASH_CUTOFF, LJParams, clash_audit, detect_hbonds, lj_kernel, lj_pair_energy
+from .energy import CLASH_CUTOFF, ContactPair, LJParams, detect_hbonds, lj_kernel, structure_energy_report
+from .energy import clash_audit  # unused; perfbench/tracing.py patches it by this name
 from .errors import BuildError, MutationError, SelectionError, StericZipError
 from .geometry import (
     RigidTransform,
@@ -166,11 +169,9 @@ class FibrilSpec:
                     raise StericZipError(f"{kind} {sel} must lie in chain {' or '.join(chains)}")
         _check_no_search_target(self.optimizer)
 
-    def anchor_selectors(self) -> list[AtomSelector]:
-        return [AtomSelector.parse(t) for t in self.anchors]
-
-    def free_selectors(self) -> list[AtomSelector]:
-        return [AtomSelector.parse(t) for t in self.free_atoms]
+    def contacts(self) -> list[ContactPair]:
+        """The monitored contacts: each anchor (``first``) with its free atom (``second``)."""
+        return [ContactPair(AtomSelector.parse(a), AtomSelector.parse(f)) for a, f in zip(self.anchors, self.free_atoms)]
 
     @classmethod
     def from_json(cls, text: str, **overrides) -> "FibrilSpec":
@@ -214,9 +215,6 @@ def _check_no_search_target(config: OptimizerConfig) -> None:
 class PlacementOutcome:
     transform: RigidTransform
     optimizer_result: OptimizationResult
-    refined_energy: float
-    contact_distances: np.ndarray
-    contact_energies: np.ndarray
     warnings: list[str] = field(default_factory=list)
 
 
@@ -453,13 +451,9 @@ def solve_contact_placement(
         u, value = refined.best_point, refined.best_value
         energy = value + floor
 
-    distances = np.linalg.norm(free0 + u - anchors, axis=1)
     return PlacementOutcome(
         transform=base_transform.with_translation(base_transform.translation + u),
         optimizer_result=replace(saec, best_point=u, best_value=energy * eps, evaluations_used=evaluations),
-        refined_energy=energy * eps,
-        contact_distances=distances,
-        contact_energies=lj_pair_energy(distances, params),
         warnings=warnings,
     )
 
@@ -471,20 +465,28 @@ def place_opposing_sheet(unit: Structure, spec: FibrilSpec) -> PlacementOutcome:
     read as the image, under the lattice screw, of the same atom in its
     source chain, so ``G.ALA4.CB`` is the screw image of ``A.ALA4.CB``.
     """
-    screw = spec.lattice.sheet2_transform
-    anchors = unit.coords[[atom_row(unit, s) for s in spec.anchor_selectors()]]
+    screw, contacts = spec.lattice.sheet2_transform, spec.contacts()
+    anchors = unit.coords[[atom_row(unit, pair.first) for pair in contacts]]
     free0 = []
-    for sel in spec.free_selectors():
-        source = replace(sel, chain_id=SCREW_SOURCES[sel.chain_id])
+    for pair in contacts:
+        source = replace(pair.second, chain_id=SCREW_SOURCES[pair.second.chain_id])
         try:
             free0.append(screw.apply(unit.coords[atom_row(unit, source)]))
         except SelectionError as exc:
-            raise type(exc)(f"free atom {sel} is the screw image of {source}: {exc}") from None
+            raise type(exc)(f"free atom {pair.second} is the screw image of {source}: {exc}") from None
     return solve_contact_placement(anchors, free0, spec.lj, screw, spec.optimizer, spec.full_sum)
 
 
 @dataclass
 class BuildReport:
+    """The deterministic record of a build.
+
+    ``contacts``, ``model_hbond_count``, ``clashes`` and ``parameters``
+    (less ``full_sum``) are those of ``structure_energy_report(model,
+    spec.lj, contacts=spec.contacts())``, so a contact row names its atoms
+    ``first`` (the anchor) and ``second`` (the free atom).
+    """
+
     model_name: str
     sequence: str
     success: bool
@@ -548,29 +550,20 @@ def build_fibril_model(template: Structure, spec: FibrilSpec) -> tuple[Structure
         final = replicate_lattice(unit, replace(spec.lattice, sheet2_transform=placement.transform))
 
     with _stage("audit"):
-        model_hbonds = detect_hbonds(final)
-        clashes = clash_audit(final, CLASH_CUTOFF)
-        success = not clashes
-        if clashes:
-            warnings.append(f"{len(clashes)} steric clash(es) below {CLASH_CUTOFF} A; build marked failed")
+        audit = structure_energy_report(final, spec.lj, contacts=spec.contacts())
+        if audit["clashes"]:
+            warnings.append(f"{audit['clash_count']} steric clash(es) below {CLASH_CUTOFF} A; build marked failed")
 
-    contacts = [
-        {"anchor": str(a), "free": str(f), "distance": float(r), "energy": float(e),
-         "optimal_distance": spec.lj.r_min}
-        for a, f, r, e in zip(
-            spec.anchor_selectors(), spec.free_selectors(), placement.contact_distances, placement.contact_energies
-        )
-    ]
     report = BuildReport(
         model_name=spec.model_name,
         sequence=spec.sequence,
-        success=success,
+        success=not audit["clashes"],
         warnings=warnings,
         chain_ids=final.chain_ids(),
         hbond_count_before=hb_before,
         hbond_count_after=hb_after,
-        model_hbond_count=len(model_hbonds),
-        contacts=contacts,
+        model_hbond_count=audit["hbond_count"],
+        contacts=audit["contacts"],
         sheet_transform=placement.transform.to_values(),
         lattice_step=spec.lattice.intra_sheet_step.tolist(),
         optimizer={
@@ -579,12 +572,7 @@ def build_fibril_model(template: Structure, spec: FibrilSpec) -> tuple[Structure
             "terminated_by": placement.optimizer_result.terminated_by,
             "seed": spec.optimizer.seed,
         },
-        clashes=[{"first": a, "second": b, "distance": d} for a, b, d in clashes],
-        parameters={
-            "epsilon": spec.lj.epsilon,
-            "sigma": spec.lj.sigma,
-            "full_sum": spec.full_sum,
-            "clash_cutoff": CLASH_CUTOFF,
-        },
+        clashes=audit["clashes"],
+        parameters=audit["parameters"] | {"full_sum": spec.full_sum},
     )
     return final, report

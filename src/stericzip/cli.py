@@ -23,7 +23,7 @@ from .benchmarks import (DEFAULT_BENCH_BUDGET, DEFAULT_BENCH_DIMS, DEFAULT_BENCH
                          run_benchmark)
 from .builder import FibrilSpec, build_fibril_model, apply_sequence, validate_sequence
 from .energy import DEFAULT_HB_PARAMS, HBParams, LJParams, structure_energy_report, ContactPair
-from .errors import StericZipError
+from .errors import SelectionError, StericZipError
 from .geometry import RigidTransform, transform_chain
 from .pdbio import AtomSelector, atom_row, decode_pdb, parse_pdb, write_pdb
 from .template import DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS
@@ -157,16 +157,15 @@ def _cmd_energy(args) -> int:
         structure = _read_structure(args.infile)
         lj = LJParams(args.epsilon, args.sigma)
         hb = HBParams(args.hb_c, args.hb_d)
-        contacts = []
+        contacts, skipped = [], []
         for first, second in zip(DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS):
             try:
-                pair = ContactPair(AtomSelector.parse(first), AtomSelector.parse(second))
-                atom_row(structure, pair.first)
-                atom_row(structure, pair.second)
-                contacts.append(pair)
-            except StericZipError:
-                continue  # contact atoms absent in this structure
-        report = structure_energy_report(structure, lj=lj, hb=hb, contacts=contacts)
+                atom_row(structure, first)
+                atom_row(structure, second)
+                contacts.append(ContactPair(AtomSelector.parse(first), AtomSelector.parse(second)))
+            except SelectionError:
+                skipped.append(f"{first}-{second}")
+        report = structure_energy_report(structure, lj=lj, hb=hb, contacts=contacts) | {"skipped_contacts": skipped}
         _write_outputs((Path(args.report), json.dumps(report, indent=2, sort_keys=True) + "\n"))
     except (StericZipError, OSError) as exc:
         return _fail(str(exc))
@@ -244,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("energy", help="hydrogen-bond, clash, and contact-energy report")
+    p = sub.add_parser("energy", help="hydrogen-bond, clash, and default-contact energy report")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--sigma", type=float, default=LJParams().sigma)
     p.add_argument("--epsilon", type=float, default=LJParams().epsilon)

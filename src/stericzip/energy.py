@@ -359,6 +359,7 @@ def structure_energy_report(
     """JSON-ready audit: contact energies under ``lj``, hydrogen bonds under ``hb``, clashes, and the ``parameters``.
 
     ``lj`` defaults to ``LJParams()`` and ``hb`` to ``DEFAULT_HB_PARAMS``.
+    A build's ``audit`` stage and ``stericzip energy`` both report through it.
     """
     lj = lj or LJParams()
     hb = hb or DEFAULT_HB_PARAMS

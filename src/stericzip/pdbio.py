@@ -2,12 +2,13 @@
 
 ATOM/HETATM records are read with the classic column layout (1-6 record
 name, 7-11 serial, 13-16 atom name, 17 altLoc, 18-20 resName, 22 chainID,
-23-26 resSeq, 31-38/39-46/47-54 x/y/z as F8.3, 55-60 occupancy, 61-66
-tempFactor, 77-78 element).  TER closes the current chain and END closes
-the file.  Every other line is carried as an opaque header and re-emitted
-verbatim ahead of the coordinates, so writing a parsed file reproduces it
-byte for byte once it has passed through the writer; the writer refuses a
-header that would read back as something else.
+23-26 resSeq, 27 iCode (blank), 31-38/39-46/47-54 x/y/z as F8.3, 55-60
+occupancy, 61-66 tempFactor, 77-78 element).  TER closes the current
+chain and END closes the file.  Every other line is carried as an opaque
+header and re-emitted verbatim ahead of the coordinates, so writing a
+parsed file reproduces it byte for byte once it has passed through the
+writer; the writer refuses a header that would read back as something
+else.
 
 Both directions work on columns, not record by record.  The parser cuts
 the coordinate records into one array of code points, a row of columns
@@ -534,7 +535,7 @@ def parse_pdb(text: str) -> Structure:
 
     faults = np.array([
         lengths[records] < 54, (grid == 0).any(1), (alt_locs != "") & (alt_locs != "A"), bad.any(0), names == "",
-        ~np.isfinite(coords).all(0), ~np.isfinite(extras).all(0), serials < 1, reopened, renamed,
+        ~np.isfinite(coords).all(0), ~np.isfinite(extras).all(0), serials < 1, grid[:, 26] != 32, reopened, renamed,
     ])
     if faults.any():
         row = int(faults.any(0).argmax())
@@ -547,7 +548,8 @@ def parse_pdb(text: str) -> Structure:
             # A blank occupancy or B-factor takes its default.
             f"malformed {what} field {(cell.strip() if start >= 54 else cell)!r}", "empty atom name",
             f"atom {name}: non-finite position", f"atom {name}: non-finite occupancy or temperature factor",
-            f"atom {name}: serial must be >= 1", f"chain {chr(chains[row])!r} reopened after TER",
+            f"atom {name}: serial must be >= 1", f"insertion code {chr(grid[row, 26])!r} is not supported",
+            f"chain {chr(chains[row])!r} reopened after TER",
             f"residue {int(seqs[row])} renamed {res_names[row - 1]} -> {res_name}",
         )
         raise PdbParseError(messages[faults[:, row].argmax()], int(records[row]) + 1)

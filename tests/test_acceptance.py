@@ -196,8 +196,9 @@ def test_synthetic_two_anchor_placement():
             outcome = solve_contact_placement(
                 anchors, free0, params, RigidTransform.identity(), cfg
             )
-            assert abs(outcome.refined_energy + 2.0) <= 1e-6
-            assert np.all(np.abs(outcome.contact_distances - target) <= 0.005)
+            assert abs(outcome.optimizer_result.best_value + 2.0) <= 1e-6
+            distances = np.linalg.norm(free0 + outcome.transform.translation - anchors, axis=1)
+            assert np.all(np.abs(distances - target) <= 0.005)
 
 
 def test_pipeline_properties_on_template():

@@ -25,6 +25,7 @@ from stericzip import (
     local_refine,
     mutate_residue,
     solve_contact_placement,
+    structure_energy_report,
     synthetic_template,
     transform_chain,
     validate_sequence,
@@ -38,7 +39,7 @@ from stericzip.builder import (
     placement_centres,
     placement_objective,
 )
-from stericzip.template import SHEET_FLIP_ROTATION
+from stericzip.template import DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS, SHEET_FLIP_ROTATION
 
 R_MIN_FACTOR = 2.0 ** (1.0 / 6.0)
 BACKBONE = ("N", "CA", "C", "O")
@@ -46,6 +47,11 @@ BACKBONE = ("N", "CA", "C", "O")
 
 def quick_config(seed=0, budget=40_000):
     return OptimizerConfig(max_evaluations=budget, seed=seed)
+
+
+def contact_distances(anchors, free0, outcome):
+    """Contact pair (i, i) distances once a placement from the identity screw moves the free atoms."""
+    return np.linalg.norm(free0 + outcome.transform.translation - anchors, axis=1)
 
 
 def residue_atoms(structure, chain_id, res_seq):
@@ -190,8 +196,8 @@ class TestPlacement:
             outcome = solve_contact_placement(
                 anchors, free0, params, RigidTransform.identity(), quick_config(seed)
             )
-            assert outcome.refined_energy == pytest.approx(-2.0, abs=1e-6)
-            assert np.all(np.abs(outcome.contact_distances - target) <= 5e-3)
+            assert outcome.optimizer_result.best_value == pytest.approx(-2.0, abs=1e-6)
+            assert np.all(np.abs(contact_distances(anchors, free0, outcome) - target) <= 5e-3)
 
     def test_start_at_optimum_keeps_displacement_zero(self):
         anchors = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
@@ -204,14 +210,18 @@ class TestPlacement:
         assert np.allclose(outcome.transform.translation, 0.0, atol=1e-9)
 
     @staticmethod
-    def triangle(params, seed):
+    def triangle_points():
         # Three centres on an equilateral triangle about the origin: the
         # gradient vanishes at u = 0, so descent stays at that stationary point
         # and the search's point, above or below the plane, is used instead.
         angles = np.radians([90.0, 210.0, 330.0])
         centres = 3.0 * np.stack([np.cos(angles), np.sin(angles), np.zeros(3)], axis=1)
         free0 = np.tile([0.0, 0.0, 10.0], (3, 1))
-        return solve_contact_placement(centres + free0, free0, params, RigidTransform.identity(), quick_config(seed))
+        return centres + free0, free0
+
+    @classmethod
+    def triangle(cls, params, seed):
+        return solve_contact_placement(*cls.triangle_points(), params, RigidTransform.identity(), quick_config(seed))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_seed_dependent_fallback_warns(self, seed):
@@ -219,8 +229,8 @@ class TestPlacement:
         outcome = self.triangle(params, seed)
         assert len(outcome.warnings) == 1
         assert outcome.warnings[0].endswith("the sheet placement depends on the seed")
-        assert outcome.refined_energy == pytest.approx(-3.0, abs=1e-9)
-        assert np.allclose(outcome.contact_distances, params.r_min, rtol=0, atol=1e-9)
+        assert outcome.optimizer_result.best_value == pytest.approx(-3.0, abs=1e-9)
+        assert np.allclose(contact_distances(*self.triangle_points(), outcome), params.r_min, rtol=0, atol=1e-9)
         assert params.r_min == pytest.approx(4.489848, abs=5e-7)
         height = np.sqrt(params.r_min**2 - 9.0)
         # Which mirror minimum each seed picks; that seeds 0-3 pick both is what the warning reports.
@@ -243,7 +253,7 @@ class TestPlacement:
         for epsilon, outcome in zip(epsilons, outcomes):
             assert np.array_equal(outcome.transform.translation, unit.transform.translation)
             assert outcome.optimizer_result.evaluations_used == unit.optimizer_result.evaluations_used
-            assert outcome.refined_energy == outcome.optimizer_result.best_value == unit.refined_energy * epsilon
+            assert outcome.optimizer_result.best_value == unit.optimizer_result.best_value * epsilon
             numbers = [float(x) for x in re.findall(r"energy (\S+), below the (\S+) ", outcome.warnings[0])[0]]
             assert numbers == pytest.approx([x * epsilon for x in unit_numbers], rel=1e-5)
 
@@ -348,8 +358,8 @@ def template_points(spec):
     work = apply_sequence(apply_sequence(synthetic_template(), "A", spec.sequence), "B", spec.sequence)
     base = spec.lattice.sheet2_transform
     work = transform_chain(transform_chain(work, "A", base, "G"), "B", base, "H")
-    anchors = np.array([work.coords[atom_row(work, s)] for s in spec.anchor_selectors()])
-    free = np.array([work.coords[atom_row(work, s)] for s in spec.free_selectors()])
+    anchors = np.array([work.coords[atom_row(work, pair.first)] for pair in spec.contacts()])
+    free = np.array([work.coords[atom_row(work, pair.second)] for pair in spec.contacts()])
     return anchors, free
 
 
@@ -436,7 +446,7 @@ class TestNearestOptimum:
         outcome = solve_contact_placement(centres, np.zeros((2, 3)), params, RigidTransform.identity(), quick_config())
         assert outcome.warnings[0].startswith("every optimum is equally near the template screw")
         assert outcome.warnings[-1].endswith("the sheet placement depends on the seed")
-        assert np.allclose(outcome.contact_distances, params.r_min, rtol=0, atol=1e-9)
+        assert np.allclose(contact_distances(centres, np.zeros((2, 3)), outcome), params.r_min, rtol=0, atol=1e-9)
 
     def test_default_build_places_sheet_two_in_few_evaluations(self, monkeypatch):
         # The closed form places sheet 2; only the search's first population of 20 evaluates.
@@ -522,7 +532,7 @@ class TestPlacementCertificate:
         )
         assert outcome.warnings[0].startswith("no lower bound certifies the sheet placement")
         assert outcome.warnings[1].endswith("the sheet placement depends on the seed")
-        assert outcome.refined_energy < -2.0
+        assert outcome.optimizer_result.best_value < -2.0
 
     def test_full_sum_mirror_twin(self):
         # For two contacts the four centres form a parallelogram, symmetric
@@ -627,6 +637,16 @@ def builds():
     return out
 
 
+def assert_report_is_the_audit(spec, model, report):
+    """The build report's audit fields are those of structure_energy_report on its model, field by field."""
+    audit = structure_energy_report(model, spec.lj, contacts=spec.contacts())
+    assert report.contacts == audit["contacts"]
+    assert report.model_hbond_count == audit["hbond_count"]
+    assert report.clashes == audit["clashes"]
+    assert {k: v for k, v in report.parameters.items() if k != "full_sum"} == audit["parameters"]
+    assert report.parameters["full_sum"] == spec.full_sum
+
+
 class TestBuildPipeline:
     def test_twelve_chains(self, builds):
         for model, report in builds.values():
@@ -683,13 +703,31 @@ class TestBuildPipeline:
          ("AGAAAA", True, "fb84477d8b5c"), ("GAAAAG", True, "0ad134489827"), ("AAAAGA", True, "f11bdd5d763e")],
     )
     def test_packaged_seed_zero_builds_are_pinned(self, sequence, full_sum, digest):
-        # The PDB text of the six packaged seed-0 builds, and how their placement ends.
+        # The PDB text and report JSON of the six packaged seed-0 builds, and how their placement ends.
+        report_digests = {
+            ("AGAAAA", False): "b0449553cce2", ("GAAAAG", False): "87dd22b4bf15", ("AAAAGA", False): "251140baded3",
+            ("AGAAAA", True): "eb14d62890fc", ("GAAAAG", True): "813fedd5a174", ("AAAAGA", True): "3319aafda0f2",
+        }
         spec = FibrilSpec(sequence=sequence, full_sum=full_sum, optimizer=quick_config(0))
         model, report = build_fibril_model(load_template(), spec)
         assert hashlib.sha256(write_pdb(model).encode()).hexdigest()[:12] == digest
+        assert hashlib.sha256(report.to_json().encode()).hexdigest()[:12] == report_digests[sequence, full_sum]
         assert report.optimizer["evaluations"] == (32 if full_sum else 20)
         assert report.optimizer["terminated_by"] == "tolerance"
         assert report.warnings == []
+
+    @pytest.mark.parametrize("full_sum", [False, True])
+    @pytest.mark.parametrize("sequence", PALINDROME_WINDOWS)
+    def test_report_audit_is_the_structure_energy_report(self, sequence, full_sum):
+        spec = FibrilSpec(sequence=sequence, full_sum=full_sum, optimizer=quick_config(0))
+        assert_report_is_the_audit(spec, *build_fibril_model(load_template(), spec))
+
+    def test_three_contact_report_audit_is_the_structure_energy_report(self):
+        spec = FibrilSpec(sequence="GAAAAG", anchors=DEFAULT_ANCHOR_SELECTORS + ("A.ALA5.CB",),
+                          free_atoms=DEFAULT_FREE_SELECTORS + ("G.ALA2.CB",), optimizer=quick_config(0))
+        model, report = build_fibril_model(load_template(), spec)
+        assert [(c["first"], c["second"]) for c in report.contacts][-1] == ("A.ALA5.CB", "G.ALA2.CB")
+        assert_report_is_the_audit(spec, model, report)
 
     def test_deterministic_output_bytes(self):
         template = synthetic_template()
@@ -711,7 +749,7 @@ class TestBuildPipeline:
         assert [w for w in report.warnings if "G, H ignored" in w]
         for contact in report.contacts:
             measured = np.linalg.norm(
-                model.coords[atom_row(model, contact["anchor"])] - model.coords[atom_row(model, contact["free"])]
+                model.coords[atom_row(model, contact["first"])] - model.coords[atom_row(model, contact["second"])]
             )
             assert measured == pytest.approx(contact["distance"], abs=1e-9)
             assert contact["distance"] == pytest.approx(spec.lj.r_min, abs=1e-6)

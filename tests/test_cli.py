@@ -250,7 +250,7 @@ class TestEnergy:
         library = structure_energy_report(parse_pdb(model.read_text()), lj=LJParams(1.0, 5.82), contacts=contacts)
         assert len(report["contacts"]) == 2
         assert report["contacts"] == library["contacts"]
-        assert report == json.loads(json.dumps(library))
+        assert report == dict(json.loads(json.dumps(library)), skipped_contacts=[])
 
     def test_default_sigma_is_the_builds(self, tmp_path, template_file):
         # The default sigma used to be 4.0 A, which scored each contact of a
@@ -265,6 +265,32 @@ class TestEnergy:
         for row, contact in zip(report["contacts"], built["contacts"]):
             assert row["energy"] == pytest.approx(-1.0, abs=5e-5)
             assert row["optimal_distance"] == contact["optimal_distance"]
+
+    def test_contacts_are_the_build_reports(self, tmp_path, template_file):
+        # Both reports come from structure_energy_report; the energy report
+        # reads the written file, whose F8.3 coordinates move each atom by
+        # at most sqrt(3) * 5e-4 A, so a distance by at most sqrt(3) * 1e-3 A.
+        model, report_path = tmp_path / "m.pdb", tmp_path / "energy.json"
+        assert run("build", "--template", template_file, "--sequence", "GAAAAG", "--out", model) == 0
+        assert run("energy", "--in", model, "--report", report_path) == 0
+        built = json.loads((tmp_path / "m.pdb.report.json").read_text())["contacts"]
+        report = json.loads(report_path.read_text())
+        assert report["skipped_contacts"] == []
+        assert [sorted(row) for row in report["contacts"]] == [sorted(row) for row in built]
+        for row, contact in zip(report["contacts"], built, strict=True):
+            assert (row["first"], row["second"]) == (contact["first"], contact["second"])
+            assert row["optimal_distance"] == contact["optimal_distance"]
+            assert row["distance"] == pytest.approx(contact["distance"], abs=3**0.5 * 1e-3)
+            assert row["energy"] == pytest.approx(contact["energy"], abs=5e-5)
+
+    def test_absent_default_contacts_are_named(self, tmp_path, template_file):
+        # The packaged template has no chains G and H; both default contacts
+        # used to be dropped without a word.
+        report_path = tmp_path / "energy.json"
+        assert run("energy", "--in", template_file, "--report", report_path) == 0
+        report = json.loads(report_path.read_text())
+        assert report["skipped_contacts"] == ["A.ALA3.CB-G.ALA4.CB", "B.ALA4.CB-H.ALA3.CB"]
+        assert report["contacts"] == [] and report["total_contact_energy"] == 0.0
 
     def test_empty_structure(self, tmp_path):
         empty = tmp_path / "empty.pdb"

@@ -74,6 +74,12 @@ class TestParse:
         with pytest.raises(PdbParseError):
             parse_pdb(text)
 
+    def test_insertion_code_is_named(self):
+        # Residues 127 and 127A used to fail as "residue 127 renamed GLY -> TYR".
+        inserted = SAMPLE_LINE.replace("GLY A 127 ", "TYR A 127A").replace("   1  N", "   2  N")
+        with pytest.raises(PdbParseError, match=r"^line 2: insertion code 'A' is not supported$"):
+            parse_pdb(SAMPLE_LINE + "\n" + inserted + "\n")
+
     def test_malformed_coordinate_cites_line(self):
         bad = SAMPLE_LINE[:30] + "  xx.xxx" + SAMPLE_LINE[38:]
         with pytest.raises(PdbParseError) as err:
@@ -407,7 +413,7 @@ class TestBulkWriter:
 # Unicode whitespace, and NULs, which a NumPy string drops when trailing.
 RECORD_FIELDS = {
     "serial": (6, 11), "name": (12, 16), "alt_loc": (16, 17), "res_name": (17, 20), "chain": (21, 22),
-    "res_seq": (22, 26), "x": (30, 38), "y": (38, 46), "z": (46, 54),
+    "res_seq": (22, 26), "icode": (26, 27), "x": (30, 38), "y": (38, 46), "z": (46, 54),
     "occupancy": (54, 60), "temp_factor": (60, 66), "element": (76, 78), "tail": (80, 84),
 }
 FIELD_EDITS = [
@@ -493,6 +499,8 @@ def reference_parse_pdb(text):
                 raise PdbParseError(f"atom {name}: non-finite occupancy or temperature factor", line_number)
             if serial < 1:
                 raise PdbParseError(f"atom {name}: serial must be >= 1", line_number)
+            if line[26] != " ":
+                raise PdbParseError(f"insertion code {line[26]!r} is not supported", line_number)
             if chain_id != open_chain:
                 if chain_id in chain_ids:
                     raise PdbParseError(f"chain {chain_id!r} reopened after TER", line_number)
@@ -550,9 +558,10 @@ class TestEditedRecords:
         SAMPLE_LINE + "\n" + SAMPLE_LINE.replace(" 127 ", " 126 ").replace("   1  N", "   2  CA") + "\n",
         SAMPLE_LINE + "\nTER\n" + SAMPLE_LINE.replace("   1  N", "   2  CA") + "\n",
         SAMPLE_LINE.replace("GLY", "TYR") + "\n" + SAMPLE_LINE.replace("   1  N", "   2  CA") + "\n",
+        SAMPLE_LINE + "\n" + SAMPLE_LINE.replace("GLY A 127 ", "TYR A 127A").replace("   1  N", "   2  N") + "\n",
         SAMPLE_LINE[:30] + "   1.5e1" + SAMPLE_LINE[38:] + "\nEND\n",
     ], ids=["empty", "blank-after-end", "header-after-end", "crlf", "short-records", "other-breaks",
-            "residue-order", "reopened", "renamed", "exponent"])
+            "residue-order", "reopened", "renamed", "insertion-code", "exponent"])
     def test_edge_files_match_the_reference(self, text):
         assert_parses_as_reference(text)
 
