@@ -11,7 +11,7 @@ from functools import cache
 
 import numpy as np
 
-from .energy import LJParams, lj_kernel
+from .energy import LJParams, lj_kernel, pair_indices
 from .errors import StericZipError
 from .optimize import Objective, OptimizerConfig, minimize_saec, uniform_bounds
 
@@ -60,17 +60,11 @@ def schwefel_226(x):
     return 418.9829 * x.shape[-1] - np.sum(x * np.sin(np.sqrt(np.abs(x))), axis=-1)
 
 
-@cache
-def _pairs(n: int) -> tuple[np.ndarray, ...]:
-    """Row and column of each pair i < j of n points, as read-only views."""
-    return tuple(np.broadcast_to(index, index.shape) for index in np.triu_indices(n, k=1))
-
-
 def lj_cluster_value(x):
     """Reduced-unit Lennard-Jones cluster energy of a flat 3N point."""
     x = np.asarray(x, dtype=np.float64)
     pts = x.reshape(*x.shape[:-1], -1, 3)
-    i, j = _pairs(pts.shape[-2])
+    i, j = pair_indices(pts.shape[-2])
     diff = pts[..., i, :] - pts[..., j, :]
     # Each kernel term sits one well depth above the pair energy.
     return np.sum(lj_kernel(np.sum(diff * diff, axis=-1), REDUCED_LJ), axis=-1) - i.size

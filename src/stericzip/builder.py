@@ -38,6 +38,7 @@ its iteration budget) is a report warning.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -509,17 +510,14 @@ class BuildReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
+@contextmanager
 def _stage(name: str):
-    class _StageContext:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, BuildError):
-                raise BuildError(name, str(exc)) from exc
-            return False
-
-    return _StageContext()
+    try:
+        yield
+    except BuildError:
+        raise
+    except Exception as exc:
+        raise BuildError(name, str(exc)) from exc
 
 
 def build_fibril_model(template: Structure, spec: FibrilSpec) -> tuple[Structure, BuildReport]:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -175,6 +176,12 @@ def hb_pair_energy(r, params: HBParams):
     return float(out) if out.ndim == 0 else out
 
 
+@cache
+def pair_indices(n: int) -> tuple[np.ndarray, ...]:
+    """Row and column of each pair i < j of n points, as read-only views."""
+    return tuple(np.broadcast_to(index, index.shape) for index in np.triu_indices(n, k=1))
+
+
 def _cluster_pairs(coords):
     """Checked points, i < j pair indices, difference vectors and squared distances."""
     pts = np.asarray(coords, dtype=np.float64)
@@ -186,7 +193,7 @@ def _cluster_pairs(coords):
         raise StericZipError("coordinates must be a flat 3N-vector or an (N, 3) array")
     if pts.shape[0] < 2:
         raise StericZipError("a cluster needs at least two atoms")
-    i, j = np.triu_indices(pts.shape[0], k=1)
+    i, j = pair_indices(pts.shape[0])
     diff = pts[i] - pts[j]
     r2 = np.sum(diff * diff, axis=1)
     if np.any(r2 < MIN_PAIR_DISTANCE**2):

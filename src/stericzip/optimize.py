@@ -1,4 +1,4 @@
-"""Simulated-annealing evolutionary minimization and a gradient refiner.
+"""Simulated-annealing evolutionary minimization and a Newton refiner.
 
 The global optimizer runs mu annealing chains in parallel.  Each
 generation every chain spawns 5 offspring; the workhorse move is a
@@ -32,19 +32,18 @@ style and crossover); one normal block holds n normals per full-vector or
 recombination offspring and one per coordinate that a coordinate move
 changes.  A fixed (objective, config, seed) gives a bit-identical result.
 
-The local refiner polishes a point to gradient-level accuracy by
-projected descent with Armijo backtracking.  Given only a gradient it
-steps along -g; given an analytic Hessian it takes modified Newton steps
-(Nocedal & Wright, *Numerical Optimization*, sec. 3.4): the direction
-solves (H + tau I) d = g, with tau raised from 0 until a Cholesky
-factorisation succeeds, and a trust length caps each step.
+The local refiner polishes a point to gradient-level accuracy by projected
+modified Newton steps with Armijo backtracking (Nocedal & Wright,
+*Numerical Optimization*, sec. 3.4): the direction solves (H + tau I) d = g
+for the analytic gradient g and Hessian H, with tau raised from 0 until a
+Cholesky factorisation succeeds, and a trust length caps each step.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -59,11 +58,11 @@ class Objective:
     ``evaluate`` maps an n-vector to a float.  ``evaluate_batch``, when
     provided, maps an (m, n) array to an (m,) array and is used by the
     optimizer to avoid per-point Python overhead; it must agree with
-    ``evaluate``.  ``gradient`` is required only by local_refine, and
-    ``hessian``, an n-vector to (n, n) symmetric map, is optional: with it
-    local_refine takes Newton steps instead of steepest-descent ones.  Every
-    path must accept any point in bounds: the Lennard-Jones objectives
-    floor pair distances at ``energy.MIN_PAIR_DISTANCE`` instead of raising.
+    ``evaluate``.  local_refine takes its Newton steps with ``gradient`` and
+    ``hessian``, an n-vector to (n, n) symmetric map, and refuses an
+    objective without both.  Every path must accept any point in bounds: the
+    Lennard-Jones objectives floor pair distances at
+    ``energy.MIN_PAIR_DISTANCE`` instead of raising.
     """
 
     dimension: int
@@ -153,8 +152,7 @@ class OptimizationResult:
     best_point: np.ndarray
     best_value: float
     evaluations_used: int
-    trace: list[tuple[int, float]] = field(default_factory=list)
-    terminated_by: str = "budget"
+    terminated_by: str
 
 
 # Offspring move mix: annealed full-vector Gaussian, single- and
@@ -247,7 +245,6 @@ def minimize_saec(
 
     best_point: np.ndarray | None = None
     best_value = np.inf
-    trace: list[tuple[int, float]] = []
     terminated_by = "budget"
     used = 0
 
@@ -273,7 +270,6 @@ def minimize_saec(
         if value < best_value:
             best_point = point.copy()
             best_value = value
-            trace.append((used, float(value)))
 
     def target_reached() -> bool:
         return (
@@ -345,7 +341,6 @@ def minimize_saec(
         best_point=best_point,
         best_value=float(best_value),
         evaluations_used=used,
-        trace=trace,
         terminated_by=terminated_by,
     )
 
@@ -384,15 +379,14 @@ def local_refine(
     tol: float = 1e-8,
     max_iters: int = 500,
 ) -> OptimizationResult:
-    """Projected descent with Armijo backtracking (c = 1e-4).
+    """Projected modified Newton descent with Armijo backtracking (c = 1e-4).
 
-    Without a Hessian each iteration steps along -g, first trying a step
-    of length min(|g|, 1).  With the objective's ``hessian`` it steps along
-    the modified Newton direction -d, (H + tau I) d = g, whose first trial
-    length is min(|d|, cap): the cap is min(|g|, 1) at the first iteration
-    and 1.5 times the last accepted move after it, so a near-singular H
-    cannot fling the iterate across a flat valley.  Either way a trial
-    step is halved until it lowers the value enough.
+    Each iteration steps along -d, (H + tau I) d = g, for the objective's
+    ``gradient`` g and ``hessian`` H.  Its first trial length is
+    min(|d|, cap): the cap is min(|g|, 1) at the first iteration and 1.5
+    times the last accepted move after it, so a near-singular H cannot
+    fling the iterate across a flat valley.  A trial step is halved until
+    it lowers the value enough.
 
     Descends until the gradient norm is at most ``tol`` ("tolerance"), the
     iteration budget runs out ("budget") or no step along the direction
@@ -400,8 +394,8 @@ def local_refine(
     iterates stay inside the objective's bounds.  Non-finite values,
     gradients or Hessians raise RefinementError carrying the last good point.
     """
-    if objective.gradient is None:
-        raise StericZipError("local_refine requires an objective gradient")
+    if objective.gradient is None or objective.hessian is None:
+        raise StericZipError("local_refine requires an objective gradient and hessian")
     x = _start_point(objective, x0)
 
     evaluations = 0
@@ -415,7 +409,6 @@ def local_refine(
     value = value_at(x)
     if not np.isfinite(value):
         raise RefinementError("non-finite value at starting point", x, value)
-    trace: list[tuple[int, float]] = [(evaluations, value)]
     terminated_by = "budget"
     cap = None  # longest Newton step the next iteration may try
 
@@ -428,18 +421,14 @@ def local_refine(
             terminated_by = "tolerance"
             break
 
-        if objective.hessian is None:
-            direction, step = grad, 1.0 / max(gnorm, 1.0)
-        else:
-            hess = np.asarray(objective.hessian(x), dtype=np.float64)
-            if not np.all(np.isfinite(hess)):
-                raise RefinementError("non-finite Hessian", x, value)
-            direction = _newton_direction(hess, grad)
-            if cap is None:
-                cap = min(gnorm, 1.0)
-            length = float(np.linalg.norm(direction))
-            step = cap / length if length > cap else 1.0
-        improved = False
+        hess = np.asarray(objective.hessian(x), dtype=np.float64)
+        if not np.all(np.isfinite(hess)):
+            raise RefinementError("non-finite Hessian", x, value)
+        direction = _newton_direction(hess, grad)
+        if cap is None:
+            cap = min(gnorm, 1.0)
+        length = float(np.linalg.norm(direction))
+        step = cap / length if length > cap else 1.0
         for _halving in range(60):
             candidate = objective.clamp(x - step * direction)
             cand_value = value_at(candidate)
@@ -449,11 +438,9 @@ def local_refine(
             if cand_value <= value - armijo_c * decrease and cand_value < value:
                 cap = _TRUST_GROWTH * float(np.linalg.norm(candidate - x))
                 x, value = candidate, cand_value
-                trace.append((evaluations, value))
-                improved = True
                 break
             step *= 0.5
-        if not improved:
+        else:
             # Line search exhausted: the projected direction yields no
             # decrease at the smallest step, though |g| is still above tol.
             terminated_by = "line_search"
@@ -463,6 +450,5 @@ def local_refine(
         best_point=x,
         best_value=value,
         evaluations_used=evaluations,
-        trace=trace,
         terminated_by=terminated_by,
     )

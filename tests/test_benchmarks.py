@@ -17,7 +17,7 @@ from stericzip.benchmarks import (
     schwefel_226,
     sphere,
 )
-from stericzip.energy import MIN_PAIR_DISTANCE, lj_kernel
+from stericzip.energy import MIN_PAIR_DISTANCE, lj_kernel, pair_indices
 
 
 class TestFunctions:
@@ -73,7 +73,7 @@ class TestFunctions:
                 assert np.array_equal(griewank(batch), plain_griewank(batch))
             for batch in (points, points[0]):
                 assert np.array_equal(lj_cluster_value(batch), plain_cluster(batch))
-        assert not any(a.flags.writeable for a in (benchmarks._griewank_roots(n), *benchmarks._pairs(n + 1)))
+        assert not any(a.flags.writeable for a in (benchmarks._griewank_roots(n), *pair_indices(n + 1)))
 
     def test_batch_shapes(self):
         pts = np.zeros((7, 5))

@@ -22,7 +22,6 @@ from stericzip import (
     build_fibril_model,
     detect_hbonds,
     load_template,
-    local_refine,
     mutate_residue,
     solve_contact_placement,
     structure_energy_report,
@@ -319,28 +318,6 @@ class TestPlacementObjective:
             assert np.array_equal(hess, hess.T)
             central = np.array([(obj.gradient(u + h * e) - obj.gradient(u - h * e)) / (2 * h) for e in np.eye(3)])
             assert np.allclose(hess, central, rtol=1e-6, atol=1e-8)
-
-    def test_without_hessian_the_descent_is_steepest_descent(self):
-        # Dropping the Hessian gives the plain Armijo steepest descent,
-        # checked step by step against this reference loop.
-        obj = replace(placement_objective(self.anchors, self.free0, self.params), hessian=None)
-        result = local_refine(obj, np.zeros(3), tol=1e-10, max_iters=50)
-        x, value, evaluations, trace = np.zeros(3), obj.evaluate(np.zeros(3)), 1, []
-        for _ in range(50):
-            grad = obj.gradient(x)
-            step = 1.0 / max(np.linalg.norm(grad), 1.0)
-            while True:
-                candidate = obj.clamp(x - step * grad)
-                cand_value = obj.evaluate(candidate)
-                evaluations += 1
-                if cand_value <= value - 1e-4 * (grad @ (x - candidate)) and cand_value < value:
-                    break
-                step *= 0.5
-            x, value = candidate, cand_value
-            trace.append((evaluations, value))
-        assert result.terminated_by == "budget"
-        assert result.trace[1:] == trace
-        assert np.array_equal(result.best_point, x)
 
     def test_point_on_a_centre_is_finite_and_path_independent(self):
         obj = placement_objective(self.anchors, self.free0, self.params)
@@ -770,6 +747,31 @@ class TestBuildPipeline:
         with pytest.raises(BuildError) as err:
             build_fibril_model(bad, FibrilSpec(sequence="GAAAAG", optimizer=quick_config(0)))
         assert err.value.stage == "template"
+
+    def test_interrupt_in_a_stage_propagates_unchanged(self, monkeypatch):
+        # A Ctrl-C during a stage used to become BuildError("replicate: ").
+        from stericzip import builder
+
+        interrupt = KeyboardInterrupt()
+
+        def interrupted(*args, **kwargs):
+            raise interrupt
+
+        monkeypatch.setattr(builder, "replicate_lattice", interrupted)
+        with pytest.raises(KeyboardInterrupt) as err:
+            build_fibril_model(synthetic_template(), FibrilSpec(sequence="GAAAAG"))
+        assert err.value is interrupt
+
+    def test_error_in_a_stage_becomes_a_build_error_naming_it(self, monkeypatch):
+        from stericzip import BuildError, builder
+
+        def failing(*args, **kwargs):
+            raise ValueError("lattice went wrong")
+
+        monkeypatch.setattr(builder, "replicate_lattice", failing)
+        with pytest.raises(BuildError, match=r"^replicate: lattice went wrong$") as err:
+            build_fibril_model(synthetic_template(), FibrilSpec(sequence="GAAAAG"))
+        assert err.value.stage == "replicate" and isinstance(err.value.__cause__, ValueError)
 
 
 class TestFibrilSpec:

@@ -48,6 +48,10 @@ def test_tracer_patches_the_pinned_names_and_restores_them(perfbench):
         builder.build_fibril_model(load_template(), FibrilSpec(sequence="GAAAAG"))
         names = {span[tracing.NAME] for span in tracer.spans}
         assert {"builder.build_fibril_model", "energy.clash_audit", "energy.detect_hbonds"} <= names
+        # A full_sum build descends; optimize.refine_ms and refine_evals read this span.
+        builder.build_fibril_model(load_template(), FibrilSpec(sequence="GAAAAG", full_sum=True))
+        refines = [span[tracing.INFO] for span in tracer.spans if span[tracing.NAME] == "optimize.local_refine"]
+        assert refines and all(evaluations > 0 for evaluations in refines)
     finally:
         tracer.restore()
     for owner, attributes in zip(owners, before):
