@@ -29,18 +29,14 @@ from .energy import (
     DEFAULT_HB_PARAMS,
     HBond,
     HBParams,
-    LJABParams,
     LJParams,
     TEMPLATE_CONTACT_SIGMA,
     clash_audit,
     detect_hbonds,
     hb_pair_energy,
     hb_params_from_minimum,
-    lj_ab_energy,
-    lj_ab_from_lj,
     lj_cluster_energy,
     lj_cluster_gradient,
-    lj_from_ab,
     lj_pair_energy,
     structure_energy_report,
 )

@@ -157,6 +157,9 @@ class FibrilSpec:
 
     def __post_init__(self):
         self.sequence = validate_sequence(self.sequence)
+        for name, kind in (("model_name", str), ("full_sum", bool)):
+            if not isinstance(getattr(self, name), kind):
+                raise StericZipError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if len(self.anchors) != len(self.free_atoms) or not self.anchors:
             raise StericZipError("anchors and free_atoms must have the same nonzero length")
         for kind, texts, chains in (
@@ -423,10 +426,8 @@ def solve_contact_placement(
 
     line = None if reachable else collinear_offsets(centres)
     if value <= CERTIFICATE_GAP or (line is not None and certify_lower_bound(*line, unit, value - CERTIFICATE_GAP)):
-        # value - bound is the gap up to rounding, and exact (Fast2Sum), so the
-        # answer, which joins the search's first population, meets the target.
-        bound = max(value - CERTIFICATE_GAP, 0.0)
-        cfg = replace(config, target_value=bound, target_tolerance=value - bound)
+        # The answer joins the search's first population, so it meets its own value.
+        cfg = replace(config, target_value=value)
     else:
         if line is not None:
             warnings.append(

@@ -5,14 +5,14 @@ one contract everywhere: 0 success, 1 domain failure (parse error, clash,
 optimization failure), 2 usage error.  Every run either writes its
 machine-readable report or prints a located error to stderr.  No output
 files are produced on usage errors, and every output text is formatted
-before the first file is written, so a write that fails leaves none.
+and encoded before the first file is opened, so a write that fails
+leaves none.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -48,34 +48,36 @@ def _read_structure(path: str):
 
 
 def _write_outputs(*outputs: tuple[Path, str]) -> None:
-    """Write each (path, text) pair; if one write fails, remove those already written.
+    """Write each (path, text) pair as UTF-8, or none of them.
 
-    Callers format every text first, so a formatting error writes nothing.
+    Callers format every text first, and each is encoded before the first
+    file is opened; a failed write removes every file this call opened.
     """
-    written = []
-    try:
-        for path, text in outputs:
-            path.write_text(text, encoding="utf-8")
-            written.append(path)
-    except OSError:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-
-
-def _bad_potential_flag(*flags: tuple[str, float | None]) -> str | None:
-    """The usage error for the first (flag, value) set to a value not finite and positive."""
-    bad = [flag for flag, value in flags if value is not None and not (math.isfinite(value) and value > 0)]
-    return f"{bad[0]} must be finite and positive" if bad else None
+    encoded = []
+    for path, text in outputs:
+        try:
+            encoded.append((path, text.encode("utf-8")))
+        except UnicodeEncodeError as exc:
+            raise StericZipError(f"{path}: output text is not UTF-8: {exc}") from exc
+    opened = []
+    for path, data in encoded:
+        try:
+            with path.open("wb") as handle:
+                opened.append(path)
+                handle.write(data)
+        except OSError as exc:
+            for written in opened:
+                written.unlink(missing_ok=True)
+            raise StericZipError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_build(args) -> int:
+    lj_flags = {name: value for name, value in (("epsilon", args.epsilon), ("sigma", args.sigma)) if value is not None}
     try:
         sequence = validate_sequence(args.sequence)
+        LJParams(**lj_flags)  # checks the flags before any input is read
     except StericZipError as exc:
         return _usage(str(exc))
-    if bad := _bad_potential_flag(("--sigma", args.sigma), ("--epsilon", args.epsilon)):
-        return _usage(bad)
     if args.seed is not None and args.seed < 0:
         return _usage("--seed must be >= 0")
 
@@ -88,14 +90,10 @@ def _cmd_build(args) -> int:
                 raise StericZipError(f"{args.spec}: {exc}") from exc
         else:
             spec = FibrilSpec(sequence=sequence)
-        lj = LJParams(
-            args.epsilon if args.epsilon is not None else spec.lj.epsilon,
-            args.sigma if args.sigma is not None else spec.lj.sigma,
-        )
         spec = replace(
             spec,
             model_name=args.model_name if args.model_name is not None else spec.model_name,
-            lj=lj,
+            lj=replace(spec.lj, **lj_flags),
             full_sum=args.full_sum or spec.full_sum,
             optimizer=replace(spec.optimizer, seed=args.seed if args.seed is not None else spec.optimizer.seed),
         )
@@ -150,13 +148,13 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    flags = ("--sigma", args.sigma), ("--epsilon", args.epsilon), ("--hb-c", args.hb_c), ("--hb-d", args.hb_d)
-    if bad := _bad_potential_flag(*flags):
-        return _usage(bad)
     try:
-        structure = _read_structure(args.infile)
         lj = LJParams(args.epsilon, args.sigma)
         hb = HBParams(args.hb_c, args.hb_d)
+    except StericZipError as exc:
+        return _usage(str(exc))
+    try:
+        structure = _read_structure(args.infile)
         contacts, skipped = [], []
         for first, second in zip(DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS):
             try:

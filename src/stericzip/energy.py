@@ -1,7 +1,9 @@
 """Nonbonded pair potentials, cluster energies and gradients, and the
 geometric audits (hydrogen bonds, steric clashes) used to validate models.
 
-Two interchangeable Lennard-Jones parameterizations are supported:
+One Lennard-Jones parameter type, ``LJParams``, holds the 12-6 potential in
+its well form; ``LJParams.from_ab`` takes it in the coefficient form and
+``.ab`` gives that form back:
 
 * well form      V(r) = 4 eps [ (sigma/r)^12 - (sigma/r)^6 ]
 * coefficient    V(r) = A / r^12 - B / r^6        (A = 4 eps sigma^12, B = 4 eps sigma^6)
@@ -51,9 +53,9 @@ TEMPLATE_CONTACT_SIGMA = 5.82
 
 
 def _require_finite_positive(kind: str, **values) -> None:
-    # `nan <= 0` is false, so a plain sign test would let nan through.
+    # `nan <= 0` is false, so a plain sign test would let nan through; a bool is no number here.
     for name, value in values.items():
-        if not (math.isfinite(value) and value > 0):
+        if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
             raise StericZipError(f"{kind} requires finite {name} > 0, got {value!r}")
 
 
@@ -67,21 +69,21 @@ class LJParams:
     def __post_init__(self):
         _require_finite_positive("LJParams", epsilon=self.epsilon, sigma=self.sigma)
 
+    @classmethod
+    def from_ab(cls, a: float, b: float) -> "LJParams":
+        """The potential A / r^12 - B / r^6: eps = B^2 / 4A, sigma = (A / B)^(1/6)."""
+        _require_finite_positive("LJParams.from_ab", a=a, b=b)
+        return cls(b**2 / (4.0 * a), (a / b) ** (1.0 / 6.0))
+
+    @property
+    def ab(self) -> tuple[float, float]:
+        """Coefficients (A, B) = (4 eps sigma^12, 4 eps sigma^6)."""
+        return 4.0 * self.epsilon * self.sigma**12, 4.0 * self.epsilon * self.sigma**6
+
     @property
     def r_min(self) -> float:
         """Distance of the potential minimum, 2^(1/6) sigma."""
         return 2.0 ** (1.0 / 6.0) * self.sigma
-
-
-@dataclass(frozen=True)
-class LJABParams:
-    """Repulsion/attraction coefficients of the 12-6 form."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        _require_finite_positive("LJABParams", a=self.a, b=self.b)
 
 
 @dataclass(frozen=True)
@@ -98,18 +100,6 @@ class HBParams:
     def r_min(self) -> float:
         """Distance of the stationary point, sqrt(6C / 5D)."""
         return float(np.sqrt(6.0 * self.c / (5.0 * self.d)))
-
-
-def lj_ab_from_lj(params: LJParams) -> LJABParams:
-    """Coefficient form of a well-form parameter set."""
-    return LJABParams(4.0 * params.epsilon * params.sigma**12, 4.0 * params.epsilon * params.sigma**6)
-
-
-def lj_from_ab(params: LJABParams) -> LJParams:
-    """Well form of a coefficient parameter set (exact inverse of lj_ab_from_lj)."""
-    sigma = (params.a / params.b) ** (1.0 / 6.0)
-    epsilon = params.b**2 / (4.0 * params.a)
-    return LJParams(epsilon, sigma)
 
 
 def hb_params_from_minimum(r0: float, depth: float) -> HBParams:
@@ -160,11 +150,6 @@ def lj_pair_energy(r, params: LJParams):
     r = _check_distance(r)
     out = lj_kernel(r * r, params) - params.epsilon
     return float(out) if out.ndim == 0 else out
-
-
-def lj_ab_energy(r, params: LJABParams):
-    """A / r^12 - B / r^6, evaluated in the equivalent well form."""
-    return lj_pair_energy(r, lj_from_ab(params))
 
 
 def hb_pair_energy(r, params: HBParams):

@@ -1,6 +1,10 @@
 """Exit codes, file outputs, and determinism of the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,8 @@ from stericzip import (AtomSelector, ContactPair, LJParams, parse_pdb, structure
 from stericzip.benchmarks import DEFAULT_BENCH_BUDGET, DEFAULT_BENCH_DIMS, DEFAULT_BENCH_RUNS
 from stericzip.cli import build_parser, main
 from stericzip.template import DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS, template_path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -70,6 +76,9 @@ class TestBuild:
             ('{"optimizer": {"target_value": 0}}', "optimizer target_value and target_tolerance are set by"),
             ('{"lattice": {"intra_sheet_step": [0, 9.553, 0], "sheet2_transform": '
              '[1, 0, 0, 0, -1, 0, 0, 0, -1, NaN, 4.7765, 0]}}', "rigid transform must be finite"),
+            ('{"full_sum": "false"}', "full_sum must be a bool, got 'false'"),
+            ('{"model_name": 7}', "model_name must be a str, got 7"),
+            ('{"lj": {"sigma": true}}', "LJParams requires finite sigma > 0, got True"),
         ],
     )
     def test_bad_spec_exits_1_without_files(self, tmp_path, template_file, capsys, text, located):
@@ -94,7 +103,9 @@ class TestBuild:
         code = run("build", "--template", template_file, "--sequence", "GAAAAG",
                    "--out", out, "--seed", "1", flag, value)
         assert code == 2
-        assert f"{flag} must be finite and positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"stericzip: usage error: LJParams requires finite {flag[2:]} > 0, got {float(value)!r}\n"
+        )
         assert not out.exists()
         assert not (tmp_path / "p.pdb.report.json").exists()
 
@@ -127,6 +138,25 @@ class TestBuild:
         assert code == 1
         assert capsys.readouterr().err.startswith("stericzip: error: ")
         assert not out.exists()
+
+    def test_write_cut_short_exits_1_and_removes_the_file(self, tmp_path, template_file):
+        # RLIMIT_FSIZE, set in the child process only, stops the model write at 4,096 bytes.
+        resource = pytest.importorskip("resource")
+        code = (
+            "import resource, signal, sys\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, (4096, {resource.RLIM_INFINITY}))\n"
+            "from stericzip.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code, "build", "--template", str(template_file),
+                               "--sequence", "GAAAAG", "--out", "m.pdb", "--seed", "1"],
+                              env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr == "stericzip: error: m.pdb: File too large\n"
+        assert list(tmp_path.iterdir()) == [template_file]
 
     def test_seed_defaults_to_zero(self, tmp_path, template_file):
         # A build without --seed used to run, and echo, a random seed.
@@ -219,6 +249,16 @@ class TestTransform:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unencodable_chain_id_exits_1_without_file(self, tmp_path, template_file, capsys):
+        # A non-UTF-8 argv byte arrives as a lone surrogate, which the PDB text cannot be written in.
+        out = tmp_path / "x.pdb"
+        code = run("transform", "--in", template_file, "--chain", "A", "--new-chain", "\udcff",
+                   "--matrix", 1, 0, 0, 0, 1, 0, 0, 0, 1, "--translate", 0, 0, 0, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stericzip: error: {out}: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [template_file]
 
     def test_missing_chain_exits_1(self, tmp_path, template_file):
         code = run("transform", "--in", template_file, "--chain", "Q", "--new-chain", "G",
@@ -316,7 +356,10 @@ class TestEnergy:
         report_path = tmp_path / "energy.json"
         code = run("energy", "--in", tmp_path / "absent.pdb", flag, value, "--report", report_path)
         assert code == 2
-        assert f"{flag} must be finite and positive" in capsys.readouterr().err
+        kind = "HBParams" if flag.startswith("--hb-") else "LJParams"
+        assert capsys.readouterr().err == (
+            f"stericzip: usage error: {kind} requires finite {flag.split('-')[-1]} > 0, got {float(value)!r}\n"
+        )
         assert not report_path.exists()
 
     def test_default_hbond_rows_match_library_report(self, tmp_path, template_file):

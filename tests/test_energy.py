@@ -19,7 +19,6 @@ from stericzip import (
     FibrilSpec,
     HBond,
     HBParams,
-    LJABParams,
     LJParams,
     OptimizerConfig,
     SingularityError,
@@ -30,11 +29,8 @@ from stericzip import (
     detect_hbonds,
     hb_pair_energy,
     hb_params_from_minimum,
-    lj_ab_energy,
-    lj_ab_from_lj,
     lj_cluster_energy,
     lj_cluster_gradient,
-    lj_from_ab,
     lj_pair_energy,
     load_template,
     structure_energy_report,
@@ -97,10 +93,10 @@ class TestLJPair:
 
     def test_raises_below_min_pair_distance_only(self):
         reduced = LJParams(1.0, 1.0)
-        for f, params in ((lj_pair_energy, reduced), (lj_ab_energy, lj_ab_from_lj(reduced))):
+        for params in (reduced, LJParams.from_ab(*reduced.ab)):
             with pytest.raises(SingularityError):
-                f(0.5 * MIN_PAIR_DISTANCE, params)
-            assert np.isfinite(f(MIN_PAIR_DISTANCE, params))
+                lj_pair_energy(0.5 * MIN_PAIR_DISTANCE, params)
+            assert np.isfinite(lj_pair_energy(MIN_PAIR_DISTANCE, params))
 
     def test_minimum_location_by_golden_section(self):
         rng = np.random.default_rng(7)
@@ -117,26 +113,30 @@ class TestLJPair:
 
 
 class TestLJAB:
+    """The coefficient form A / r^12 - B / r^6, given by LJParams.from_ab and read back by .ab."""
+
     def test_zero_when_equal_coefficients_at_one(self):
-        assert lj_ab_energy(1.0, LJABParams(4.0, 4.0)) == 0.0
+        assert lj_pair_energy(1.0, LJParams.from_ab(4.0, 4.0)) == 0.0
 
     def test_pure_repulsion(self):
         # B -> 0 limit checked with a tiny attraction per the positivity invariant
-        assert lj_ab_energy(1.0, LJABParams(1.0, 1e-12)) == pytest.approx(1.0, abs=1e-9)
+        assert lj_pair_energy(1.0, LJParams.from_ab(1.0, 1e-12)) == pytest.approx(1.0, abs=1e-9)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.1, 10.0), st.floats(0.5, 8.0), st.floats(0.3, 4.0))
     def test_equivalence_with_well_form(self, eps, sigma, r_factor):
         r = r_factor * sigma
         lj = LJParams(eps, sigma)
-        assert lj_ab_energy(r, lj_ab_from_lj(lj)) == pytest.approx(
+        a, b = lj.ab
+        assert a == 4.0 * eps * sigma**12 and b == 4.0 * eps * sigma**6
+        assert lj_pair_energy(r, LJParams.from_ab(a, b)) == pytest.approx(
             lj_pair_energy(r, lj), rel=1e-12, abs=1e-12
         )
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.1, 10.0), st.floats(0.5, 8.0))
     def test_parameter_round_trip(self, eps, sigma):
-        back = lj_from_ab(lj_ab_from_lj(LJParams(eps, sigma)))
+        back = LJParams.from_ab(*LJParams(eps, sigma).ab)
         assert back.epsilon == pytest.approx(eps, rel=1e-12)
         assert back.sigma == pytest.approx(sigma, rel=1e-12)
 
@@ -368,13 +368,13 @@ def test_audits_reject_a_cutoff_that_is_not_finite_and_positive(audit, cutoff):
         audit(synthetic_template(), cutoff)
 
 
-@pytest.mark.parametrize("kind", [LJParams, LJABParams, HBParams, hb_params_from_minimum])
-@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("kind", [LJParams, LJParams.from_ab, HBParams, hb_params_from_minimum])
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), True])
 @pytest.mark.parametrize("position", [0, 1])
 def test_potential_parameters_must_be_finite_and_positive(kind, bad, position):
     values = [1.0, 4.0]
     values[position] = bad
-    with pytest.raises(StericZipError, match=rf"^{kind.__name__} requires finite \w+ > 0"):
+    with pytest.raises(StericZipError, match=rf"^{kind.__qualname__} requires finite \w+ > 0"):
         kind(*values)
 
 
