@@ -240,8 +240,6 @@ def minimize_saec(
     n = objective.dimension
     span = objective.upper - objective.lower
     step = _STEP_SCALE * span
-    # One stream per possible restart, derived from the master seed.
-    streams = np.random.SeedSequence(config.seed).spawn(config.restarts + 1)
 
     best_point: np.ndarray | None = None
     best_value = np.inf
@@ -281,7 +279,8 @@ def minimize_saec(
     for restart_index in range(config.restarts + 1):
         if done or config.max_evaluations - used < mu:
             break
-        rng = np.random.default_rng(streams[restart_index])
+        # The stream SeedSequence(seed).spawn(...)[restart_index] would give, made only when used.
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(restart_index,)))
 
         # Restart populations are fresh; the global best is never lost (it
         # is tracked outside the population) and a caller-provided x0

@@ -4,11 +4,12 @@ ATOM/HETATM records are read with the classic column layout (1-6 record
 name, 7-11 serial, 13-16 atom name, 17 altLoc, 18-20 resName, 22 chainID,
 23-26 resSeq, 27 iCode (blank), 31-38/39-46/47-54 x/y/z as F8.3, 55-60
 occupancy, 61-66 tempFactor, 77-78 element).  TER closes the current
-chain and END closes the file.  Every other line is carried as an opaque
-header and re-emitted verbatim ahead of the coordinates, so writing a
-parsed file reproduces it byte for byte once it has passed through the
-writer; the writer refuses a header that would read back as something
-else.
+chain and END closes the file.  MODEL and ENDMDL bound the one model a
+template holds: ENDMDL closes the chain as TER does, and a second MODEL
+is a fault.  Every other line is carried as an opaque header and
+re-emitted verbatim ahead of the coordinates, so writing a parsed file
+reproduces it byte for byte once it has passed through the writer; the
+writer refuses a header that would read back as something else.
 
 Both directions work on columns, not record by record.  The parser cuts
 the coordinate records into one array of code points, a row of columns
@@ -20,15 +21,14 @@ A file with faults raises the error of its lowest faulty line, and of
 that line's first fault in the order the checks are listed.
 
 Coordinates are emitted as F8.3, and occupancy and B-factor as F6.2, with
-ties rounded half away from zero in the value's shortest decimal form
-(``format_coordinate``).  The writer rounds all fields of a structure at
-once: k = floor(|v| 10^d), plus one when the fraction is at least 0.5,
-with the sign restored and -0.000 never emitted.  Below 1e4 that binary
-arithmetic is within 4e-9 of the decimal value in units of the last
-digit, so only values within 1e-7 of a tie, and values that do not fit,
-go through ``format_coordinate``; the text is the same either way.  The
-serials, residue numbers and rounded fields are written as digit codes
-into one code array of the atom records, decoded to text once.
+ties rounded half away from zero in the value's shortest repr.  The
+writer rounds all fields of a structure at once, and exactly: with d
+digits after the point, |v| rounds up from k = floor(|v| 10^d) when
+|v| >= (2k + 1) / (2 10^d), a bound that is the one double whose
+shortest repr is the tie itself.  The serials, residue numbers and
+rounded fields are written as digit codes into one code array of the
+atom records, decoded to text once; a value or name that does not fit is
+found in one table of every record's faults, in record order.
 
 A ``Structure`` is a frozen value: one (N, 3) coordinate block and one
 column per atom field, with residues and chains as index ranges.  Nothing
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -366,8 +365,8 @@ def _text(codes: np.ndarray) -> str:
 
 
 # The number fields of a coordinate record, in the order their faults are
-# checked: columns, decimals, the value of a blank field (None: a fault)
-# and the field's name in errors.
+# checked: columns, digits after the point, the value of a blank field
+# (None: a fault) and the field's name in errors.
 _NUMBER_FIELDS = (
     (6, 11, 0, None, "serial"), (22, 26, 0, None, "residue number"), (30, 38, 3, None, "x coordinate"),
     (38, 46, 3, None, "y coordinate"), (46, 54, 3, None, "z coordinate"), (54, 60, 2, 1.0, "occupancy"),
@@ -385,15 +384,15 @@ def _number_tables():
 
     A cell's signature is its classes read as one base-5 number plus 5^8
     times the field's index, its value its digits read as one integer k.
-    Canonical text is ``[ ]*-?d+`` filling the cell or, with d decimals,
-    ``[ ]*-?d+.`` and d digits.  Every weighted sum is an integer below
-    10^7, which a double holds exactly.
+    Canonical text is ``[ ]*-?d+`` filling the cell or, with d digits after
+    the point, ``[ ]*-?d+.`` and d digits.  Every weighted sum is an
+    integer below 10^7, which a double holds exactly.
     """
     columns, canonical = [], {}
     signature_weights, digit_weights = ([[0.0] * len(_NUMBER_FIELDS) for _ in range(45)] for _ in range(2))
-    for field, (start, stop, decimals, _, _) in enumerate(_NUMBER_FIELDS):
+    for field, (start, stop, fraction_digits, _, _) in enumerate(_NUMBER_FIELDS):
         width = stop - start
-        whole = width - decimals - 1 if decimals else width
+        whole = width - fraction_digits - 1 if fraction_digits else width
         for place in range(width):
             signature_weights[len(columns) + place][field] = 5.0 ** (width - 1 - place)
         for power, place in enumerate(place for place in reversed(range(width)) if place != whole):
@@ -402,7 +401,7 @@ def _number_tables():
         for minus in (0, 1):
             for digits in range(1, whole + 1 - minus):
                 classes = [0] * (whole - minus - digits) + [1] * minus + [2] * digits
-                classes += ([3] + [2] * decimals) * bool(decimals)
+                classes += ([3] + [2] * fraction_digits) * bool(fraction_digits)
                 canonical[sum(5.0 ** (width - 1 - j) * c for j, c in enumerate(classes)) + field * 5.0**8] = minus
     signatures = sorted(canonical)
     return (np.array(columns), np.array(signature_weights), np.array(digit_weights), np.array(signatures),
@@ -418,11 +417,11 @@ _DEFAULTS = np.array([[f[3] or 0.0] for f in _NUMBER_FIELDS])
 _SCALES = np.array([[10.0 ** f[2]] for f in _NUMBER_FIELDS])
 
 
-def _number(text: str, decimals: int, default: float | None):
+def _number(text: str, fraction_digits: int, default: float | None):
     """One cell that is not canonical number text, through Python's int() or float()."""
     if default is not None and text.isspace():
         return default
-    return float(text) if decimals else int(text)
+    return float(text) if fraction_digits else int(text)
 
 
 def _numbers(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -446,9 +445,9 @@ def _numbers(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values = np.where(blank, _DEFAULTS, np.where(_NEGATIVE[at], -k, k) / _SCALES)
     bad = np.zeros(values.shape, dtype=bool)
     for f, r in zip(*np.nonzero((_CANONICAL[at] != signature) & ~blank)):
-        start, stop, decimals, default, _ = _NUMBER_FIELDS[f]
+        start, stop, fraction_digits, default, _ = _NUMBER_FIELDS[f]
         try:
-            values[f, r] = _number(_text(grid[r, start:stop]), decimals, default)
+            values[f, r] = _number(_text(grid[r, start:stop]), fraction_digits, default)
         except ValueError:
             bad[f, r] = True
     return values, bad
@@ -480,9 +479,10 @@ def parse_pdb(text: str) -> Structure:
     """Parse PDB-format text into a Structure.
 
     LF and CRLF line endings are accepted.  ATOM/HETATM lines become atoms,
-    TER closes the current chain, END terminates the file, and every other
-    line is preserved verbatim as a header.  The coordinate records are
-    read as one (records x 78) array of code points, each line padded with
+    TER and ENDMDL close the current chain, END terminates the file, MODEL
+    opens the one model (a second is a fault), and every other line is
+    preserved verbatim as a header.  The coordinate records are read as
+    one (records x 78) array of code points, each line padded with
     spaces: a field is a column slice, canonical numbers are decoded by
     digit arithmetic, and chain and residue boundaries come from comparing
     neighbouring rows.  The error raised names the first faulty line and
@@ -502,10 +502,12 @@ def parse_pdb(text: str) -> Structure:
     record, opening = head.view("U6")[:, 0], np.ascontiguousarray(head[:, :3]).view("U3")[:, 0]
     hetatm = record == "HETATM"
     coordinate = hetatm | (record == "ATOM  ")
-    ends = opening == "END"
-    closing = ends | (opening == "TER")
+    model = np.ascontiguousarray(head[:, :5]).view("U5")[:, 0] == "MODEL"
+    closing = (opening == "END") | (opening == "TER")  # END, ENDMDL and TER close the open chain
+    ends = (opening == "END") & (record != "ENDMDL")
     end = int(ends.argmax()) if ends.any() else len(lines)
     late = next((k for k in range(end + 1, len(lines)) if lines[k].strip()), None)
+    models = np.flatnonzero(model[:end])
 
     records = np.flatnonzero(coordinate[:end])
     grid = windows[starts[records]]
@@ -537,6 +539,8 @@ def parse_pdb(text: str) -> Structure:
         lengths[records] < 54, (grid == 0).any(1), (alt_locs != "") & (alt_locs != "A"), bad.any(0), names == "",
         ~np.isfinite(coords).all(0), ~np.isfinite(extras).all(0), serials < 1, grid[:, 26] != 32, reopened, renamed,
     ])
+    if models.size > 1 and not (faults.any() and records[faults.any(0).argmax()] < models[1]):
+        raise PdbParseError("second MODEL record; a template is one model", int(models[1]) + 1)
     if faults.any():
         row = int(faults.any(0).argmax())
         start, stop, _, _, what = _NUMBER_FIELDS[bad[:, row].argmax()]
@@ -559,7 +563,7 @@ def parse_pdb(text: str) -> Structure:
     residue_rows = np.flatnonzero(new_residue)
     try:
         return Structure.from_columns(
-            [lines[k] for k in np.flatnonzero(~(coordinate | closing)).tolist()], chain_ids, names=names,
+            [lines[k] for k in np.flatnonzero(~(coordinate | closing | model)).tolist()], chain_ids, names=names,
             alt_locs=alt_locs, coords=coords.T, occupancy=extras[0], temp_factor=extras[1],
             elements=elements, hetatm=hetatm[records], res_starts=np.concatenate([residue_rows, [len(records)]]),
             res_seqs=seqs[residue_rows].astype(np.int64), res_names=res_names[residue_rows],
@@ -569,83 +573,42 @@ def parse_pdb(text: str) -> Structure:
         raise PdbParseError(str(exc)) from exc
 
 
-def format_coordinate(value: float, width: int = 8, decimals: int = 3, field: str = "coordinate") -> str:
-    """Fixed-width decimal field with ties rounded half away from zero.
+def _round_half_away(values: np.ndarray, width, fraction_digits) -> tuple[np.ndarray, np.ndarray]:
+    """Round to F<width>.<d> as signed counts of the last digit's unit, and mask what does not fit.
 
-    The value is quantized through its shortest decimal representation so
-    that e.g. 4.7765 rounds to 4.777 regardless of binary representation.
-    ``field`` names the value in the PdbWriteError raised when it does not fit.
-    """
-    value = float(value)  # so a message prints -1000.0, not np.float64(-1000.0)
-    if not np.isfinite(value):
-        raise PdbWriteError(f"non-finite {field} {value!r}")
-    misfit = PdbWriteError(f"{field} {value!r} does not fit in F{width}.{decimals}")
-    # Checked before quantizing, which overflows Decimal's 28-digit context
-    # near 1e26; a value of 10**width or more never fits in ``width`` columns.
-    if abs(value) >= 10.0**width:
-        raise misfit
-    quantum = Decimal(1).scaleb(-decimals)
-    q = Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP)
-    if q == 0:
-        q = abs(q)
-    out = f"{q:.{decimals}f}"
-    if len(out) > width:
-        raise misfit
-    return out.rjust(width)
-
-
-def _round_half_away(values: np.ndarray, width, decimals) -> tuple[np.ndarray, np.ndarray]:
-    """Round to F<width>.<decimals> in bulk, as signed counts of the last digit's unit.
-
-    Also returns a mask of the values ``format_coordinate`` must settle.
+    With d = ``fraction_digits``, |v| rounds up from k = floor(|v| 10^d)
+    exactly when |v| >= (2k + 1) / (2 10^d).  That bound, the correctly
+    rounded quotient of two exact integers, is the one double whose
+    shortest repr is the tie, and every other double falls on the side of
+    the tie that its shortest repr does; so each field is the shortest
+    repr rounded half away from zero.  The mask holds the non-finite
+    values and those too wide for the field.
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        scaled = np.abs(values) * 10.0**decimals
-        k = np.floor(scaled)
-        frac = scaled - k
-        k += frac >= 0.5
+        size, scale = np.abs(values), 10.0 ** np.asarray(fraction_digits)
+        k = np.floor(size * scale)
+        k += size >= (2 * k + 1) / (2 * scale)
         negative = (values < 0) & (k > 0)
-        limit = np.where(negative, 10.0 ** (width - 2), 10.0 ** (width - 1))
-        settled = (np.abs(frac - 0.5) >= 1e-7) & (k < limit)
+        unfit = ~(k < 10.0 ** (np.asarray(width) - 1 - negative))
     # k == 0 is never negative here, so -0.000 is never emitted.
-    return np.where(negative, -k, k), ~settled
+    return np.where(negative, -k, k), unfit
 
 
-def _checked_fields(structure: Structure, row: int, address: str, misfit: str | None) -> list[int]:
-    """One atom's five fields through ``format_coordinate``; a PdbWriteError names the atom."""
-    if misfit:
-        raise PdbWriteError(f"atom {address}: {misfit}")
-    values = [*structure.coords[row].tolist(), float(structure.occupancy[row]), float(structure.temp_factor[row])]
-    columns = zip(values, (8, 8, 8, 6, 6), (3, 3, 3, 2, 2), ("coordinate",) * 3 + ("occupancy", "B-factor"))
-    try:
-        return [int(format_coordinate(*column).replace(".", "")) for column in columns]
-    except PdbWriteError as exc:
-        raise PdbWriteError(f"atom {address}: {exc}") from None
+# A record's faults in the order they are checked, each a text for its
+# value: the first four for every record, the rest for atom records.
+_FAULTS = (
+    "serial {} does not fit in I5", "chain id {!r} is not one character", "residue number {} does not fit in I4",
+    "residue name {!r} does not fit in A3", "atom name {!r} does not fit in A4",
+    "alternate location {!r} does not fit in A1", "element {!r} does not fit in A2",
+    *["coordinate {!r} does not fit in F8.3"] * 3, "occupancy {!r} does not fit in F6.2",
+    "B-factor {!r} does not fit in F6.2",
+)
 
 
-def _misfit(serial, chain_id, res_seq, res_name, name="", alt_loc="", element="") -> str | None:
-    """Describe the first text or integer field that does not fit its columns."""
-    if serial > 99999:
-        return f"serial {serial} does not fit in I5"
-    if len(chain_id) != 1:
-        return f"chain id {chain_id!r} is not one character"
-    if not -999 <= res_seq <= 9999:
-        return f"residue number {res_seq} does not fit in I4"
-    if len(res_name) > 3:
-        return f"residue name {res_name!r} does not fit in A3"
-    if len(name) > 4:
-        return f"atom name {name!r} does not fit in A4"
-    if len(alt_loc) > 1:
-        return f"alternate location {alt_loc!r} does not fit in A1"
-    if len(element) > 2:
-        return f"element {element!r} does not fit in A2"
-    return None
-
-
-def _digit_codes(k: np.ndarray, places: int, decimals) -> np.ndarray:
+def _digit_codes(k: np.ndarray, places: int, fraction_digits) -> np.ndarray:
     """Codes of the (fields, records) integers k as (fields, places, records) right-aligned digits.
 
-    Field f is k / 10^decimals[f] without its point; each k fits, sign
+    Field f is k / 10^fraction_digits[f] without its point; each k fits, sign
     included.  Left of the units, a place is blank while every digit up to
     it is zero, and a minus sign takes the last blank place.
     """
@@ -654,7 +617,7 @@ def _digit_codes(k: np.ndarray, places: int, decimals) -> np.ndarray:
         np.floor_divide(size, 10 ** (places - 1 - place), out=quotients[:, place])
     codes = quotients + 48
     codes[:, 1:] -= 10 * quotients[:, :-1]
-    blank = (quotients == 0) & (np.arange(places)[:, None] < places - 1 - np.asarray(decimals)[:, None, None])
+    blank = (quotients == 0) & (np.arange(places)[:, None] < places - 1 - np.asarray(fraction_digits)[:, None, None])
     sign = blank & (k < 0)[:, None, :]
     sign[:, :-1] &= ~blank[:, 1:]
     codes[blank] = 32
@@ -675,7 +638,7 @@ def write_pdb(structure: Structure) -> str:
     Records are numbered sequentially, each chain is closed with a TER
     record, and the file ends with END.  Coordinates use F8.3 fields; a
     value or name that does not fit its columns raises PdbWriteError
-    naming the first such atom in record order, and a header that would not
+    naming the first such atom or TER record, and a header that would not
     read back as itself raises one naming the header.  The atom records
     are written field by field into one array of code points, a line of
     79 per atom with numbers as digit codes, and decoded once; the headers
@@ -685,37 +648,42 @@ def write_pdb(structure: Structure) -> str:
     headers = s.headers
     for index, header in enumerate(headers):
         # A line break splits a header; a record name makes it a record.
-        if header.splitlines() not in ([header], []) or header.startswith(("ATOM  ", "HETATM", "TER", "END")):
+        if header.splitlines() not in ([header], []) or header.startswith(("ATOM  ", "HETATM", "TER", "END", "MODEL")):
             raise PdbWriteError(f"header {index} {header!r} would not read back as the same header line")
     ids, atom_chain, atom_res = s.chain_ids(), s.atom_chains(), s.atom_residues()
     # Each chain with residues ends in a TER record, which takes one serial.
     closed = s.chain_starts[1:] > s.chain_starts[:-1]
     serials = np.arange(1, s.n_atoms() + 1) + (np.cumsum(closed) - closed)[atom_chain]
-    ter_serials = (s.res_starts[s.chain_starts[1:]] + np.cumsum(closed)).tolist()
-    last_residues = (s.chain_starts[1:] - 1).tolist()
-    ter_fault = next(((c, fault) for c, r in enumerate(last_residues) if closed[c] and (
-        fault := _misfit(ter_serials[c], ids[c], int(s.res_seqs[r]), str(s.res_names[r])))), (len(ids), None))
+    ter_serials = s.res_starts[s.chain_starts[1:]] + np.cumsum(closed)
+    last_residues = s.chain_starts[1:] - 1
 
     # x, y, z as F8.3, then occupancy and B-factor as F6.2.
-    fields, unsettled = _round_half_away(
-        np.column_stack([s.coords, s.occupancy, s.temp_factor]),
-        np.array([8, 8, 8, 6, 6]), np.array([3, 3, 3, 2, 2]),
-    )
+    values = np.column_stack([s.coords, s.occupancy, s.temp_factor])
+    fields, unfit = _round_half_away(values, np.array([8, 8, 8, 6, 6]), np.array([3, 3, 3, 2, 2]))
+    # The fault table: a row per record in record order (its serial less
+    # one) and a column per fault in _FAULTS; a TER record has the first four.
     length = np.char.str_len
-    misfit = ((serials > 99999) | np.array([len(chain_id) != 1 for chain_id in ids], dtype=bool)[atom_chain]
-              | ((s.res_seqs < -999) | (s.res_seqs > 9999) | (length(s.res_names) > 3))[atom_res]
-              | (length(s.names) > 4) | (length(s.alt_locs) > 1) | (length(s.elements) > 2))
-    # Atoms that do not fit or that format_coordinate must round, up to the
-    # first TER record that does not fit: the first fault in record order.
-    for i in np.flatnonzero(misfit | unsettled.any(1)).tolist():
-        c, r = atom_chain[i], atom_res[i]
-        if c > ter_fault[0]:
-            break
-        res_seq, res_name, name = int(s.res_seqs[r]), str(s.res_names[r]), str(s.names[i])
-        fields[i] = _checked_fields(s, i, f"{ids[c]}.{res_name}{res_seq}.{name}", _misfit(
-            int(serials[i]), ids[c], res_seq, res_name, name, str(s.alt_locs[i]), str(s.elements[i])))
-    if ter_fault[1]:
-        raise PdbWriteError(f"TER record of chain {ids[ter_fault[0]]}: {ter_fault[1]}")
+    rows = np.concatenate([serials, ter_serials[closed]]) - 1
+    chains = np.concatenate([atom_chain, np.flatnonzero(closed)])
+    residues = np.concatenate([atom_res, last_residues[closed]])
+    faults = np.zeros((len(rows), len(_FAULTS)), dtype=bool)
+    faults[rows, :4] = np.column_stack([
+        rows >= 99999, np.array([len(chain_id) != 1 for chain_id in ids], dtype=bool)[chains],
+        ((s.res_seqs < -999) | (s.res_seqs > 9999))[residues], (length(s.res_names) > 3)[residues],
+    ])
+    faults[serials - 1, 4:] = np.column_stack([
+        length(s.names) > 4, length(s.alt_locs) > 1, length(s.elements) > 2, unfit,
+    ])
+    if faults.any():
+        row = int(faults.any(1).argmax())
+        i = int(np.flatnonzero(rows == row)[0])
+        c, res_seq, res_name = ids[chains[i]], int(s.res_seqs[residues[i]]), str(s.res_names[residues[i]])
+        cells, where = (row + 1, c, res_seq, res_name), f"TER record of chain {c}"
+        if i < s.n_atoms():
+            cells += (str(s.names[i]), str(s.alt_locs[i]), str(s.elements[i]), *values[i].tolist())
+            where = f"atom {atom_addresses(s, [i])[0]}"
+        column = int(faults[row].argmax())
+        raise PdbWriteError(f"{where}: {_FAULTS[column].format(cells[column])}")
 
     names, alt_locs = _justified(np.char.ljust, s.names, 4), _justified(np.char.ljust, s.alt_locs, 1)
     res_names, elements = _justified(np.char.rjust, s.res_names, 3), _justified(np.char.rjust, s.elements, 2)
@@ -739,7 +707,7 @@ def write_pdb(structure: Structure) -> str:
 
     parts = [header + "\n" for header in headers]
     bounds = (79 * s.res_starts[s.chain_starts]).tolist()
-    for c, r in enumerate(last_residues):
+    for c, r in enumerate(last_residues.tolist()):
         if closed[c]:
             parts += (records[bounds[c]:bounds[c + 1]],
                       f"TER   {ter_serials[c]:5d}      {s.res_names[r]:>3} {ids[c]}{s.res_seqs[r]:4d}\n")

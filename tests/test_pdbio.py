@@ -1,7 +1,9 @@
 """Fixed-column parsing, byte-exact emission, and atom selection."""
 
 import math
+import re
 from decimal import ROUND_HALF_UP, Decimal
+from importlib import resources
 from operator import itemgetter
 
 import numpy as np
@@ -27,7 +29,7 @@ from stericzip import (
     write_pdb,
 )
 from stericzip import pdbio
-from stericzip.pdbio import ATOM_COLUMNS, _infer_element, atom_addresses, decode_pdb, format_coordinate
+from stericzip.pdbio import ATOM_COLUMNS, _infer_element, _round_half_away, atom_addresses, decode_pdb
 
 SAMPLE_LINE = "ATOM      1  N   GLY A 127      1.000   2.000   3.000  1.00  0.00           N"
 
@@ -199,7 +201,7 @@ class TestWrite:
         ],
     )
     def test_format_coordinate_half_away(self, value, expected):
-        assert format_coordinate(value) == expected
+        assert write_pdb(single_atom_structure(position=(value, 0.0, 0.0)))[30:38] == expected
 
 
 @pytest.mark.parametrize(
@@ -406,6 +408,35 @@ class TestBulkWriter:
         assert_matches_reference(single_atom_structure(occupancy=[value]))
 
 
+@pytest.mark.parametrize("width, decimals, what", [(8, 3, "coordinate"), (6, 2, "occupancy")])
+def test_bulk_rounding_matches_decimal_reference(width, decimals, what):
+    # Ties (2k + 1) / (2 10^d) of random k of either sign up to the width
+    # edges, the edge values, 0 and 1e-300 of either sign, each one ulp either side.
+    k = np.random.default_rng(width).integers(-(10 ** (width - 2)), 10 ** (width - 1), 34_000)
+    edges = np.abs([*EDGE_VALUES, 0.0, 1e-300])
+    centres = np.concatenate([(2 * k + 1) / (2 * 10**decimals), edges, -edges])
+    values = np.concatenate([np.nextafter(centres, -np.inf), centres, np.nextafter(centres, np.inf)])
+    values = np.concatenate([values, [np.nan, np.inf, -np.inf]])
+    assert len(values) > 100_000
+    counts, unfit = _round_half_away(values, width, decimals)
+    texts = [f"{count / 10**decimals:{width}.{decimals}f}" for count in counts.tolist()]
+    for value, text, refused in zip(values.tolist(), texts, unfit.tolist()):
+        try:
+            expected = decimal_field(value, width, decimals, what)
+        except PdbWriteError as exc:
+            assert refused, value
+            if not math.isfinite(value):  # a Structure holds no non-finite value, so the writer never sees one
+                assert str(exc) == f"non-finite {what} {value!r}"
+                with pytest.raises(StructureError, match="non-finite"):
+                    single_atom_structure(occupancy=[value])
+                continue
+            columns = {"occupancy": [value]} if width == 6 else {"position": (value, 0.0, 0.0)}
+            with pytest.raises(PdbWriteError, match=f"^{re.escape(f'atom A.ALA1.CA: {exc}')}$"):
+                write_pdb(single_atom_structure(**columns))
+        else:
+            assert not refused and text == expected, value
+
+
 # Columns of the fields of an ATOM/HETATM record, and the edits made to them.
 # "tail" writes past column 80.  Besides faults, the edits hold text on
 # which a column decoder could differ from int(), float() and str.strip():
@@ -422,6 +453,15 @@ FIELD_EDITS = [
 ]
 NUL_EDITS = ["\x00", "CA \x00"]
 TEMPLATE_LINES = write_pdb(synthetic_template()).splitlines()
+PACKAGED_TEMPLATE = resources.files("stericzip").joinpath("data", "template.pdb").read_text()
+
+
+def one_model(text):
+    """The file with its coordinate records wrapped in MODEL 1 ... ENDMDL, ahead of END."""
+    lines = text.splitlines()
+    first = next(k for k, line in enumerate(lines) if line.startswith("ATOM"))
+    assert lines[-1] == "END"
+    return "\n".join(lines[:first] + ["MODEL        1"] + lines[first:-1] + ["ENDMDL", "END"]) + "\n"
 ATOM_LINES = [k for k, line in enumerate(TEMPLATE_LINES) if line.startswith("ATOM  ")]
 
 
@@ -469,7 +509,7 @@ def reference_parse_pdb(text):
     res_starts, res_seqs, res_names = [], [], []
     chain_ids, chain_starts = [], []
     open_chain = None
-    ended = False
+    ended, models = False, 0
     for line_number, line in enumerate(text.splitlines(), start=1):
         record = line[:6]
         if ended and line.strip():
@@ -516,9 +556,13 @@ def reference_parse_pdb(text):
                 res_names.append(res_name)
             atoms.append((name, alt_loc, (x, y, z), occupancy, temp_factor, element or _infer_element(name),
                           record == "HETATM"))
+        elif record.startswith("MODEL"):
+            if models:
+                raise PdbParseError("second MODEL record; a template is one model", line_number)
+            models += 1
         elif record.startswith(("TER", "END")):
             open_chain = None
-            ended = record.startswith("END")
+            ended = record.startswith("END") and not record.startswith("ENDMDL")
         else:
             headers.append(line)
     try:
@@ -560,10 +604,19 @@ class TestEditedRecords:
         SAMPLE_LINE.replace("GLY", "TYR") + "\n" + SAMPLE_LINE.replace("   1  N", "   2  CA") + "\n",
         SAMPLE_LINE + "\n" + SAMPLE_LINE.replace("GLY A 127 ", "TYR A 127A").replace("   1  N", "   2  N") + "\n",
         SAMPLE_LINE[:30] + "   1.5e1" + SAMPLE_LINE[38:] + "\nEND\n",
+        one_model(PACKAGED_TEMPLATE),
+        "MODEL        1\n" + SAMPLE_LINE + "\nENDMDL\nMODEL        2\n" + SAMPLE_LINE + "\nENDMDL\nEND\n",
+        SAMPLE_LINE + "\nMODEL\n" + SAMPLE_LINE[:40] + "\nMODEL\n",
+        "MODEL\nMODEL\n" + SAMPLE_LINE[:40] + "\n",
     ], ids=["empty", "blank-after-end", "header-after-end", "crlf", "short-records", "other-breaks",
-            "residue-order", "reopened", "renamed", "insertion-code", "exponent"])
+            "residue-order", "reopened", "renamed", "insertion-code", "exponent", "model", "two-models",
+            "fault-before-second-model", "second-model-before-fault"])
     def test_edge_files_match_the_reference(self, text):
         assert_parses_as_reference(text)
+
+    def test_one_model_parses_as_the_bare_file(self):
+        # A deposited file wraps its one model in MODEL ... ENDMDL; ENDMDL used to read as END.
+        assert parse_pdb(one_model(PACKAGED_TEMPLATE)) == parse_pdb(PACKAGED_TEMPLATE) == load_template()
 
     @settings(max_examples=300, deadline=None)
     @given(edited_templates(FIELD_EDITS + NUL_EDITS))
@@ -599,7 +652,7 @@ class TestEditedRecords:
 class TestHeaders:
     @pytest.mark.parametrize("header", [
         "ENDMDL", "END", "TER junk", "TER", "ATOM  x", "HETATM", "REMARK a\nREMARK b", "REMARK a\x0cb",
-        "REMARK a\r", "REMARK a\u2028b",
+        "REMARK a\r", "REMARK a\u2028b", "MODEL        1",
     ])
     def test_header_that_would_not_read_back_is_a_write_error(self, header):
         template = synthetic_template()
@@ -648,7 +701,6 @@ def test_canonical_files_take_no_per_cell_path(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(pdbio, "_number", counted(pdbio._number))
-    monkeypatch.setattr(pdbio, "format_coordinate", counted(pdbio.format_coordinate))
     for text in texts:
         assert write_pdb(parse_pdb(text)) == text
     assert parse_pdb(texts[1]).n_atoms() == 4 * model.n_atoms() and calls == []
