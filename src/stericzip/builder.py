@@ -1,7 +1,7 @@
 """End-to-end fibril model construction.
 
 Pipeline: mutate the template's chains A and B (the asymmetric unit) to
-the target Ala/Gly hexapeptide, place the opposing sheet by a
+the target Ala/Gly hexapeptide in one pass, place the opposing sheet by a
 translation-only update of the lattice screw, build the twelve-chain
 cell from the unit in one pass, and audit the model with
 ``structure_energy_report``, the audit ``stericzip energy`` runs: the
@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -94,30 +95,37 @@ def mutate_residue(structure: Structure, chain_id: str, res_seq: int, target: st
     hits = np.flatnonzero(structure.res_seqs[first:last] == res_seq)
     if not hits.size:
         raise MutationError(f"chain {chain_id} has no residue {res_seq}")
-    return _mutate(structure, chain_id, [first + hits[0]], [target], [res_seq])
+    return _mutate(structure, [(chain_id, first + hits[0], target, res_seq)])
 
 
-def apply_sequence(structure: Structure, chain_id: str, sequence: str) -> Structure:
-    """Return a new structure with a six-residue chain mutated positionally and renumbered 1-6.
+def apply_sequence(structure: Structure, chain_ids: str | tuple[str, ...], sequence: str) -> Structure:
+    """Return a new structure with each named six-residue chain mutated positionally and renumbered 1-6.
 
-    Each residue is cut as in ``mutate_residue``; the new structure is built once.
+    ``chain_ids`` is one chain id or several.  Each residue is cut as in
+    ``mutate_residue``, and the new structure is built once, in one pass
+    over the chains in order: a fault raises as the first of one call per
+    chain would.
     """
     sequence = validate_sequence(sequence)
-    c = structure.chain_index(chain_id)
-    first, last = structure.chain_starts[c:c + 2].tolist()
-    if last - first != 6:
-        raise MutationError(
-            f"chain {chain_id} has {last - first} residues; apply_sequence needs 6"
-        )
-    return _mutate(structure, chain_id, range(first, last), [SEQUENCE_ALPHABET[s] for s in sequence], range(1, 7))
+    targets = [SEQUENCE_ALPHABET[s] for s in sequence]
+
+    def residues(chain_id):
+        c = structure.chain_index(chain_id)
+        first, last = structure.chain_starts[c:c + 2].tolist()
+        if last - first != 6:
+            raise MutationError(f"chain {chain_id} has {last - first} residues; apply_sequence needs 6")
+        return zip(repeat(chain_id), range(first, last), targets, range(1, 7))
+
+    chain_ids = [chain_ids] if isinstance(chain_ids, str) else chain_ids
+    return _mutate(structure, chain.from_iterable(map(residues, chain_ids)))
 
 
-def _mutate(structure: Structure, chain_id: str, rows, targets, res_seqs) -> Structure:
-    """Residue ``rows`` of one chain renamed to ``targets``, renumbered to ``res_seqs`` and cut to their kept rows."""
+def _mutate(structure: Structure, residues) -> Structure:
+    """Each (chain id, residue row, target, number) renamed, renumbered and cut to its kept rows, checked in order."""
     s, starts = structure, structure.res_starts.tolist()
     seqs, res_names = s.res_seqs.tolist(), s.res_names.tolist()
     kept, built = {}, []  # rows each mutated residue keeps; (CA row, position) of each built CB
-    for r, target, res_seq in zip(rows, targets, res_seqs):
+    for chain_id, r, target, res_seq in residues:
         names = s.names[starts[r]:starts[r + 1]].tolist()
         for name in BACKBONE_ATOM_NAMES:
             if name not in names:
@@ -460,14 +468,14 @@ def solve_contact_placement(
     )
 
 
-def place_opposing_sheet(unit: Structure, spec: FibrilSpec) -> PlacementOutcome:
-    """Solve the sheet-2 placement for the mutated asymmetric unit.
+def place_opposing_sheet(unit: Structure, spec: FibrilSpec, contacts: list[ContactPair]) -> PlacementOutcome:
+    """Solve the sheet-2 placement for the mutated asymmetric unit; ``contacts`` is ``spec.contacts()``.
 
     Anchors are read from the unit's coordinate block.  Each free atom is
     read as the image, under the lattice screw, of the same atom in its
     source chain, so ``G.ALA4.CB`` is the screw image of ``A.ALA4.CB``.
     """
-    screw, contacts = spec.lattice.sheet2_transform, spec.contacts()
+    screw = spec.lattice.sheet2_transform
     anchors = unit.coords[[atom_row(unit, pair.first) for pair in contacts]]
     free0 = []
     for pair in contacts:
@@ -524,6 +532,7 @@ def _stage(name: str):
 def build_fibril_model(template: Structure, spec: FibrilSpec) -> tuple[Structure, BuildReport]:
     """Run the whole pipeline and return the twelve-chain model plus report."""
     warnings: list[str] = []
+    contacts = spec.contacts()
 
     with _stage("template"):
         unit = template.subset(UNIT_CHAINS)
@@ -535,21 +544,20 @@ def build_fibril_model(template: Structure, spec: FibrilSpec) -> tuple[Structure
         hb_before = len(detect_hbonds(unit))
 
     with _stage("mutate"):
-        unit = apply_sequence(unit, "A", spec.sequence)
-        unit = apply_sequence(unit, "B", spec.sequence)
+        unit = apply_sequence(unit, UNIT_CHAINS, spec.sequence)
 
     with _stage("hbond-after"):
         hb_after = len(detect_hbonds(unit))
 
     with _stage("placement"):
-        placement = place_opposing_sheet(unit, spec)
+        placement = place_opposing_sheet(unit, spec, contacts)
         warnings.extend(placement.warnings)
 
     with _stage("replicate"):
         final = replicate_lattice(unit, replace(spec.lattice, sheet2_transform=placement.transform))
 
     with _stage("audit"):
-        audit = structure_energy_report(final, spec.lj, contacts=spec.contacts())
+        audit = structure_energy_report(final, spec.lj, contacts=contacts)
         if audit["clashes"]:
             warnings.append(f"{audit['clash_count']} steric clash(es) below {CLASH_CUTOFF} A; build marked failed")
 

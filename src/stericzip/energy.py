@@ -296,9 +296,9 @@ def detect_hbonds(structure: Structure, cutoff: float = HBOND_CUTOFF) -> list[HB
     """
     chains, seqs, coords = structure.atom_chains(), structure.res_seqs[structure.atom_residues()], structure.coords
     donors, acceptors = np.flatnonzero(structure.names == "N"), np.flatnonzero(structure.names == "O")
-    di, ai = _neighbour_pairs(coords[donors], coords[acceptors], cutoff)
+    di, ai = _neighbour_pairs(coords.take(donors, axis=0), coords.take(acceptors, axis=0), cutoff)
     d, a = donors[di], acceptors[ai]
-    dist = _distances(coords[d], coords[a])
+    dist = _distances(coords.take(d, axis=0), coords.take(a, axis=0))
     near = np.flatnonzero(dist <= cutoff)
     d, a, dist = d[near], a[near], dist[near]
     keep = np.flatnonzero((chains[d] != chains[a]) | (np.abs(seqs[d] - seqs[a]) > 1))
@@ -320,7 +320,7 @@ def clash_audit(structure: Structure, cutoff: float) -> list[tuple[str, str, flo
     pos, chains, residues = structure.coords, structure.atom_chains(), structure.atom_residues()
     seqs, is_c, is_n = structure.res_seqs[residues], structure.names == "C", structure.names == "N"
     i, j = _neighbour_pairs(pos, None, cutoff)
-    dist = _distances(pos[i], pos[j])
+    dist = _distances(pos.take(i, axis=0), pos.take(j, axis=0))
     near = np.flatnonzero(dist < cutoff)
     i, j, dist = i[near], j[near], dist[near]
     # The only covalent link between residues is the peptide bond C(i)-N(i+1).
@@ -335,7 +335,7 @@ def contact_report(structure: Structure, contacts: list[ContactPair], lj: LJPara
     """Distance and LJ energy under ``lj`` of each contact pair, from one energy call; lookups raise as ``atom_row``."""
     rows = np.array([(atom_row(structure, pair.first), atom_row(structure, pair.second)) for pair in contacts],
                     dtype=np.int64).reshape(-1, 2)
-    r = _distances(structure.coords[rows[:, 0]], structure.coords[rows[:, 1]])
+    r = _distances(structure.coords.take(rows[:, 0], axis=0), structure.coords.take(rows[:, 1], axis=0))
     return [
         {"first": str(pair.first), "second": str(pair.second), "distance": d, "energy": e, "optimal_distance": lj.r_min}
         for pair, d, e in zip(contacts, r.tolist(), lj_pair_energy(r, lj).tolist())

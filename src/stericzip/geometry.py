@@ -10,6 +10,7 @@ composition order is unambiguous: ``a.compose(b)`` applies ``b`` first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .pdbio import Structure
 _ORTHO_TOL = 1e-9
 CB_BOND_LENGTH = 1.521  # A, CA-CB
 CB_ANGLE_DEG = 109.47  # degrees from CA-CB to each of CA-N and CA-C
+_COS_CB_ANGLE = float(np.cos(np.radians(CB_ANGLE_DEG)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,10 +72,6 @@ class RigidTransform:
             self.rotation @ other.rotation,
             self.rotation @ other.translation + self.translation,
         )
-
-    def inverse(self) -> "RigidTransform":
-        rt = self.rotation.T
-        return RigidTransform(rt, -(rt @ self.translation))
 
     def with_translation(self, translation) -> "RigidTransform":
         return RigidTransform(self.rotation.copy(), translation)
@@ -141,17 +139,13 @@ def replicate_lattice(unit: Structure, lattice: SheetLattice) -> Structure:
     extra = sorted(set(unit.chain_ids()) - set(UNIT_CHAINS))
     if extra:
         raise StructureError(f"asymmetric unit may hold only chains A and B, not {extra}")
-    screw = lattice.sheet2_transform
-    step = lattice.intra_sheet_step
-    blocks = []
-    for _, src_id, screwed, shift in FIBRIL_CELL:
+    blocks = {}  # each source chain's block as it is and screwed, the screw applied once
+    for src_id in UNIT_CHAINS:
         block = unit.coords[unit.atom_slice(src_id)]
-        if screwed:
-            block = screw.apply(block)
-        if shift:
-            block = block + shift * step
-        blocks.append(block)
-    return unit.with_chains([(new_id, src_id) for new_id, src_id, _, _ in FIBRIL_CELL], np.concatenate(blocks))
+        blocks[src_id, False], blocks[src_id, True] = block, lattice.sheet2_transform.apply(block)
+    moved = [blocks[src_id, screwed] + shift * lattice.intra_sheet_step if shift else blocks[src_id, screwed]
+             for _, src_id, screwed, shift in FIBRIL_CELL]
+    return unit.with_chains([(new_id, src_id) for new_id, src_id, _, _ in FIBRIL_CELL], np.concatenate(moved))
 
 
 def reconcile_translation(
@@ -182,22 +176,21 @@ def cbeta_position(n: np.ndarray, ca: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     Places CB at CB_BOND_LENGTH Angstroms from CA, at CB_ANGLE_DEG to both
     the CA->N and CA->C bonds, on the side matching L-amino-acid chirality.
+    The arithmetic is that of np.linalg.norm and np.cross, bit for bit,
+    without their per-call cost: the norm of a vector v is sqrt(v . v).
     """
-    n = np.asarray(n, dtype=np.float64)
     ca = np.asarray(ca, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    u1 = n - ca
-    u2 = c - ca
-    u1 /= np.linalg.norm(u1)
-    u2 /= np.linalg.norm(u2)
+    u1 = np.asarray(n, dtype=np.float64) - ca
+    u2 = np.asarray(c, dtype=np.float64) - ca
+    u1 /= math.sqrt(u1.dot(u1))
+    u2 /= math.sqrt(u2.dot(u2))
     bisector = u1 + u2
-    bisector /= np.linalg.norm(bisector)
-    perp = np.cross(u1, u2)
-    perp /= np.linalg.norm(perp)
+    bisector /= math.sqrt(bisector.dot(bisector))
+    (a0, a1, a2), (b0, b1, b2) = u1.tolist(), u2.tolist()
+    perp = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])  # np.cross(u1, u2)
+    perp /= math.sqrt(perp.dot(perp))
     # Component along the bisector fixing the angle to both bonds, the rest
     # out of plane; the +perp branch is the L configuration.
-    cos_to_bonds = float(np.dot(bisector, u1))
-    p = np.cos(np.radians(CB_ANGLE_DEG)) / cos_to_bonds
-    q = np.sqrt(max(0.0, 1.0 - p * p))
-    direction = p * bisector + q * perp
-    return ca + CB_BOND_LENGTH * direction
+    p = _COS_CB_ANGLE / float(bisector.dot(u1))
+    q = math.sqrt(max(0.0, 1.0 - p * p))
+    return ca + CB_BOND_LENGTH * (p * bisector + q * perp)

@@ -4,9 +4,10 @@ ATOM/HETATM records are read with the classic column layout (1-6 record
 name, 7-11 serial, 13-16 atom name, 17 altLoc, 18-20 resName, 22 chainID,
 23-26 resSeq, 27 iCode (blank), 31-38/39-46/47-54 x/y/z as F8.3, 55-60
 occupancy, 61-66 tempFactor, 77-78 element).  TER closes the current
-chain and END closes the file.  MODEL and ENDMDL bound the one model a
-template holds: ENDMDL closes the chain as TER does, and a second MODEL
-is a fault.  Every other line is carried as an opaque header and
+chain and END closes the file; only blank lines may follow it, and they
+are dropped.  MODEL and ENDMDL bound the one model a template holds:
+ENDMDL closes the chain as TER does, and a second MODEL is a fault.
+Every other line before END is carried as an opaque header and
 re-emitted verbatim ahead of the coordinates, so writing a parsed file
 reproduces it byte for byte once it has passed through the writer; the
 writer refuses a header that would read back as something else.
@@ -254,14 +255,18 @@ class Structure:
     renumber_serials = copy
 
     def subset(self, chain_ids) -> "Structure":
-        """New structure of the named chains, in the given order, and the headers."""
+        """Structure of the named chains, in the given order, and the headers (itself when that is all of it)."""
         return self.with_chains([(chain_id, chain_id) for chain_id in chain_ids])
 
     def with_chains(self, chains, coords=None) -> "Structure":
-        """New structure of copies of this one's chains, by (new id, source id), and the headers.
+        """Structure of this one's chains, by (new id, source id), and the headers.
 
         ``coords``, when given, replaces the gathered atoms' (N, 3) block.
+        Asked for its own chains, in order and under their own ids, with no
+        ``coords``, it returns the structure itself: a frozen value needs no copy.
         """
+        if coords is None and list(chains) == [(chain_id, chain_id) for chain_id in self._chain_ids]:
+            return self
         index = np.array([self.chain_index(source) for _, source in chains], dtype=np.int64)
         first, last = self.chain_starts[index], self.chain_starts[index + 1]
         residues = _ranges(first, last)
@@ -479,16 +484,17 @@ def parse_pdb(text: str) -> Structure:
     """Parse PDB-format text into a Structure.
 
     LF and CRLF line endings are accepted.  ATOM/HETATM lines become atoms,
-    TER and ENDMDL close the current chain, END terminates the file, MODEL
-    opens the one model (a second is a fault), and every other line is
-    preserved verbatim as a header.  The coordinate records are read as
-    one (records x 78) array of code points, each line padded with
-    spaces: a field is a column slice, canonical numbers are decoded by
-    digit arithmetic, and chain and residue boundaries come from comparing
-    neighbouring rows.  The error raised names the first faulty line and
-    its first fault, in the order of the checks below.  A NUL in columns
-    1-78 of a coordinate record is a fault, since a NumPy string drops the
-    trailing NULs that a name or element would need to read back.
+    TER and ENDMDL close the current chain, END terminates the file (blank
+    lines after it are ignored), MODEL opens the one model (a second is a
+    fault), and every other line is preserved verbatim as a header.  The
+    coordinate records are read as one (records x 78) array of code
+    points, each line padded with spaces: a field is a column slice,
+    canonical numbers are decoded by digit arithmetic, and chain and
+    residue boundaries come from comparing neighbouring rows.  The error
+    raised names the first faulty line and its first fault, in the order
+    of the checks below.  A NUL in columns 1-78 of a coordinate record is
+    a fault, since a NumPy string drops the trailing NULs that a name or
+    element would need to read back.
     """
     lines = text.splitlines()
     lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
@@ -563,7 +569,7 @@ def parse_pdb(text: str) -> Structure:
     residue_rows = np.flatnonzero(new_residue)
     try:
         return Structure.from_columns(
-            [lines[k] for k in np.flatnonzero(~(coordinate | closing | model)).tolist()], chain_ids, names=names,
+            [lines[k] for k in np.flatnonzero(~(coordinate | closing | model)[:end]).tolist()], chain_ids, names=names,
             alt_locs=alt_locs, coords=coords.T, occupancy=extras[0], temp_factor=extras[1],
             elements=elements, hetatm=hetatm[records], res_starts=np.concatenate([residue_rows, [len(records)]]),
             res_seqs=seqs[residue_rows].astype(np.int64), res_names=res_names[residue_rows],

@@ -6,8 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atom_rows import rows_of, structure_from_rows
+from frames import inverse
 from stericzip import (
     PALINDROME_WINDOWS,
     FibrilSpec,
@@ -183,6 +186,75 @@ class TestApplySequence:
         assert calls == {"copy": 0, "Atom": 0}
         next(template.atoms())
         assert calls["Atom"] == 1
+
+    def test_one_build_makes_two_structures(self, monkeypatch):
+        # A two-chain template is the unit itself; one structure is the
+        # mutated unit and one the twelve-chain model.
+        from stericzip import pdbio
+
+        template, made = synthetic_template(), []
+
+        def counted(self, *args, _original=pdbio.Structure._set):
+            made.append(self)
+            return _original(self, *args)
+
+        monkeypatch.setattr(pdbio.Structure, "_set", counted)
+        model, _ = build_fibril_model(template, FibrilSpec(sequence="GAAAAG"))
+        assert len(made) == 2 and made[-1] is model
+
+    def test_with_chains_of_its_own_chains_is_itself(self):
+        s = synthetic_template()
+        assert s.with_chains([("A", "A"), ("B", "B")]) is s
+        assert s.subset(("A", "B")) is s
+        one_chain = s.chain("A")
+        assert one_chain.chain("A") is one_chain
+        for chains, coords in (
+            ([("B", "A"), ("A", "B")], None),  # renamed
+            ([("B", "B"), ("A", "A")], None),  # reordered
+            ([("A", "A")], None),  # a subset
+            ([("A", "A"), ("B", "B")], s.coords),  # new coordinates, even equal ones
+        ):
+            out = s.with_chains(chains, coords)
+            assert out is not s
+            assert out.chain_ids() == [new_id for new_id, _ in chains]
+        assert s.with_chains([("A", "A"), ("B", "B")], s.coords) == s
+
+    @pytest.mark.parametrize("window", PALINDROME_WINDOWS)
+    @pytest.mark.parametrize("make", [load_template, synthetic_template])
+    def test_both_chains_at_once_equal_one_chain_at_a_time(self, make, window):
+        assert_one_pass_is_chained_calls(make(), window)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.text(alphabet="AG", min_size=6, max_size=6))
+    def test_any_sequence_in_one_pass_equals_chained_calls(self, sequence):
+        assert_one_pass_is_chained_calls(synthetic_template(), sequence)
+
+    @pytest.mark.parametrize("faults", [
+        {("A", 129): "CA", ("B", 130): "N"},  # a missing backbone atom in each chain
+        {("A", 129): "CA", ("B", 132): None},  # chain B also has five residues
+        {("A", 132): None, ("B", 130): "N"},  # chain A has five residues
+    ], ids=["backbone-both", "backbone-then-length", "length-then-backbone"])
+    def test_faults_in_both_chains_raise_chain_a_first(self, faults):
+        s = synthetic_template()
+        # A fault drops one atom of a residue, or the whole residue (None).
+        s = structure_from_rows([row for row in rows_of(s) if faults.get(row[:2], "") not in (None, row[3])], s.headers)
+        with pytest.raises(MutationError) as chained:
+            apply_sequence(apply_sequence(s, "A", "GAAAAG"), "B", "GAAAAG")
+        with pytest.raises(MutationError) as one_pass:
+            apply_sequence(s, ("A", "B"), "GAAAAG")
+        with pytest.raises(MutationError) as chain_b:
+            apply_sequence(s, "B", "GAAAAG")
+        assert str(one_pass.value) == str(chained.value) != str(chain_b.value)
+        assert re.match(r"(residue A\.|chain A )", str(one_pass.value))
+
+
+def assert_one_pass_is_chained_calls(template, sequence):
+    """apply_sequence of chains A and B at once is its call on A and then on B, in every column and bit."""
+    one_pass = apply_sequence(template, ("A", "B"), sequence)
+    chained = apply_sequence(apply_sequence(template, "A", sequence), "B", sequence)
+    assert one_pass == chained
+    for column in ("coords", "occupancy", "temp_factor"):
+        assert getattr(one_pass, column).tobytes() == getattr(chained, column).tobytes()
 
 
 class TestPlacement:
@@ -594,7 +666,7 @@ class TestSeedAndFrameIndependence:
         moved = template.with_chains([(c, c) for c in template.chain_ids()], coords=frame.apply(template.coords))
         lattice = SheetLattice(
             frame.rotation @ spec.lattice.intra_sheet_step,
-            frame.compose(spec.lattice.sheet2_transform).compose(frame.inverse()),
+            frame.compose(spec.lattice.sheet2_transform).compose(inverse(frame)),
         )
         moved_model, report = build_fibril_model(moved, replace(spec, lattice=lattice))
         assert report.success and report.clashes == []

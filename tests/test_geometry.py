@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frames import inverse
 from stericzip import (
     RigidTransform,
     SheetLattice,
@@ -73,12 +74,6 @@ class TestCompose:
             with_i.chain("I").coords, direct.chain("I").coords, atol=1e-12
         )
 
-    def test_inverse_restores(self):
-        t = sheet_screw()
-        roundtrip = t.inverse().compose(t)
-        assert np.allclose(roundtrip.rotation, np.eye(3), atol=1e-12)
-        assert np.allclose(roundtrip.translation, 0.0, atol=1e-12)
-
 
 def random_rotation(rng) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -126,7 +121,7 @@ class TestTransformChain:
         s = synthetic_template()
         t = sheet_screw()
         out = transform_chain(s, "A", t, "G")
-        out = transform_chain(out, "G", t.inverse(), "X")
+        out = transform_chain(out, "G", inverse(t), "X")
         assert np.allclose(out.chain("X").coords, s.chain("A").coords, atol=1e-9)
 
     def test_missing_chain(self):
@@ -252,3 +247,26 @@ class TestCBetaConstruction:
 
         assert angle(n, ca, cb) == pytest.approx(109.47, abs=0.01)
         assert angle(c, ca, cb) == pytest.approx(109.47, abs=0.01)
+
+    def test_is_bitwise_the_reference_formula(self):
+        # The reference is the formula written with np.linalg.norm and np.cross.
+        def reference(n, ca, c):
+            u1, u2 = n - ca, c - ca
+            u1 /= np.linalg.norm(u1)
+            u2 /= np.linalg.norm(u2)
+            bisector = u1 + u2
+            bisector /= np.linalg.norm(bisector)
+            perp = np.cross(u1, u2)
+            perp /= np.linalg.norm(perp)
+            p = np.cos(np.radians(109.47)) / float(np.dot(bisector, u1))
+            return ca + 1.521 * (p * bisector + np.sqrt(max(0.0, 1.0 - p * p)) * perp)
+
+        rng = np.random.default_rng(0)
+        scale = 10.0 ** rng.choice([-150, -100, -3, 0, 2, 100, 150], size=(20_000, 1, 1))
+        triples = rng.normal(size=(20_000, 3, 3)) * scale
+        triples[::13, 2] = triples[::13, 0]  # N and C coincide: CA-N and CA-C are parallel
+        triples[::17, 1] = triples[::17, 0]  # N on CA
+        with np.errstate(all="ignore"):
+            got = np.array([cbeta_position(*triple) for triple in triples])
+            want = np.array([reference(*triple) for triple in triples])
+        assert got.tobytes() == want.tobytes()

@@ -512,8 +512,10 @@ def reference_parse_pdb(text):
     ended, models = False, 0
     for line_number, line in enumerate(text.splitlines(), start=1):
         record = line[:6]
-        if ended and line.strip():
-            raise PdbParseError("content after END record", line_number)
+        if ended:
+            if line.strip():
+                raise PdbParseError("content after END record", line_number)
+            continue
         if record in ("ATOM  ", "HETATM"):
             if len(line) < 54:
                 raise PdbParseError("truncated coordinate record", line_number)
@@ -613,6 +615,15 @@ class TestEditedRecords:
             "fault-before-second-model", "second-model-before-fault"])
     def test_edge_files_match_the_reference(self, text):
         assert_parses_as_reference(text)
+
+    def test_blank_lines_after_end_are_dropped(self):
+        # A blank line after END is no header, so the rewrite is the writer's own text.
+        once = write_pdb(load_template())
+        assert write_pdb(parse_pdb(once + "\n")) == write_pdb(parse_pdb(once + " \n\r\n")) == once
+        assert parse_pdb("REMARK\n\nEND\n\n").headers == ["REMARK", ""]
+        with pytest.raises(PdbParseError, match="content after END record$") as err:
+            parse_pdb(once + "\nREMARK\n")
+        assert err.value.line_number == len(once.splitlines()) + 2
 
     def test_one_model_parses_as_the_bare_file(self):
         # A deposited file wraps its one model in MODEL ... ENDMDL; ENDMDL used to read as END.
