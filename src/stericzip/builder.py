@@ -143,11 +143,11 @@ def _mutate(structure: Structure, residues) -> Structure:
         "names": np.full(len(built), "CB"), "elements": np.full(len(built), "C"),
     }
     pieces = [np.asarray(kept.get(r, range(starts[r], starts[r + 1])), dtype=np.int64) for r in range(len(seqs))]
-    return Structure.from_columns(
-        s.headers, s.chain_ids(), chain_starts=s.chain_starts, res_starts=np.cumsum([0] + [len(p) for p in pieces]),
-        res_seqs=seqs, res_names=res_names,
-        **{name: np.concatenate([getattr(s, name), extra[name]])[np.concatenate(pieces)] for name in ATOM_COLUMNS},
-    )
+    rows = np.concatenate(pieces)
+    return Structure._from_columns(s.headers, s.chain_ids(), dict(
+        chain_starts=s.chain_starts, res_starts=np.cumsum([0] + [len(p) for p in pieces]), res_seqs=seqs,
+        res_names=res_names, **{name: np.concatenate([getattr(s, name), extra[name]])[rows] for name in ATOM_COLUMNS},
+    ), fresh=rows >= s.n_atoms())  # the built CB rows are new
 
 
 @dataclass
@@ -495,6 +495,8 @@ class BuildReport:
     (less ``full_sum``) are those of ``structure_energy_report(model,
     spec.lj, contacts=spec.contacts())``, so a contact row names its atoms
     ``first`` (the anchor) and ``second`` (the free atom).
+    ``hbond_count_after`` is the number of its H-bonds within chains A and
+    B, which are the mutated unit bit for bit.
     """
 
     model_name: str
@@ -546,9 +548,6 @@ def build_fibril_model(template: Structure, spec: FibrilSpec) -> tuple[Structure
     with _stage("mutate"):
         unit = apply_sequence(unit, UNIT_CHAINS, spec.sequence)
 
-    with _stage("hbond-after"):
-        hb_after = len(detect_hbonds(unit))
-
     with _stage("placement"):
         placement = place_opposing_sheet(unit, spec, contacts)
         warnings.extend(placement.warnings)
@@ -558,6 +557,7 @@ def build_fibril_model(template: Structure, spec: FibrilSpec) -> tuple[Structure
 
     with _stage("audit"):
         audit = structure_energy_report(final, spec.lj, contacts=contacts)
+        hb_after = sum({row["donor"][0], row["acceptor"][0]} <= set(UNIT_CHAINS) for row in audit["hbonds"])
         if audit["clashes"]:
             warnings.append(f"{audit['clash_count']} steric clash(es) below {CLASH_CUTOFF} A; build marked failed")
 

@@ -33,12 +33,7 @@ class RigidTransform:
 
     def __post_init__(self):
         object.__setattr__(self, "rotation", np.array(self.rotation, dtype=np.float64))
-        object.__setattr__(self, "translation", np.array(self.translation, dtype=np.float64))
-        if self.rotation.shape != (3, 3) or self.translation.shape != (3,):
-            raise StructureError("rigid transform needs a 3x3 rotation and a 3-vector translation")
-        # Every NaN comparison is false, so the orthogonality test alone would pass a NaN.
-        if not (np.isfinite(self.rotation).all() and np.isfinite(self.translation).all()):
-            raise StructureError("rigid transform must be finite")
+        self._set_translation(self.translation, self.rotation.shape == (3, 3), np.isfinite(self.rotation).all())
         err = np.max(np.abs(self.rotation.T @ self.rotation - np.eye(3)))
         det = float(np.linalg.det(self.rotation))
         if err > _ORTHO_TOL or abs(abs(det) - 1.0) > _ORTHO_TOL:
@@ -73,8 +68,20 @@ class RigidTransform:
             self.rotation @ other.translation + self.translation,
         )
 
+    def _set_translation(self, translation, rotation_shaped=True, rotation_finite=True) -> None:
+        """Set the translation; raise unless it is a 3-vector and both parts are finite (NaN passes the R^T R test)."""
+        object.__setattr__(self, "translation", translation := np.array(translation, dtype=np.float64))
+        if not rotation_shaped or translation.shape != (3,):
+            raise StructureError("rigid transform needs a 3x3 rotation and a 3-vector translation")
+        if not (rotation_finite and np.isfinite(translation).all()):
+            raise StructureError("rigid transform must be finite")
+
     def with_translation(self, translation) -> "RigidTransform":
-        return RigidTransform(self.rotation.copy(), translation)
+        """This transform's rotation, checked already, followed by ``translation``, which alone is checked."""
+        moved = object.__new__(RigidTransform)
+        object.__setattr__(moved, "rotation", self.rotation.copy())
+        moved._set_translation(translation)
+        return moved
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,11 +106,10 @@ def transform_chain(
 ) -> Structure:
     """Return a new structure: ``structure`` plus a moved copy of one chain.
 
-    The copy takes the new chain id and the source chain's rows; only its
-    coordinates differ, the slice of the source block moved by ``transform``.
+    The copy takes the new chain id, which must be unused, and the source
+    chain's rows; only its coordinates differ, the slice of the source block
+    moved by ``transform``.
     """
-    if structure.has_chain(new_id):
-        raise StructureError(f"chain id {new_id!r} already in use")
     moved = transform.apply(structure.coords[structure.atom_slice(chain_id)])
     chains = [(c, c) for c in structure.chain_ids()] + [(new_id, chain_id)]
     return structure.with_chains(chains, np.concatenate([structure.coords, moved]))

@@ -104,7 +104,9 @@ class Structure:
     Either checks the value once: finite fields, non-empty atom names,
     unique chain ids, residue numbers strictly increasing within a chain
     and unique atom keys.  A blank element, which is what blank columns
-    77-78 of a record read as, is inferred from the atom name.
+    77-78 of a record read as, is inferred from the atom name.  A structure
+    derived from checked ones (``with_chains`` and the mutations) relies on
+    their check: only its chain ids and new coordinates are checked.
     """
 
     __slots__ = ("_headers", "_chain_ids", "_atom_res", "_atom_chain", *_DTYPES)
@@ -126,11 +128,14 @@ class Structure:
     @classmethod
     def from_columns(cls, headers, chain_ids, **columns) -> "Structure":
         """Structure from the columns the class docstring names."""
-        structure = object.__new__(cls)
-        structure._set(headers, chain_ids, columns)
-        return structure
+        return cls._from_columns(headers, chain_ids, columns)
 
-    def _set(self, headers, chain_ids, columns) -> None:
+    @classmethod
+    def _from_columns(cls, headers, chain_ids, columns, fresh=None) -> "Structure":
+        """``from_columns``, or with ``fresh`` columns cut from checked ones: checks only ids and ``fresh`` rows."""
+        return object.__new__(cls)._set(headers, chain_ids, columns, fresh)
+
+    def _set(self, headers, chain_ids, columns, fresh=None) -> "Structure":
         if set(columns) != set(_DTYPES):
             raise StructureError(f"structure columns are {', '.join(_DTYPES)}, not {', '.join(columns)}")
         object.__setattr__(self, "_headers", tuple(headers))
@@ -146,20 +151,24 @@ class Structure:
                 or self.chain_starts[:1].tolist() != [0] or len(ids) + 1 != len(self.chain_starts)
                 or len(res_chain) != len(seqs) or len(self.res_names) != len(seqs)):
             raise StructureError("structure columns do not describe one layout")
-        blank = np.flatnonzero(self.elements == "")
-        self.elements[blank] = [_infer_element(name) for name in names[blank].tolist()]
+        if fresh is None:
+            blank = np.flatnonzero(self.elements == "")
+            self.elements[blank] = [_infer_element(name) for name in names[blank].tolist()]
         self.elements.flags.writeable = False
         for name, array in (("_atom_res", atom_res), ("_atom_chain", res_chain[atom_res])):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        finite = np.logical_and.reduce([np.isfinite(c) for c in (*self.coords.T, self.occupancy, self.temp_factor)])
+        at = slice(None) if fresh is None else fresh
+        finite = np.logical_and.reduce([np.isfinite(c[at]) for c in (*self.coords.T, self.occupancy, self.temp_factor)])
         if not finite.all():
-            raise StructureError(f"atom {names[~finite][0]}: non-finite position, occupancy or B-factor")
-        if (names == "").any():
+            raise StructureError(f"atom {names[at][~finite][0]}: non-finite position, occupancy or B-factor")
+        if fresh is None and (names == "").any():
             raise StructureError("atom name must be non-empty")
         for k, chain_id in enumerate(ids):
             if chain_id in ids[:k]:
                 raise StructureError(f"chain id {chain_id!r} is repeated in {list(ids)}")
+        if fresh is not None:
+            return self
         # Residue numbers must increase within each chain.  Until the first
         # residue that breaks this, an atom key (chain, residue number, name,
         # alternate location) can only repeat within one residue.
@@ -176,6 +185,7 @@ class Structure:
             i = repeats.min()
             key = (ids[res_chain[atom_res[i]]], int(seqs[atom_res[i]]), str(names[i]), str(alt_locs[i]))
             raise StructureError(f"duplicate atom key {key}")
+        return self
 
     @staticmethod
     def _rows(starts: np.ndarray) -> np.ndarray:
@@ -269,13 +279,12 @@ class Structure:
             return self
         index = np.array([self.chain_index(source) for _, source in chains], dtype=np.int64)
         first, last = self.chain_starts[index], self.chain_starts[index + 1]
-        residues = _ranges(first, last)
-        columns = {k: getattr(self, k)[_ranges(self.res_starts[first], self.res_starts[last])] for k in ATOM_COLUMNS}
-        return Structure.from_columns(
-            self._headers, [new_id for new_id, _ in chains], **columns | ({} if coords is None else {"coords": coords}),
+        residues, atoms = _ranges(first, last), _ranges(self.res_starts[first], self.res_starts[last])
+        columns = {k: getattr(self, k)[atoms] for k in ATOM_COLUMNS}
+        return Structure._from_columns(self._headers, [new_id for new_id, _ in chains], columns | dict(
             res_starts=_starts(np.diff(self.res_starts)[residues]), res_seqs=self.res_seqs[residues],
             res_names=self.res_names[residues], chain_starts=_starts(last - first),
-        )
+        ) | ({} if coords is None else {"coords": coords}), fresh=slice(0 if coords is None else None))
 
 
 # Kept because perfbench/tracing.py patches pdbio.Chain.copy.

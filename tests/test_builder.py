@@ -20,6 +20,7 @@ from stericzip import (
     RigidTransform,
     SheetLattice,
     StericZipError,
+    Structure,
     apply_sequence,
     atom_row,
     build_fibril_model,
@@ -41,6 +42,7 @@ from stericzip.builder import (
     placement_centres,
     placement_objective,
 )
+from stericzip.pdbio import ATOM_COLUMNS
 from stericzip.template import DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS, SHEET_FLIP_ROTATION
 
 R_MIN_FACTOR = 2.0 ** (1.0 / 6.0)
@@ -189,18 +191,20 @@ class TestApplySequence:
 
     def test_one_build_makes_two_structures(self, monkeypatch):
         # A two-chain template is the unit itself; one structure is the
-        # mutated unit and one the twelve-chain model.
+        # mutated unit and one the twelve-chain model.  Both are derived from
+        # the checked template, so neither runs the full invariant check.
         from stericzip import pdbio
 
         template, made = synthetic_template(), []
 
-        def counted(self, *args, _original=pdbio.Structure._set):
-            made.append(self)
-            return _original(self, *args)
+        def counted(self, headers, chain_ids, columns, fresh=None, _original=pdbio.Structure._set):
+            made.append((self, fresh is None))
+            return _original(self, headers, chain_ids, columns, fresh)
 
         monkeypatch.setattr(pdbio.Structure, "_set", counted)
         model, _ = build_fibril_model(template, FibrilSpec(sequence="GAAAAG"))
-        assert len(made) == 2 and made[-1] is model
+        assert len(made) == 2 and made[-1][0] is model
+        assert [fully_checked for _, fully_checked in made] == [False, False]
 
     def test_with_chains_of_its_own_chains_is_itself(self):
         s = synthetic_template()
@@ -711,6 +715,20 @@ class TestBuildPipeline:
         for _, report in builds.values():
             assert report.hbond_count_after == report.hbond_count_before
             assert report.model_hbond_count > 0
+
+    @pytest.mark.parametrize("make", [load_template, synthetic_template])
+    @pytest.mark.parametrize("gap_after", [128, 130])
+    def test_hbond_count_after_is_the_mutated_units_across_a_numbering_gap(self, make, gap_after):
+        # Chains numbered 127, 128, 130, ...: the N...O pairs across the gap
+        # count before the mutation, which renumbers them 1-6 and so makes
+        # them adjacent residues.
+        s = make()
+        gapped = Structure.from_columns(s.headers, s.chain_ids(), **{
+            name: getattr(s, name) for name in ATOM_COLUMNS + ("res_starts", "res_names", "chain_starts")
+        }, res_seqs=s.res_seqs + (s.res_seqs > gap_after))
+        _, report = build_fibril_model(gapped, FibrilSpec(sequence="GAAAAG"))
+        assert report.hbond_count_after == len(detect_hbonds(apply_sequence(gapped, ("A", "B"), "GAAAAG")))
+        assert report.hbond_count_after != report.hbond_count_before
 
     def test_no_clashes(self, builds):
         for _, report in builds.values():

@@ -97,6 +97,32 @@ class TestRigidity:
             RigidTransform(np.eye(3) * 2.0, np.zeros(3))
 
 
+class TestWithTranslation:
+    @pytest.mark.parametrize("translation, message", [
+        ([1.0, np.nan, 2.0], "rigid transform must be finite"),
+        ([np.inf, 0.0, 0.0], "rigid transform must be finite"),
+        ([0.0, 0.0, -np.inf], "rigid transform must be finite"),
+        ([1.0, 2.0], "rigid transform needs a 3x3 rotation and a 3-vector translation"),
+        ([[1.0, 2.0, 3.0]], "rigid transform needs a 3x3 rotation and a 3-vector translation"),
+    ])
+    def test_a_bad_translation_raises_as_the_constructor_does(self, translation, message):
+        t = sheet_screw()
+        with pytest.raises(StructureError) as made:
+            RigidTransform(t.rotation, translation)
+        with pytest.raises(StructureError) as moved:
+            t.with_translation(translation)
+        assert str(moved.value) == str(made.value) == message
+
+    def test_equals_the_constructed_transform(self):
+        t = sheet_screw()
+        moved = t.with_translation([1, -2, 3])
+        made = RigidTransform(t.rotation, [1, -2, 3])
+        for name in ("rotation", "translation"):
+            assert getattr(moved, name).dtype == np.float64
+            assert getattr(moved, name).tobytes() == getattr(made, name).tobytes()
+        assert moved.rotation is not t.rotation
+
+
 class TestTransformChain:
     def test_reflected_copy(self):
         s = synthetic_template()
@@ -129,7 +155,7 @@ class TestTransformChain:
             transform_chain(synthetic_template(), "Q", sheet_screw(), "G")
 
     def test_id_collision(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match=r"^chain id 'B' is repeated in \['A', 'B', 'B'\]$"):
             transform_chain(synthetic_template(), "A", sheet_screw(), "B")
 
 
