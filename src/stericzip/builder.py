@@ -134,7 +134,10 @@ def _mutate(structure: Structure, residues) -> Structure:
         if target == "ALA" and "CB" in names:
             picked.append(starts[r] + names.index("CB"))
         elif target == "ALA":
-            built.append((picked[1], cbeta_position(*s.coords[picked[:3]])))
+            try:
+                built.append((picked[1], cbeta_position(*s.coords[picked[:3]])))
+            except MutationError as exc:
+                raise MutationError(f"residue {chain_id}.{res_names[r]}{seqs[r]}: {exc}") from None
             picked.append(s.n_atoms() + len(built) - 1)
         kept[r], seqs[r], res_names[r] = picked, res_seq, target
     # A built CB row copies its CA's fields and is appended after the existing rows.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import MutationError, StructureError
 from .pdbio import Structure
 
 _ORTHO_TOL = 1e-9
@@ -184,17 +184,24 @@ def cbeta_position(n: np.ndarray, ca: np.ndarray, c: np.ndarray) -> np.ndarray:
     the CA->N and CA->C bonds, on the side matching L-amino-acid chirality.
     The arithmetic is that of np.linalg.norm and np.cross, bit for bit,
     without their per-call cost: the norm of a vector v is sqrt(v . v).
+    Raises MutationError when N, CA and C coincide or lie on one line.
     """
     ca = np.asarray(ca, dtype=np.float64)
     u1 = np.asarray(n, dtype=np.float64) - ca
     u2 = np.asarray(c, dtype=np.float64) - ca
-    u1 /= math.sqrt(u1.dot(u1))
-    u2 /= math.sqrt(u2.dot(u2))
+    lengths = math.sqrt(u1.dot(u1)), math.sqrt(u2.dot(u2))
+    if 0.0 in lengths:
+        raise MutationError("N or C lies on CA, so CB has no direction")
+    u1 /= lengths[0]
+    u2 /= lengths[1]
     bisector = u1 + u2
-    bisector /= math.sqrt(bisector.dot(bisector))
     (a0, a1, a2), (b0, b1, b2) = u1.tolist(), u2.tolist()
     perp = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])  # np.cross(u1, u2)
-    perp /= math.sqrt(perp.dot(perp))
+    length = math.sqrt(perp.dot(perp))
+    if not length:  # N, CA and C on one line; a zero bisector (u1 = -u2) makes perp zero too
+        raise MutationError("N, CA and C lie on one line, so CB has no direction")
+    bisector /= math.sqrt(bisector.dot(bisector))
+    perp /= length
     # Component along the bisector fixing the angle to both bonds, the rest
     # out of plane; the +perp branch is the L configuration.
     p = _COS_CB_ANGLE / float(bisector.dot(u1))

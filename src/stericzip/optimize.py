@@ -30,7 +30,13 @@ use: a uniform per offspring picks its move; one uniform block holds the
 rest (acceptance, coordinates and scales, recombination members, sign,
 style and crossover); one normal block holds n normals per full-vector or
 recombination offspring and one per coordinate that a coordinate move
-changes.  A fixed (objective, config, seed) gives a bit-identical result.
+changes.  The generation is a few whole-array calls, as call overhead
+dominates at these sizes: one gather of the recombination members, masked
+copies for their sign, style and crossover, one scatter of the Gaussian
+rows, one add through the flat cells of the coordinate steps and one clamp
+against bounds tiled once per run.  It gives the results of the plain
+three-draw generation (tests keep it as a reference) bit for bit, and a
+fixed (objective, config, seed) gives a bit-identical result.
 
 The local refiner polishes a point to gradient-level accuracy by projected
 modified Newton steps with Armijo backtracking (Nocedal & Wright,
@@ -172,26 +178,26 @@ def _spawn_offspring(pop, lam, rng, lower, upper, span, annealed_std):
     accepted when its value exceeds its parent's by at most allowance[i] * T.
     A thermal allowance is -log(1 - u), which accepts an uphill dE with
     probability exp(-dE / T); a recombination allowance is 0, since accepting
-    recombinations uphill would homogenize the chains."""
+    recombinations uphill would homogenize the chains.  The bounds are (n,)
+    or, cheaper to clamp against, tiled to (mu * lam, n)."""
     mu, n = pop.shape
     m = mu * lam
     move = rng.random(m)
-    thermal = move < _MOVE_PAIR
-    gauss = ((move < _MOVE_FULL) | ~thermal).nonzero()[0]
-    coord = (thermal & (move >= _MOVE_FULL)).nonzero()[0]
-    pair = (move[coord] >= _MOVE_SINGLE).nonzero()[0]
-    mix = (~thermal).nonzero()[0]
+    full, thermal = move < _MOVE_FULL, move < _MOVE_PAIR
+    gauss, coord, mix = (full == thermal).nonzero()[0], (full != thermal).nonzero()[0], (~thermal).nonzero()[0]
+    pair = (move.take(coord) >= _MOVE_SINGLE).nonzero()[0]
     k, j = coord.size, mix.size
     uniform = rng.random(m - j + 2 * k + pair.size + (5 + n) * j)
     acceptance, rest = uniform[: m - j], uniform[m - j:]
-    first, scale, second = _index(rest[:k], n), rest[k: 2 * k], _index(rest[2 * k: 2 * k + pair.size], n)
-    r = rest[2 * k + pair.size:].reshape(j, 5 + n)
+    scale, r = rest[k: 2 * k], rest[2 * k + pair.size:].reshape(j, 5 + n)
+    drawn = _index(rest[: 2 * k + pair.size], n)
+    first, second = drawn[:k], drawn[2 * k:]  # drawn[k: 2 * k], made of the scales, is unused
 
     # Coordinate steps: the first coordinate of each coordinate row, and the
     # second of a pair row when it differs from the first.
-    distinct = second != first[pair]
+    distinct = second != first.take(pair)
     again = pair[distinct]
-    rows = np.concatenate([coord, coord[again]])
+    rows = np.concatenate([coord, coord.take(again)])
     cols = np.concatenate([first, second[distinct]])
     step = _STEP_SCALE * 10.0 ** (-2.0 * scale)
     noise = rng.standard_normal(gauss.size * n + rows.size)
@@ -200,11 +206,22 @@ def _spawn_offspring(pop, lam, rng, lower, upper, span, annealed_std):
     # Recombine population members: a uniform mix of two, or one shifted by
     # the difference of two others (a lattice vector of the basin grid of
     # separable-ish problems).
-    a, b, c = pop[_index(r[:, :3], mu)].transpose(1, 0, 2)
-    shifted = a + np.where(r[:, 3:4] < 0.5, b - c, c - b)
-    offspring[mix] = np.where(r[:, 4:5] < 0.5, np.where(r[:, 5:] < 0.5, a, b), shifted)
-    offspring[gauss] += noise[: gauss.size * n].reshape(-1, n) * annealed_std
-    offspring[rows, cols] += noise[gauss.size * n:] * np.concatenate([step, step[again]]) * span[cols]
+    a, b, c = pop.take(_index(r[:, :3].T, mu), axis=0)
+    low = r[:, 3:] < 0.5
+    shifted = c - b
+    np.subtract(b, c, out=shifted, where=low[:, :1])
+    shifted += a
+    np.copyto(b, a, where=low[:, 2:])
+    np.copyto(shifted, b, where=low[:, 1:2])
+    offspring[mix] = shifted
+    # Each Gaussian row is its noise plus its row, put back in one scatter;
+    # each coordinate step is added through its flat cell.
+    moved = noise[: gauss.size * n].reshape(-1, n) * annealed_std
+    moved += offspring.take(gauss, axis=0)
+    offspring[gauss] = moved
+    delta = noise[gauss.size * n:] * np.concatenate([step, step.take(again)])
+    delta *= span.take(cols)
+    offspring.ravel()[rows * n + cols] += delta
     np.minimum(np.maximum(offspring, lower, out=offspring), upper, out=offspring)
 
     allowance = np.zeros(m)
@@ -217,13 +234,14 @@ def _select(pop, values, offspring, off_values, allowance, temperature):
     takes over that chain; chains stay independent, which preserves the
     population diversity recombination needs.  Returns (pop, values)."""
     mu, lam = len(pop), len(offspring) // len(pop)
-    accepted = off_values - np.repeat(values, lam) <= temperature * allowance
-    family = np.where(accepted, off_values, np.inf).reshape(mu, lam)
+    family = off_values.reshape(mu, lam)
+    accepted = family - values.reshape(mu, 1) <= (temperature * allowance).reshape(mu, lam)
+    family = np.where(accepted, family, np.inf)
     pick = family.argmin(axis=1)
-    best = family[np.arange(mu), pick]
+    pick += np.arange(0, mu * lam, lam)
+    best = family.take(pick)
     replaced = np.isfinite(best)
-    return (np.where(replaced[:, None], offspring[np.arange(0, mu * lam, lam) + pick], pop),
-            np.where(replaced, best, values))
+    return np.where(replaced[:, None], offspring.take(pick, axis=0), pop), np.where(replaced, best, values)
 
 
 def minimize_saec(
@@ -235,21 +253,22 @@ def minimize_saec(
     into the initial population, so a start already at the optimum is never
     lost; otherwise the population is drawn uniformly within bounds.
     """
-    mu = config.population_size
-    lam = _OFFSPRING_PER_PARENT
-    n = objective.dimension
+    mu, lam, n = config.population_size, _OFFSPRING_PER_PARENT, objective.dimension
     span = objective.upper - objective.lower
     step = _STEP_SCALE * span
+    # A NaN target is never reached.
+    target = math.nan if config.target_value is None else config.target_value + config.target_tolerance
+    bounds = None  # (lower, upper) tiled to (mu * lam, n) when the first generation is drawn
 
     best_point: np.ndarray | None = None
-    best_value = np.inf
+    best_value = math.inf
     terminated_by = "budget"
-    used = 0
+    used, last = 0, None  # evaluations so far, and the last batch evaluated
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         """Budgeted objective evaluation with error context."""
-        nonlocal used
-        used += len(points)
+        nonlocal used, last
+        used, last = used + len(points), points
         try:
             if objective.evaluate_batch is not None:
                 values = np.asarray(objective.evaluate_batch(points), dtype=np.float64)
@@ -262,18 +281,6 @@ def minimize_saec(
         if values.shape != (len(points),):
             raise ObjectiveError(f"objective returned shape {values.shape} for {len(points)} points", points)
         return values
-
-    def record_best(point: np.ndarray, value: float) -> None:
-        nonlocal best_point, best_value
-        if value < best_value:
-            best_point = point.copy()
-            best_value = value
-
-    def target_reached() -> bool:
-        return (
-            config.target_value is not None
-            and best_value <= config.target_value + config.target_tolerance
-        )
 
     done = False
     for restart_index in range(config.restarts + 1):
@@ -289,9 +296,11 @@ def minimize_saec(
         if restart_index == 0 and x0 is not None:
             pop[0] = _start_point(objective, x0)
         values = evaluate(pop)
-        for k in range(mu):
-            record_best(pop[k], float(values[k]))
-        if target_reached():
+        # The first least value; a NaN is never the best.
+        k = int(np.argmin(np.where(np.isnan(values), np.inf, values)))
+        if values[k] < best_value:
+            best_point, best_value = pop[k].copy(), float(values[k])
+        if best_value <= target:
             terminated_by = "tolerance"
             break
 
@@ -308,26 +317,27 @@ def minimize_saec(
             if config.max_evaluations - used < mu * lam:
                 done = True
                 break
+            bounds = np.tile(objective.bounds.T[:, None, :], (1, mu * lam, 1)) if bounds is None else bounds
 
-            offspring, allowance = _spawn_offspring(
-                pop, lam, rng, objective.lower, objective.upper, span, step * (temperature / t0)
-            )
+            offspring, allowance = _spawn_offspring(pop, lam, rng, *bounds, span, step * (temperature / t0))
             pop, values = _select(pop, values, offspring, evaluate(offspring), allowance, temperature)
 
             k = int(np.argmin(values))
-            record_best(pop[k], float(values[k]))
+            value = float(values[k])
+            if value < best_value:
+                best_point, best_value = pop[k].copy(), value
             # Geometric cooling; the floor keeps T strictly positive in floats.
             temperature = max(temperature * _COOLING_FACTOR, 1e-300)
 
-            if target_reached():
+            if best_value <= target:
                 terminated_by = "tolerance"
                 done = True
                 break
             # Micro-refinements of a frozen basin do not count as progress;
             # require a meaningful relative improvement of this run's best.
-            improved = values[k] < run_best - 1e-6 * max(abs(run_best), 1e-12)
+            improved = value < run_best - 1e-6 * max(abs(run_best), 1e-12)
             since_improvement = 0 if improved else since_improvement + 1
-            run_best = min(run_best, float(values[k]))
+            run_best = min(run_best, value)
             if since_improvement >= _STAGNATION_WINDOW:
                 if restart_index == config.restarts:
                     terminated_by = "stagnation"
@@ -335,13 +345,8 @@ def minimize_saec(
                 break  # next restart
 
     if best_point is None:
-        raise StericZipError("optimization budget too small to evaluate any point")
-    return OptimizationResult(
-        best_point=best_point,
-        best_value=float(best_value),
-        evaluations_used=used,
-        terminated_by=terminated_by,
-    )
+        raise ObjectiveError(f"no evaluated value was below +inf in {used} evaluations", last)
+    return OptimizationResult(best_point, best_value, used, terminated_by)
 
 
 # Fixed tuning of the Newton step.
@@ -445,9 +450,4 @@ def local_refine(
             terminated_by = "line_search"
             break
 
-    return OptimizationResult(
-        best_point=x,
-        best_value=value,
-        evaluations_used=evaluations,
-        terminated_by=terminated_by,
-    )
+    return OptimizationResult(x, value, evaluations, terminated_by)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from atom_rows import rows_of, structure_from_rows
 from stericzip import (
+    MutationError,
     RigidTransform,
     StericZipError,
     Structure,
@@ -30,6 +31,7 @@ from stericzip.pdbio import _DTYPES
 from stericzip.template import SHEET_FLIP_ROTATION
 
 NON_FINITE = "non-finite position, occupancy or B-factor"
+NO_CB = "N or C lies on CA, so CB has no direction"
 HUGE_SHIFT = RigidTransform(np.eye(3), [0.0, 0.0, 1.7e308])  # twice over, it passes the largest double
 
 
@@ -74,8 +76,8 @@ def assert_derives_as_checked(derive):
 
 
 coordinates = st.floats(-60.0, 60.0, allow_nan=False, width=32)
-# A residue at the origin has coincident N, CA and C, so a CB built on it is
-# not finite, and one near the largest double overflows when it is moved.
+# A residue at the origin has coincident N, CA and C, so no CB can be built
+# on it, and one near the largest double overflows when it is moved.
 positions = st.one_of(st.sampled_from([(0.0, 0.0, 0.0), (1.7e308, 0.0, 0.0)]),
                       st.tuples(coordinates, coordinates, coordinates))
 odd_values = st.sampled_from([np.nan, np.inf, -np.inf, 1e308])
@@ -153,16 +155,17 @@ def test_a_derived_structure_is_the_checked_structure_of_its_columns(derivation)
      f"atom CA: {NON_FINITE}"),
     (lambda s: s.with_chains([("A", "A"), ("C", "B")], np.full((s.n_atoms(), 3), np.inf)), f"atom N: {NON_FINITE}"),
     (lambda s: transform_chain(transform_chain(s, "B", HUGE_SHIFT, "C"), "C", HUGE_SHIFT, "D"), f"atom N: {NON_FINITE}"),
-    (lambda s: apply_sequence(s, ("A", "B"), "AGAAAA"), f"atom CB: {NON_FINITE}"),
-    (lambda s: mutate_residue(s, "B", 131, "ALA"), f"atom CB: {NON_FINITE}"),
+    (lambda s: apply_sequence(s, ("A", "B"), "AGAAAA"), f"residue A.GLY127: {NO_CB}"),
+    (lambda s: mutate_residue(s, "B", 131, "ALA"), f"residue B.GLY131: {NO_CB}"),
 ], ids=["with-chains-duplicate-id", "subset-duplicate-id", "transform-onto-own-id", "nan-coordinate",
         "infinite-coordinates", "overflowing-transform", "apply-sequence-cb", "mutate-residue-cb"])
 def test_each_fault_raises_as_the_full_check_raises_it(derive, error):
     s = synthetic_template()
     # Glycine 127 of chain A and 131 of chain B get coincident N, CA and C,
-    # so the CB that making them ALA builds has no direction.
+    # so the CB that making them ALA would build has no direction.
     collapsed = [(c, n, name, atom, (0.0, 0.0, 0.0) if (c, n) in (("A", 127), ("B", 131)) else at)
                  for c, n, name, atom, at in rows_of(s)]
     s = structure_from_rows(collapsed, s.headers)
-    assert assert_derives_as_checked(lambda: derive(s)) == (StructureError, error)
+    kind = MutationError if error.startswith("residue") else StructureError
+    assert assert_derives_as_checked(lambda: derive(s)) == (kind, error)
 

@@ -1,5 +1,7 @@
 """Rigid transforms, lattice replication, and displacement reconciliation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,11 @@ from hypothesis import strategies as st
 
 from frames import inverse
 from stericzip import (
+    MutationError,
     RigidTransform,
     SheetLattice,
     StructureError,
+    apply_sequence,
     atom_row,
     cbeta_position,
     parse_pdb,
@@ -293,6 +297,36 @@ class TestCBetaConstruction:
         triples[::13, 2] = triples[::13, 0]  # N and C coincide: CA-N and CA-C are parallel
         triples[::17, 1] = triples[::17, 0]  # N on CA
         with np.errstate(all="ignore"):
-            got = np.array([cbeta_position(*triple) for triple in triples])
             want = np.array([reference(*triple) for triple in triples])
-        assert got.tobytes() == want.tobytes()
+        # Where the reference has no direction to give, cbeta_position refuses;
+        # everywhere else it gives the reference's bits.
+        got = []
+        for triple, expected in zip(triples, want):
+            try:
+                got.append(cbeta_position(*triple))
+            except MutationError:
+                got.append(expected)
+                assert not np.isfinite(expected).all()
+        assert np.array(got).tobytes() == want.tobytes()
+        for triple in (triples[0], triples[13]):
+            with pytest.raises(MutationError, match="so CB has no direction"):
+                cbeta_position(*triple)
+
+    MESSAGES = {"coincident": "N or C lies on CA", "collinear": "N, CA and C lie on one line"}
+
+    @pytest.mark.parametrize("layout", ["coincident", "collinear"])
+    def test_a_flat_backbone_names_its_residue(self, layout):
+        # Glycine 127 of chain A collapses onto CA, or onto a line through CA.
+        s = synthetic_template()
+        rows = s.atom_slice("A").start + np.flatnonzero(s.chain("A").atom_residues() == 0)
+        coords = s.coords.copy()
+        names = s.names[rows].tolist()
+        ca = coords[rows[names.index("CA")]]
+        for name, shift in zip(("N", "CA", "C"), (-1.0, 0.0, 1.0) if layout == "collinear" else (0.0, 0.0, 0.0)):
+            coords[rows[names.index(name)]] = ca + [shift, 0.0, 0.0]
+        flat = s.with_chains([(c, c) for c in s.chain_ids()], coords)
+        assert s.res_names[s.atom_residues()[rows[0]]] == "GLY" and s.res_seqs[s.atom_residues()[rows[0]]] == 127
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MutationError, match=rf"^residue A\.GLY127: {self.MESSAGES[layout]}, so CB has no direction$"):
+                apply_sequence(flat, "A", "AAAAAA")

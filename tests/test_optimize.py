@@ -190,6 +190,23 @@ class TestMinimize:
         assert err.value.point is not None
 
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_no_value_below_infinity_is_an_objective_error(self, value):
+        batches = []
+
+        def flat(points):
+            batches.append(points)
+            return np.full(len(points), value)
+
+        obj = Objective(dimension=2, evaluate=lambda x: value, evaluate_batch=flat, bounds=uniform_bounds(-1, 1, 2))
+        from stericzip import ObjectiveError
+
+        with pytest.raises(ObjectiveError, match=r"^no evaluated value was below \+inf in 184 evaluations$") as err:
+            minimize_saec(obj, OptimizerConfig(population_size=4, max_evaluations=200, restarts=1))
+        assert err.value.point is batches[-1] and err.value.point.shape == (20, 2)
+
+
 def sphere_objective(n):
     return Objective(
         dimension=n,
