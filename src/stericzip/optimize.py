@@ -206,7 +206,7 @@ def _spawn_offspring(pop, lam, rng, lower, upper, span, annealed_std):
     # Recombine population members: a uniform mix of two, or one shifted by
     # the difference of two others (a lattice vector of the basin grid of
     # separable-ish problems).
-    a, b, c = pop.take(_index(r[:, :3].T, mu), axis=0)
+    a, b, c = pop.take(_index(r[:, :3], mu).T, axis=0)
     low = r[:, 3:] < 0.5
     shifted = c - b
     np.subtract(b, c, out=shifted, where=low[:, :1])
@@ -214,12 +214,12 @@ def _spawn_offspring(pop, lam, rng, lower, upper, span, annealed_std):
     np.copyto(b, a, where=low[:, 2:])
     np.copyto(shifted, b, where=low[:, 1:2])
     offspring[mix] = shifted
-    # Each Gaussian row is its noise plus its row, put back in one scatter;
-    # each coordinate step is added through its flat cell.
-    moved = noise[: gauss.size * n].reshape(-1, n) * annealed_std
+    # Gaussian rows (noise plus row) go back in one scatter, coordinate steps through flat cells.
+    moved, delta = noise[: gauss.size * n].reshape(-1, n), noise[gauss.size * n:]
+    moved *= annealed_std
     moved += offspring.take(gauss, axis=0)
     offspring[gauss] = moved
-    delta = noise[gauss.size * n:] * np.concatenate([step, step.take(again)])
+    delta *= np.concatenate([step, step.take(again)])
     delta *= span.take(cols)
     offspring.ravel()[rows * n + cols] += delta
     np.minimum(np.maximum(offspring, lower, out=offspring), upper, out=offspring)
@@ -322,7 +322,7 @@ def minimize_saec(
             offspring, allowance = _spawn_offspring(pop, lam, rng, *bounds, span, step * (temperature / t0))
             pop, values = _select(pop, values, offspring, evaluate(offspring), allowance, temperature)
 
-            k = int(np.argmin(values))
+            k = int(values.argmin())
             value = float(values[k])
             if value < best_value:
                 best_point, best_value = pop[k].copy(), value
