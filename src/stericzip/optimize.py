@@ -32,8 +32,8 @@ style and crossover); one normal block holds n normals per full-vector or
 recombination offspring and one per coordinate that a coordinate move
 changes.  The generation is a few whole-array calls, as call overhead
 dominates at these sizes: one gather of the recombination members, masked
-copies for their sign, style and crossover, one scatter of the Gaussian
-rows, one add through the flat cells of the coordinate steps and one clamp
+writes for their sign, style and crossover, one scatter of the Gaussian
+rows, one add through the flat cells of the coordinate steps and a clamp
 against bounds tiled once per run.  It gives the results of the plain
 three-draw generation (tests keep it as a reference) bit for bit, and a
 fixed (objective, config, seed) gives a bit-identical result.
