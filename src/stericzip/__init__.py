@@ -35,8 +35,6 @@ from .energy import (
     detect_hbonds,
     hb_pair_energy,
     hb_params_from_minimum,
-    lj_cluster_energy,
-    lj_cluster_gradient,
     lj_pair_energy,
     structure_energy_report,
 )

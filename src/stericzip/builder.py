@@ -140,10 +140,10 @@ def _mutate(structure: Structure, residues) -> Structure:
                 raise MutationError(f"residue {chain_id}.{res_names[r]}{seqs[r]}: {exc}") from None
             picked.append(s.n_atoms() + len(built) - 1)
         kept[r], seqs[r], res_names[r] = picked, res_seq, target
-    # A built CB row copies its CA's fields and is appended after the existing rows.
+    # A built CB row copies its CA's fields but the charge and is appended after the existing rows.
     extra = {name: getattr(s, name)[[ca for ca, _ in built]] for name in ATOM_COLUMNS} | {
         "coords": np.reshape([p for _, p in built], (-1, 3)),
-        "names": np.full(len(built), "CB"), "elements": np.full(len(built), "C"),
+        "names": np.full(len(built), "CB"), "elements": np.full(len(built), "C"), "charges": np.full(len(built), ""),
     }
     pieces = [np.asarray(kept.get(r, range(starts[r], starts[r + 1])), dtype=np.int64) for r in range(len(seqs))]
     rows = np.concatenate(pieces)

@@ -1,5 +1,5 @@
-"""Nonbonded pair potentials, cluster energies and gradients, and the
-geometric audits (hydrogen bonds, steric clashes) used to validate models.
+"""Nonbonded pair potentials and the geometric audits (hydrogen bonds,
+steric clashes) used to validate models.
 
 One Lennard-Jones parameter type, ``LJParams``, holds the 12-6 potential in
 its well form; ``LJParams.from_ab`` takes it in the coefficient form and
@@ -11,8 +11,8 @@ its well form; ``LJParams.from_ab`` takes it in the coefficient form and
 Every 12-6 value comes from one kernel, ``lj_kernel``.  The public
 functions raise SingularityError for a pair closer than MIN_PAIR_DISTANCE;
 optimizer objectives built on the kernel take that distance as a floor.
-Cluster energies and gradients sum every i < j pair; an energy report
-scores every contact with the one parameter set its ``parameters`` name.
+An energy report scores every contact with the one parameter set its
+``parameters`` name.
 
 Backbone hydrogen bonds use the 10-12 form V(r) = C / r^12 - D / r^10,
 whose minimum sits at sqrt(6C / 5D).  Hydrogen-bond *detection* is purely
@@ -165,45 +165,6 @@ def hb_pair_energy(r, params: HBParams):
 def pair_indices(n: int) -> tuple[np.ndarray, ...]:
     """Row and column of each pair i < j of n points, as read-only views."""
     return tuple(np.broadcast_to(index, index.shape) for index in np.triu_indices(n, k=1))
-
-
-def _cluster_pairs(coords):
-    """Checked points, i < j pair indices, difference vectors and squared distances."""
-    pts = np.asarray(coords, dtype=np.float64)
-    if pts.ndim == 1:
-        if pts.size % 3:
-            raise StericZipError("flat coordinate vector length must be a multiple of 3")
-        pts = pts.reshape(-1, 3)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise StericZipError("coordinates must be a flat 3N-vector or an (N, 3) array")
-    if pts.shape[0] < 2:
-        raise StericZipError("a cluster needs at least two atoms")
-    i, j = pair_indices(pts.shape[0])
-    diff = pts[i] - pts[j]
-    r2 = np.sum(diff * diff, axis=1)
-    if np.any(r2 < MIN_PAIR_DISTANCE**2):
-        raise SingularityError("coincident atoms in an evaluated pair")
-    return pts, i, j, diff, r2
-
-
-def lj_cluster_energy(coords, params: LJParams) -> float:
-    """Sum of LJ pair energies over every i < j pair of the cluster.
-
-    ``coords`` is a flat 3N-vector (or an (N, 3) array).  A pair closer
-    than MIN_PAIR_DISTANCE raises SingularityError.
-    """
-    r2 = _cluster_pairs(coords)[-1]
-    return float(np.sum(lj_kernel(r2, params) - params.epsilon))
-
-
-def lj_cluster_gradient(coords, params: LJParams) -> np.ndarray:
-    """Analytic gradient of lj_cluster_energy over the same i < j pairs, as a flat 3N-vector."""
-    pts, i, j, diff, r2 = _cluster_pairs(coords)
-    forces = lj_kernel(r2, params, with_force=True)[1][:, None] * diff
-    grad = np.zeros_like(pts)
-    np.add.at(grad, i, forces)
-    np.add.at(grad, j, -forces)
-    return grad.reshape(-1)
 
 
 @dataclass(frozen=True)

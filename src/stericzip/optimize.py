@@ -235,7 +235,8 @@ def _select(pop, values, offspring, off_values, allowance, temperature):
     population diversity recombination needs.  Returns (pop, values)."""
     mu, lam = len(pop), len(offspring) // len(pop)
     family = off_values.reshape(mu, lam)
-    accepted = family - values.reshape(mu, 1) <= (temperature * allowance).reshape(mu, lam)
+    with np.errstate(invalid="ignore"):  # inf - inf: an infinite parent's infinite offspring is not accepted
+        accepted = family - values.reshape(mu, 1) <= (temperature * allowance).reshape(mu, lam)
     family = np.where(accepted, family, np.inf)
     pick = family.argmin(axis=1)
     pick += np.arange(0, mu * lam, lam)
@@ -304,7 +305,8 @@ def minimize_saec(
             terminated_by = "tolerance"
             break
 
-        spread = float(np.max(values) - np.min(values))
+        finite = values[np.isfinite(values)]  # one +inf would make T0 +inf, and every annealed step inf / inf
+        spread = float(finite.max() - finite.min()) if finite.size else 0.0
         t0 = spread if spread > 0 else 1.0
         temperature = t0
 

@@ -1,35 +1,16 @@
 """Bit-exact parsing and emission of fixed-column PDB coordinate files.
 
-ATOM/HETATM records are read with the classic column layout (1-6 record
-name, 7-11 serial, 13-16 atom name, 17 altLoc, 18-20 resName, 22 chainID,
-23-26 resSeq, 27 iCode (blank), 31-38/39-46/47-54 x/y/z as F8.3, 55-60
-occupancy, 61-66 tempFactor, 77-78 element).  TER closes the current
-chain and END closes the file; only blank lines may follow it, and they
-are dropped.  MODEL and ENDMDL bound the one model a template holds:
-ENDMDL closes the chain as TER does, and a second MODEL is a fault.
-Every other line before END is carried as an opaque header and
-re-emitted verbatim ahead of the coordinates, so writing a parsed file
-reproduces it byte for byte once it has passed through the writer; the
-writer refuses a header that would read back as something else.
-
-Both directions work on columns, not record by record.  The parser cuts
-the coordinate records into one array of code points, a row of columns
-1-78 per record, and takes every field as a column slice.  Canonical number text is decoded by
-digit arithmetic, which gives what int() and float() give; any other cell
-goes through int() or float() on its own.  Chain and residue boundaries
-come from comparing neighbouring rows and the positions of TER and END.
-A file with faults raises the error of its lowest faulty line, and of
-that line's first fault in the order the checks are listed.
-
-Coordinates are emitted as F8.3, and occupancy and B-factor as F6.2, with
-ties rounded half away from zero in the value's shortest repr.  The
-writer rounds all fields of a structure at once, and exactly: with d
-digits after the point, |v| rounds up from k = floor(|v| 10^d) when
-|v| >= (2k + 1) / (2 10^d), a bound that is the one double whose
-shortest repr is the tie itself.  The serials, residue numbers and
-rounded fields are written as digit codes into one code array of the
-atom records, decoded to text once; a value or name that does not fit is
-found in one table of every record's faults, in record order.
+ATOM/HETATM records are read and written with the one column layout that
+``RECORD`` holds, a row per field: 7-11 serial, 13-16 atom name, 17
+altLoc, 18-20 resName, 22 chainID, 23-26 resSeq, 27 iCode (refused when
+set), 31-54 x, y and z as F8.3, 55-60 occupancy and 61-66 B-factor as
+F6.2, 73-76 segment id, 77-78 element and 79-80 charge, after the record
+name in 1-6.  A record is written 78 columns long, or 80 when it has a
+charge.  TER closes a chain and END the file, MODEL and ENDMDL bound the
+one model a template holds, and every other line is an opaque header,
+written back ahead of the coordinates.  Both directions work on columns,
+not record by record (see ``parse_pdb`` and ``write_pdb``), and a parsed
+file is written back byte for byte once it has passed through the writer.
 
 A ``Structure`` is a frozen value: one (N, 3) coordinate block and one
 column per atom field, with residues and chains as index ranges.  Nothing
@@ -43,9 +24,9 @@ the writer numbers every record.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,29 +40,19 @@ from .errors import (
 )
 
 
-class Atom(NamedTuple):
-    """Read-only view of one atom record: its ``ATOM_COLUMNS`` fields and the serial the writer gives it."""
-
-    name: str
-    alt_loc: str
-    position: np.ndarray
-    occupancy: float
-    temp_factor: float
-    element: str
-    is_hetatm: bool
-    serial: int
-
-
+# A read-only view of one atom record: its ATOM_COLUMNS fields and the serial the writer gives it.
+Atom = namedtuple("Atom", "name alt_loc position occupancy temp_factor element is_hetatm seg_id charge serial")
 # A structure's columns and their dtypes: the atom fields in the order of
 # Atom's, then the residue rows and the chains' residue ranges.
-ATOM_COLUMNS = ("names", "alt_locs", "coords", "occupancy", "temp_factor", "elements", "hetatm")
+ATOM_COLUMNS = ("names", "alt_locs", "coords", "occupancy", "temp_factor", "elements", "hetatm", "seg_ids", "charges")
 _DTYPES = dict(zip(ATOM_COLUMNS + ("res_starts", "res_seqs", "res_names", "chain_starts"),
-                   (str, str, np.float64, np.float64, np.float64, str, bool, np.int64, np.int64, str, np.int64)))
+                   (str, str, np.float64, np.float64, np.float64, str, bool, str, str, np.int64, np.int64, str,
+                    np.int64)))
 
 
 def _starts(counts) -> np.ndarray:
     """Boundaries 0, c0, c0 + c1, ... of consecutive blocks of the given sizes."""
-    return np.concatenate([[0], np.cumsum(np.fromiter(counts, dtype=np.int64))])
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
 
 
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -103,8 +74,8 @@ class Structure:
     ``parts``, in order; ``from_columns`` takes the columns themselves.
     Either checks the value once: finite fields, non-empty atom names,
     unique chain ids, residue numbers strictly increasing within a chain
-    and unique atom keys.  A blank element, which is what blank columns
-    77-78 of a record read as, is inferred from the atom name.  A structure
+    and unique atom keys.  A blank element, which is what a blank element
+    field reads as, is inferred from the atom name.  A structure
     derived from checked ones (``with_chains`` and the mutations) relies on
     their check: only its chain ids and new coordinates are checked.
     """
@@ -311,9 +282,7 @@ class AtomSelector:
     def parse(cls, text: str) -> "AtomSelector":
         m = _SELECTOR_RE.match(text.strip())
         if not m:
-            raise SelectionError(
-                f"malformed atom selector {text!r}; expected CHAIN.RESNAMESEQ.ATOM"
-            )
+            raise SelectionError(f"malformed atom selector {text!r}; expected CHAIN.RESNAMESEQ.ATOM")
         return cls(m["chain"], m["res"], int(m["seq"]), m["atom"])
 
     def __str__(self):
@@ -348,10 +317,8 @@ def atom_row(structure: Structure, selector: AtomSelector | str) -> int:
         raise AtomNotFoundError(f"no atom matches {selector}: residue not present")
     r = first + hits[0]
     if structure.res_names[r] != selector.res_name:
-        raise ResidueMismatchError(
-            f"{selector}: residue {selector.res_seq} in chain {selector.chain_id}"
-            f" is {structure.res_names[r]}, not {selector.res_name}"
-        )
+        raise ResidueMismatchError(f"{selector}: residue {selector.res_seq} in chain {selector.chain_id}"
+                                   f" is {structure.res_names[r]}, not {selector.res_name}")
     start, stop = structure.res_starts[r:r + 2]
     hits = np.flatnonzero(structure.names[start:stop] == selector.atom_name)
     if not hits.size:
@@ -378,14 +345,38 @@ def _text(codes: np.ndarray) -> str:
     return codes.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
 
 
-# The number fields of a coordinate record, in the order their faults are
-# checked: columns, digits after the point, the value of a blank field
-# (None: a fault) and the field's name in errors.
-_NUMBER_FIELDS = (
-    (6, 11, 0, None, "serial"), (22, 26, 0, None, "residue number"), (30, 38, 3, None, "x coordinate"),
-    (38, 46, 3, None, "y coordinate"), (46, 54, 3, None, "z coordinate"), (54, 60, 2, 1.0, "occupancy"),
-    (60, 66, 2, 0.0, "temperature factor"),
-)
+# The coordinate record, one field per row, in the order the writer checks
+# the fields: the first four are those of a TER record too.  A field is
+# columns start + 1 to stop, of kind "int", "fixed" (fraction_digits after
+# the point) or "text".  A blank number reads as ``blank``, or is a fault
+# when that is None.  A text is read as str.strip() leaves it and padded
+# on the right ("<") or left (">"); with ``justify`` "" it is read as it
+# is and must fill the field.  ``what`` names the field in parse errors and
+# ``fault`` in write errors.  The insertion code is read only to refuse it.
+Field = namedtuple("Field", "name start stop kind fraction_digits blank justify what fault")
+RECORD = tuple(Field(*row) for row in (
+    ("serial", 6, 11, "int", 0, None, ">", "serial", "serial"),
+    ("chain", 21, 22, "text", 0, " ", "", "chain id", "chain id"),
+    ("res_seq", 22, 26, "int", 0, None, ">", "residue number", "residue number"),
+    ("res_name", 17, 20, "text", 0, "", ">", "residue name", "residue name"),
+    ("name", 12, 16, "text", 0, "", "<", "atom name", "atom name"),
+    ("alt_loc", 16, 17, "text", 0, "", "<", "alternate location", "alternate location"),
+    ("element", 76, 78, "text", 0, "", ">", "element", "element"),
+    ("x", 30, 38, "fixed", 3, None, ">", "x coordinate", "coordinate"),
+    ("y", 38, 46, "fixed", 3, None, ">", "y coordinate", "coordinate"),
+    ("z", 46, 54, "fixed", 3, None, ">", "z coordinate", "coordinate"),
+    ("occupancy", 54, 60, "fixed", 2, 1.0, ">", "occupancy", "occupancy"),
+    ("temp_factor", 60, 66, "fixed", 2, 0.0, ">", "temperature factor", "B-factor"),
+    ("seg_id", 72, 76, "text", 0, "", "<", "segment id", "segment id"),
+    ("charge", 78, 80, "text", 0, "", "<", "charge", "charge"),
+    ("icode", 26, 27, "text", 0, " ", "", "insertion code", "insertion code"),
+))
+_FIELD = {f.name: f for f in RECORD}
+_NUMBER_FIELDS = [f for f in RECORD if f.kind != "text"]
+_WRITTEN = RECORD[:-1]  # the insertion code is written blank
+_WIDTH = max(f.stop for f in RECORD)  # the columns the parser reads
+_SHORTEST = max(f.stop for f in RECORD if f.blank is None)  # a record holds every field that cannot be blank
+_PLACES = max(f.stop - f.start - bool(f.fraction_digits) for f in _NUMBER_FIELDS)  # digits of the widest number
 # Byte tables of each code's class in number text (space 0, minus 1, digit
 # 2, point 3, anything else 4) and of its digit value.  Codes from 127 up
 # are looked up as 127, which is not number text.
@@ -394,41 +385,48 @@ _DIGIT = bytes(c - 48 if 48 <= c < 58 else 0 for c in range(256))
 
 
 def _number_tables():
-    """The weights that read the number fields, and the signatures of canonical number text.
+    """The weights that read the number fields, the signatures of canonical number text, and where digits are written.
 
     A cell's signature is its classes read as one base-5 number plus 5^8
     times the field's index, its value its digits read as one integer k.
     Canonical text is ``[ ]*-?d+`` filling the cell or, with d digits after
     the point, ``[ ]*-?d+.`` and d digits.  Every weighted sum is an
-    integer below 10^7, which a double holds exactly.
+    integer below 10^7, which a double holds exactly.  The writer puts the
+    code of each digit place, a row of ``_digit_codes``' (fields x places)
+    block, into its record column, and a point into each point column.
     """
-    columns, canonical = [], {}
-    signature_weights, digit_weights = ([[0.0] * len(_NUMBER_FIELDS) for _ in range(45)] for _ in range(2))
-    for field, (start, stop, fraction_digits, _, _) in enumerate(_NUMBER_FIELDS):
-        width = stop - start
+    columns, canonical, written, points = [], {}, [], []
+    signature_weights, digit_weights = ([[0.0] * len(_NUMBER_FIELDS) for _ in range(_WIDTH)] for _ in range(2))
+    for field, f in enumerate(_NUMBER_FIELDS):
+        width, fraction_digits = f.stop - f.start, f.fraction_digits
         whole = width - fraction_digits - 1 if fraction_digits else width
         for place in range(width):
             signature_weights[len(columns) + place][field] = 5.0 ** (width - 1 - place)
         for power, place in enumerate(place for place in reversed(range(width)) if place != whole):
             digit_weights[len(columns) + place][field] = 10.0**power
-        columns += range(start, stop)
+            written.append((f.start + place, (field + 1) * _PLACES - 1 - power))
+        columns += range(f.start, f.stop)
+        points += [f.start + whole] * bool(fraction_digits)
         for minus in (0, 1):
             for digits in range(1, whole + 1 - minus):
                 classes = [0] * (whole - minus - digits) + [1] * minus + [2] * digits
                 classes += ([3] + [2] * fraction_digits) * bool(fraction_digits)
                 canonical[sum(5.0 ** (width - 1 - j) * c for j, c in enumerate(classes)) + field * 5.0**8] = minus
     signatures = sorted(canonical)
-    return (np.array(columns), np.array(signature_weights), np.array(digit_weights), np.array(signatures),
-            np.array([canonical[s] for s in signatures], dtype=bool))
+    return (np.array(columns), np.array(signature_weights[:len(columns)]), np.array(digit_weights[:len(columns)]),
+            np.array(signatures), np.array([canonical[s] for s in signatures], dtype=bool), *np.array(written).T,
+            points)
 
 
-_NUMBER_COLUMNS, _SIGNATURE_WEIGHTS, _DIGIT_WEIGHTS, _CANONICAL, _NEGATIVE = _number_tables()
+(_NUMBER_COLUMNS, _SIGNATURE_WEIGHTS, _DIGIT_WEIGHTS, _CANONICAL, _NEGATIVE, _DIGIT_COLUMNS, _DIGIT_ROWS,
+ _POINT_COLUMNS) = _number_tables()
 # By field, as columns: the signature of a blank cell, whether the field
-# has a default, the default and the divisor of k.
+# has a default, the default, the width and the digits after the point.
 _BLANK = np.array([[field * 5.0**8] for field in range(len(_NUMBER_FIELDS))])
-_HAS_DEFAULT = np.array([[f[3] is not None] for f in _NUMBER_FIELDS])
-_DEFAULTS = np.array([[f[3] or 0.0] for f in _NUMBER_FIELDS])
-_SCALES = np.array([[10.0 ** f[2]] for f in _NUMBER_FIELDS])
+_HAS_DEFAULT = np.array([[f.blank is not None] for f in _NUMBER_FIELDS])
+_DEFAULTS = np.array([[f.blank or 0.0] for f in _NUMBER_FIELDS])
+_NUMBER_WIDTHS = np.array([[f.stop - f.start] for f in _NUMBER_FIELDS])
+_FRACTION_DIGITS = np.array([[f.fraction_digits] for f in _NUMBER_FIELDS])
 
 
 def _number(text: str, fraction_digits: int, default: float | None):
@@ -456,24 +454,23 @@ def _numbers(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     at = np.minimum(np.searchsorted(_CANONICAL, signature), len(_CANONICAL) - 1)
     k = _DIGIT_WEIGHTS.T @ digits
     blank = (signature == _BLANK) & _HAS_DEFAULT
-    values = np.where(blank, _DEFAULTS, np.where(_NEGATIVE[at], -k, k) / _SCALES)
+    values = np.where(blank, _DEFAULTS, np.where(_NEGATIVE[at], -k, k) / 10.0**_FRACTION_DIGITS)
     bad = np.zeros(values.shape, dtype=bool)
     for f, r in zip(*np.nonzero((_CANONICAL[at] != signature) & ~blank)):
-        start, stop, fraction_digits, default, _ = _NUMBER_FIELDS[f]
+        field = _NUMBER_FIELDS[f]
         try:
-            values[f, r] = _number(_text(grid[r, start:stop]), fraction_digits, default)
+            values[f, r] = _number(_text(grid[r, field.start:field.stop]), field.fraction_digits, field.blank)
         except ValueError:
             bad[f, r] = True
     return values, bad
 
 
-def _texts(grid: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """The text of columns start:stop of every row, as str.strip() leaves it, for the rows that hold no NUL.
-
-    A NumPy string drops trailing NULs, which str.strip() keeps.
-    """
-    block = np.ascontiguousarray(grid[:, start:stop], dtype="<u4")
-    return np.char.strip(block.view(f"U{stop - start}")[:, 0])
+def _texts(grid: np.ndarray, field: Field) -> np.ndarray:
+    """One field of every row as str.strip() leaves it, for rows with no NUL (a NumPy string drops trailing NULs)."""
+    if not grid[:, field.start:field.stop].tobytes().strip():  # ASCII whitespace in every row: skip the costly strip
+        return np.full(len(grid), "")
+    block = np.ascontiguousarray(grid[:, field.start:field.stop], dtype="<u4")
+    return np.char.strip(block.view(f"U{field.stop - field.start}")[:, 0])
 
 
 def decode_pdb(data: bytes) -> str:
@@ -496,22 +493,22 @@ def parse_pdb(text: str) -> Structure:
     TER and ENDMDL close the current chain, END terminates the file (blank
     lines after it are ignored), MODEL opens the one model (a second is a
     fault), and every other line is preserved verbatim as a header.  The
-    coordinate records are read as one (records x 78) array of code
+    coordinate records are read as one (records x 80) array of code
     points, each line padded with spaces: a field is a column slice,
     canonical numbers are decoded by digit arithmetic, and chain and
     residue boundaries come from comparing neighbouring rows.  The error
     raised names the first faulty line and its first fault, in the order
-    of the checks below.  A NUL in columns 1-78 of a coordinate record is
-    a fault, since a NumPy string drops the trailing NULs that a name or
-    element would need to read back.
+    of the checks below.  A NUL in columns 1-80 of a coordinate record is
+    a fault, since a NumPy string drops the trailing NULs that a name,
+    element, segment id or charge would need to read back.
     """
     lines = text.splitlines()
     lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
     # With each CRLF made one LF, every line break is one code.
     flat = text.replace("\r\n", "\n") if "\r" in text else text
     starts = np.cumsum(lengths + 1) - lengths - 1
-    codes = _codes(flat + " " * 78)
-    windows = np.ndarray((len(codes) - 77, 78), codes.dtype, codes, strides=2 * codes.strides)  # row k: codes k to k+77
+    codes = _codes(flat + " " * _WIDTH)
+    windows = np.ndarray((len(codes) - _WIDTH + 1, _WIDTH), codes.dtype, codes, strides=2 * codes.strides)
     head = windows[starts, :6].astype("<u4")
     head[np.arange(6) >= lengths[:, None]] = 0  # past the line's end: a NumPy string ends there
     record, opening = head.view("U6")[:, 0], np.ascontiguousarray(head[:, :3]).view("U3")[:, 0]
@@ -526,19 +523,21 @@ def parse_pdb(text: str) -> Structure:
 
     records = np.flatnonzero(coordinate[:end])
     grid = windows[starts[records]]
-    # Pad the short lines with spaces.  A record shorter than 54 columns is
-    # a fault of its own, so only the later columns need it.
-    short = np.flatnonzero(lengths[records] < 78)
-    grid[short, 54:] = np.where(np.arange(54, 78) < lengths[records[short], None], grid[short, 54:], 32)
-    numbers, bad = _numbers(grid)
-    serials, seqs, coords, extras = numbers[0], numbers[1], numbers[2:5], numbers[5:]
-    names, alt_locs, res_names, elements = (
-        _texts(grid, start, stop) for start, stop in ((12, 16), (16, 17), (17, 20), (76, 78))
-    )
+    # Pad the short lines with spaces: a record too short for every field that cannot be blank is a fault
+    # of its own, so only the columns past that and past the shortest record need it.
+    sizes = lengths[records]
+    low, high = max(_SHORTEST, sizes.min(initial=_WIDTH)), min(sizes.max(initial=_WIDTH), _WIDTH)
+    grid[:, max(low, high):] = 32
+    if low < high:
+        np.copyto(grid[:, low:high], 32, where=np.arange(low, high) >= sizes[:, None])
+    numbers, bad = _numbers(grid)  # serial, residue number, x, y, z, occupancy and B-factor, as RECORD orders them
+    serials, seqs, coords, (occupancy, temp_factor) = numbers[0], numbers[1], numbers[2:5].T, numbers[5:]
+    text = {f.name: _texts(grid, f) for f in RECORD if f.kind == "text" and f.justify}
+    names, alt_locs, res_names = text["name"], text["alt_loc"], text["res_name"]
 
     # A chain closes at TER and when another chain's records begin; a
     # residue, when its chain does or its number changes.
-    chains, closed = grid[:, 21], np.cumsum(closing)[records]
+    chains, closed = grid[:, _FIELD["chain"].start], np.cumsum(closing)[records]
     new_chain, new_residue = np.ones((2, len(records)), dtype=bool)
     renamed, reopened = np.zeros((2, len(records)), dtype=bool)
     new_chain[1:] = (chains[1:] != chains[:-1]) | (closed[1:] != closed[:-1])
@@ -550,24 +549,26 @@ def parse_pdb(text: str) -> Structure:
     reopened[[row for row, chain_id in zip(chain_rows.tolist(), chain_ids)
               if first_seen.setdefault(chain_id, row) != row][:1]] = True
 
+    icode = grid[:, _FIELD["icode"].start]
     faults = np.array([
-        lengths[records] < 54, (grid == 0).any(1), (alt_locs != "") & (alt_locs != "A"), bad.any(0), names == "",
-        ~np.isfinite(coords).all(0), ~np.isfinite(extras).all(0), serials < 1, grid[:, 26] != 32, reopened, renamed,
+        sizes < _SHORTEST, ~grid.all(1) if not grid.all() else np.zeros(len(grid), dtype=bool),
+        (alt_locs != "") & (alt_locs != "A"), bad.any(0), names == "", ~np.isfinite(coords).all(1),
+        ~np.isfinite(numbers[5:]).all(0), serials < 1, icode != 32, reopened, renamed,
     ])
     if models.size > 1 and not (faults.any() and records[faults.any(0).argmax()] < models[1]):
         raise PdbParseError("second MODEL record; a template is one model", int(models[1]) + 1)
     if faults.any():
         row = int(faults.any(0).argmax())
-        start, stop, _, _, what = _NUMBER_FIELDS[bad[:, row].argmax()]
-        cell = _text(grid[row, start:stop])
+        field = _NUMBER_FIELDS[bad[:, row].argmax()]
+        cell = _text(grid[row, field.start:field.stop])
         name, res_name = names[row], res_names[row]
         messages = (
-            "truncated coordinate record", "NUL character in columns 1-78",
+            "truncated coordinate record", f"NUL character in columns 1-{_WIDTH}",
             f"unsupported alternate location {str(alt_locs[row])!r}",
-            # A blank occupancy or B-factor takes its default.
-            f"malformed {what} field {(cell.strip() if start >= 54 else cell)!r}", "empty atom name",
+            # A field that may be blank is named stripped.
+            f"malformed {field.what} field {(cell if field.blank is None else cell.strip())!r}", "empty atom name",
             f"atom {name}: non-finite position", f"atom {name}: non-finite occupancy or temperature factor",
-            f"atom {name}: serial must be >= 1", f"insertion code {chr(grid[row, 26])!r} is not supported",
+            f"atom {name}: serial must be >= 1", f"{_FIELD['icode'].what} {chr(icode[row])!r} is not supported",
             f"chain {chr(chains[row])!r} reopened after TER",
             f"residue {int(seqs[row])} renamed {res_names[row - 1]} -> {res_name}",
         )
@@ -579,8 +580,9 @@ def parse_pdb(text: str) -> Structure:
     try:
         return Structure.from_columns(
             [lines[k] for k in np.flatnonzero(~(coordinate | closing | model)[:end]).tolist()], chain_ids, names=names,
-            alt_locs=alt_locs, coords=coords.T, occupancy=extras[0], temp_factor=extras[1],
-            elements=elements, hetatm=hetatm[records], res_starts=np.concatenate([residue_rows, [len(records)]]),
+            alt_locs=alt_locs, coords=coords, occupancy=occupancy, temp_factor=temp_factor,
+            elements=text["element"], hetatm=hetatm[records], seg_ids=text["seg_id"], charges=text["charge"],
+            res_starts=np.concatenate([residue_rows, [len(records)]]),
             res_seqs=seqs[residue_rows].astype(np.int64), res_names=res_names[residue_rows],
             chain_starts=np.concatenate([np.cumsum(new_residue)[chain_rows] - 1, [len(residue_rows)]]),
         )
@@ -589,7 +591,7 @@ def parse_pdb(text: str) -> Structure:
 
 
 def _round_half_away(values: np.ndarray, width, fraction_digits) -> tuple[np.ndarray, np.ndarray]:
-    """Round to F<width>.<d> as signed counts of the last digit's unit, and mask what does not fit.
+    """Round to F<width>.<d> (I<width> when d is 0) as signed counts of the last digit's unit; mask what does not fit.
 
     With d = ``fraction_digits``, |v| rounds up from k = floor(|v| 10^d)
     exactly when |v| >= (2k + 1) / (2 10^d).  That bound, the correctly
@@ -600,24 +602,14 @@ def _round_half_away(values: np.ndarray, width, fraction_digits) -> tuple[np.nda
     values and those too wide for the field.
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        size, scale = np.abs(values), 10.0 ** np.asarray(fraction_digits)
+        fraction_digits = np.asarray(fraction_digits)
+        size, scale = np.abs(values), 10.0**fraction_digits
         k = np.floor(size * scale)
         k += size >= (2 * k + 1) / (2 * scale)
         negative = (values < 0) & (k > 0)
-        unfit = ~(k < 10.0 ** (np.asarray(width) - 1 - negative))
+        unfit = ~(k < 10.0 ** (np.asarray(width) - (fraction_digits > 0) - negative))
     # k == 0 is never negative here, so -0.000 is never emitted.
     return np.where(negative, -k, k), unfit
-
-
-# A record's faults in the order they are checked, each a text for its
-# value: the first four for every record, the rest for atom records.
-_FAULTS = (
-    "serial {} does not fit in I5", "chain id {!r} is not one character", "residue number {} does not fit in I4",
-    "residue name {!r} does not fit in A3", "atom name {!r} does not fit in A4",
-    "alternate location {!r} does not fit in A1", "element {!r} does not fit in A2",
-    *["coordinate {!r} does not fit in F8.3"] * 3, "occupancy {!r} does not fit in F6.2",
-    "B-factor {!r} does not fit in F6.2",
-)
 
 
 def _digit_codes(k: np.ndarray, places: int, fraction_digits) -> np.ndarray:
@@ -640,91 +632,96 @@ def _digit_codes(k: np.ndarray, places: int, fraction_digits) -> np.ndarray:
     return codes
 
 
-def _justified(justify, texts: np.ndarray, width: int) -> np.ndarray:
-    """Codes of each text padded with spaces to ``width`` by ``np.char.ljust`` or ``rjust``; each text fits."""
-    if not texts.size:  # NumPy 2's ljust and rjust fail on an empty array
-        return np.zeros((0, width), dtype="<u4")
-    return justify(texts, width).astype(f"U{width}").view("<u4").reshape(-1, width)
-
-
 def write_pdb(structure: Structure) -> str:
     """Emit a Structure as PDB text with LF line endings.
 
     Records are numbered sequentially, each chain is closed with a TER
-    record, and the file ends with END.  Coordinates use F8.3 fields; a
-    value or name that does not fit its columns raises PdbWriteError
-    naming the first such atom or TER record, and a header that would not
-    read back as itself raises one naming the header.  The atom records
-    are written field by field into one array of code points, a line of
-    79 per atom with numbers as digit codes, and decoded once; the headers
-    and one TER line per chain are joined around them.
+    record, and the file ends with END.  Every field of ``RECORD`` but the
+    insertion code is written, in place: columns 1-78 of each atom record,
+    and 79-80 as well when its charge is set.  A value or name that does
+    not fit its columns raises PdbWriteError naming the first such atom or
+    TER record and the field, and a header that would not read back as
+    itself raises one naming the header.  The records are written field by
+    field into one array of code points and decoded once.
     """
     s = structure
-    headers = s.headers
-    for index, header in enumerate(headers):
+    for index, header in enumerate(s.headers):
         # A line break splits a header; a record name makes it a record.
         if header.splitlines() not in ([header], []) or header.startswith(("ATOM  ", "HETATM", "TER", "END", "MODEL")):
             raise PdbWriteError(f"header {index} {header!r} would not read back as the same header line")
-    ids, atom_chain, atom_res = s.chain_ids(), s.atom_chains(), s.atom_residues()
+    ids, n = s.chain_ids(), s.n_atoms()
     # Each chain with residues ends in a TER record, which takes one serial.
     closed = s.chain_starts[1:] > s.chain_starts[:-1]
-    serials = np.arange(1, s.n_atoms() + 1) + (np.cumsum(closed) - closed)[atom_chain]
-    ter_serials = s.res_starts[s.chain_starts[1:]] + np.cumsum(closed)
-    last_residues = s.chain_starts[1:] - 1
+    serials = np.arange(1, n + 1) + (np.cumsum(closed) - closed)[s.atom_chains()]
+    ter_serials = (s.res_starts[s.chain_starts[1:]] + np.cumsum(closed))[closed]
+    # The records are the atoms, then the TER records, which hold the first
+    # four fields, of their chain's last residue.  Each field is a column
+    # and the index of each record's value in it.
+    chains = np.concatenate([s.atom_chains(), np.flatnonzero(closed)])
+    residues = np.concatenate([s.atom_residues(), s.chain_starts[1:][closed] - 1])
+    every = slice(None)
+    fields = dict(serial=(np.concatenate([serials, ter_serials]), every), chain=(np.array(ids, dtype=str), chains),
+                  res_seq=(s.res_seqs, residues), res_name=(s.res_names, residues), name=(s.names, every),
+                  alt_loc=(s.alt_locs, every), element=(s.elements, every), x=(s.coords[:, 0], every),
+                  y=(s.coords[:, 1], every), z=(s.coords[:, 2], every), occupancy=(s.occupancy, every),
+                  temp_factor=(s.temp_factor, every), seg_id=(s.seg_ids, every), charge=(s.charges, every))
 
-    # x, y, z as F8.3, then occupancy and B-factor as F6.2.
-    values = np.column_stack([s.coords, s.occupancy, s.temp_factor])
-    fields, unfit = _round_half_away(values, np.array([8, 8, 8, 6, 6]), np.array([3, 3, 3, 2, 2]))
-    # The fault table: a row per record in record order (its serial less
-    # one) and a column per fault in _FAULTS; a TER record has the first four.
-    length = np.char.str_len
-    rows = np.concatenate([serials, ter_serials[closed]]) - 1
-    chains = np.concatenate([atom_chain, np.flatnonzero(closed)])
-    residues = np.concatenate([atom_res, last_residues[closed]])
-    faults = np.zeros((len(rows), len(_FAULTS)), dtype=bool)
-    faults[rows, :4] = np.column_stack([
-        rows >= 99999, np.array([len(chain_id) != 1 for chain_id in ids], dtype=bool)[chains],
-        ((s.res_seqs < -999) | (s.res_seqs > 9999))[residues], (length(s.res_names) > 3)[residues],
-    ])
-    faults[serials - 1, 4:] = np.column_stack([
-        length(s.names) > 4, length(s.alt_locs) > 1, length(s.elements) > 2, unfit,
-    ])
+    # The fault table: a row per field of _WRITTEN, in order, and a column per record.
+    numbers = np.zeros((len(_NUMBER_FIELDS), len(chains)))
+    for row, f in zip(numbers, _NUMBER_FIELDS):
+        values = fields[f.name][0][fields[f.name][1]]
+        row[:len(values)] = values
+    counts, unfit = _round_half_away(numbers, _NUMBER_WIDTHS, _FRACTION_DIGITS)
+    faults = np.zeros((len(_WRITTEN), len(chains)), dtype=bool)
+    faults[[j for j, f in enumerate(_WRITTEN) if f.kind != "text"]] = unfit
+    sizes, texts = {}, []  # each text's length, and the codes of each field not blank in every record
+    for j, f in enumerate(_WRITTEN):
+        if f.kind == "text":
+            (column, at), width = fields[f.name], f.stop - f.start
+            sizes[f.name] = size = np.char.str_len(column)
+            fault = (size != width if not f.justify else size > width)[at]
+            faults[j, :len(fault)] = fault
+            if size.any():  # NumPy 2's ljust and rjust fail on an empty array
+                padded = (np.char.rjust if f.justify == ">" else np.char.ljust)(column, width).astype(f"U{width}")
+                texts.append((f, padded.view("<u4").reshape(-1, width)[at]))
     if faults.any():
-        row = int(faults.any(1).argmax())
-        i = int(np.flatnonzero(rows == row)[0])
-        c, res_seq, res_name = ids[chains[i]], int(s.res_seqs[residues[i]]), str(s.res_names[residues[i]])
-        cells, where = (row + 1, c, res_seq, res_name), f"TER record of chain {c}"
-        if i < s.n_atoms():
-            cells += (str(s.names[i]), str(s.alt_locs[i]), str(s.elements[i]), *values[i].tolist())
-            where = f"atom {atom_addresses(s, [i])[0]}"
-        column = int(faults[row].argmax())
-        raise PdbWriteError(f"{where}: {_FAULTS[column].format(cells[column])}")
+        faulty = np.flatnonzero(faults.any(0))
+        i = int(faulty[fields["serial"][0][faulty].argmin()])  # the first faulty record in the file
+        f = _WRITTEN[int(faults[:, i].argmax())]
+        column, at = fields[f.name]
+        code = {"int": "I", "fixed": "F", "text": "A"}[f.kind] + str(f.stop - f.start)
+        code += f".{f.fraction_digits}" * (f.kind == "fixed")
+        where = f"atom {atom_addresses(s, [i])[0]}" if i < n else f"TER record of chain {ids[chains[i]]}"
+        problem = f"does not fit in {code}" if f.justify else "is not one character"
+        raise PdbWriteError(f"{where}: {f.fault} {column[at][i].item()!r} {problem}")
 
-    names, alt_locs = _justified(np.char.ljust, s.names, 4), _justified(np.char.ljust, s.alt_locs, 1)
-    res_names, elements = _justified(np.char.rjust, s.res_names, 3), _justified(np.char.rjust, s.elements, 2)
-    chain_ids = np.array([ord(chain_id[:1] or " ") for chain_id in ids], dtype=np.int64)  # one character where written
-    # One-letter elements start in column 14, longer names fill from column 13.
-    shifted = (length(s.names) < 4) & (length(s.elements) == 1)
-    names = np.where(shifted[:, None], names[:, [3, 0, 1, 2]], names)  # the fourth column is blank
-    texts = (names, alt_locs, elements, res_names, chain_ids)
-    # Column by column, then transposed to records: one byte per code when all are ASCII.
-    out = np.full((79, s.n_atoms()), 32, dtype="<u4" if max(t.max(initial=0) for t in texts) > 127 else np.uint8)
-    out[:6] = np.where(s.hetatm, _codes("HETATM")[:, None], _codes("ATOM  ")[:, None])
-    out[12:16], out[16:17], out[17:20], out[21] = names.T, alt_locs.T, res_names.T[:, atom_res], chain_ids[atom_chain]
-    out[76:78], out[78] = elements.T, 10
-    # Seven places hold I5, I4 and F8.3 and, in their last five, F6.2; the point goes in after.
-    digits = _digit_codes(np.vstack([serials, s.res_seqs[atom_res], fields.T]), 7, [0, 0, 3, 3, 3, 2, 2])
-    out[6:11], out[22:26] = digits[0, 2:], digits[1, 3:]
-    xyz, extras = out[30:54].reshape(3, 8, -1), out[54:66].reshape(2, 6, -1)
-    xyz[:, :4], xyz[:, 4], xyz[:, 5:] = digits[2:5, :4], 46, digits[2:5, 4:]
-    extras[:, :3], extras[:, 3], extras[:, 4:] = digits[5:, 2:5], 46, digits[5:, 5:]
-    records = _text(np.ascontiguousarray(out.T))
+    # A record ends after its element, or after its charge when it has one;
+    # a TER record, after its last field.
+    charge, ter_end = _FIELD["charge"], max(f.stop for f in RECORD[:4])
+    ends = np.concatenate([np.where(sizes["charge"] > 0, charge.stop, charge.start), np.full(len(chains) - n, ter_end)])
+    # Field by field, then transposed to records: one byte per code when all are ASCII.
+    wide = max((codes.max(initial=0) for _, codes in texts), default=0) > 127
+    out = np.full((_WIDTH + 1, len(chains)), 32, dtype="<u4" if wide else np.uint8)
+    out[:6, :n] = np.where(s.hetatm, _codes("HETATM")[:, None], _codes("ATOM  ")[:, None])
+    out[:6, n:] = _codes("TER   ")[:, None]
+    digits = _digit_codes(counts, _PLACES, _FRACTION_DIGITS[:, 0])
+    out[_DIGIT_COLUMNS] = digits.reshape(len(digits) * _PLACES, len(chains))[_DIGIT_ROWS]
+    out[_POINT_COLUMNS] = 46
+    for f, codes in texts:
+        out[f.start:f.stop, :len(codes)] = codes.T
+    # A name shorter than the field starts one column in when its element has one letter.
+    name = out[_FIELD["name"].start:_FIELD["name"].stop, :n]
+    name[:] = np.where((sizes["name"] < len(name)) & (sizes["element"] == 1), name[np.arange(len(name)) - 1], name)
+    out[ends, np.arange(len(ends))] = 10
+    width = ends.max(initial=charge.start) + 1
+    codes = np.ascontiguousarray(out[:width].T)
+    atoms, bounds = codes[:n], width * s.res_starts[s.chain_starts]
+    if (ends[:n] != width - 1).any():  # lines of two lengths: cut each after its line break
+        atoms, bounds = atoms[np.arange(width) <= ends[:n, None]], _starts(ends[:n] + 1)[s.res_starts[s.chain_starts]]
+    records, ter_records, bounds = _text(atoms), _text(codes[n:, :ter_end + 1]), bounds.tolist()
 
-    parts = [header + "\n" for header in headers]
-    bounds = (79 * s.res_starts[s.chain_starts]).tolist()
-    for c, r in enumerate(last_residues.tolist()):
-        if closed[c]:
-            parts += (records[bounds[c]:bounds[c + 1]],
-                      f"TER   {ter_serials[c]:5d}      {s.res_names[r]:>3} {ids[c]}{s.res_seqs[r]:4d}\n")
+    parts = [header + "\n" for header in s.headers]
+    for k, c in enumerate(np.flatnonzero(closed).tolist()):
+        parts += (records[bounds[c]:bounds[c + 1]], ter_records[k * (ter_end + 1):(k + 1) * (ter_end + 1)])
     parts.append("END\n")
     return "".join(parts)

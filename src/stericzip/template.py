@@ -102,6 +102,7 @@ def synthetic_template() -> Structure:
     return Structure.from_columns(
         headers, ["A", "B"], names=names, alt_locs=[""] * n, coords=np.round(positions, 3), occupancy=np.ones(n),
         temp_factor=np.zeros(n), elements=[_ELEMENTS[name] for name in names], hetatm=np.zeros(n, dtype=bool),
+        seg_ids=[""] * n, charges=[""] * n,
         res_starts=res_starts, res_seqs=[seq for seq, _ in TEMPLATE_RESIDUES] * 2,
         res_names=[name for _, name in TEMPLATE_RESIDUES] * 2, chain_starts=np.arange(3) * len(TEMPLATE_RESIDUES),
     )

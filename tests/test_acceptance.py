@@ -7,6 +7,7 @@ wall time, and asserts both the numeric criterion and its runtime budget.
 import time
 
 import numpy as np
+from lj_cluster import lj_cluster_energy, lj_cluster_gradient
 
 from stericzip import (
     FibrilSpec,
@@ -17,8 +18,6 @@ from stericzip import (
     atom_row,
     build_fibril_model,
     hb_pair_energy,
-    lj_cluster_energy,
-    lj_cluster_gradient,
     lj_pair_energy,
     minimize_saec,
     parse_pdb,

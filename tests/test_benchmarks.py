@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from stericzip import LJParams, SingularityError, StericZipError, lj_cluster_energy, run_benchmark
+from lj_cluster import lj_cluster_energy
+from stericzip import LJParams, SingularityError, StericZipError, run_benchmark
 from stericzip import benchmarks
 from stericzip.benchmarks import (
     CLASSIC_SUITE,
@@ -42,7 +43,12 @@ class TestFunctions:
         ])
         assert lj_cluster_value(tri) == pytest.approx(-3.0, abs=1e-12)
 
-    def test_lj_cluster_floors_where_the_public_energy_raises(self):
+    def test_lj_cluster_agrees_with_the_reference_and_floors_where_it_raises(self):
+        # tests/lj_cluster.py keeps the second cluster energy as a reference.
+        points = np.random.default_rng(7).uniform(-2.0, 2.0, (3, 8, 12))
+        for batch in (points[0, :, :6], points[1, :, :9], points[2]):
+            expected = [lj_cluster_energy(point, REDUCED_LJ) for point in batch]
+            np.testing.assert_allclose(lj_cluster_value(batch), expected, rtol=1e-12, atol=1e-12)
         close = np.array([0.0, 0.0, 0.0, 0.5 * MIN_PAIR_DISTANCE, 0.0, 0.0, 3.0, 0.0, 0.0])
         with pytest.raises(SingularityError):
             lj_cluster_energy(close, LJParams(1.0, 1.0))

@@ -27,6 +27,7 @@ from stericzip import (
     detect_hbonds,
     load_template,
     mutate_residue,
+    parse_pdb,
     solve_contact_placement,
     structure_energy_report,
     synthetic_template,
@@ -42,6 +43,7 @@ from stericzip.builder import (
     placement_centres,
     placement_objective,
 )
+from stericzip.geometry import FIBRIL_CELL
 from stericzip.pdbio import ATOM_COLUMNS
 from stericzip.template import DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS, SHEET_FLIP_ROTATION
 
@@ -143,6 +145,26 @@ class TestMutateResidue:
 
 
 class TestApplySequence:
+    def test_segment_ids_and_charges_follow_their_atoms(self):
+        # The template with segment id SEG<chain> on every record and charge 1+ on each CA.
+        text = write_pdb(load_template())
+        template = parse_pdb("".join(
+            line[:72] + f"SEG{line[21]}" + line[76:78] + ("1+" if line[12:16] == " CA " else "") + "\n"
+            if line.startswith("ATOM") else line + "\n" for line in text.splitlines()
+        ))
+        unit = apply_sequence(template, ("A", "B"), "GAAAAG")
+        # Residue 5 was glycine 131, so its CB is built: it takes its CA's segment id and no charge.
+        cb, ca = atom_row(unit, "A.ALA5.CB"), atom_row(unit, "A.ALA5.CA")
+        assert (unit.seg_ids[cb], unit.charges[cb], unit.seg_ids[ca], unit.charges[ca]) == ("SEGA", "", "SEGA", "1+")
+        assert unit.charges.tolist() == ["1+" if name == "CA" else "" for name in unit.names.tolist()]
+        model, _ = build_fibril_model(template, FibrilSpec(sequence="GAAAAG"))
+        for new_id, source, _, _ in FIBRIL_CELL:
+            chain = model.chain(new_id)
+            assert np.array_equal(chain.seg_ids, unit.chain(source).seg_ids)
+            assert np.array_equal(chain.charges, unit.chain(source).charges)
+        once = write_pdb(model)
+        assert write_pdb(parse_pdb(once)) == once and parse_pdb(once).charges.tolist() == model.charges.tolist()
+
     def test_renumbers_one_to_six(self):
         out = apply_sequence(synthetic_template(), "A", "GAAAAG")
         assert out.chain("A").res_seqs.tolist() == [1, 2, 3, 4, 5, 6]

@@ -103,6 +103,8 @@ def checked_structures(draw):
         occupancy=draw(floats), temp_factor=draw(floats),
         elements=draw(st.lists(st.sampled_from(["", "C", "N"]), min_size=n, max_size=n)),
         hetatm=draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        seg_ids=draw(st.lists(st.sampled_from(["", "SEGA"]), min_size=n, max_size=n)),
+        charges=draw(st.lists(st.sampled_from(["", "1+"]), min_size=n, max_size=n)),
     )
 
 

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atom_rows import rows_of, structure_from_rows
+from lj_cluster import lj_cluster_energy, lj_cluster_gradient
 from stericzip import (
     AtomSelector,
     ContactPair,
@@ -29,8 +30,6 @@ from stericzip import (
     detect_hbonds,
     hb_pair_energy,
     hb_params_from_minimum,
-    lj_cluster_energy,
-    lj_cluster_gradient,
     lj_pair_energy,
     load_template,
     structure_energy_report,

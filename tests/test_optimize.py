@@ -1,9 +1,11 @@
 """Global optimizer behavior: convergence, determinism, invariants, refiner."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from lj_cluster import lj_cluster_energy, lj_cluster_gradient
 from numpy1 import numpy_1
 
 from stericzip import (
@@ -12,8 +14,6 @@ from stericzip import (
     RefinementError,
     StericZipError,
     local_refine,
-    lj_cluster_energy,
-    lj_cluster_gradient,
     minimize_saec,
     uniform_bounds,
 )
@@ -205,6 +205,19 @@ class TestMinimize:
         with pytest.raises(ObjectiveError, match=r"^no evaluated value was below \+inf in 184 evaluations$") as err:
             minimize_saec(obj, OptimizerConfig(population_size=4, max_evaluations=200, restarts=1))
         assert err.value.point is batches[-1] and err.value.point.shape == (20, 2)
+
+    def test_infinite_values_leave_the_start_temperature_finite(self):
+        # One +inf in the first population made T0 +inf, so every annealed
+        # Gaussian offspring was NaN (inf / inf) and the run warned 38 times.
+        def walled(points):
+            return np.where(points[:, 0] > 0.5, np.inf, np.sum(points**2, axis=1))
+
+        obj = Objective(dimension=2, evaluate=lambda x: float(walled(x[None])[0]), evaluate_batch=walled,
+                        bounds=uniform_bounds(-1, 1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = minimize_saec(obj, OptimizerConfig(population_size=20, max_evaluations=2_000, seed=0))
+        assert np.isfinite(result.best_value) and result.best_point[0] <= 0.5
 
 
 def sphere_objective(n):

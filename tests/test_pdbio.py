@@ -215,15 +215,61 @@ class TestWrite:
         ("A", 1, {"name": "CDEFG"}, r"atom A\.ALA1\.CDEFG: atom name 'CDEFG' does not fit in A4"),
         ("A", 1, {"alt_loc": "AB"}, r"atom A\.ALA1\.CA: alternate location 'AB' does not fit in A1"),
         ("A", 1, {"element": "XYZ"}, r"atom A\.ALA1\.CA: element 'XYZ' does not fit in A2"),
+        ("A", 1, {"seg_id": "SEGAB"}, r"atom A\.ALA1\.CA: segment id 'SEGAB' does not fit in A4"),
+        ("A", 1, {"charge": "1+X"}, r"atom A\.ALA1\.CA: charge '1\+X' does not fit in A2"),
     ],
     ids=["chain-id-long", "chain-id-empty", "res-seq-high", "res-seq-low", "res-name", "atom-name",
-         "alt-loc", "element"],
+         "alt-loc", "element", "segment-id", "charge"],
 )
 def test_field_that_does_not_fit_names_field_and_atom(chain_id, res_seq, atom_edit, message):
     row = (chain_id, res_seq, atom_edit.get("res_name", "ALA"), atom_edit.get("name", "CA"), (0.0, 0.0, 0.0))
-    s = structure_from_rows([row], alt_locs=[atom_edit.get("alt_loc", "")], elements=[atom_edit.get("element", "C")])
+    s = structure_from_rows([row], alt_locs=[atom_edit.get("alt_loc", "")], elements=[atom_edit.get("element", "C")],
+                            seg_ids=[atom_edit.get("seg_id", "")], charges=[atom_edit.get("charge", "")])
     with pytest.raises(PdbWriteError, match=f"^{message}$"):
         write_pdb(s)
+
+
+def test_segment_id_and_charge_faults_come_after_the_b_factor():
+    wide = dict(seg_ids=["SEGAB"], charges=["1+X"])
+    with pytest.raises(PdbWriteError, match=r"^atom A\.ALA1\.CA: B-factor 100000\.0 does not fit in F6\.2$"):
+        write_pdb(single_atom_structure(temp_factor=[1e5], **wide))
+    with pytest.raises(PdbWriteError, match=r"^atom A\.ALA1\.CA: segment id 'SEGAB' does not fit in A4$"):
+        write_pdb(single_atom_structure(**wide))
+
+
+# Written by hand from the format: the segment id, which X-PLOR and CHARMM
+# write, in columns 73-76 and the charge (wwPDB format 3.3) in 79-80, both
+# left-justified.  A record with no charge ends at column 78.
+SEGMENT_ID_FILE = (
+    "ATOM      1  N   GLY A 127       0.000   0.800   4.000  1.00  0.00      SEGA N\n"
+    "ATOM      2  CA  GLY A 127       1.089  -0.100   3.650  1.00  0.00      SEGA C\n"
+    "TER       3      GLY A 127\n"
+    "END\n"
+)
+CHARGE_FILE = (
+    "HETATM    1 NA    NA A 201       1.000   2.000   3.000  1.00 20.00          NA1+\n"
+    "HETATM    2  O     O A 202       4.000   5.000   6.000  1.00 30.00           O2-\n"
+    "TER       3        O A 202\n"
+    "END\n"
+)
+BOTH_FILE = (
+    "HETATM    1 CL    CL A 301       7.000   8.000   9.000  1.00 40.00      SEGBCL1-\n"
+    "ATOM      2  N   GLY A 302       0.000   0.800   4.000  1.00  0.00      SEGB N\n"
+    "TER       3      GLY A 302\n"
+    "END\n"
+)
+
+
+@pytest.mark.parametrize("text, seg_ids, charges", [
+    (SEGMENT_ID_FILE, ["SEGA", "SEGA"], ["", ""]), (CHARGE_FILE, ["", ""], ["1+", "2-"]),
+    (BOTH_FILE, ["SEGB", "SEGB"], ["1-", ""]),
+], ids=["segment-id", "charges", "both"])
+def test_segment_id_and_charge_are_kept(text, seg_ids, charges):
+    s = parse_pdb(text)
+    assert (s.seg_ids.tolist(), s.charges.tolist()) == (seg_ids, charges)
+    assert [(atom.seg_id, atom.charge) for atom in s.atoms()] == list(zip(seg_ids, charges))
+    assert write_pdb(s) == text == reference_write_pdb(s)
+    assert_parses_as_reference(text)
 
 
 def serial_overflow_structure(first_residue_atoms, extra_chain_atoms):
@@ -233,7 +279,8 @@ def serial_overflow_structure(first_residue_atoms, extra_chain_atoms):
     return Structure.from_columns(
         (), ["A", "B"][:1 + bool(extra_chain_atoms)], names=[f"C{k}" for size in residue_sizes for k in range(size)],
         alt_locs=[""] * n, coords=np.zeros((n, 3)), occupancy=np.ones(n), temp_factor=np.zeros(n),
-        elements=["C"] * n, hetatm=np.zeros(n, dtype=bool), res_starts=np.cumsum([0] + residue_sizes),
+        elements=["C"] * n, hetatm=np.zeros(n, dtype=bool), seg_ids=[""] * n, charges=[""] * n,
+        res_starts=np.cumsum([0] + residue_sizes),
         res_seqs=list(range(10_000)) + [1] * bool(extra_chain_atoms), res_names=["ALA"] * len(residue_sizes),
         chain_starts=[0, 10_000, len(residue_sizes)][:2 + bool(extra_chain_atoms)],
     )
@@ -328,6 +375,7 @@ def reference_write_pdb(structure):
             res_seq, res_name = int(s.res_seqs[r]), str(s.res_names[r])
             for i in range(s.res_starts[r], s.res_starts[r + 1]):
                 atom_name, alt_loc, element = str(s.names[i]), str(s.alt_locs[i]), str(s.elements[i])
+                seg_id, charge = str(s.seg_ids[i]), str(s.charges[i])
                 address = f"{chain_id}.{res_name}{res_seq}.{atom_name}"
                 try:
                     x, y, z = (decimal_field(v, 8, 3, "coordinate") for v in s.coords[i])
@@ -337,10 +385,12 @@ def reference_write_pdb(structure):
                     raise PdbWriteError(f"atom {address}: {exc}") from None
                 one_letter = len(element) == 1 and len(atom_name) < 4
                 name = f" {atom_name:<3}" if one_letter else f"{atom_name:<4}"
+                # Columns 73-76 hold the segment id and 79-80 the charge, both
+                # left-justified; a record without a charge ends at column 78.
                 lines.append(
                     f"{'HETATM' if s.hetatm[i] else 'ATOM  '}{serial:5d} {name}"
                     f"{alt_loc or ' '}{res_name:>3} {chain_id}{res_seq:4d}    "
-                    f"{x}{y}{z}{occ}{tf}          {element:>2}"
+                    f"{x}{y}{z}{occ}{tf}      {seg_id:<4}{element:>2}{charge:<2}"[:80 if charge else 78]
                 )
                 serial += 1
             last_residue = (res_seq, res_name)
@@ -437,16 +487,13 @@ def test_bulk_rounding_matches_decimal_reference(width, decimals, what):
             assert not refused and text == expected, value
 
 
-# Columns of the fields of an ATOM/HETATM record, and the edits made to them.
-# "tail" writes past column 80.  Besides faults, the edits hold text on
-# which a column decoder could differ from int(), float() and str.strip():
-# signs, underscores, exponents, non-ASCII digits and names, tabs and other
-# Unicode whitespace, and NULs, which a NumPy string drops when trailing.
-RECORD_FIELDS = {
-    "serial": (6, 11), "name": (12, 16), "alt_loc": (16, 17), "res_name": (17, 20), "chain": (21, 22),
-    "res_seq": (22, 26), "icode": (26, 27), "x": (30, 38), "y": (38, 46), "z": (46, 54),
-    "occupancy": (54, 60), "temp_factor": (60, 66), "element": (76, 78), "tail": (80, 84),
-}
+# Columns of the fields of an ATOM/HETATM record, as the parser and writer
+# read them, and the edits made to them.  "tail" writes past column 80.
+# Besides faults, the edits hold text on which a column decoder could differ
+# from int(), float() and str.strip(): signs, underscores, exponents,
+# non-ASCII digits and names, tabs and other Unicode whitespace, and NULs,
+# which a NumPy string drops when trailing.
+RECORD_FIELDS = {field.name: (field.start, field.stop) for field in pdbio.RECORD} | {"tail": (80, 84)}
 FIELD_EDITS = [
     "nan", "inf", "-inf", "1e5", "-9999", "", "abc", "X", "+3", "1_0", "1e2", "  1.5", "\u0663", "-0.000",
     "C\u03b1", "A", "B", "\t", " \xa01", "1.5\t", "--1.000",
@@ -484,6 +531,7 @@ def edited_templates(draw, edits=FIELD_EDITS):
 _REFERENCE_COLUMNS = itemgetter(
     slice(6, 11), slice(12, 16), 16, slice(17, 20), 21, slice(22, 26),
     slice(30, 38), slice(38, 46), slice(46, 54), slice(54, 60), slice(60, 66), slice(76, 78),
+    slice(72, 76), slice(78, 80),
 )
 _REFERENCE_NUMBERS = (
     (0, int, "serial"), (5, int, "residue number"), (6, float, "x coordinate"),
@@ -519,8 +567,8 @@ def reference_parse_pdb(text):
         if record in ("ATOM  ", "HETATM"):
             if len(line) < 54:
                 raise PdbParseError("truncated coordinate record", line_number)
-            if "\x00" in line[:78]:
-                raise PdbParseError("NUL character in columns 1-78", line_number)
+            if "\x00" in line[:80]:
+                raise PdbParseError("NUL character in columns 1-80", line_number)
             columns = _REFERENCE_COLUMNS(line.ljust(80))
             alt_loc = columns[2].strip()
             if alt_loc not in ("", "A"):
@@ -557,7 +605,7 @@ def reference_parse_pdb(text):
                 res_seqs.append(res_seq)
                 res_names.append(res_name)
             atoms.append((name, alt_loc, (x, y, z), occupancy, temp_factor, element or _infer_element(name),
-                          record == "HETATM"))
+                          record == "HETATM", columns[12].strip(), columns[13].strip()))
         elif record.startswith("MODEL"):
             if models:
                 raise PdbParseError("second MODEL record; a template is one model", line_number)
@@ -645,7 +693,7 @@ class TestEditedRecords:
         assert write_pdb(parse_pdb(once)) == once
 
     @pytest.mark.parametrize("edit", NUL_EDITS)
-    @pytest.mark.parametrize("field", ["serial", "name", "res_name", "x", "element"])
+    @pytest.mark.parametrize("field", ["serial", "name", "res_name", "x", "element", "seg_id", "charge"])
     def test_nul_in_a_coordinate_record_names_its_line(self, edit, field):
         # A NumPy string drops trailing NULs, so a name or element ending in
         # one would not read back; the parser refuses the record instead.
@@ -655,7 +703,7 @@ class TestEditedRecords:
         lines[k] = lines[k][:start] + edit[-(stop - start):].rjust(stop - start) + lines[k][stop:]
         text = "\n".join(lines) + "\n"
         for parse in (parse_pdb, reference_parse_pdb):
-            with pytest.raises(PdbParseError, match=r"^line 6: NUL character in columns 1-78$") as err:
+            with pytest.raises(PdbParseError, match=r"^line 6: NUL character in columns 1-80$") as err:
                 parse(text)
             assert err.value.line_number == k + 1 == 6
 
@@ -764,7 +812,7 @@ def empty_chains(*chain_ids):
     """Chains that hold no residues, straight from columns."""
     return Structure.from_columns(
         (), chain_ids, names=[], alt_locs=[], coords=[], occupancy=[], temp_factor=[], elements=[], hetatm=[],
-        res_starts=[0], res_seqs=[], res_names=[], chain_starts=[0] * (len(chain_ids) + 1),
+        seg_ids=[], charges=[], res_starts=[0], res_seqs=[], res_names=[], chain_starts=[0] * (len(chain_ids) + 1),
     )
 
 
@@ -774,7 +822,8 @@ def one_chain(residues):
     return Structure.from_columns(
         (), ["A"], names=[name for _, _, name in residues], alt_locs=[""] * n, coords=np.zeros((n, 3)),
         occupancy=np.ones(n), temp_factor=np.zeros(n), elements=[name[0] for _, _, name in residues],
-        hetatm=np.zeros(n, dtype=bool), res_starts=range(n + 1), res_seqs=[seq for seq, _, _ in residues],
+        hetatm=np.zeros(n, dtype=bool), seg_ids=[""] * n, charges=[""] * n, res_starts=range(n + 1),
+        res_seqs=[seq for seq, _, _ in residues],
         res_names=[res_name for _, res_name, _ in residues], chain_starts=[0, n],
     )
 
