@@ -240,49 +240,33 @@ def placement_centres(anchors: np.ndarray, free0: np.ndarray, full_sum: bool = F
     return anchors - free0
 
 
-def placement_objective(
-    anchors: np.ndarray, free0: np.ndarray, params: LJParams, full_sum: bool = False
-) -> Objective:
+def placement_objective(centres: np.ndarray, params: LJParams) -> Objective:
     """Contact energy above its floor as a function of the sheet-2 translation u.
 
-    The centres c are anchor_i - free_j over the contact pairs (i, i), or
-    over every anchor-free pair with ``full_sum``.  Each pair adds the
-    kernel's V(r) + eps >= 0: V itself rounds near r_min and would stall
-    descent ~1e-8 A short.  Gradient and Hessian are analytic, both from
-    the kernel.  The box |u_x|, |u_y|, |u_z| <= max|c| + r_min holds every
-    optimum.
+    Each centre c (see ``placement_centres``) adds the kernel's
+    V(|u - c|) + eps >= 0: V itself rounds near r_min and would stall
+    descent ~1e-8 A short.  The gradient and Hessian are analytic, both
+    from one ``lj_kernel`` call with its curvature.  The box |u_x|, |u_y|,
+    |u_z| <= max|c| + r_min holds every optimum.
     """
-    centres = placement_centres(anchors, free0, full_sum)
     half = float(np.max(np.linalg.norm(centres, axis=1))) + params.r_min
 
-    def evaluate_batch(points: np.ndarray, with_gradient: bool = False):
+    def evaluate_batch(points: np.ndarray) -> np.ndarray:
         diff = points[:, None, :] - centres
-        r2 = (diff * diff).sum(axis=2)
-        if not with_gradient:
-            return lj_kernel(r2, params).sum(axis=1)
-        terms, coeff = lj_kernel(r2, params, with_force=True)
-        return terms.sum(axis=1), (coeff[:, :, None] * diff).sum(axis=1)
+        return lj_kernel((diff * diff).sum(axis=2), params).sum(axis=1)
 
     def evaluate(u: np.ndarray) -> float:
         return float(evaluate_batch(u[None, :])[0])
 
-    def gradient(u: np.ndarray) -> np.ndarray:
-        return evaluate_batch(u[None, :], with_gradient=True)[1][0]
-
-    def hessian(u: np.ndarray) -> np.ndarray:
+    def derivatives(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         diff = u - centres
         _, coeff, curvature = lj_kernel((diff * diff).sum(axis=1), params, with_curvature=True)
         outer = diff[:, :, None] * diff[:, None, :]  # exactly symmetric, so the sum is too
-        return coeff.sum() * np.eye(3) + (curvature[:, None, None] * outer).sum(axis=0)
+        hessian = coeff.sum() * np.eye(3) + (curvature[:, None, None] * outer).sum(axis=0)
+        return (coeff[:, None] * diff).sum(axis=0), hessian
 
-    return Objective(
-        dimension=3,
-        evaluate=evaluate,
-        gradient=gradient,
-        evaluate_batch=evaluate_batch,
-        bounds=uniform_bounds(-half, half, 3),
-        hessian=hessian,
-    )
+    return Objective(dimension=3, evaluate=evaluate, bounds=uniform_bounds(-half, half, 3),
+                     derivatives=derivatives, evaluate_batch=evaluate_batch)
 
 
 def nearest_optimum(centres: np.ndarray, r_min: float) -> np.ndarray | None:
@@ -324,17 +308,17 @@ def collinear_offsets(centres: np.ndarray) -> tuple[np.ndarray, float] | None:
     return t, eta
 
 
-def box_lower_bounds(t: np.ndarray, eta: float, params: LJParams, boxes: np.ndarray) -> np.ndarray:
+def box_lower_bounds(t: np.ndarray, eta: float, params: LJParams, s_lo, s_hi, rho_lo, rho_hi) -> np.ndarray:
     """A lower bound of sum g(|u - c_j|) over each box of (s, rho), g being ``lj_kernel``.
 
-    ``boxes`` is (4, m): rows s_lo, s_hi, rho_lo, rho_hi.  A point at axial
+    Box k is [s_lo[k], s_hi[k]] x [rho_lo[k], rho_hi[k]].  A point at axial
     position s and distance rho from the line is sqrt((s - t_j)^2 + rho^2)
     from centre j's projection, which lies within eta of c_j, so over a box
     |u - c_j| fills at most [r_lo - eta, r_hi + eta].  g falls to its zero
     at r_min and rises after it, so its least value there is
     g(clip(r_min, r_lo - eta, r_hi + eta)): each term's bound is exact.
     """
-    s_lo, s_hi, rho_lo, rho_hi = (row[:, None] for row in boxes)
+    s_lo, s_hi, rho_lo, rho_hi = s_lo[:, None], s_hi[:, None], rho_lo[:, None], rho_hi[:, None]
     near = np.maximum(np.maximum(s_lo - t, t - s_hi), 0.0)
     far = np.maximum(np.abs(s_lo - t), np.abs(s_hi - t))
     r = np.clip(params.r_min, np.hypot(near, rho_lo) - eta, np.hypot(far, rho_hi) + eta)
@@ -360,18 +344,18 @@ def certify_lower_bound(t: np.ndarray, eta: float, params: LJParams, ceiling: fl
     reach = params.sigma * (2.0 / (1.0 - np.sqrt(level))) ** (1.0 / 6.0) + eta
     columns = int(np.ceil((np.ptp(t) + 2.0 * reach) / reach))
     edges = np.linspace(t.min() - reach, t.max() + reach, columns + 1)
-    boxes = np.stack([edges[:-1], edges[1:], np.zeros(columns), np.full(columns, reach)])
+    s_lo, s_hi, rho_lo, rho_hi = edges[:-1], edges[1:], np.zeros(columns), np.full(columns, reach)
     bounded = 0
-    while boxes.shape[1]:
-        bounded += boxes.shape[1]
+    while s_lo.size:
+        bounded += s_lo.size
         if bounded > _BOUND_BOX_CAP:
             return False
-        s_lo, s_hi, rho_lo, rho_hi = boxes[:, box_lower_bounds(t, eta, params, boxes) < ceiling]
+        keep = box_lower_bounds(t, eta, params, s_lo, s_hi, rho_lo, rho_hi) < ceiling
+        s_lo, s_hi, rho_lo, rho_hi = s_lo[keep], s_hi[keep], rho_lo[keep], rho_hi[keep]
         s_mid, rho_mid = (s_lo + s_hi) / 2.0, (rho_lo + rho_hi) / 2.0
-        boxes = np.concatenate([
-            np.stack([s_a, s_b, rho_a, rho_b])
-            for s_a, s_b in ((s_lo, s_mid), (s_mid, s_hi)) for rho_a, rho_b in ((rho_lo, rho_mid), (rho_mid, rho_hi))
-        ], axis=1)
+        # Each open box becomes its four quarters.
+        s_lo, s_hi = np.concatenate([s_lo, s_lo, s_mid, s_mid]), np.concatenate([s_mid, s_mid, s_hi, s_hi])
+        rho_lo, rho_hi = np.concatenate([rho_lo, rho_mid] * 2), np.concatenate([rho_mid, rho_hi] * 2)
     return True
 
 
@@ -406,8 +390,8 @@ def solve_contact_placement(
     k, eps, unit = anchors.shape[0], params.epsilon, replace(params, epsilon=1.0)
     floor = -(k * k if full_sum else k)
 
-    objective = placement_objective(anchors, free0, unit, full_sum)
     centres = placement_centres(anchors, free0, full_sum)
+    objective = placement_objective(centres, unit)
     warnings = []
 
     def descend(start: np.ndarray) -> OptimizationResult:
@@ -415,7 +399,7 @@ def solve_contact_placement(
         # A line-search stop is the float floor of the energy (full_sum ends
         # there at |g| ~ 1e-8), so only a budget stop is news.
         if result.terminated_by == "budget":
-            gnorm = float(np.linalg.norm(objective.gradient(result.best_point)))
+            gnorm = float(np.linalg.norm(objective.derivatives(result.best_point)[0]))
             warnings.append(
                 f"the placement descent stopped on its iteration budget at |g| = {gnorm * eps:.3g}, "
                 "short of its tolerance; the sheet placement may not be at an optimum"
@@ -474,11 +458,14 @@ def solve_contact_placement(
 def place_opposing_sheet(unit: Structure, spec: FibrilSpec, contacts: list[ContactPair]) -> PlacementOutcome:
     """Solve the sheet-2 placement for the mutated asymmetric unit; ``contacts`` is ``spec.contacts()``.
 
+    The contacts are taken sorted by their (first, second) selector text,
+    so the model's bits do not depend on the order the spec lists them in.
     Anchors are read from the unit's coordinate block.  Each free atom is
     read as the image, under the lattice screw, of the same atom in its
     source chain, so ``G.ALA4.CB`` is the screw image of ``A.ALA4.CB``.
     """
     screw = spec.lattice.sheet2_transform
+    contacts = sorted(contacts, key=lambda pair: (str(pair.first), str(pair.second)))
     anchors = unit.coords[[atom_row(unit, pair.first) for pair in contacts]]
     free0 = []
     for pair in contacts:

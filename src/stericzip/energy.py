@@ -121,27 +121,24 @@ def _check_distance(r) -> np.ndarray:
     return r
 
 
-def lj_kernel(r2, params: LJParams, with_force: bool = False, with_curvature: bool = False):
+def lj_kernel(r2, params: LJParams, with_curvature: bool = False):
     """Each pair's energy above the well floor, from squared distances of any shape.
 
     V + eps = eps (2 s6 - 1)^2 with s6 = (sigma^2 / r2)^3 keeps full relative
-    precision near r_min, where V itself rounds.  ``with_force`` also returns
-    (dV/dr) / r; ``with_curvature`` returns that and (V'' - V'/r) / r^2 too,
-    so a pair with difference vector d has gradient (V'/r) d and Hessian
-    (V'/r) I + ((V'' - V'/r) / r^2) d d^T.  r2 is floored at
-    MIN_PAIR_DISTANCE^2, so a coincident pair gets a huge finite value, no
-    force and an isotropic Hessian.
+    precision near r_min, where V itself rounds.  ``with_curvature`` also
+    returns (dV/dr) / r and (V'' - V'/r) / r^2, so a pair with difference
+    vector d has gradient (V'/r) d and Hessian (V'/r) I + ((V'' - V'/r) /
+    r^2) d d^T.  r2 is floored at MIN_PAIR_DISTANCE^2, so a coincident pair
+    gets a huge finite value, no force and an isotropic Hessian.
     """
     r2 = np.maximum(r2, MIN_PAIR_DISTANCE**2)
     s2 = params.sigma**2 / r2
     s6 = s2 * s2 * s2
     well = 2.0 * s6 - 1.0
     terms = params.epsilon * (well * well)
-    if not (with_force or with_curvature):
+    if not with_curvature:
         return terms
     force = -24.0 * params.epsilon * s6 * well / r2
-    if not with_curvature:
-        return terms, force
     return terms, force, 96.0 * params.epsilon * s6 * (7.0 * s6 - 2.0) / (r2 * r2)
 
 

@@ -64,19 +64,18 @@ class Objective:
     ``evaluate`` maps an n-vector to a float.  ``evaluate_batch``, when
     provided, maps an (m, n) array to an (m,) array and is used by the
     optimizer to avoid per-point Python overhead; it must agree with
-    ``evaluate``.  local_refine takes its Newton steps with ``gradient`` and
-    ``hessian``, an n-vector to (n, n) symmetric map, and refuses an
-    objective without both.  Every path must accept any point in bounds: the
-    Lennard-Jones objectives floor pair distances at
-    ``energy.MIN_PAIR_DISTANCE`` instead of raising.
+    ``evaluate``.  local_refine takes its Newton steps with ``derivatives``,
+    which maps an n-vector to its gradient and (n, n) symmetric Hessian in
+    one call, and refuses an objective without it.  Every path must accept
+    any point in bounds: the Lennard-Jones objectives floor pair distances
+    at ``energy.MIN_PAIR_DISTANCE`` instead of raising.
     """
 
     dimension: int
     evaluate: Callable[[np.ndarray], float]
     bounds: np.ndarray
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    derivatives: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     evaluate_batch: Callable[[np.ndarray], np.ndarray] | None = None
-    hessian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -387,12 +386,13 @@ def local_refine(
 ) -> OptimizationResult:
     """Projected modified Newton descent with Armijo backtracking (c = 1e-4).
 
-    Each iteration steps along -d, (H + tau I) d = g, for the objective's
-    ``gradient`` g and ``hessian`` H.  Its first trial length is
-    min(|d|, cap): the cap is min(|g|, 1) at the first iteration and 1.5
-    times the last accepted move after it, so a near-singular H cannot
-    fling the iterate across a flat valley.  A trial step is halved until
-    it lowers the value enough.
+    Each iteration steps along -d, (H + tau I) d = g, for the gradient g and
+    Hessian H of one call to the objective's ``derivatives`` (at the point
+    where |g| <= tol ends the descent, its H goes unused).  Its first trial
+    length is min(|d|, cap): the cap is min(|g|, 1) at the first iteration
+    and 1.5 times the last accepted move after it, so a near-singular H
+    cannot fling the iterate across a flat valley.  A trial step is halved
+    until it lowers the value enough.
 
     Descends until the gradient norm is at most ``tol`` ("tolerance"), the
     iteration budget runs out ("budget") or no step along the direction
@@ -400,7 +400,7 @@ def local_refine(
     iterates stay inside the objective's bounds.  Non-finite values,
     gradients or Hessians raise RefinementError carrying the last good point.
     """
-    if objective.gradient is None or objective.hessian is None:
+    if objective.derivatives is None:
         raise StericZipError("local_refine requires an objective gradient and hessian")
     x = _start_point(objective, x0)
 
@@ -419,7 +419,8 @@ def local_refine(
     cap = None  # longest Newton step the next iteration may try
 
     for _ in range(max_iters):
-        grad = np.asarray(objective.gradient(x), dtype=np.float64)
+        grad, hess = objective.derivatives(x)
+        grad = np.asarray(grad, dtype=np.float64)
         if not np.all(np.isfinite(grad)):
             raise RefinementError("non-finite gradient", x, value)
         gnorm = float(np.linalg.norm(grad))
@@ -427,7 +428,7 @@ def local_refine(
             terminated_by = "tolerance"
             break
 
-        hess = np.asarray(objective.hessian(x), dtype=np.float64)
+        hess = np.asarray(hess, dtype=np.float64)
         if not np.all(np.isfinite(hess)):
             raise RefinementError("non-finite Hessian", x, value)
         direction = _newton_direction(hess, grad)

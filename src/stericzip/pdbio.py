@@ -382,6 +382,8 @@ _PLACES = max(f.stop - f.start - bool(f.fraction_digits) for f in _NUMBER_FIELDS
 # are looked up as 127, which is not number text.
 _NUMBER_CLASS = bytes({32: 0, 45: 1, 46: 3}.get(c, 2 if 48 <= c < 58 else 4) for c in range(256))
 _DIGIT = bytes(c - 48 if 48 <= c < 58 else 0 for c in range(256))
+# NUL and each character str.splitlines breaks a line at: a text field holding one would not read back.
+_BREAKS = np.array([0, 10, 11, 12, 13, 28, 29, 30, 0x85, 0x2028, 0x2029])
 
 
 def _number_tables():
@@ -639,10 +641,11 @@ def write_pdb(structure: Structure) -> str:
     record, and the file ends with END.  Every field of ``RECORD`` but the
     insertion code is written, in place: columns 1-78 of each atom record,
     and 79-80 as well when its charge is set.  A value or name that does
-    not fit its columns raises PdbWriteError naming the first such atom or
-    TER record and the field, and a header that would not read back as
-    itself raises one naming the header.  The records are written field by
-    field into one array of code points and decoded once.
+    not fit its columns, or a text that holds NUL or a line break, raises
+    PdbWriteError naming the first such atom or TER record and the field,
+    and a header that would not read back as itself raises one naming the
+    header.  The records are written field by field into one array of code
+    points and decoded once.
     """
     s = structure
     for index, header in enumerate(s.headers):
@@ -679,11 +682,15 @@ def write_pdb(structure: Structure) -> str:
         if f.kind == "text":
             (column, at), width = fields[f.name], f.stop - f.start
             sizes[f.name] = size = np.char.str_len(column)
-            fault = (size != width if not f.justify else size > width)[at]
-            faults[j, :len(fault)] = fault
+            fault = size != width if not f.justify else size > width
             if size.any():  # NumPy 2's ljust and rjust fail on an empty array
                 padded = (np.char.rjust if f.justify == ">" else np.char.ljust)(column, width).astype(f"U{width}")
-                texts.append((f, padded.view("<u4").reshape(-1, width)[at]))
+                codes = padded.view("<u4").reshape(-1, width)
+                if codes.min() < 32 or codes.max() > 126:  # a text that fits is whole in its padded codes
+                    fault |= np.isin(codes, _BREAKS).any(axis=1)
+                texts.append((f, codes[at]))
+            fault = fault[at]
+            faults[j, :len(fault)] = fault
     if faults.any():
         faulty = np.flatnonzero(faults.any(0))
         i = int(faulty[fields["serial"][0][faulty].argmin()])  # the first faulty record in the file
@@ -692,8 +699,11 @@ def write_pdb(structure: Structure) -> str:
         code = {"int": "I", "fixed": "F", "text": "A"}[f.kind] + str(f.stop - f.start)
         code += f".{f.fraction_digits}" * (f.kind == "fixed")
         where = f"atom {atom_addresses(s, [i])[0]}" if i < n else f"TER record of chain {ids[chains[i]]}"
+        value = column[at][i].item()
         problem = f"does not fit in {code}" if f.justify else "is not one character"
-        raise PdbWriteError(f"{where}: {f.fault} {column[at][i].item()!r} {problem}")
+        if f.kind == "text" and np.isin(_codes(value), _BREAKS).any():
+            problem = "holds a NUL or a line break"
+        raise PdbWriteError(f"{where}: {f.fault} {value!r} {problem}")
 
     # A record ends after its element, or after its charge when it has one;
     # a TER record, after its last field.

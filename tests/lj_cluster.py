@@ -44,7 +44,7 @@ def lj_cluster_energy(coords, params: LJParams) -> float:
 def lj_cluster_gradient(coords, params: LJParams) -> np.ndarray:
     """Analytic gradient of lj_cluster_energy over the same i < j pairs, as a flat 3N-vector."""
     pts, i, j, diff, r2 = _cluster_pairs(coords)
-    forces = lj_kernel(r2, params, with_force=True)[1][:, None] * diff
+    forces = lj_kernel(r2, params, with_curvature=True)[1][:, None] * diff
     grad = np.zeros_like(pts)
     np.add.at(grad, i, forces)
     np.add.at(grad, j, -forces)

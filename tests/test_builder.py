@@ -36,6 +36,7 @@ from stericzip import (
     write_pdb,
 )
 from stericzip.builder import (
+    _BOUND_BOX_CAP,
     box_lower_bounds,
     certify_lower_bound,
     collinear_offsets,
@@ -43,6 +44,7 @@ from stericzip.builder import (
     placement_centres,
     placement_objective,
 )
+from stericzip.energy import lj_kernel
 from stericzip.geometry import FIBRIL_CELL
 from stericzip.pdbio import ATOM_COLUMNS
 from stericzip.template import DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS, SHEET_FLIP_ROTATION
@@ -395,37 +397,41 @@ class TestPlacementObjective:
     free0 = np.array([[0.0, 6.0, 0.0], [10.0, 6.0, 1.0]])
     params = LJParams(1.0, 4.0)
 
+    def objective(self, full_sum=False, pairs=slice(None)):
+        return placement_objective(placement_centres(self.anchors[pairs], self.free0[pairs], full_sum), self.params)
+
     @pytest.mark.parametrize("full_sum", [False, True])
     def test_scalar_batch_and_gradient_agree(self, full_sum):
-        obj = placement_objective(self.anchors, self.free0, self.params, full_sum)
+        obj = self.objective(full_sum)
         points = np.random.default_rng(5).uniform(obj.lower, obj.upper, size=(40, 3))
         batch = obj.evaluate_batch(points)
         h = 1e-6
         for u, value in zip(points, batch):
             assert obj.evaluate(u) == value
             central = [(obj.evaluate(u + h * e) - obj.evaluate(u - h * e)) / (2 * h) for e in np.eye(3)]
-            assert np.allclose(obj.gradient(u), central, rtol=1e-6, atol=1e-8)
+            assert np.allclose(obj.derivatives(u)[0], central, rtol=1e-6, atol=1e-8)
 
     @pytest.mark.parametrize("full_sum", [False, True])
     def test_hessian_is_symmetric_and_matches_gradient_differences(self, full_sum):
-        obj = placement_objective(self.anchors, self.free0, self.params, full_sum)
+        obj = self.objective(full_sum)
         points = np.random.default_rng(7).uniform(obj.lower, obj.upper, size=(40, 3))
         h = 1e-6
         for u in points:
-            hess = obj.hessian(u)
+            hess = obj.derivatives(u)[1]
             assert np.array_equal(hess, hess.T)
-            central = np.array([(obj.gradient(u + h * e) - obj.gradient(u - h * e)) / (2 * h) for e in np.eye(3)])
+            central = np.array([(obj.derivatives(u + h * e)[0] - obj.derivatives(u - h * e)[0]) / (2 * h)
+                                for e in np.eye(3)])
             assert np.allclose(hess, central, rtol=1e-6, atol=1e-8)
 
     def test_point_on_a_centre_is_finite_and_path_independent(self):
-        obj = placement_objective(self.anchors, self.free0, self.params)
+        obj = self.objective()
         centre = self.anchors[0] - self.free0[0]
         value = obj.evaluate(centre)
         assert np.isfinite(value) and value > 1e100
         assert obj.evaluate_batch(centre[None, :])[0] == value
         # The coincident pair exerts no force; only the other pair does.
-        other = placement_objective(self.anchors[1:], self.free0[1:], self.params)
-        assert np.array_equal(obj.gradient(centre), other.gradient(centre))
+        other = self.objective(pairs=slice(1, None))
+        assert np.array_equal(obj.derivatives(centre)[0], other.derivatives(centre)[0])
 
 
 def template_points(spec):
@@ -574,10 +580,10 @@ class TestPlacementCertificate:
             t_fit, eta = collinear_offsets(centres)
             if t_fit @ t < 0:
                 axis = -axis
-            objective = placement_objective(centres, np.zeros_like(centres), params)
+            objective = placement_objective(centres, params)
             s_lo, rho_lo = rng.uniform(t.min() - 8.0, t.max() + 8.0), rng.uniform(0.0, 8.0)
             s_hi, rho_hi = s_lo + rng.uniform(0.0, 6.0), rho_lo + rng.uniform(0.0, 6.0)
-            bound = box_lower_bounds(t_fit, eta, params, np.array([[s_lo], [s_hi], [rho_lo], [rho_hi]]))[0]
+            bound = box_lower_bounds(t_fit, eta, params, *np.array([[s_lo], [s_hi], [rho_lo], [rho_hi]]))[0]
             s, rho = rng.uniform(s_lo, s_hi, 200), rng.uniform(rho_lo, rho_hi, 200)
             across = rng.standard_normal((200, 3))
             across -= (across @ axis)[:, None] * axis
@@ -615,8 +621,8 @@ class TestPlacementCertificate:
         params = LJParams(1.0, 4.0)
         rng = np.random.default_rng(6)
         for anchors, free0, _ in two_contact_geometries(20, params, seed=2):
-            objective = placement_objective(anchors, free0, params, full_sum=True)
-            middle = placement_centres(anchors, free0, full_sum=True).mean(axis=0)
+            centres = placement_centres(anchors, free0, full_sum=True)
+            objective, middle = placement_objective(centres, params), centres.mean(axis=0)
             points = rng.uniform(objective.lower, objective.upper, (50, 3))
             values = objective.evaluate_batch(points)
             twins = objective.evaluate_batch(2 * middle - points)
@@ -641,6 +647,66 @@ class TestPlacementCertificate:
         assert report.optimizer["terminated_by"] == "tolerance"
         assert report.optimizer["evaluations"] <= 100
         assert not [w for w in report.warnings if "placement" in w]
+
+
+def reference_box_bounds(t, eta, params, boxes):
+    """``box_lower_bounds`` as it read one (4, m) block of boxes, rows s_lo, s_hi, rho_lo and rho_hi."""
+    s_lo, s_hi, rho_lo, rho_hi = (row[:, None] for row in boxes)
+    near = np.maximum(np.maximum(s_lo - t, t - s_hi), 0.0)
+    far = np.maximum(np.abs(s_lo - t), np.abs(s_hi - t))
+    r = np.clip(params.r_min, np.hypot(near, rho_lo) - eta, np.hypot(far, rho_hi) + eta)
+    return lj_kernel(r * r, params).sum(axis=1)
+
+
+def reference_certify(t, eta, params, ceiling):
+    """``certify_lower_bound`` with its boxes as one (4, m) block, split by four stacks a level."""
+    if ceiling <= 0.0:
+        return True
+    level = ceiling / len(t)
+    if level >= 1.0:
+        return False
+    reach = params.sigma * (2.0 / (1.0 - np.sqrt(level))) ** (1.0 / 6.0) + eta
+    columns = int(np.ceil((np.ptp(t) + 2.0 * reach) / reach))
+    edges = np.linspace(t.min() - reach, t.max() + reach, columns + 1)
+    boxes = np.stack([edges[:-1], edges[1:], np.zeros(columns), np.full(columns, reach)])
+    bounded = 0
+    while boxes.shape[1]:
+        bounded += boxes.shape[1]
+        if bounded > _BOUND_BOX_CAP:
+            return False
+        s_lo, s_hi, rho_lo, rho_hi = boxes[:, reference_box_bounds(t, eta, params, boxes) < ceiling]
+        s_mid, rho_mid = (s_lo + s_hi) / 2.0, (rho_lo + rho_hi) / 2.0
+        boxes = np.concatenate([
+            np.stack([s_a, s_b, rho_a, rho_b])
+            for s_a, s_b in ((s_lo, s_mid), (s_mid, s_hi)) for rho_a, rho_b in ((rho_lo, rho_mid), (rho_mid, rho_hi))
+        ], axis=1)
+    return True
+
+
+def grid_minimum(t, params):
+    """The least sum g(sqrt((s - t_j)^2 + rho^2)) on a 0.05 A grid of (s, rho) about the centres."""
+    s = np.arange(t.min() - params.r_min - 0.5, t.max() + params.r_min + 0.5, 0.05)
+    rho = np.arange(0.0, params.r_min + 0.5, 0.05)
+    return float(lj_kernel((s[:, None, None] - t) ** 2 + rho[:, None] ** 2, params).sum(axis=2).min())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    t=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4).map(lambda t: np.array(t) - np.mean(t)),
+    sigma=st.floats(5.3, 6.0),
+    eta=st.floats(0.0, 1e-9),
+    # Ceilings near the least energy, on both sides of it (above it the boxes reach the cap), below it, and anywhere.
+    offset=st.one_of(st.floats(-0.05, 0.05), st.floats(-0.5, 0.0), st.floats(-1.0, 4.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certificate_matches_the_stacked_reference(t, sigma, eta, offset, seed):
+    params = LJParams(1.0, sigma)
+    ceiling = grid_minimum(t, params) + offset
+    assert certify_lower_bound(t, eta, params, ceiling) == reference_certify(t, eta, params, ceiling)
+    rng = np.random.default_rng(seed)
+    s_lo, rho_lo = rng.uniform(t.min() - 8.0, t.max() + 8.0, 50), rng.uniform(0.0, 8.0, 50)
+    boxes = np.stack([s_lo, s_lo + rng.uniform(0.0, 6.0, 50), rho_lo, rho_lo + rng.uniform(0.0, 6.0, 50)])
+    assert box_lower_bounds(t, eta, params, *boxes).tobytes() == reference_box_bounds(t, eta, params, boxes).tobytes()
 
 
 def random_frame(seed):

@@ -26,8 +26,7 @@ def quadratic_objective():
         dimension=1,
         evaluate=lambda x: float((x[0] - 3.0) ** 2),
         evaluate_batch=lambda pts: (pts[:, 0] - 3.0) ** 2,
-        gradient=lambda x: np.array([2.0 * (x[0] - 3.0)]),
-        hessian=lambda x: np.array([[2.0]]),
+        derivatives=lambda x: (np.array([2.0 * (x[0] - 3.0)]), np.array([[2.0]])),
         bounds=uniform_bounds(-10.0, 10.0, 1),
     )
 
@@ -53,8 +52,7 @@ def lj_objective(n_atoms):
     return Objective(
         dimension=dim,
         evaluate=evaluate,
-        gradient=lambda x: lj_cluster_gradient(np.asarray(x), LJ_REDUCED),
-        hessian=lj_cluster_hessian,
+        derivatives=lambda x: (lj_cluster_gradient(np.asarray(x), LJ_REDUCED), lj_cluster_hessian(x)),
         bounds=uniform_bounds(-2.0, 2.0, dim),
     )
 
@@ -225,8 +223,7 @@ def sphere_objective(n):
         dimension=n,
         evaluate=lambda x: float(np.sum(x**2)),
         evaluate_batch=lambda pts: np.sum(pts**2, axis=1),
-        gradient=lambda x: 2.0 * x,
-        hessian=lambda x: 2.0 * np.eye(n),
+        derivatives=lambda x: (2.0 * x, 2.0 * np.eye(n)),
         bounds=uniform_bounds(-1.0, 1.0, n),
     )
 
@@ -387,8 +384,7 @@ class TestLocalRefine:
         obj = Objective(
             dimension=1,
             evaluate=lambda x: float((x[0] - 3.0) ** 2 + 1e6),
-            gradient=lambda x: np.array([2.0 * (x[0] - 3.0)]),
-            hessian=lambda x: np.array([[2.0]]),
+            derivatives=lambda x: (np.array([2.0 * (x[0] - 3.0)]), np.array([[2.0]])),
             bounds=uniform_bounds(-10.0, 10.0, 1),
         )
         result = local_refine(obj, np.array([3.000001]), tol=1e-12)
@@ -410,17 +406,15 @@ class TestLocalRefine:
         obj = Objective(
             dimension=1,
             evaluate=evaluate,
-            gradient=lambda x: np.array([-1.0]),  # pushes x upward into the nan region
-            hessian=lambda x: np.zeros((1, 1)),
+            derivatives=lambda x: (np.array([-1.0]), np.zeros((1, 1))),  # pushes x upward into the nan region
             bounds=uniform_bounds(-1.0, 1.0, 1),
         )
         with pytest.raises(RefinementError) as err:
             local_refine(obj, np.array([0.4]), tol=1e-12)
         assert err.value.last_point is not None
 
-    @pytest.mark.parametrize("missing", ["gradient", "hessian"])
-    def test_gradient_and_hessian_required(self, missing):
-        obj = replace(quadratic_objective(), **{missing: None})
+    def test_gradient_and_hessian_required(self):
+        obj = replace(quadratic_objective(), derivatives=None)
         with pytest.raises(StericZipError, match="requires an objective gradient and hessian"):
             local_refine(obj, np.array([0.5]))
 
@@ -467,8 +461,7 @@ class TestNewtonRefine:
         obj = Objective(
             dimension=3,
             evaluate=lambda x: float((x - target) @ matrix @ (x - target)),
-            gradient=lambda x: 2.0 * matrix @ (x - target),
-            hessian=lambda x: 2.0 * matrix,
+            derivatives=lambda x: (2.0 * matrix @ (x - target), 2.0 * matrix),
             bounds=uniform_bounds(-1.0, 1.0, 3),
         )
         result = local_refine(obj, np.zeros(3), tol=1e-10)
@@ -479,18 +472,17 @@ class TestNewtonRefine:
     def test_descends_from_a_saddle_region(self):
         # f = x^2 + (y^2 - 1)^2 has an indefinite Hessian near y = 0, so the
         # shifted Cholesky step is what points the descent downhill.  The
-        # gradient is taken once per iterate, so it records the path.
+        # derivatives are taken once per iterate, so they record the path.
         iterates = []
 
-        def gradient(p):
+        def derivatives(p):
             iterates.append(p.copy())
-            return np.array([2.0 * p[0], 4.0 * p[1] * (p[1] ** 2 - 1.0)])
+            return np.array([2.0 * p[0], 4.0 * p[1] * (p[1] ** 2 - 1.0)]), np.diag([2.0, 12.0 * p[1] ** 2 - 4.0])
 
         obj = Objective(
             dimension=2,
             evaluate=lambda p: float(p[0] ** 2 + (p[1] ** 2 - 1.0) ** 2),
-            gradient=gradient,
-            hessian=lambda p: np.diag([2.0, 12.0 * p[1] ** 2 - 4.0]),
+            derivatives=derivatives,
             bounds=uniform_bounds(-3.0, 3.0, 2),
         )
         result = local_refine(obj, np.array([0.3, 1e-3]), tol=1e-10)
@@ -503,8 +495,7 @@ class TestNewtonRefine:
         obj = Objective(
             dimension=1,
             evaluate=lambda x: float(x[0]),
-            gradient=lambda x: np.array([1.0]),
-            hessian=lambda x: np.zeros((1, 1)),
+            derivatives=lambda x: (np.array([1.0]), np.zeros((1, 1))),
             bounds=uniform_bounds(-2.0, 2.0, 1),
         )
         result = local_refine(obj, np.array([1.5]), tol=1e-10)
@@ -515,10 +506,35 @@ class TestNewtonRefine:
         obj = Objective(
             dimension=1,
             evaluate=lambda x: float(x[0] ** 2),
-            gradient=lambda x: 2.0 * x,
-            hessian=lambda x: np.array([[np.nan]]),
+            derivatives=lambda x: (2.0 * x, np.array([[np.nan]])),
             bounds=uniform_bounds(-1.0, 1.0, 1),
         )
         with pytest.raises(RefinementError, match="non-finite Hessian") as err:
             local_refine(obj, np.array([0.4]))
         assert np.array_equal(err.value.last_point, [0.4])
+
+    def test_one_derivatives_call_per_iterate(self):
+        # Each iterate takes one call, and the final point one more, whose Hessian ends unused.
+        calls = []
+        base = quadratic_objective()
+        obj = replace(base, derivatives=lambda x: calls.append(x.copy()) or base.derivatives(x))
+        result = local_refine(obj, np.array([-4.0]), tol=1e-9)
+        assert result.terminated_by == "tolerance" and result.best_point[0] == 3.0
+        # The trust cap starts at 1 and grows by 1.5 with each accepted move.
+        assert [x.tolist() for x in calls] == [[-4.0], [-3.0], [-1.5], [0.75], [3.0]]
+
+    def test_gradient_is_checked_before_the_tolerance_and_the_hessian(self):
+        # A non-finite gradient raises even beside a non-finite Hessian; a
+        # gradient within tol ends the descent before its Hessian is read.
+        def objective(gradient):
+            return Objective(dimension=1, evaluate=lambda x: float(x[0] ** 2), bounds=uniform_bounds(-1.0, 1.0, 1),
+                             derivatives=lambda x: (np.array([gradient]), np.array([[np.nan]])))
+
+        with pytest.raises(RefinementError, match="^non-finite gradient$") as err:
+            local_refine(objective(np.inf), np.array([0.4]))
+        assert np.array_equal(err.value.last_point, [0.4]) and err.value.last_value == 0.4**2
+        result = local_refine(objective(0.0), np.array([0.4]))
+        assert result.terminated_by == "tolerance" and result.evaluations_used == 1
+        with pytest.raises(RefinementError, match="^non-finite Hessian$") as err:
+            local_refine(objective(1.0), np.array([0.4]))
+        assert np.array_equal(err.value.last_point, [0.4]) and err.value.last_value == 0.4**2

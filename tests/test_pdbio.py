@@ -29,7 +29,7 @@ from stericzip import (
     write_pdb,
 )
 from stericzip import pdbio
-from stericzip.pdbio import ATOM_COLUMNS, _infer_element, _round_half_away, atom_addresses, decode_pdb
+from stericzip.pdbio import _BREAKS, ATOM_COLUMNS, _infer_element, _round_half_away, atom_addresses, decode_pdb
 
 SAMPLE_LINE = "ATOM      1  N   GLY A 127      1.000   2.000   3.000  1.00  0.00           N"
 
@@ -235,6 +235,34 @@ def test_segment_id_and_charge_faults_come_after_the_b_factor():
         write_pdb(single_atom_structure(temp_factor=[1e5], **wide))
     with pytest.raises(PdbWriteError, match=r"^atom A\.ALA1\.CA: segment id 'SEGAB' does not fit in A4$"):
         write_pdb(single_atom_structure(**wide))
+
+
+@pytest.mark.parametrize("rows, columns, message", [
+    # Each of these was written, then read back as another structure or refused.
+    ([("A", 1, "ALA", "CA")], {"seg_ids": ["S\nA"]}, r"atom A.ALA1.CA: segment id 'S\nA'"),
+    ([("A", 1, "ALA", "CA")], {"seg_ids": ["S\x0bA"]}, r"atom A.ALA1.CA: segment id 'S\x0bA'"),
+    ([("A", 1, "ALA", "CA")], {"seg_ids": ["S\x85A"]}, r"atom A.ALA1.CA: segment id 'S\x85A'"),
+    ([("A", 1, "ALA", "CA")], {"charges": ["\n1"]}, r"atom A.ALA1.CA: charge '\n1'"),
+    ([("A", 1, "ALA", "CA")], {"elements": ["\x0c"]}, r"atom A.ALA1.CA: element '\x0c'"),
+    ([("A", 1, "ALA", "C\nA")], {}, "atom A.ALA1.C\nA: atom name 'C\\nA'"),
+    ([("A", 1, "ALA", "CA")], {"seg_ids": ["S\x00A"]}, r"atom A.ALA1.CA: segment id 'S\x00A'"),
+    # The first faulty record is named, and in it the first faulty field.
+    ([("A", 1, "ALA", "N"), ("A", 1, "ALA", "CA")], {"seg_ids": ["", "S\nA"], "charges": ["\n1", ""]},
+     r"atom A.ALA1.N: charge '\n1'"),
+    ([("A", 1, "ALA", "CA")], {"seg_ids": ["S\nA"], "elements": ["\x0c"]}, r"atom A.ALA1.CA: element '\x0c'"),
+], ids=["segment-id-lf", "segment-id-vt", "segment-id-nel", "charge", "element", "atom-name", "segment-id-nul",
+        "first-record", "first-field"])
+def test_text_with_a_line_break_or_nul_names_field_and_atom(rows, columns, message):
+    s = structure_from_rows([row + ((0.0, 0.0, 0.0),) for row in rows], **columns)
+    with pytest.raises(PdbWriteError, match=f"^{re.escape(message)} holds a NUL or a line break$"):
+        write_pdb(s)
+
+
+def test_break_codes_are_nul_and_what_splitlines_breaks_at():
+    breaks = set(_BREAKS.tolist())
+    assert 0 in breaks and all(len(f"a{chr(code)}a".splitlines()) == 2 for code in breaks - {0})
+    others = "".join(chr(code) for code in range(0x110000) if code not in breaks)
+    assert others.splitlines() == [others]
 
 
 # Written by hand from the format: the segment id, which X-PLOR and CHARMM

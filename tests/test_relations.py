@@ -1,21 +1,22 @@
-"""Rewrites of the template's text that must not change the built model.
+"""Rewrites of the inputs that must not change the built model.
 
-Each rewrite keeps every atom and its coordinates and changes only how the
-file lists them: the order of the atoms within a residue, the order of the
-chains, the residue numbers, or a MODEL/ENDMDL wrapper around the records.
-The model built from the rewritten text must hold the same coordinate bytes
-as the model built from the packaged text, atom for atom, keyed by (chain,
-residue number, atom name).  The order of the spec's contacts is left out:
-it changes the model's last bits today.
+Each rewrite of the template's text keeps every atom and its coordinates
+and changes only how the file lists them: the order of the atoms within a
+residue, the order of the chains, the residue numbers, or a MODEL/ENDMDL
+wrapper around the records.  A rewrite of the spec lists its contacts in
+another order.  The model built from the rewritten input must hold the same
+coordinate bytes as the model built from the original, atom for atom, keyed
+by (chain, residue number, atom name).
 """
 
 from functools import cache
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from stericzip import PALINDROME_WINDOWS, FibrilSpec, OptimizerConfig, build_fibril_model, parse_pdb
-from stericzip.template import template_path
+from stericzip.template import DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS, template_path
 
 TEMPLATE = template_path().read_text()
 
@@ -73,9 +74,14 @@ REWRITES = {rewrite.__name__: rewrite for rewrite in (shuffled_within_residues, 
 
 
 @cache
-def model_coordinates(text, sequence, full_sum):
-    """The coordinate bytes of the seed-0 model built from ``text``, by (chain, residue number, atom name)."""
-    spec = FibrilSpec(sequence=sequence, full_sum=full_sum, optimizer=OptimizerConfig(max_evaluations=40_000, seed=0))
+def model_coordinates(text, sequence, full_sum, contacts=None, budget=40_000):
+    """The coordinate bytes of the seed-0 model built from ``text``, by (chain, residue number, atom name).
+
+    ``contacts``, (anchor, free atom) pairs, replace the spec's default ones.
+    """
+    pairs = dict(anchors=tuple(a for a, _ in contacts), free_atoms=tuple(f for _, f in contacts)) if contacts else {}
+    spec = FibrilSpec(sequence=sequence, full_sum=full_sum,
+                      optimizer=OptimizerConfig(max_evaluations=budget, seed=0), **pairs)
     model, _ = build_fibril_model(parse_pdb(text), spec)
     ids = model.chain_ids()
     keys = zip([ids[c] for c in model.atom_chains().tolist()], model.res_seqs[model.atom_residues()].tolist(),
@@ -92,3 +98,16 @@ def test_rewritten_template_builds_the_same_model(rewrite, sequence, full_sum):
     rewritten = REWRITES[rewrite](TEMPLATE)
     assert rewritten != TEMPLATE and parse_pdb(rewritten).n_atoms() == parse_pdb(TEMPLATE).n_atoms()
     assert model_coordinates(rewritten, sequence, full_sum) == model_coordinates(TEMPLATE, sequence, full_sum)
+
+
+DEFAULT_CONTACTS = tuple(zip(DEFAULT_ANCHOR_SELECTORS, DEFAULT_FREE_SELECTORS))
+# No bound certifies three contacts, so those builds run the search: 5,000 evaluations keep them cheap.
+CONTACT_ORDERS = [(sequence, DEFAULT_CONTACTS) for sequence in PALINDROME_WINDOWS] + [
+    ("GAAAAG", DEFAULT_CONTACTS + (("A.ALA5.CB", "G.ALA2.CB"),))]
+
+
+@pytest.mark.parametrize("full_sum", [False, True])
+@pytest.mark.parametrize("sequence, contacts", CONTACT_ORDERS, ids=["AGAAAA", "GAAAAG", "AAAAGA", "three-contacts"])
+def test_contact_order_builds_the_same_model(sequence, contacts, full_sum):
+    models = [model_coordinates(TEMPLATE, sequence, full_sum, order, 5_000) for order in permutations(contacts)]
+    assert all(model == models[0] for model in models[1:])
